@@ -44,7 +44,7 @@ print_report(solve_SQ(Q, "euclidean"))
 print("\nWhich relations does the Euclidean radius-2 tube family satisfy?")
 tube = TubeIdentity(EUCLIDEAN, Fraction(2), is_right_cylinder=False)
 description = solve_QS(tube)
-print("  an ideal?", description.is_ideal, " generator:", description.generator())
+print("  a principal ideal?", description.is_principal, " generator:", description.generator())
 big = parse_poly(
     "4*x^4 + 8*x^2*y^2 - 12*x*y^3 + 9*x^3 + 9*x^2*y - 9*x*y^2 - 4*y^3"
     " + 22*x^2 - 8*x*y - 7*y^2 - 91*x + 98*y - 24"
@@ -52,8 +52,9 @@ big = parse_poly(
 print("  contains the degree-4 example?", description.contains(big))
 print("  contains y - 1?", description.contains(parse_poly("y - 1")))
 
-print("\nFor a right cylinder the relation set is not an ideal; it is the")
-print("membership predicate 'radius lies in the radius set':")
+print("\nFor a right cylinder the relation set is the ideal of relations vanishing")
+print("at its curvature point (0, 1/(2r)), generated by x and 2*r*y - 1 but not")
+print("principal; membership means 'radius lies in the radius set':")
 cylinder = TubeIdentity(EUCLIDEAN, Fraction(2), is_right_cylinder=True)
 print("  cylinder r=2 satisfies Q?", solve_QS(cylinder).contains(Q))
 

@@ -7,6 +7,11 @@ satisfy (``solve_QS``).  On top of those sit the linear relation,
 constant second-fundamental-form-length and principal-curvature
 corollaries, and the true-nonlinear-relation verdict.
 
+Both S(Q) problems, Q(K, H) and Q(k1, k2), run through one lane
+driver that consumes a generator family from radius: each lane of
+``solve_SQ`` uses the K-H family of its space tag, and
+``solve_SQ_principal`` uses the principal family in one Euclidean lane.
+
 Conventions: hyperbolic radii appear in the substituted variable
 rho = sinh(r) everywhere in this module, and the Lorentzian space always
 contributes two lanes, one per signal eps in {-1, +1}.  The Euclidean
@@ -29,30 +34,19 @@ from .errors import (
     NotMember,
     ZeroPolynomial,
 )
-from .polyalg import (
-    Poly1,
-    Poly2,
-    divide_by_tube_factor,
-    epsilon_transform,
-    is_in_tube_ideal,
-    tube_generator,
-)
+from .polyalg import Poly2, tube_generator
 from .radius import (
     EUCLIDEAN,
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    PRINCIPAL,
     AlgebraicRadius,
+    GeneratorFamily,
     SpaceTag,
-    axis_restriction,
-    ideal_member_at,
-    isolate_positive_roots,
-    principal_radius_set,
-    star_radii_when_all_positive,
-    star_radius_set,
+    decide_radii,
+    tube_family,
     vanishes_at,
-    _gcd,
-    _reversed_scaled,
 )
 
 RIGHT_CYLINDERS = "right-cylinders"
@@ -109,37 +103,13 @@ class ClassificationReport:
         return all(lane.is_empty for lane in self.lanes)
 
 
-def _quotient_witness(q: Poly2, radius: AlgebraicRadius, eps: int) -> Optional[Poly2]:
-    if radius.exact_value is None:
-        return None
-    witness = divide_by_tube_factor(q, radius.exact_value, eps)
-    if witness is None:
-        raise InternalMismatch("star radius failed direct division")
-    return witness
-
-
-def _lane(q: Poly2, tag: SpaceTag) -> LaneReport:
-    rset = star_radius_set(q, tag)
-    if rset.is_all_positive:
-        classes = tuple(
-            SurfaceClass(ALL_REGULAR_TUBES, rad, tag.eps, _quotient_witness(q, rad, tag.eps))
-            for rad in star_radii_when_all_positive(q, tag)
-        )
-        return LaneReport(tag, True, classes)
-    classes = []
-    for entry in rset.entries:
-        if entry.star:
-            classes.append(
-                SurfaceClass(
-                    ALL_REGULAR_TUBES,
-                    entry.radius,
-                    tag.eps,
-                    _quotient_witness(q, entry.radius, tag.eps),
-                )
-            )
-        else:
-            classes.append(SurfaceClass(RIGHT_CYLINDERS, entry.radius, tag.eps, None))
-    return LaneReport(tag, False, tuple(classes))
+def _lane(q: Poly2, family: GeneratorFamily, tag: SpaceTag) -> LaneReport:
+    all_positive, decisions = decide_radii(q, family)
+    classes = tuple(
+        SurfaceClass(ALL_REGULAR_TUBES if entry.star else RIGHT_CYLINDERS, entry.radius, tag.eps, quotient)
+        for entry, quotient in decisions
+    )
+    return LaneReport(tag, all_positive, classes)
 
 
 def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> ClassificationReport:
@@ -153,7 +123,8 @@ def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> Classificat
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    return ClassificationReport(q, tuple(_lane(q, tag) for tag in expand_spaces(spaces)))
+    lanes = tuple(_lane(q, tube_family(tag), tag) for tag in expand_spaces(spaces))
+    return ClassificationReport(q, lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +155,22 @@ class TubeIdentity:
 
 @dataclass(frozen=True)
 class QSDescription:
-    """The set of polynomial relations satisfied by a fixed tube.
+    """The set of polynomial relations satisfied by a fixed tube; it is
+    always an ideal.
 
-    For a right cylinder the set is not an ideal; it is exposed as the
-    membership predicate ``contains`` (radius lies in the radius set of
-    the candidate).  For any other regular tube it is the principal
+    For any regular tube that is not a right cylinder it is the principal
     ideal of the tube relation; ``generator`` returns the generator
-    whenever the radius is rational.
+    whenever the radius is rational.  For a right cylinder it is the
+    kernel of evaluation at the cylinder's curvature point
+    (0, eps/(2r)): a maximal ideal, generated by x and 2*r*y - eps when r
+    is rational, but not a principal one.  ``contains`` decides
+    membership in every case.
     """
 
     surface: TubeIdentity
 
     @property
-    def is_ideal(self) -> bool:
+    def is_principal(self) -> bool:
         return not self.surface.is_right_cylinder
 
     def generator(self) -> Optional[Poly2]:
@@ -210,18 +184,12 @@ class QSDescription:
     def contains(self, q: Poly2) -> bool:
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
-        tag = self.surface.tag
+        family = tube_family(self.surface.tag)
         r = self.surface.radius
         if self.surface.is_right_cylinder:
-            q0 = axis_restriction(epsilon_transform(q, tag.eps))
-            if q0.is_zero:
-                return True
-            if isinstance(r, Fraction):
-                return q0.eval(Fraction(1, 2) / r) == 0
-            return vanishes_at(_reversed_scaled(q0, 2), r)
-        if isinstance(r, Fraction):
-            return is_in_tube_ideal(q, r, tag.eps)
-        return ideal_member_at(q, r, tag.eps)
+            p = family.radius_poly(q)
+            return p.eval(r) == 0 if isinstance(r, Fraction) else vanishes_at(p, r)
+        return family.contains(q, r)
 
 
 def solve_QS(surface: TubeIdentity) -> QSDescription:
@@ -339,70 +307,13 @@ def classify_second_fundamental(
 # principal-curvature variant (Euclidean)
 
 
-def _divide_by_principal_factor(q: Poly2, r: Fraction) -> Poly2:
-    """Exact quotient of Q by (y - 1/r), valid when Q(x, 1/r) vanishes
-    identically; verified by multiplication."""
-    u = Fraction(1) / r
-    cols = q.y_coefficients()  # C_j(x), Q = sum C_j y^j
-    d = len(cols) - 1
-    quot_cols: list[Poly1] = [Poly1()] * d
-    carry = cols[d]
-    for j in range(d - 1, -1, -1):
-        quot_cols[j] = carry
-        carry = cols[j] + u * carry
-    if not carry.is_zero:
-        raise InternalMismatch("principal division has nonzero remainder")
-    terms = []
-    for j, col in enumerate(quot_cols):
-        for i, coeff in enumerate(col.coeffs):
-            if coeff != 0:
-                terms.append(((i, j), coeff))
-    quotient = Poly2(terms)
-    generator = Poly2([((0, 1), 1), ((0, 0), -u)])
-    if generator * quotient != q:
-        raise InternalMismatch("verified multiplication of principal quotient failed")
-    return quotient
-
-
 def solve_SQ_principal(q: Poly2) -> ClassificationReport:
     """Euclidean tubes whose principal curvatures satisfy Q(k1, k2) = 0:
     right cylinders at radii with Q(0, 1/r) = 0, all regular tubes where
     additionally Q(x, 1/r) vanishes identically in x."""
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    rset = principal_radius_set(q)
-    if rset.is_all_positive:
-        rows = [h for h in q.x_coefficients() if not h.is_zero]
-        common = Poly1.zero()
-        for h in rows:
-            common = _gcd(common, _reversed_scaled(h, 1))
-        stars = isolate_positive_roots(common) if common.degree >= 1 else []
-        classes = tuple(
-            SurfaceClass(
-                ALL_REGULAR_TUBES,
-                rad,
-                1,
-                _divide_by_principal_factor(q, rad.exact_value)
-                if rad.exact_value is not None
-                else None,
-            )
-            for rad in stars
-        )
-        lane = LaneReport(EUCLIDEAN, True, classes)
-        return ClassificationReport(q, (lane,), principal=True)
-    classes = []
-    for entry in rset.entries:
-        if entry.star:
-            witness = (
-                _divide_by_principal_factor(q, entry.radius.exact_value)
-                if entry.radius.exact_value is not None
-                else None
-            )
-            classes.append(SurfaceClass(ALL_REGULAR_TUBES, entry.radius, 1, witness))
-        else:
-            classes.append(SurfaceClass(RIGHT_CYLINDERS, entry.radius, 1, None))
-    lane = LaneReport(EUCLIDEAN, False, tuple(classes))
-    return ClassificationReport(q, (lane,), principal=True)
+    return ClassificationReport(q, (_lane(q, PRINCIPAL, EUCLIDEAN),), principal=True)
 
 
 # ---------------------------------------------------------------------------

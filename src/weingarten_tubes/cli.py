@@ -247,15 +247,17 @@ def _fmt(value: float, prec: int) -> str:
 def _radius_json(rad: AlgebraicRadius, tag: SpaceTag, prec: int) -> dict:
     if rad.exact_value is not None:
         body: dict = {"exact": str(rad.exact_value)}
+        value = float(rad.exact_value)
     else:
         fine = rad.refined()
+        value = float((fine.lo + fine.hi) / 2)  # what rad.approx() returns
         body = {
             "defining_poly": rad.defining_poly.to_string("r"),
             "interval": [str(fine.lo), str(fine.hi)],
-            "approx": _fmt(rad.approx(), prec),
+            "approx": _fmt(value, prec),
         }
     if tag.space == "hyperbolic":
-        return {"sinh_radius": body, "radius_approx": _fmt(math.asinh(rad.approx()), prec)}
+        return {"sinh_radius": body, "radius_approx": _fmt(math.asinh(value), prec)}
     return body
 
 

@@ -8,18 +8,23 @@ All coefficients are `fractions.Fraction`, so every decision made here
 * ``Poly1`` -- dense univariate polynomial: coefficient tuple indexed by
   exponent, trailing coefficient nonzero.
 
-On top of the ring arithmetic the module implements the machinery for
-the one-parameter family of generators ``x*r**2 - 2*r*y + eps`` with
-``eps in {-1, +1}``:
+On top of the ring arithmetic the module answers every question about
+one linear relation g = a*x + b*y + c (b != 0) at a rational radius with
+a single synthetic division in y:
 
-* ``substitute_tube`` -- the image of Q under x -> eps*x/r,
-  y -> eps*(x*r + 1)/(2*r), a univariate polynomial whose vanishing is
-  equivalent to membership in the ideal generated by the tube relation.
+* ``divide_by_linear`` -- Q = (y - L(x)) * R + rho(x) on the line
+  y = L(x) where g vanishes.  Q lies in the ideal of g iff rho = 0, and
+  then R / b is the exact quotient.
+* ``certified_quotient`` -- that quotient, certified once by
+  g * quotient == Q.
+* ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
+  -- the division specialised to the tube generators
+  ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
+  x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image as
-  explicit rational expressions in r, and their denominator-cleared
-  polynomial forms (used downstream to locate star radii exactly).
-* ``divide_by_tube_factor`` -- the exact quotient by the generator,
-  assembled coefficient-by-coefficient and verified by multiplication.
+  explicit rational expressions in r (the paper's formula), and their
+  denominator-cleared polynomial forms, whose common roots locate the
+  star radii exactly, rational or not.
 * ``epsilon_transform`` -- the substitution x -> eps*x, y -> eps*y that
   carries statements between the eps = -1 and eps = +1 generators.
 """
@@ -477,78 +482,60 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     return out
 
 
+def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
+    """Synthetic division in y by a relation g = a*x + b*y + c, b != 0.
+
+    Writes Q = (y - L(x)) * R + rho(x) with L(x) = -(a*x + c)/b, so rho is
+    the restriction Q(x, L(x)) and Q lies in the ideal of g iff rho = 0.
+    Returns (R / b, rho) -- the exact quotient of Q by g -- when rho = 0,
+    and (None, rho) otherwise.
+    """
+    b = g.coeff(0, 1)
+    line = Poly1([-g.coeff(0, 0) / b, -g.coeff(1, 0) / b])
+    cols = q.y_coefficients()  # Q = sum_j cols[j](x) * y**j
+    quotient_cols = [Poly1()] * max(len(cols) - 1, 0)
+    rho = Poly1()
+    for j in range(len(cols) - 1, -1, -1):
+        rho = cols[j] + line * rho
+        if j:
+            quotient_cols[j - 1] = rho
+    if rho:
+        return None, rho
+    quotient = Poly2(
+        ((i, j), c / b) for j, col in enumerate(quotient_cols) for i, c in enumerate(col.coeffs)
+    )
+    return quotient, rho
+
+
+def certified_quotient(q: Poly2, g: Poly2) -> Optional[Poly2]:
+    """Exact quotient of Q by the linear relation g, or None when Q is not
+    in its ideal.  The quotient is certified by g * quotient == Q; a
+    failure indicates an arithmetic bug and raises InternalMismatch."""
+    quotient, _ = divide_by_linear(q, g)
+    if quotient is not None and g * quotient != q:
+        raise InternalMismatch("verified multiplication of the quotient failed")
+    return quotient
+
+
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)).
 
-    Computed by direct expansion and cross-checked against the explicit
-    coefficient formula applied to the eps-transformed polynomial; a
-    disagreement would indicate an arithmetic bug and raises
-    InternalMismatch.
+    This is the remainder rho of the division by the tube generator,
+    rescaled by x -> eps*x/r.
     """
     r = _frac(r)
-    if r == 0:
-        raise ZeroRadius("substitution radius must be nonzero")
-    check_epsilon(eps)
-    n = q.degree
-    if n < 0:
-        return Poly1()
-    # powers of (x*r + 1)
-    max_j = max(j for (_, j), _ in q.terms())
-    base = Poly1([1, r])
-    powers = [Poly1([1])]
-    for _ in range(max_j):
-        powers.append(powers[-1] * base)
-    acc = [Fraction(0)] * (n + 1)
-    for (i, j), a in q.terms():
-        scale = a * Fraction(eps) ** (i + j) / (r**i * (2 * r) ** j)
-        for k, c in enumerate(powers[j].coeffs):
-            if c != 0:
-                acc[i + k] += scale * c
-    result = Poly1(acc)
-    expected = gamma_at(epsilon_transform(q, eps), r)
-    if [result.coeff(k) for k in range(n + 1)] != expected:
-        raise InternalMismatch("substitution expansion disagrees with coefficient formula")
-    return result
+    _, rho = divide_by_linear(q, tube_generator(r, eps))
+    scale = eps / r
+    return Poly1([c * scale**k for k, c in enumerate(rho.coeffs)])
 
 
 def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
     """Membership in the principal ideal generated by x*r**2 - 2*r*y + eps,
-    decided by vanishing of the substitution image."""
-    return substitute_tube(q, r, eps).is_zero
+    decided by vanishing of the division remainder."""
+    return divide_by_linear(q, tube_generator(r, eps))[1].is_zero
 
 
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:
     """Exact quotient R with Q = (x*r**2 - 2*r*y + eps) * R, or None when
-    Q is not in the ideal.
-
-    The quotient coefficients are assembled by the explicit alternating
-    formula c_{i,j} = sum_{k<=i} sum_{l<=j} (-1)**k C(l+k, l) * 2**l *
-    r**(l+2k) * a_{i-k,j-l} after reducing to eps = +1, then transformed
-    back.  The result is verified by multiplication before returning.
-    """
-    r = _frac(r)
-    if r == 0:
-        raise ZeroRadius("division radius must be nonzero")
-    check_epsilon(eps)
-    if q.is_zero:
-        return Poly2.zero()
-    if not is_in_tube_ideal(q, r, eps):
-        return None
-    w = epsilon_transform(q, eps)
-    n = w.degree
-    quotient_terms = []
-    for i in range(n):
-        for j in range(n - i):
-            c = Fraction(0)
-            for k in range(i + 1):
-                for l in range(j + 1):
-                    a = w.coeff(i - k, j - l)
-                    if a == 0:
-                        continue
-                    c += (-1) ** k * binom(l + k, l) * 2**l * r ** (l + 2 * k) * a
-            if c != 0:
-                quotient_terms.append(((i, j), c))
-    quotient = eps * epsilon_transform(Poly2(quotient_terms), eps)
-    if tube_generator(r, eps) * quotient != q:
-        raise InternalMismatch("verified multiplication of tube quotient failed")
-    return quotient
+    Q is not in the ideal; verified by multiplication before returning."""
+    return certified_quotient(q, tube_generator(r, eps))

@@ -7,11 +7,21 @@ whenever that root is rational.  Rational roots are found by candidate
 testing, the rest by Sturm bisection; intervals refine on demand but no
 decision ever depends on interval width.
 
-The three ambient spaces share one code path.  The eps = -1 Lorentzian
-lane is the eps = +1 lane applied to the sign-transformed polynomial,
-and hyperbolic radii are computed in the substituted variable
-rho = sinh(r) (reported alongside a numeric r = asinh(rho) rendering),
-so every membership decision stays in exact rational arithmetic.
+Every radius question runs through one :class:`GeneratorFamily`, the
+relation G_r = 0 that all regular tubes of radius r satisfy: the K-H
+relation x*r**2 - 2*r*y + eps of one lane, or the principal-curvature
+relation y - 1/r.  A family supplies the polynomial in r whose positive
+roots are the cylinder radii, the cleared polynomials whose common roots
+are the star radii, and G_r itself at a rational r.  ``decide_radii``
+decides each candidate radius once: a rational one by the certified
+division by G_r (polyalg), an irrational one by the gcd of the cleared
+polynomials and a Sturm count on its isolating interval.
+
+The three ambient spaces are lanes of the K-H family.  The eps = -1
+Lorentzian lane reads the sign-transformed polynomial, and hyperbolic
+radii are computed in the substituted variable rho = sinh(r) (reported
+alongside a numeric r = asinh(rho) rendering), so every membership
+decision stays in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,16 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
-from .errors import InternalMismatch, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .polyalg import (
     Poly1,
     Poly2,
+    certified_quotient,
     check_epsilon,
+    divide_by_linear,
     epsilon_transform,
     gamma_cleared,
-    is_in_tube_ideal,
+    tube_generator,
 )
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
@@ -374,6 +387,109 @@ def _reversed_scaled(q0: Poly1, scale: int) -> Poly1:
     return Poly1([q0.coeff(d - m) * Fraction(scale) ** m for m in range(d + 1)])
 
 
+@dataclass(frozen=True)
+class GeneratorFamily:
+    """The relation G_r(x, y) = 0 that every regular tube of radius r
+    satisfies, as a family in r.
+
+    Two families exist: the K-H lane relation x*r**2 - 2*r*y + eps
+    (``tube_family``; r is rho = sinh(r) in the hyperbolic space) and the
+    principal-curvature relation y - 1/r (``PRINCIPAL``).  Q holds on every
+    tube of radius r exactly when Q lies in the ideal of G_r, and on the
+    right cylinder of radius r exactly when Q vanishes at the point
+    (0, eps/(axis_scale*r)) where G_r meets the axis x = 0.
+
+    ``generator`` gives G_r at a rational r; ``cleared`` gives polynomials
+    in r whose common roots are the radii where Q lies in the ideal.
+    """
+
+    eps: int
+    axis_scale: int
+    generator: Callable[[Fraction], Poly2]
+    cleared: Callable[[Poly2], list[Poly1]]
+
+    def radius_poly(self, q: Poly2) -> Poly1:
+        """Polynomial in r whose positive roots are the cylinder radii;
+        zero when Q vanishes on the whole axis."""
+        return _reversed_scaled(axis_restriction(epsilon_transform(q, self.eps)), self.axis_scale)
+
+    def star_poly(self, q: Poly2) -> Poly1:
+        """gcd of the cleared polynomials: its positive roots are exactly
+        the radii at which Q lies in the ideal of G_r."""
+        common = Poly1.zero()
+        for g in self.cleared(q):
+            common = _gcd(common, g)
+        return common
+
+    def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
+        """Q lies in the ideal of G_r; a rational r is decided by the
+        remainder of one division, an irrational one by the star poly."""
+        if isinstance(radius, AlgebraicRadius):
+            return vanishes_at(self.star_poly(q), radius)
+        return divide_by_linear(q, self.generator(radius))[1].is_zero
+
+
+def tube_family(tag: SpaceTag) -> GeneratorFamily:
+    """The generator family x*r**2 - 2*r*y + eps of one lane."""
+    eps = tag.eps
+    return GeneratorFamily(
+        eps, 2, partial(tube_generator, eps=eps), lambda q: gamma_cleared(epsilon_transform(q, eps))
+    )
+
+
+def _principal_generator(r: Fraction) -> Poly2:
+    return Poly2([((0, 1), 1), ((0, 0), -1 / r)])
+
+
+def _principal_cleared(q: Poly2) -> list[Poly1]:
+    # r**deg * h(1/r) for each coefficient h(y) of a power of x in Q(x, 1/r)
+    return [_reversed_scaled(h, 1) for h in q.x_coefficients() if not h.is_zero]
+
+
+PRINCIPAL = GeneratorFamily(1, 1, _principal_generator, _principal_cleared)
+
+
+def decide_radii(
+    q: Poly2, family: GeneratorFamily
+) -> tuple[bool, tuple[tuple[RadiusEntry, Optional[Poly2]], ...]]:
+    """(all_positive, decisions) for Q in one generator family.
+
+    Each decision is a radius entry with its star flag, plus the exact
+    quotient of Q by G_r when the radius is a rational star.  The
+    candidates are the positive roots of the radius poly or, when Q
+    vanishes on the whole axis (right cylinders of every radius), of the
+    star poly.  A rational candidate is decided once, by the certified
+    division by G_r; an irrational one by the star poly.
+    """
+    if q.is_zero:
+        raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
+    candidates = family.radius_poly(q)
+    all_positive = candidates.is_zero
+    star_poly = None
+    if all_positive:
+        candidates = star_poly = family.star_poly(q)
+    radii = isolate_positive_roots(candidates) if candidates.degree >= 1 else []
+    decisions = []
+    for rad in radii:
+        quotient = None
+        if rad.exact_value is not None:
+            quotient = certified_quotient(q, family.generator(rad.exact_value))
+            star = quotient is not None
+        else:
+            if star_poly is None:
+                star_poly = family.star_poly(q)
+            star = vanishes_at(star_poly, rad)
+        decisions.append((RadiusEntry(rad, star), quotient))
+    return all_positive, tuple(decisions)
+
+
+def _star_set(q: Poly2, family: GeneratorFamily) -> RadiusSet:
+    all_positive, decisions = decide_radii(q, family)
+    if all_positive:
+        return RadiusSet("all-positive")
+    return RadiusSet("finite", tuple(entry for entry, _ in decisions))
+
+
 def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """Positive radii at which the right cylinder of that radius (and
     signal, in the Lorentzian lane) satisfies Q(K, H) = 0.
@@ -384,114 +500,21 @@ def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
-    w = epsilon_transform(q, tag.eps)
-    q0 = axis_restriction(w)
-    if q0.is_zero:
+    p = tube_family(tag).radius_poly(q)
+    if p.is_zero:
         return RadiusSet("all-positive")
-    p = _reversed_scaled(q0, 2)
-    if p.degree < 1:
-        return RadiusSet("finite", ())
-    entries = tuple(RadiusEntry(rad, False) for rad in isolate_positive_roots(p))
-    return RadiusSet("finite", entries)
-
-
-def _common_gamma_gcd(w: Poly2) -> Poly1:
-    """gcd of the nonzero cleared coefficient polynomials g_0..g_n; its
-    roots are exactly the radii at which the substitution image of w
-    vanishes identically."""
-    common = Poly1.zero()
-    for g in gamma_cleared(w):
-        common = _gcd(common, g)
-    return common
+    radii = isolate_positive_roots(p) if p.degree >= 1 else []
+    return RadiusSet("finite", tuple(RadiusEntry(rad, False) for rad in radii))
 
 
 def star_radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """radius_set with star = True exactly where Q lies in the ideal of
-    the tube relation at that radius.
-
-    Irrational radii are decided by common vanishing of the cleared
-    coefficient polynomials (gcd + Sturm count on the isolating
-    interval); rational radii additionally cross-check against direct
-    ideal membership.
-    """
-    rset = radius_set(q, tag)
-    if rset.is_all_positive or not rset.entries:
-        return rset
-    w = epsilon_transform(q, tag.eps)
-    gammas = gamma_cleared(w)
-    common = _common_gamma_gcd(w)
-    common_sf = _squarefree(common) if common.degree >= 1 else common
-    flagged = []
-    for entry in rset.entries:
-        rad = entry.radius
-        if rad.exact_value is not None:
-            rho = rad.exact_value
-            star = all(g.eval(rho) == 0 for g in gammas)
-            direct = is_in_tube_ideal(q, rho, tag.eps)
-            if star != direct:
-                raise InternalMismatch(
-                    "cleared-coefficient star decision disagrees with direct membership"
-                )
-        else:
-            joint = _gcd(common_sf, rad.defining_poly)
-            star = joint.degree >= 1 and _has_root_in(joint, rad.lo, rad.hi)
-        flagged.append(RadiusEntry(rad, star))
-    return RadiusSet("finite", tuple(flagged))
-
-
-def star_radii_when_all_positive(q: Poly2, tag: SpaceTag) -> list[AlgebraicRadius]:
-    """Star radii in the all-positive case (axis restriction identically
-    zero): the common positive roots of the nonzero cleared coefficient
-    polynomials."""
-    if q.is_zero:
-        raise ZeroPolynomial("nonzero polynomial required")
-    w = epsilon_transform(q, tag.eps)
-    common = _common_gamma_gcd(w)
-    if common.degree < 1:
-        return []
-    return isolate_positive_roots(common)
-
-
-def ideal_member_at(q: Poly2, rad: AlgebraicRadius, eps: int = 1) -> bool:
-    """Membership of Q in the tube ideal at a possibly irrational radius:
-    every cleared coefficient polynomial of the eps-transform must vanish
-    at the root described by rad."""
-    if q.is_zero:
-        return True
-    if rad.exact_value is not None:
-        return is_in_tube_ideal(q, rad.exact_value, eps)
-    w = epsilon_transform(q, eps)
-    return all(vanishes_at(g, rad) for g in gamma_cleared(w))
+    the tube relation at that radius (see decide_radii)."""
+    return _star_set(q, tube_family(tag))
 
 
 def principal_radius_set(q: Poly2) -> RadiusSet:
     """Radii for the principal-curvature problem Q(k1, k2) = 0: positive
     r with Q(0, 1/r) = 0, star-flagged when Q(x, 1/r) vanishes
     identically in x (membership in the ideal of y - 1/r)."""
-    if q.is_zero:
-        raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
-    q0 = axis_restriction(q)
-    if q0.is_zero:
-        return RadiusSet("all-positive")
-    p = _reversed_scaled(q0, 1)
-    if p.degree < 1:
-        return RadiusSet("finite", ())
-    rows = [h for h in q.x_coefficients() if not h.is_zero]
-    cleared = [_reversed_scaled(h, 1) for h in rows]
-    common = Poly1.zero()
-    for h in cleared:
-        common = _gcd(common, h)
-    common_sf = _squarefree(common) if common.degree >= 1 else common
-    entries = []
-    for rad in isolate_positive_roots(p):
-        if rad.exact_value is not None:
-            inv = 1 / rad.exact_value
-            star = all(h.eval(inv) == 0 for h in rows)
-            cross = all(h.eval(rad.exact_value) == 0 for h in cleared)
-            if star != cross:
-                raise InternalMismatch("principal star decision disagrees with cleared form")
-        else:
-            joint = _gcd(common_sf, rad.defining_poly)
-            star = joint.degree >= 1 and _has_root_in(joint, rad.lo, rad.hi)
-        entries.append(RadiusEntry(rad, star))
-    return RadiusSet("finite", tuple(entries))
+    return _star_set(q, PRINCIPAL)

@@ -127,7 +127,7 @@ class TestSolveQS:
     def test_non_cylinder_membership(self, exq_poly):
         tube = TubeIdentity(EUCLIDEAN, Fraction(2), False)
         desc = solve_QS(tube)
-        assert desc.is_ideal
+        assert desc.is_principal
         assert desc.generator() == tube_generator(2)
         assert desc.contains(tube_generator(2))
         assert desc.contains(exq_poly)
@@ -138,9 +138,11 @@ class TestSolveQS:
         r = Fraction(7, 3)
         cyl = TubeIdentity(EUCLIDEAN, r, True)
         desc = solve_QS(cyl)
-        assert not desc.is_ideal
+        assert not desc.is_principal
         assert desc.generator() is None
         assert desc.contains(tube_generator(r))
+        # the kernel of evaluation at (0, 1/(2r)): generated by x and 2ry - 1
+        assert desc.contains(X) and desc.contains(2 * r * Y - Poly2.constant(1))
         assert not desc.contains(Y - Poly2.constant(1))
 
     def test_lorentzian_cylinder_sff_membership(self):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,18 @@ from weingarten_tubes.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
+from weingarten_tubes import polyalg
 from weingarten_tubes.polyalg import Poly2
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EXQ_TEXT = (
+    "4*x^4 + 8*x^2*y^2 - 12*x*y^3 + 9*x^3 + 9*x^2*y - 9*x*y^2 - 4*y^3 "
+    "+ 22*x^2 - 8*x*y - 7*y^2 - 91*x + 98*y - 24"
+)
 
 
 class TestParser:
@@ -219,6 +228,35 @@ class TestCommands:
         ]
 
 
+class TestGoldens:
+    """Reports pinned byte for byte; each covers a path the two
+    classification goldens of the acceptance suite do not reach."""
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            # irrational principal star radius plus a rational cylinder
+            ("classify_principal_irrational_star.json",
+             ["classify", "(k2^2 - 2)*(k1 + k2 - 3)", "--principal"]),
+            # principal axis restriction vanishes; star quotient x
+            ("classify_principal_all_positive.json", ["classify", "k1*(k2 - 2)", "--principal"]),
+            # irrational star in every lane, with the H^3 sinh_radius rendering
+            ("radius_irrational_star_all.json",
+             ["radius", "((2*x+1)^2 - 8*y^2)*(x - y + 2)", "--star", "--space", "all"]),
+            # all-positive lanes whose star radii are irrational
+            ("classify_all_positive_irrational_all.json",
+             ["classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all"]),
+            # the substitution image of a non-member
+            ("divide_exq_not_in_ideal.json", ["divide", EXQ_TEXT, "--r", "1", "--eps", "-1"]),
+        ],
+    )
+    def test_report_is_byte_identical(self, capsys, monkeypatch, golden, argv):
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (GOLDEN / "pinned" / golden).read_text()
+
+
 class TestExitCodes:
     def test_syntax_error_is_one(self, capsys):
         code, _, err = run_cli(capsys, "classify", "2x")
@@ -245,6 +283,29 @@ class TestExitCodes:
     def test_unknown_tube_is_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "x", "--tube", "m4-torus:r=1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divide", EXQ_TEXT, "--r", "2"],
+            ["classify", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "euclidean"],
+            ["classify", "k2 - 1/2", "--principal"],
+        ],
+    )
+    def test_failed_certificate_is_three(self, capsys, monkeypatch, argv):
+        # a division that returns a wrong quotient must be caught by the
+        # multiplication certificate, in both generator families
+        divide = polyalg.divide_by_linear
+
+        def off_by_one(q, g):
+            quotient, rho = divide(q, g)
+            return (None if quotient is None else quotient + Poly2.constant(1)), rho
+
+        monkeypatch.setattr(polyalg, "divide_by_linear", off_by_one)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: verified multiplication of the quotient failed\n"
 
 
 class TestDeterminism:

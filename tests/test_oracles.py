@@ -1,0 +1,123 @@
+"""Property tests of every rational decision against oracles that share no
+code with the library: the binomial expansion in conftest for the tube
+families, and direct evaluation of Q(x, 1/r) for the principal family.
+
+Each test stands in for a runtime cross-check that the library no longer
+repeats on every call."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import brute_substitute
+from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
+from weingarten_tubes.polyalg import Poly2, divide_by_tube_factor, substitute_tube, tube_generator
+from weingarten_tubes.radius import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    LORENTZIAN_NEG,
+    LORENTZIAN_POS,
+    principal_radius_set,
+    star_radius_set,
+)
+
+X = Poly2.variable("x")
+Y = Poly2.variable("y")
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= 4)
+polys = st.lists(st.tuples(exponents, coefficients), max_size=5).map(Poly2)
+# a nonzero constant term keeps the axis restriction of G_r * A nonzero
+cofactors = st.builds(lambda p, c: p + Poly2.constant(c), polys, coefficients.filter(bool))
+positive_radii = st.fractions(min_value=Fraction(1, 9), max_value=10, max_denominator=9)
+nonzero_radii = st.fractions(min_value=-10, max_value=10, max_denominator=9).filter(bool)
+signals = st.sampled_from([-1, 1])
+tags = st.sampled_from([EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC])
+# how Q is built from the generator G_r, a cofactor A and an extra term B:
+# any Q, G_r*A (a planted member), G_r*A + x*B (r a cylinder radius that
+# may or may not be a star), x*G_r*A (Q vanishes on the whole axis)
+shapes = st.sampled_from(["free", "member", "cylinder", "axis"])
+
+
+def build(shape: str, gen: Poly2, a: Poly2, b: Poly2) -> Poly2:
+    return {"free": a, "member": gen * a, "cylinder": gen * a + X * b, "axis": X * gen * a}[shape]
+
+
+def evaluates_equal(q: Poly2, gen: Poly2, quotient: Poly2) -> bool:
+    points = [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(-3), Fraction(11, 2))]
+    return all(q.eval(x, y) == gen.eval(x, y) * quotient.eval(x, y) for x, y in points)
+
+
+def brute_principal(q: Poly2, r: Fraction) -> list[Fraction]:
+    """Coefficients of Q(x, 1/r) in x, by direct evaluation of each term."""
+    out: dict[int, Fraction] = {}
+    for (i, j), a in q.terms():
+        out[i] = out.get(i, Fraction(0)) + a / r**j
+    return [c for c in out.values() if c != 0]
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=nonzero_radii, eps=signals)
+def test_substitute_tube_matches_brute(shape, a, b, r, eps):
+    q = build(shape, tube_generator(r, eps), a, b)
+    assert list(substitute_tube(q, r, eps).coeffs) == brute_substitute(q, r, eps)
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=nonzero_radii, eps=signals)
+def test_divide_quotient_iff_brute_image_zero(shape, a, b, r, eps):
+    gen = tube_generator(r, eps)
+    q = build(shape, gen, a, b)
+    quotient = divide_by_tube_factor(q, r, eps)
+    assert (quotient is not None) == (brute_substitute(q, r, eps) == [])
+    if quotient is not None:
+        assert evaluates_equal(q, gen, quotient)
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii, tag=tags)
+def test_star_flags_match_brute_image(shape, a, b, r, tag):
+    gen = tube_generator(r, tag.eps)
+    q = build(shape, gen, a, b)
+    assume(not q.is_zero)
+    rset = star_radius_set(q, tag)
+    for entry in rset.entries:
+        v = entry.radius.exact_value
+        if v is not None:
+            assert entry.star == (brute_substitute(q, v, tag.eps) == [])
+    (lane,) = [lane for lane in solve_SQ(q, tag.space).lanes if lane.tag == tag]
+    assert lane.all_cylinders_any_radius == rset.is_all_positive
+    for cls in lane.classes:
+        v = cls.radius.exact_value
+        if v is None:
+            continue
+        star = cls.kind == ALL_REGULAR_TUBES
+        assert star == (brute_substitute(q, v, tag.eps) == [])
+        assert (cls.quotient is not None) == star
+        if star:
+            assert evaluates_equal(q, tube_generator(v, tag.eps), cls.quotient)
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii)
+def test_principal_star_flags_match_brute(shape, a, b, r):
+    q = build(shape, Y - Poly2.constant(1 / r), a, b)
+    assume(not q.is_zero)
+    rset = principal_radius_set(q)
+    for entry in rset.entries:
+        v = entry.radius.exact_value
+        if v is not None:
+            assert entry.star == (brute_principal(q, v) == [])
+    (lane,) = solve_SQ_principal(q).lanes
+    assert lane.all_cylinders_any_radius == rset.is_all_positive
+    for cls in lane.classes:
+        v = cls.radius.exact_value
+        if v is None:
+            continue
+        star = cls.kind == ALL_REGULAR_TUBES
+        assert star == (brute_principal(q, v) == [])
+        assert (cls.quotient is not None) == star
+        if star:
+            assert evaluates_equal(q, Y - Poly2.constant(1 / v), cls.quotient)
