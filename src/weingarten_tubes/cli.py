@@ -37,6 +37,7 @@ from .classify import (
 )
 from .errors import (
     DegenerateRelation,
+    GridTooLarge,
     InternalMismatch,
     InvalidSpecRow,
     LinearInput,
@@ -65,7 +66,14 @@ _DOMAIN_ERRORS = (
     NotMember,
     LinearInput,
     NoRegularPoints,
+    GridTooLarge,
 )
+
+# Budget for --grid.  A point costs 50 to 75 us of Python-level vector work
+# (2-vCPU x86 host, Python 3.11), and with --csv its line of about 160 bytes
+# is held until the file is written: 2**18 points (512x512) take about 15 s
+# and 160 MB.  Uncapped, a grid like 100000x100000 would run for days.
+MAX_GRID_POINTS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,25 @@ _SPACE_CHOICES = ("euclidean", "lorentzian", "hyperbolic", "all")
 # built-in tube catalog
 
 
+# name -> (curve builder, its parameters, normal section).  A plain key is
+# a required rational, a (key, default) pair a word; a None section is read
+# with delta from the 'section' and 'delta' parameters (Lorentzian tubes).
+_TUBES = {
+    "e3-line": (geo.e3_line, (), geo.SECTION_EUCLIDEAN),
+    "e3-torus": (geo.e3_circle, ("R",), geo.SECTION_EUCLIDEAN),
+    "e3-circle": (geo.e3_circle, ("R",), geo.SECTION_EUCLIDEAN),
+    "e3-helix": (geo.e3_helix, ("a", "b"), geo.SECTION_EUCLIDEAN),
+    "l3-helix-ss": (geo.l3_spacelike_helix_spacelike_normal, ("a", "b"), None),
+    "l3-helix-st": (geo.l3_spacelike_helix_timelike_normal, ("a", "b"), None),
+    "l3-helix-tl": (geo.l3_timelike_helix, ("a", "b"), None),
+    "l3-line": (geo.l3_line, (("causality", "spacelike"), ("normal", "spacelike")), None),
+    "h3-geodesic": (geo.h3_geodesic, (), geo.SECTION_HYPERBOLIC),
+    "h3-circle": (geo.h3_circle, ("r0",), geo.SECTION_HYPERBOLIC),
+}
+_SECTIONS = {"circle": geo.SECTION_L_CIRCLE, "hyperbola": geo.SECTION_L_HYPERBOLA}
+_DELTAS = {"1": 1, "+1": 1, "-1": -1}
+
+
 def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
     name, _, params_text = text.partition(":")
     params: dict[str, str] = {}
@@ -334,85 +361,32 @@ def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
             key, sep, value = item.partition("=")
             if not sep or not key or not value:
                 raise UsageError(f"bad tube parameter {item!r} (expected key=value)")
+            if key in params:
+                raise UsageError(f"duplicate tube parameter {key!r}")
             params[key] = value
-
-    def rat(key: str, default: Optional[str] = None) -> Fraction:
-        if key in params:
-            return _parse_rational(params.pop(key), f"tube parameter {key!r}")
-        if default is not None:
-            return _parse_rational(default, key)
-        raise UsageError(f"tube {name!r} requires parameter {key!r}")
-
-    def section(default: str = "circle") -> str:
-        value = params.pop("section", default)
-        if value == "circle":
-            return geo.SECTION_L_CIRCLE
-        if value == "hyperbola":
-            return geo.SECTION_L_HYPERBOLA
-        raise UsageError("section must be 'circle' or 'hyperbola'")
-
-    def delta() -> int:
-        value = params.pop("delta", "1")
-        if value in ("1", "+1"):
-            return 1
-        if value == "-1":
-            return -1
-        raise UsageError("delta must be +1 or -1")
-
-    if name == "e3-line":
-        spec = geo.TubeSpec(geo.e3_line(), float(rat("r")), geo.SECTION_EUCLIDEAN, name=name)
-    elif name in ("e3-torus", "e3-circle"):
-        spec = geo.TubeSpec(
-            geo.e3_circle(float(rat("R"))), float(rat("r")), geo.SECTION_EUCLIDEAN, name=name
-        )
-    elif name == "e3-helix":
-        spec = geo.TubeSpec(
-            geo.e3_helix(float(rat("a")), float(rat("b"))),
-            float(rat("r")),
-            geo.SECTION_EUCLIDEAN,
-            name=name,
-        )
-    elif name == "l3-helix-ss":
-        spec = geo.TubeSpec(
-            geo.l3_spacelike_helix_spacelike_normal(float(rat("a")), float(rat("b"))),
-            float(rat("r")),
-            section(),
-            delta(),
-            name=name,
-        )
-    elif name == "l3-helix-st":
-        spec = geo.TubeSpec(
-            geo.l3_spacelike_helix_timelike_normal(float(rat("a")), float(rat("b"))),
-            float(rat("r")),
-            section(),
-            delta(),
-            name=name,
-        )
-    elif name == "l3-helix-tl":
-        spec = geo.TubeSpec(
-            geo.l3_timelike_helix(float(rat("a")), float(rat("b"))),
-            float(rat("r")),
-            section(),
-            delta(),
-            name=name,
-        )
-    elif name == "l3-line":
-        causality = params.pop("causality", "spacelike")
-        normal = params.pop("normal", "spacelike")
-        spec = geo.TubeSpec(
-            geo.l3_line(causality, normal), float(rat("r")), section(), delta(), name=name
-        )
-    elif name == "h3-geodesic":
-        spec = geo.TubeSpec(geo.h3_geodesic(), float(rat("r")), geo.SECTION_HYPERBOLIC, name=name)
-    elif name == "h3-circle":
-        spec = geo.TubeSpec(
-            geo.h3_circle(float(rat("r0"))), float(rat("r")), geo.SECTION_HYPERBOLIC, name=name
-        )
-    else:
+    if name not in _TUBES:
         raise UsageError(
             f"unknown tube {name!r}; built-ins: e3-line, e3-torus, e3-helix, l3-helix-ss, "
             "l3-helix-st, l3-helix-tl, l3-line, h3-geodesic, h3-circle"
         )
+    builder, keys, section = _TUBES[name]
+
+    def rat(key: str) -> float:
+        if key not in params:
+            raise UsageError(f"tube {name!r} requires parameter {key!r}")
+        return float(_parse_rational(params.pop(key), f"tube parameter {key!r}"))
+
+    curve = builder(*(params.pop(*key) if isinstance(key, tuple) else rat(key) for key in keys))
+    r = rat("r")
+    delta = 1
+    if section is None:
+        section = _SECTIONS.get(params.pop("section", "circle"))
+        if section is None:
+            raise UsageError("section must be 'circle' or 'hyperbola'")
+        delta = _DELTAS.get(params.pop("delta", "1"))
+        if delta is None:
+            raise UsageError("delta must be +1 or -1")
+    spec = geo.TubeSpec(curve, r, section, delta, name=name)
     if params:
         raise UsageError(f"unknown tube parameters for {name!r}: {', '.join(sorted(params))}")
     return spec, {"tube": text}
@@ -489,14 +463,16 @@ def _cmd_verify(args) -> dict:
     n_s, n_t = int(match.group(1)), int(match.group(2))
     if n_s < 2 or n_t < 2:
         raise UsageError("grid must be at least 2x2")
+    if n_s * n_t > MAX_GRID_POINTS:
+        raise GridTooLarge(f"grid {args.grid} has {n_s * n_t} points, over the budget of {MAX_GRID_POINTS}")
     s_grid, t_grid = geo.default_grids(spec, n_s, n_t)
-    result = geo.verify_relation(poly, spec, s_grid, t_grid)
-    csv_path = None
-    if args.csv:
-        csv_text = geo.curvature_csv(poly, spec, s_grid, t_grid)
-        with open(args.csv, "w") as handle:
+    csv_path = args.csv or None
+    if csv_path:
+        result, csv_text = geo.verify_relation_csv(poly, spec, s_grid, t_grid)
+        with open(csv_path, "w") as handle:
             handle.write(csv_text)
-        csv_path = args.csv
+    else:
+        result = geo.verify_relation(poly, spec, s_grid, t_grid)
     inputs = {"poly": str(poly), **tube_echo, "grid": args.grid, "csv": csv_path}
     body = {
         "max_residual": _fmt(result.max_residual, 17),
@@ -592,14 +568,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         document = args.handler(args)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except PolySyntaxError as ex:
+    except (UsageError, PolySyntaxError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except _DOMAIN_ERRORS as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except OverflowError as ex:  # a tube parameter or radius beyond double range
+        print(f"error: numeric overflow: {ex}", file=sys.stderr)
         return 2
     except InternalMismatch as ex:
         print(f"internal error: {ex}", file=sys.stderr)

@@ -61,6 +61,10 @@ class NoRegularPoints(WeingartenError):
     """Every grid point was irregular; nothing to sample."""
 
 
+class GridTooLarge(WeingartenError):
+    """Sample grid has more points than the verification budget allows."""
+
+
 class PolySyntaxError(WeingartenError):
     """Polynomial expression could not be parsed.  Carries the input position."""
 

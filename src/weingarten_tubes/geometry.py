@@ -8,6 +8,13 @@ derivative equations, and compares the resulting Gaussian/mean
 curvatures against the closed forms, so algebraic classifications can
 be verified on sampled surfaces.
 
+A sample grid is walked in one place, ``_grid_pass``: it builds the
+frame once per s-row and evaluates each (s, t) once, giving either a
+curvature sample or, at an irregular point, its xi.  ``sample_grid``,
+``verify_relation``, ``curvature_csv`` and ``verify_relation_csv`` all
+read that pass; ``curvatures`` is the same per-point core behind a
+frame built for one s.
+
 Conventions:
 
 * Lorentzian inner product: sum of the first dim-1 coordinate products
@@ -19,18 +26,24 @@ Conventions:
   N' = -eps_T eps_N kappa T + tau B, B' = eps_T tau N, with tau defined
   as the N'-coefficient so the matrix holds exactly; hyperbolic curves
   (in the hyperboloid model in L^4) use gamma' = T, T' = gamma + kappa N,
-  N' = -kappa T + tau B, B' = -tau N.
+  N' = -kappa T + tau B, B' = -tau N.  Every built-in curve has constant
+  curvature and torsion, so the second frame derivatives carry no
+  kappa' or tau' terms.
 * Tube normal: -(mu N + eta B) in E^3/L^3 and -(cos t N + sin t B) in
   H^3 (the inward normal; with it the fundamental-form curvatures agree
   with the closed forms, including the right-cylinder value
-  H = +1/(2r)).
+  H = +1/(2r)).  The H^3 closed forms were derived with this same
+  normal, which is not tangent to H^3 at the tube point
+  (<normal, psi> = -sinh r).  The H^3 residual is therefore a
+  consistency check of the code against its own convention, not an
+  independent one, until the H^3 convention is settled (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,10 +99,6 @@ def _inner_for(space: str) -> Callable[[np.ndarray, np.ndarray], float]:
     return lorentz_inner
 
 
-def _zero_fn(s: float) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class CentralCurve:
     """Unit-speed central curve with analytic derivatives to order 3.
@@ -98,8 +107,7 @@ class CentralCurve:
     principal normal; both are +1 outside the Lorentzian space.  For
     geodesics (kappa = 0) no Frenet frame exists and a constant
     orthonormal completion (normal0, binormal0) is carried instead.
-    kappa_prime/tau_prime are the analytic s-derivatives of curvature
-    and torsion (identically zero for every built-in curve).
+    Curvature and torsion are constant along every built-in curve.
     """
 
     space: str
@@ -112,8 +120,6 @@ class CentralCurve:
     periodic: bool = False
     eps_T: int = 1
     eps_N: int = 1
-    kappa_prime: Callable[[float], float] = _zero_fn
-    tau_prime: Callable[[float], float] = _zero_fn
     normal0: Optional[tuple[float, ...]] = None
     binormal0: Optional[tuple[float, ...]] = None
 
@@ -189,19 +195,16 @@ def frenet_frame(curve: CentralCurve, s: float) -> FrenetFrame:
     return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, 1, 1, 1)
 
 
-def _completion_frame(curve: CentralCurve, s: float) -> FrenetFrame:
+def _tube_frame(curve: CentralCurve, s: float) -> FrenetFrame:
+    """The Frenet frame, or for a geodesic its constant completion."""
+    if not curve.is_geodesic:
+        return frenet_frame(curve, s)
     pos = np.asarray(curve.gamma(s), dtype=float)
     t_vec = np.asarray(curve.d1(s), dtype=float)
     n_vec = np.asarray(curve.normal0, dtype=float)
     b_vec = np.asarray(curve.binormal0, dtype=float)
     eps_B = -curve.eps_T * curve.eps_N if curve.space == "lorentzian" else 1
     return FrenetFrame(pos, t_vec, n_vec, b_vec, 0.0, 0.0, curve.eps_T, curve.eps_N, eps_B)
-
-
-def _tube_frame(curve: CentralCurve, s: float) -> FrenetFrame:
-    if curve.is_geodesic:
-        return _completion_frame(curve, s)
-    return frenet_frame(curve, s)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +269,14 @@ class TubeSpec:
 
     def mu_eta(self, t: float) -> tuple[float, float, float, float, float, float]:
         """(mu, eta, mu', eta', mu'', eta'') at section parameter t."""
-        d = float(self.delta)
+        # Euclidean / hyperbolic sections ignore delta
+        d = float(self.delta) if self.curve.space == "lorentzian" else 1.0
         kind = self._pair_kind()
         if kind == "cos-sin":
-            if self.curve.space == "lorentzian":
-                return (
-                    d * math.cos(t), math.sin(t),
-                    -d * math.sin(t), math.cos(t),
-                    -d * math.cos(t), -math.sin(t),
-                )
-            # Euclidean / hyperbolic sections ignore delta
             return (
-                math.cos(t), math.sin(t),
-                -math.sin(t), math.cos(t),
-                -math.cos(t), -math.sin(t),
+                d * math.cos(t), math.sin(t),
+                -d * math.sin(t), math.cos(t),
+                -d * math.cos(t), -math.sin(t),
             )
         if kind == "cosh-sinh":
             return (
@@ -299,10 +296,10 @@ def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
     """Position of the tube parametrization at (s, t)."""
     frame = _tube_frame(spec.curve, s)
     r = spec.radius
-    if spec.curve.space == "hyperbolic":
-        circ = math.cos(t) * frame.N + math.sin(t) * frame.B
-        return math.cosh(r) * frame.gamma + math.sinh(r) * circ
     mu, eta, *_ = spec.mu_eta(t)
+    if spec.curve.space == "hyperbolic":
+        circ = mu * frame.N + eta * frame.B
+        return math.cosh(r) * frame.gamma + math.sinh(r) * circ
     return frame.gamma + r * mu * frame.N + r * eta * frame.B
 
 
@@ -327,69 +324,58 @@ class CurvatureSample:
     eps: int
 
 
-def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
-    """Gaussian and mean curvature at one regular tube point.
+# a grid point's evaluation: its sample, or its xi where the tube is irregular
+_Point = Union[CurvatureSample, float]
+# (s, t, point, |Q(K, H)|), the residual nan at irregular points
+_ScoredPoint = tuple[float, float, _Point, float]
 
-    K and H come from the first/second fundamental forms, with the tube
-    derivatives assembled through the frame derivative equations; K_cf
-    and H_cf are the closed-form expressions.  Raises IrregularPoint
-    when |xi| falls below the sampling cutoff.
-    """
-    curve = spec.curve
-    frame = _tube_frame(curve, s)
+
+def _curvatures(spec: TubeSpec, frame: FrenetFrame, s: float, t: float) -> _Point:
+    """The curvature sample at (s, t) given the tube frame at s, or the
+    xi of the point when |xi| falls below the sampling cutoff."""
+    space = spec.curve.space
     r = spec.radius
     kappa, tau = frame.kappa, frame.tau
-    kap_dot = curve.kappa_prime(s) if not curve.is_geodesic else 0.0
-    tau_dot = curve.tau_prime(s) if not curve.is_geodesic else 0.0
-    inner = _inner_for(curve.space)
     T, N, B = frame.T, frame.N, frame.B
+    mu, eta, mu_t, eta_t, mu_tt, eta_tt = spec.mu_eta(t)
+    xi = _xi(spec, frame, mu)
+    if abs(xi) < REGULARITY_CUTOFF:
+        return xi
 
-    if curve.space == "hyperbolic":
-        mu, eta = math.cos(t), math.sin(t)
-        mu_t, eta_t = -math.sin(t), math.cos(t)
-        mu_tt, eta_tt = -mu, -eta
-        xi = _xi(spec, frame, mu)
-        if abs(xi) < REGULARITY_CUTOFF:
-            raise IrregularPoint(f"|xi| = {abs(xi):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
+    if space == "hyperbolic":
         sh, ch = math.sinh(r), math.cosh(r)
         t_prime = frame.gamma + kappa * N
         n_prime = -kappa * T + tau * B
         b_prime = -tau * N
-        n_second = -kappa * frame.gamma - kap_dot * T - (kappa**2 + tau**2) * N + tau_dot * B
-        b_second = tau * kappa * T - tau_dot * N - tau**2 * B
+        n_second = -kappa * frame.gamma - (kappa**2 + tau**2) * N
+        b_second = tau * kappa * T - tau**2 * B
         psi_s = ch * T + sh * (mu * n_prime + eta * b_prime)
         psi_ss = ch * t_prime + sh * (mu * n_second + eta * b_second)
         psi_t = sh * (mu_t * N + eta_t * B)
         psi_ts = sh * (mu_t * n_prime + eta_t * b_prime)
         psi_tt = sh * (mu_tt * N + eta_tt * B)
-        normal = -(mu * N + eta * B)
         k_cf = -kappa * mu / (xi * sh)
         h_cf = (ch - 2.0 * kappa * mu * sh) / (2.0 * xi * sh)
     else:
-        mu, eta, mu_t, eta_t, mu_tt, eta_tt = spec.mu_eta(t)
-        xi = _xi(spec, frame, mu)
-        if abs(xi) < REGULARITY_CUTOFF:
-            raise IrregularPoint(f"|xi| = {abs(xi):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
-        if curve.space == "euclidean":
+        if space == "euclidean":
             t_prime = kappa * N
             n_prime = -kappa * T + tau * B
             b_prime = -tau * N
-            n_second = -kap_dot * T - (kappa**2 + tau**2) * N + tau_dot * B
-            b_second = tau * kappa * T - tau_dot * N - tau**2 * B
+            n_second = -(kappa**2 + tau**2) * N
+            b_second = tau * kappa * T - tau**2 * B
         else:
             eT, eN = frame.eps_T, frame.eps_N
             t_prime = kappa * N
             n_prime = -eT * eN * kappa * T + tau * B
             b_prime = eT * tau * N
-            n_second = -eT * eN * kap_dot * T + (eT * tau**2 - eT * eN * kappa**2) * N + tau_dot * B
-            b_second = -eN * kappa * tau * T + eT * tau_dot * N + eT * tau**2 * B
+            n_second = (eT * tau**2 - eT * eN * kappa**2) * N
+            b_second = -eN * kappa * tau * T + eT * tau**2 * B
         psi_s = T + r * mu * n_prime + r * eta * b_prime
         psi_ss = t_prime + r * mu * n_second + r * eta * b_second
         psi_t = r * (mu_t * N + eta_t * B)
         psi_ts = r * (mu_t * n_prime + eta_t * b_prime)
         psi_tt = r * (mu_tt * N + eta_tt * B)
-        normal = -(mu * N + eta * B)
-        if curve.space == "euclidean":
+        if space == "euclidean":
             k_cf = kappa * mu / (r * (r * kappa * mu - 1.0))
             h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
         else:
@@ -397,7 +383,9 @@ def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
             sig = mu * mu * frame.eps_N + eta * eta * frame.eps_B
             k_cf = sig * eB * kappa * mu / (r * (1.0 + eB * r * kappa * mu))
             h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * (1.0 + eB * r * kappa * mu))
+    normal = -(mu * N + eta * B)
 
+    inner = _inner_for(space)
     eps_f = inner(normal, normal)
     if abs(abs(eps_f) - 1.0) > 1e-6:
         raise LightlikeNormal(f"|<normal, normal>| = {abs(eps_f):.6f} is not 1 at (s, t) = ({s}, {t})")
@@ -415,6 +403,20 @@ def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
     return CurvatureSample(s, t, K, H, k_cf, h_cf, xi, eps)
 
 
+def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
+    """Gaussian and mean curvature at one regular tube point.
+
+    K and H come from the first/second fundamental forms, with the tube
+    derivatives assembled through the frame derivative equations; K_cf
+    and H_cf are the closed-form expressions.  Raises IrregularPoint
+    when |xi| falls below the sampling cutoff.
+    """
+    point = _curvatures(spec, _tube_frame(spec.curve, s), s, t)
+    if not isinstance(point, CurvatureSample):
+        raise IrregularPoint(f"|xi| = {abs(point):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
+    return point
+
+
 def regularity_scan(
     spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
@@ -423,11 +425,22 @@ def regularity_scan(
     for s in s_grid:
         frame = _tube_frame(spec.curve, s)
         for t in t_grid:
-            mu = math.cos(t) if spec.curve.space == "hyperbolic" else spec.mu_eta(t)[0]
-            xi = _xi(spec, frame, mu)
+            xi = _xi(spec, frame, spec.mu_eta(t)[0])
             if abs(xi) < REGULARITY_CUTOFF:
                 violations.append((s, t, xi))
     return violations
+
+
+def _grid_pass(
+    spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
+) -> Iterator[tuple[float, float, _Point]]:
+    """The one walk over a sample grid, row-major (s outer, t inner): one
+    frame per s-row, then per t the curvature sample or, at an irregular
+    point, its xi."""
+    for s in s_grid:
+        frame = _tube_frame(spec.curve, s)
+        for t in t_grid:
+            yield s, t, _curvatures(spec, frame, s, t)
 
 
 def sample_grid(
@@ -435,14 +448,19 @@ def sample_grid(
 ) -> list[Optional[CurvatureSample]]:
     """Curvature samples in row-major (s outer, t inner) order; None at
     irregular points."""
-    samples: list[Optional[CurvatureSample]] = []
-    for s in s_grid:
-        for t in t_grid:
-            try:
-                samples.append(curvatures(spec, s, t))
-            except IrregularPoint:
-                samples.append(None)
-    return samples
+    points = _grid_pass(spec, s_grid, t_grid)
+    return [point if isinstance(point, CurvatureSample) else None for _, _, point in points]
+
+
+def _scored(
+    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
+) -> Iterator[_ScoredPoint]:
+    """The grid pass with |Q(K, H)| per point."""
+    for s, t, point in _grid_pass(spec, s_grid, t_grid):
+        if isinstance(point, CurvatureSample):
+            yield s, t, point, abs(q.eval_float(point.K, point.H))
+        else:
+            yield s, t, point, float("nan")
 
 
 @dataclass(frozen=True)
@@ -454,30 +472,43 @@ class VerificationResult:
     total_points: int
 
 
+def _verification(scored: Iterable[_ScoredPoint]) -> VerificationResult:
+    best = -1.0
+    arg = (float("nan"), float("nan"))
+    regular = total = 0
+    for s, t, point, residual in scored:
+        total += 1
+        if not isinstance(point, CurvatureSample):
+            continue
+        regular += 1
+        if residual > best:
+            best = residual
+            arg = (s, t)
+    if regular == 0:
+        raise NoRegularPoints("every grid point is irregular")
+    return VerificationResult(best, arg[0], arg[1], regular, total)
+
+
 def verify_relation(
     q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> VerificationResult:
     """Max |Q(K, H)| over the regular grid points and where it occurs."""
     if q.is_zero:
         raise ZeroPolynomial("verification needs a nonzero relation")
-    best = -1.0
-    arg = (float("nan"), float("nan"))
-    regular = 0
-    samples = sample_grid(spec, s_grid, t_grid)
-    for sample in samples:
-        if sample is None:
-            continue
-        regular += 1
-        residual = abs(q.eval_float(sample.K, sample.H))
-        if residual > best:
-            best = residual
-            arg = (sample.s, sample.t)
-    if regular == 0:
-        raise NoRegularPoints("every grid point is irregular")
-    return VerificationResult(best, arg[0], arg[1], regular, len(samples))
+    return _verification(_scored(q, spec, s_grid, t_grid))
 
 
 CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
+
+
+def _csv_line(row: _ScoredPoint) -> str:
+    s, t, point, residual = row
+    if isinstance(point, CurvatureSample):
+        vals = (s, t, point.K, point.H, point.K_cf, point.H_cf, point.xi, residual)
+    else:
+        nan = float("nan")
+        vals = (s, t, nan, nan, nan, nan, point, nan)
+    return ",".join(f"{v:.17g}" for v in vals)
 
 
 def curvature_csv(
@@ -485,21 +516,25 @@ def curvature_csv(
 ) -> str:
     """CSV dump of the sampled grid: fixed header, 17 significant digits,
     row-major order; irregular points carry nan curvature columns."""
+    return "\n".join([CSV_HEADER, *map(_csv_line, _scored(q, spec, s_grid, t_grid))]) + "\n"
+
+
+def verify_relation_csv(
+    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
+) -> tuple[VerificationResult, str]:
+    """``verify_relation`` and ``curvature_csv`` from one evaluation of
+    each grid point; only the CSV lines are kept, not the samples."""
+    if q.is_zero:
+        raise ZeroPolynomial("verification needs a nonzero relation")
     lines = [CSV_HEADER]
-    for s in s_grid:
-        for t in t_grid:
-            try:
-                c = curvatures(spec, s, t)
-                residual = abs(q.eval_float(c.K, c.H))
-                vals = (s, t, c.K, c.H, c.K_cf, c.H_cf, c.xi, residual)
-            except IrregularPoint:
-                frame = _tube_frame(spec.curve, s)
-                mu = math.cos(t) if spec.curve.space == "hyperbolic" else spec.mu_eta(t)[0]
-                xi = _xi(spec, frame, mu)
-                nan = float("nan")
-                vals = (s, t, nan, nan, nan, nan, xi, nan)
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-    return "\n".join(lines) + "\n"
+
+    def rows():
+        for row in _scored(q, spec, s_grid, t_grid):
+            lines.append(_csv_line(row))
+            yield row
+
+    result = _verification(rows())
+    return result, "\n".join(lines) + "\n"
 
 
 def default_grids(spec: TubeSpec, n_s: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -550,20 +585,28 @@ def e3_circle(R: float) -> CentralCurve:
     )
 
 
-def e3_helix(a: float, b: float) -> CentralCurve:
-    if not a > 0:
-        raise ValueError("helix needs a > 0")
-    c = math.hypot(a, b)
+def _circular_helix(
+    space: str, name: str, a: float, b: float, c: float, eps_T: int, eps_N: int
+) -> CentralCurve:
+    """Unit-speed helix (a cos(s/c), a sin(s/c), b s/c) over one turn."""
     w = 1.0 / c
     return CentralCurve(
-        space="euclidean",
-        name=f"e3-helix(a={a:g},b={b:g})",
+        space=space,
+        name=name,
         gamma=lambda s: np.array([a * math.cos(w * s), a * math.sin(w * s), b * w * s]),
         d1=lambda s: np.array([-a * w * math.sin(w * s), a * w * math.cos(w * s), b * w]),
         d2=lambda s: np.array([-a * w * w * math.cos(w * s), -a * w * w * math.sin(w * s), 0.0]),
         d3=lambda s: np.array([a * w**3 * math.sin(w * s), -a * w**3 * math.cos(w * s), 0.0]),
         domain=(0.0, 2.0 * math.pi * c),
+        eps_T=eps_T,
+        eps_N=eps_N,
     )
+
+
+def e3_helix(a: float, b: float) -> CentralCurve:
+    if not a > 0:
+        raise ValueError("helix needs a > 0")
+    return _circular_helix("euclidean", f"e3-helix(a={a:g},b={b:g})", a, b, math.hypot(a, b), 1, 1)
 
 
 def l3_spacelike_helix_spacelike_normal(a: float, b: float) -> CentralCurve:
@@ -571,18 +614,7 @@ def l3_spacelike_helix_spacelike_normal(a: float, b: float) -> CentralCurve:
     if not a > abs(b):
         raise ValueError("spacelike helix with spacelike normal needs a > |b|")
     c = math.sqrt(a * a - b * b)
-    w = 1.0 / c
-    return CentralCurve(
-        space="lorentzian",
-        name=f"l3-helix-ss(a={a:g},b={b:g})",
-        gamma=lambda s: np.array([a * math.cos(w * s), a * math.sin(w * s), b * w * s]),
-        d1=lambda s: np.array([-a * w * math.sin(w * s), a * w * math.cos(w * s), b * w]),
-        d2=lambda s: np.array([-a * w * w * math.cos(w * s), -a * w * w * math.sin(w * s), 0.0]),
-        d3=lambda s: np.array([a * w**3 * math.sin(w * s), -a * w**3 * math.cos(w * s), 0.0]),
-        domain=(0.0, 2.0 * math.pi * c),
-        eps_T=1,
-        eps_N=1,
-    )
+    return _circular_helix("lorentzian", f"l3-helix-ss(a={a:g},b={b:g})", a, b, c, 1, 1)
 
 
 def l3_spacelike_helix_timelike_normal(a: float, b: float) -> CentralCurve:
@@ -609,18 +641,7 @@ def l3_timelike_helix(a: float, b: float) -> CentralCurve:
     if not (b > a > 0):
         raise ValueError("timelike helix needs b > a > 0")
     c = math.sqrt(b * b - a * a)
-    w = 1.0 / c
-    return CentralCurve(
-        space="lorentzian",
-        name=f"l3-helix-tl(a={a:g},b={b:g})",
-        gamma=lambda s: np.array([a * math.cos(w * s), a * math.sin(w * s), b * w * s]),
-        d1=lambda s: np.array([-a * w * math.sin(w * s), a * w * math.cos(w * s), b * w]),
-        d2=lambda s: np.array([-a * w * w * math.cos(w * s), -a * w * w * math.sin(w * s), 0.0]),
-        d3=lambda s: np.array([a * w**3 * math.sin(w * s), -a * w**3 * math.cos(w * s), 0.0]),
-        domain=(0.0, 2.0 * math.pi * c),
-        eps_T=-1,
-        eps_N=1,
-    )
+    return _circular_helix("lorentzian", f"l3-helix-tl(a={a:g},b={b:g})", a, b, c, -1, 1)
 
 
 def l3_line(causality: str = "spacelike", normal: str = "spacelike") -> CentralCurve:

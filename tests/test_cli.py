@@ -1,13 +1,18 @@
 """Expression parser, report documents, exit codes and determinism."""
 
+import importlib
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import random_poly2
+from weingarten_tubes import cli
+from weingarten_tubes import geometry as geo
 from weingarten_tubes.cli import main, parse_poly
 from weingarten_tubes.errors import (
     NonIntegerExponent,
@@ -21,6 +26,7 @@ X = Poly2.variable("x")
 Y = Poly2.variable("y")
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 EXQ_TEXT = (
     "4*x^4 + 8*x^2*y^2 - 12*x*y^3 + 9*x^3 + 9*x^2*y - 9*x*y^2 - 4*y^3 "
@@ -255,6 +261,105 @@ class TestGoldens:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (GOLDEN / "pinned" / golden).read_text()
+
+
+class TestVerifyGoldens:
+    """`verify` reports, CSV dumps and `--tube` errors pinned byte for
+    byte: every built-in tube, both Lorentzian sections, both deltas,
+    all three l3-line causality/normal rows and a grid with irregular
+    points.  The floats come from libm and LAPACK, so the pins hold for
+    one numpy/platform build."""
+
+    TUBES = json.loads((GOLDEN / "pinned" / "verify_tubes.json").read_text())
+    ERRORS = json.loads((GOLDEN / "pinned" / "verify_tube_errors.json").read_text())
+
+    @pytest.mark.parametrize("case", TUBES, ids=[c["argv"][3] for c in TUBES])
+    def test_report_and_csv(self, capsys, monkeypatch, tmp_path, case):
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert code == 0, err
+        assert out == case["stdout"]
+        code, out, err = run_cli(capsys, *case["argv"], "--csv", "samples.csv")
+        assert code == 0, err
+        assert out == case["stdout_csv"]
+        assert (tmp_path / "samples.csv").read_text() == case["csv"]
+
+    @pytest.mark.parametrize("case", ERRORS, ids=[" ".join(c["argv"][3:]) for c in ERRORS])
+    def test_tube_error(self, capsys, case):
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], "", case["stderr"])
+
+
+class TestVerifyPasses:
+    def test_one_frame_per_row_and_one_evaluation_per_point(self, capsys, monkeypatch, tmp_path):
+        # verify --csv walks the grid once: a Frenet frame per s-row, one
+        # section evaluation per point and one residual per regular point,
+        # irregular points (t = 0 on this tube) included
+        calls = {"frenet_frame": 0, "mu_eta": 0, "eval_float": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(geo, "frenet_frame", counted("frenet_frame", geo.frenet_frame))
+        monkeypatch.setattr(geo.TubeSpec, "mu_eta", counted("mu_eta", geo.TubeSpec.mu_eta))
+        monkeypatch.setattr(Poly2, "eval_float", counted("eval_float", Poly2.eval_float))
+        code, out, err = run_cli(
+            capsys, "verify", "x - 2*y + 1", "--tube", "e3-torus:R=1,r=1", "--grid", "6x5",
+            "--csv", str(tmp_path / "samples.csv"),
+        )
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["regular_points"] == 24 and result["total_points"] == 30
+        assert calls == {"frenet_frame": 6, "mu_eta": 30, "eval_float": 24}
+
+
+class TestTubeArguments:
+    def test_duplicate_parameter_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-torus:R=10,R=3,r=2")
+        assert (code, out, err) == (1, "", "error: duplicate tube parameter 'R'\n")
+
+    @pytest.mark.parametrize(
+        "tube, message",
+        [
+            ("e3-torus:R=1" + "0" * 400 + ",r=2", "integer division result too large for a float"),
+            ("h3-geodesic:r=1000", "math range error"),
+        ],
+        ids=["R=10^400", "r=1000"],
+    )
+    def test_overflow_is_two(self, capsys, tube, message):
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", tube, "--grid", "4x4")
+        assert (code, out, err) == (2, "", f"error: numeric overflow: {message}\n")
+
+    def test_grid_budget_is_two(self, capsys, monkeypatch):
+        assert cli.MAX_GRID_POINTS == 2**18  # checked first: without a budget the run takes hours
+        code, out, err = run_cli(
+            capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "100000x100000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: grid 100000x100000 has 10000000000 points, over the budget of 262144\n"
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 16)
+        assert run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x4")[0] == 0
+        assert run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x5")[0] == 2
+
+
+class TestBenchTargets:
+    def test_span_targets_resolve_after_cli_import(self):
+        # the traced benchmark run wraps these (module, attribute) pairs,
+        # looked up in sys.modules once weingarten_tubes.cli is imported
+        spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        importlib.import_module("weingarten_tubes.cli")
+        for module, attr in spans.TARGETS:
+            owner = sys.modules[f"{spans.PACKAGE}.{module}"]
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module, attr)
 
 
 class TestExitCodes:

@@ -1,4 +1,4 @@
-"""Smoke test: the algebra demos run to completion against this checkout."""
+"""Smoke test: the demos run to completion against this checkout."""
 
 import os
 import subprocess
@@ -11,7 +11,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_exact_polynomial_algebra.py", "02_radius_sets.py", "03_classification.py"]
+    "demo",
+    [
+        "01_exact_polynomial_algebra.py",
+        "02_radius_sets.py",
+        "03_classification.py",
+        "04_tube_geometry.py",
+        "05_lorentzian_section_table.py",
+    ],
 )
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
