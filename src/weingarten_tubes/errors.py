@@ -65,6 +65,14 @@ class GridTooLarge(WeingartenError):
     """Sample grid has more points than the verification budget allows."""
 
 
+class DegreeTooLarge(WeingartenError):
+    """Parsed exponent or product has a total degree over the input budget."""
+
+
+class UnwritableOutput(WeingartenError):
+    """An output file named on the command line cannot be opened for writing."""
+
+
 class PolySyntaxError(WeingartenError):
     """Polynomial expression could not be parsed.  Carries the input position."""
 

@@ -3,9 +3,15 @@
 A radius is reported as an :class:`AlgebraicRadius`: a square-free
 defining polynomial together with a half-open rational interval
 ``(lo, hi]`` isolating exactly one positive root, plus the exact value
-whenever that root is rational.  Rational roots are found by candidate
-testing, the rest by Sturm bisection; intervals refine on demand but no
-decision ever depends on interval width.
+whenever that root is rational.  A rational root p/q of a primitive
+integer polynomial has q | a_n, so it lies on the grid Z/a_n: every real
+root is isolated by Sturm bisection, its cell narrowed below width
+1/|a_n|, and the one grid point left in it tested exactly.  The other
+roots keep Sturm cells of the polynomial deflated by the rational ones.
+Every sign is that of an integer form (homogeneous Horner at p/q over
+integer Sturm-chain members), so no divisor of a coefficient is ever
+enumerated.  Intervals refine on demand but no decision ever depends on
+interval width.
 
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = 0 that all regular tubes of radius r satisfy: the K-H
@@ -75,17 +81,23 @@ HYPERBOLIC = SpaceTag("hyperbolic")
 # univariate root tools
 
 
+def _integer_coeffs(p: Poly1) -> list[int]:
+    """Integer coefficients of a positive multiple of p: the content is
+    divided out but the sign kept, so signs at every point are p's own
+    (_primitive may flip them)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    nums = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*nums)
+    return [n // g for n in nums]
+
+
 def _primitive(p: Poly1) -> Poly1:
     """Integer-coefficient scalar multiple with coprime coefficients and a
     positive leading coefficient."""
     if p.is_zero:
         return p
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    nums = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*nums)
-    if nums[-1] < 0:
-        g = -g
-    return Poly1([Fraction(n, g) for n in nums])
+    nums = _integer_coeffs(p)
+    return Poly1(nums if nums[-1] > 0 else [-n for n in nums])
 
 
 def _gcd(a: Poly1, b: Poly1) -> Poly1:
@@ -105,25 +117,55 @@ def _squarefree(p: Poly1) -> Poly1:
     return _primitive(quo)
 
 
-def _sturm_chain(s: Poly1) -> list[Poly1]:
+def _sign_at(coeffs: list[int], v: Fraction) -> int:
+    """Sign of the integer polynomial sum c_k x**k at x = p/q, q > 0: the
+    sign of the homogeneous form sum c_k p**k q**(d-k), by integer Horner."""
+    p, q = v.numerator, v.denominator
+    acc, q_power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(s: Poly1) -> list[list[int]]:
+    """Sturm chain of the square-free s, each member converted once to
+    the integer coefficients of a positive multiple of itself."""
     chain = [s, s.derivative()]
     if chain[1].is_zero:
-        return chain[:1]
+        chain = chain[:1]
     while chain[-1].degree > 0:
         rem = chain[-2].divmod(chain[-1])[1]
         if rem.is_zero:
             break
         chain.append(-rem)
-    return chain
+    return [_integer_coeffs(p) for p in chain]
 
 
-def _variations(chain: list[Poly1], v: Fraction) -> int:
-    signs = []
-    for p in chain:
-        val = p.eval(v)
-        if val != 0:
-            signs.append(1 if val > 0 else -1)
+def _variations(chain: list[list[int]], v: Fraction) -> int:
+    signs = [sign for sign in (_sign_at(p, v) for p in chain) if sign]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sturm_cells(chain: list[list[int]], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Cells (a, b] that each hold exactly one root of the chain's
+    square-free head, by bisection of (lo, hi]; every root in (lo, hi]
+    lies in one of them."""
+    cells = []
+    stack = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        n = v_lo - v_hi
+        if n == 0:
+            continue
+        if n == 1:
+            cells.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        stack.append((lo, v_lo, mid, v_mid))
+        stack.append((mid, v_mid, hi, v_hi))
+    return cells
 
 
 def _count_roots_halfopen(p: Poly1, lo: Fraction, hi: Fraction) -> int:
@@ -150,43 +192,35 @@ def _cauchy_bound(p: Poly1) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs) / lead
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
+    """All rational roots (any sign), ascending, of a square-free
+    primitive integer polynomial s with Sturm chain ``chain``.
 
-
-def _rational_roots(s: Poly1) -> list[Fraction]:
-    """All rational roots of a primitive integer polynomial (any sign)."""
+    A root p/q in lowest terms has q | a_n, so it lies on the grid
+    Z/|a_n|.  Each real root is isolated by Sturm bisection of (-B, B],
+    B the Cauchy bound, and its cell narrowed by the sign of s below
+    width 1/|a_n|: the one grid point left in the cell, or a midpoint
+    where s vanishes, is the only rational candidate.
+    """
+    coeffs = chain[0]
+    lead = abs(coeffs[-1])
+    bound = _cauchy_bound(s)
     roots = []
-    coeffs = list(s.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if not coeffs or len(coeffs) == 1:
-        return roots
-    stripped = Poly1(coeffs)
-    a0 = int(coeffs[0])
-    an = int(coeffs[-1])
-    seen = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if stripped.eval(cand) == 0:
-                    roots.append(cand)
+    for lo, hi in _sturm_cells(chain, -bound, bound):
+        sign_hi = _sign_at(coeffs, hi)
+        while sign_hi and (hi - lo) * lead >= 1:
+            mid = (lo + hi) / 2
+            sign_mid = _sign_at(coeffs, mid)
+            if sign_mid == sign_hi or sign_mid == 0:
+                hi, sign_hi = mid, sign_mid
+            else:
+                lo = mid
+        if sign_hi == 0:
+            roots.append(hi)
+            continue
+        grid = Fraction(math.floor(hi * lead), lead)
+        if grid > lo and _sign_at(coeffs, grid) == 0:
+            roots.append(grid)
     return sorted(roots)
 
 
@@ -220,14 +254,15 @@ class AlgebraicRadius:
         if self.exact_value is not None:
             lo = max(lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
-        sign_lo = 1 if self.defining_poly.eval(lo) > 0 else -1
+        coeffs = _integer_coeffs(self.defining_poly)
+        sign_lo = 1 if _sign_at(coeffs, lo) > 0 else -1
         while hi - lo > width:
             mid = (lo + hi) / 2
-            val = self.defining_poly.eval(mid)
-            if val == 0:
+            sign = _sign_at(coeffs, mid)
+            if sign == 0:
                 # landed exactly on the root
                 return AlgebraicRadius(self.defining_poly, lo, mid, mid)
-            if (1 if val > 0 else -1) == sign_lo:
+            if sign == sign_lo:
                 lo = mid
             else:
                 hi = mid
@@ -302,30 +337,20 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     s = _squarefree(p)
     if s.degree < 1:
         return []
-    rationals = _rational_roots(s)
-    deflated = s
-    for rho in rationals:
-        quo, rem = deflated.divmod(Poly1([-rho, 1]))
-        assert rem.is_zero
-        deflated = quo
-    deflated = _primitive(deflated)
+    chain = _sturm_chain(s)
+    rationals = _rational_roots(s, chain)
+    deflated = s  # already primitive: s serves, chain and all, when no root is rational
+    if rationals:
+        for rho in rationals:
+            quo, rem = deflated.divmod(Poly1([-rho, 1]))
+            assert rem.is_zero
+            deflated = quo
+        deflated = _primitive(deflated)
+        chain = _sturm_chain(deflated)
 
     cells: list[tuple[Fraction, Fraction]] = []
     if deflated.degree >= 1:
-        chain = _sturm_chain(deflated)
-        bound = _cauchy_bound(deflated)
-        stack = [(Fraction(0), bound)]
-        while stack:
-            lo, hi = stack.pop()
-            n = _variations(chain, lo) - _variations(chain, hi)
-            if n == 0:
-                continue
-            if n == 1:
-                cells.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+        cells = _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated))
 
     # shrink irrational cells until no rational root lies inside
     pos_rationals = [rho for rho in rationals if rho > 0]
@@ -333,7 +358,7 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     for lo, hi in cells:
         while any(lo < rho <= hi for rho in pos_rationals):
             mid = (lo + hi) / 2
-            if _variations_count(deflated, lo, mid) == 1:
+            if _variations(chain, lo) - _variations(chain, mid) == 1:
                 hi = mid
             else:
                 lo = mid
@@ -352,11 +377,6 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
         entries.append(AlgebraicRadius(lin, lo, rho, rho))
     entries.sort(key=lambda rad: rad.lo)
     return entries
-
-
-def _variations_count(s: Poly1, lo: Fraction, hi: Fraction) -> int:
-    chain = _sturm_chain(s)
-    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def _overlaps(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:

@@ -32,6 +32,11 @@ EXQ_TEXT = (
     "4*x^4 + 8*x^2*y^2 - 12*x*y^3 + 9*x^3 + 9*x^2*y - 9*x*y^2 - 4*y^3 "
     "+ 22*x^2 - 8*x*y - 7*y^2 - 91*x + 98*y - 24"
 )
+PRODUCT_8 = (
+    "2/9*(-1 - 4*y^1 + 4*x^1)*(1 - 3*y^1 + 9/4*x^1)*(1 - 10*y^1 + 25*x^1)"
+    "*(-1 - 14/3*y^1 + 49/9*x^1)*(-1 - 22*y^1 + 121*x^1)*(1 - 13*y^1 + 169/4*x^1)"
+    "*(1 - 6*y^1 + 9*x^1)*(-1 - 10/3*y^1 + 25/9*x^1)"
+)
 
 
 class TestParser:
@@ -254,6 +259,17 @@ class TestGoldens:
              ["classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all"]),
             # the substitution image of a non-member
             ("divide_exq_not_in_ideal.json", ["divide", EXQ_TEXT, "--r", "1", "--eps", "-1"]),
+            # a prime near 10^14: irrational radii from a Cauchy bound near 5*10^12
+            ("classify_prime_coefficient.json",
+             ["classify", "100000000000031*y^2 + 3*y - 5 + 2*x - 4*x*y"]),
+            # highly composite 367567200 and 5040, coprime content
+            ("classify_composite_coefficient.json",
+             ["classify", "367567200*y^2 - 2723401*y + 5040 + 2*x - 3*x*y"]),
+            # eight tube generators: sixteen rational stars with quotients
+            ("classify_product_8.json", ["classify", PRODUCT_8]),
+            # irrational, positive rational and negative rational radius roots
+            ("radius_irrational_negative_rational.json",
+             ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),
         ],
     )
     def test_report_is_byte_identical(self, capsys, monkeypatch, golden, argv):
@@ -345,6 +361,75 @@ class TestTubeArguments:
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 16)
         assert run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x4")[0] == 0
         assert run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x5")[0] == 2
+
+    @pytest.mark.parametrize(
+        "tube, message",
+        [
+            ("e3-torus:R=100000000000,r=1",
+             "curve 'e3-circle(R=1e+11)' has |gamma''| < 1e-10 at s=0.0"),
+            ("e3-helix:a=1,b=100000000000000,r=1",
+             "curve 'e3-helix(a=1,b=1e+14)' has |gamma''| < 1e-10 at s=0.0"),
+            ("h3-circle:r0=100000000000,r=1",
+             "curve 'h3-circle(r0=1e+11)' has |gamma'' - gamma| < 1e-10 at s=0.0"),
+        ],
+        ids=["e3-torus", "e3-helix", "h3-circle"],
+    )
+    def test_degenerate_frame_is_two(self, capsys, tube, message):
+        # rational, valid-looking tubes whose curvature is below the
+        # biregularity cutoff
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", tube, "--grid", "4x4")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unwritable_csv_fails_before_the_grid_pass(self, capsys, monkeypatch, tmp_path):
+        def no_pass(*args):
+            raise AssertionError("grid pass started")
+
+        monkeypatch.setattr(geo, "verify_relation_csv", no_pass)
+        path = str(tmp_path / "missing-dir" / "x.csv")
+        code, out, err = run_cli(
+            capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x4", "--csv", path
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --csv {path!r}: No such file or directory\n"
+
+
+class TestDegreeBudget:
+    @pytest.mark.parametrize(
+        "poly, degree",
+        [
+            ("y^99999999", 99999999),
+            ("2^99999999", 99999999),
+            ("(x + y + 1)^101", 101),
+        ],
+    )
+    def test_huge_power_is_two_before_expanding(self, capsys, monkeypatch, poly, degree):
+        # checked before the first multiplication: without a budget,
+        # y^99999999 never finishes parsing
+        def no_product(self, other):
+            raise AssertionError("power expanded")
+
+        monkeypatch.setattr(Poly2, "__mul__", no_product)
+        code, out, err = run_cli(capsys, "classify", poly)
+        assert (code, out) == (2, "")
+        assert err == f"error: power of total degree {degree} is over the budget of 100\n"
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [
+            ("((x + 1)^10)^11", "power of total degree 110"),
+            ("x^60 * y^41", "product of total degree 101"),
+            ("(x + 1)^50 * (y - 1)^50 * x", "product of total degree 101"),
+        ],
+    )
+    def test_degree_over_budget_is_two(self, capsys, poly, message):
+        code, out, err = run_cli(capsys, "radius", poly)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} is over the budget of 100\n"
+
+    def test_budget_admits_degree_100(self):
+        assert cli.MAX_DEGREE == 100
+        assert parse_poly("x^60 * y^40").degree == 100
+        assert parse_poly("(x*y)^50").degree == 100
 
 
 class TestBenchTargets:

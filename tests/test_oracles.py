@@ -5,18 +5,20 @@ families, and direct evaluation of Q(x, 1/r) for the principal family.
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_substitute
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
-from weingarten_tubes.polyalg import Poly2, divide_by_tube_factor, substitute_tube, tube_generator
+from weingarten_tubes.polyalg import Poly1, Poly2, divide_by_tube_factor, substitute_tube, tube_generator
 from weingarten_tubes.radius import (
     EUCLIDEAN,
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    isolate_positive_roots,
     principal_radius_set,
     star_radius_set,
 )
@@ -39,6 +41,10 @@ tags = st.sampled_from([EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC])
 # any Q, G_r*A (a planted member), G_r*A + x*B (r a cylinder radius that
 # may or may not be a star), x*G_r*A (Q vanishes on the whole axis)
 shapes = st.sampled_from(["free", "member", "cylinder", "axis"])
+# rational roots with denominators up to 10**6, any sign, zero and repeats allowed
+planted_roots = st.lists(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6), min_size=1, max_size=4
+)
 
 
 def build(shape: str, gen: Poly2, a: Poly2, b: Poly2) -> Poly2:
@@ -121,3 +127,41 @@ def test_principal_star_flags_match_brute(shape, a, b, r):
         assert (cls.quotient is not None) == star
         if star:
             assert evaluates_equal(q, Y - Poly2.constant(1 / v), cls.quotient)
+
+
+@PROPERTY
+@given(
+    roots=planted_roots,
+    lead=st.integers(1, 10**30),
+    b=st.integers(-50, 50),
+    c=st.integers(-50, 50).filter(bool),
+)
+def test_isolation_finds_exactly_the_planted_rational_roots(roots, lead, b, c):
+    # lead*t**2 + b*t + c times the planted linear factors.  The big lead
+    # makes the rational-root grid fine; a quadratic without rational
+    # roots adds only irrational ones, each located by its own sign change.
+    disc = b * b - 4 * lead * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    p = Poly1([c, b, lead])
+    for rho in roots:
+        p = p * Poly1([-rho, 1])
+
+    def quadratic(t: Fraction) -> Fraction:
+        return (lead * t + b) * t + c
+
+    def planted(t: Fraction) -> Fraction:
+        return math.prod((t - rho for rho in roots), start=Fraction(1))
+
+    found = isolate_positive_roots(p)
+    exact = [rad.exact_value for rad in found if rad.exact_value is not None]
+    assert exact == sorted({rho for rho in roots if rho > 0})
+    assert all(planted(v) == 0 for v in exact)
+    # positive real roots of the quadratic, by Vieta: one when c/lead < 0,
+    # two when both roots share the sign of -b/lead > 0
+    positive = 0 if disc <= 0 else (1 if c < 0 else (2 if b < 0 else 0))
+    irrational = [rad for rad in found if rad.exact_value is None]
+    assert len(irrational) == positive
+    for rad in irrational:
+        assert quadratic(rad.lo) * quadratic(rad.hi) < 0
+    for left, right in zip(found, found[1:]):
+        assert 0 <= left.lo < left.hi <= right.lo < right.hi
