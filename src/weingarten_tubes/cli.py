@@ -32,50 +32,25 @@ from .classify import (
     LinearCase,
     classify_linear,
     classify_second_fundamental,
+    expand_spaces,
     solve_SQ,
     solve_SQ_principal,
 )
 from .errors import (
-    DegenerateFrame,
-    DegenerateRelation,
     DegreeTooLarge,
+    DomainError,
     GridTooLarge,
     InternalMismatch,
-    InvalidSpecRow,
-    LightlikeNormal,
-    LinearInput,
     NonIntegerExponent,
-    NonpositiveLength,
-    NonpositiveRadius,
-    NoRegularPoints,
-    NotMember,
     PolySyntaxError,
     UnknownVariable,
     UnwritableOutput,
-    ZeroPolynomial,
     ZeroRadius,
 )
 from .polyalg import Poly2, divide_by_tube_factor, substitute_tube, tube_generator
 from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
-
-_DOMAIN_ERRORS = (
-    ZeroPolynomial,
-    ZeroRadius,
-    InvalidSpecRow,
-    NonpositiveRadius,
-    NonpositiveLength,
-    DegenerateRelation,
-    NotMember,
-    LinearInput,
-    NoRegularPoints,
-    GridTooLarge,
-    DegreeTooLarge,
-    DegenerateFrame,
-    LightlikeNormal,
-    UnwritableOutput,
-)
 
 # Budget for --grid.  A point costs 50 to 75 us of Python-level vector work
 # (2-vCPU x86 host, Python 3.11), and with --csv its line of about 160 bytes
@@ -435,8 +410,6 @@ def _cmd_classify(args) -> dict:
 def _cmd_radius(args) -> dict:
     prec = _precision()
     poly = parse_poly(args.poly)
-    from .classify import expand_spaces
-
     lanes = []
     for tag in expand_spaces(args.space):
         rset = star_radius_set(poly, tag) if args.star else radius_set(poly, tag)
@@ -597,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, PolySyntaxError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    except _DOMAIN_ERRORS as ex:
+    except DomainError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except OverflowError as ex:  # a tube parameter or radius beyond double range

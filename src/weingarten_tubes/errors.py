@@ -5,11 +5,16 @@ class WeingartenError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroPolynomial(WeingartenError):
+class DomainError(WeingartenError):
+    """Input outside the domain of the question asked; the CLI reports it
+    as one ``error:`` line with exit code 2."""
+
+
+class ZeroPolynomial(DomainError):
     """A nonzero polynomial was required (the zero relation holds on every surface)."""
 
 
-class ZeroRadius(WeingartenError):
+class ZeroRadius(DomainError):
     """The substitution radius must be nonzero."""
 
 
@@ -17,23 +22,23 @@ class InternalMismatch(WeingartenError):
     """A mandatory internal cross-check failed; indicates a bug, never user error."""
 
 
-class NonpositiveRadius(WeingartenError):
+class NonpositiveRadius(DomainError):
     """Tube radii must be positive."""
 
 
-class DegenerateRelation(WeingartenError):
+class DegenerateRelation(DomainError):
     """Linear relation a*x + b*y - c with (a, b) = (0, 0)."""
 
 
-class NonpositiveLength(WeingartenError):
+class NonpositiveLength(DomainError):
     """Second-fundamental-form length must be positive."""
 
 
-class NotMember(WeingartenError):
+class NotMember(DomainError):
     """Polynomial does not vanish on the given surface."""
 
 
-class LinearInput(WeingartenError):
+class LinearInput(DomainError):
     """Operation requires a nonlinear polynomial (total degree >= 2)."""
 
 
@@ -41,15 +46,15 @@ class DimensionMismatch(WeingartenError):
     """Vector arguments have incompatible or unsupported dimensions."""
 
 
-class DegenerateFrame(WeingartenError):
+class DegenerateFrame(DomainError):
     """Curve is not biregular at this parameter; no Frenet frame exists."""
 
 
-class LightlikeNormal(WeingartenError):
+class LightlikeNormal(DomainError):
     """Normal vector is numerically lightlike; unsupported degenerate configuration."""
 
 
-class InvalidSpecRow(WeingartenError):
+class InvalidSpecRow(DomainError):
     """Requested curve-causality/section combination does not exist."""
 
 
@@ -57,19 +62,19 @@ class IrregularPoint(WeingartenError):
     """Tube parametrization is singular (|xi| below cutoff) at the requested point."""
 
 
-class NoRegularPoints(WeingartenError):
+class NoRegularPoints(DomainError):
     """Every grid point was irregular; nothing to sample."""
 
 
-class GridTooLarge(WeingartenError):
+class GridTooLarge(DomainError):
     """Sample grid has more points than the verification budget allows."""
 
 
-class DegreeTooLarge(WeingartenError):
+class DegreeTooLarge(DomainError):
     """Parsed exponent or product has a total degree over the input budget."""
 
 
-class UnwritableOutput(WeingartenError):
+class UnwritableOutput(DomainError):
     """An output file named on the command line cannot be opened for writing."""
 
 

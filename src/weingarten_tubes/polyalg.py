@@ -359,32 +359,22 @@ class Poly2:
     def x_coefficients(self) -> list[Poly1]:
         """Coefficient polynomials in y: index i gives the y-polynomial
         multiplying x**i."""
-        if self.is_zero:
-            return []
-        max_i = max(i for i, _ in self._terms)
-        rows: list[dict[int, Fraction]] = [{} for _ in range(max_i + 1)]
-        for (i, j), c in self._terms.items():
-            rows[i][j] = c
-        out = []
-        for row in rows:
-            size = max(row) + 1 if row else 0
-            out.append(Poly1([row.get(k, 0) for k in range(size)]))
-        return out
+        return self._coefficients(0)
 
     def y_coefficients(self) -> list[Poly1]:
         """Coefficient polynomials in x: index j gives the x-polynomial
         multiplying y**j."""
+        return self._coefficients(1)
+
+    def _coefficients(self, axis: int) -> list[Poly1]:
+        # index e: the polynomial in the other variable multiplying the
+        # variable of this axis (0 for x, 1 for y) to the power e
         if self.is_zero:
             return []
-        max_j = max(j for _, j in self._terms)
-        rows: list[dict[int, Fraction]] = [{} for _ in range(max_j + 1)]
-        for (i, j), c in self._terms.items():
-            rows[j][i] = c
-        out = []
-        for row in rows:
-            size = max(row) + 1 if row else 0
-            out.append(Poly1([row.get(k, 0) for k in range(size)]))
-        return out
+        rows: list[dict[int, Fraction]] = [{} for _ in range(max(e[axis] for e in self._terms) + 1)]
+        for e, c in self._terms.items():
+            rows[e[axis]][e[1 - axis]] = c
+        return [Poly1([row.get(k, 0) for k in range(max(row) + 1 if row else 0)]) for row in rows]
 
     def __str__(self) -> str:
         if not self._terms:
@@ -437,23 +427,16 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
     """Coefficients of Q(x/r, (x*r + 1)/(2*r)) as a polynomial in x.
 
     Entry k is sum_{i=0..k} sum_{j=0..n-k} C(k-i+j, j) * a_{i,k-i+j}
-    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q.
+    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q, evaluated as
+    g_k(r) / (2**n * r**n) from ``gamma_cleared``.
     """
     r = _frac(r)
     if r == 0:
         raise ZeroRadius("substitution radius must be nonzero")
-    n = q.degree
-    out = []
-    for k in range(n + 1):
-        acc = Fraction(0)
-        for i in range(k + 1):
-            for j in range(n - k + 1):
-                a = q.coeff(i, k - i + j)
-                if a == 0:
-                    continue
-                acc += binom(k - i + j, j) * a / (Fraction(2) ** (k - i + j) * r ** (j + i))
-        out.append(acc)
-    return out
+    if q.is_zero:
+        return []
+    scale = 2**q.degree * r**q.degree
+    return [g.eval(r) / scale for g in gamma_cleared(q)]
 
 
 def gamma_cleared(q: Poly2) -> list[Poly1]:

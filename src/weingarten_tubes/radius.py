@@ -5,13 +5,16 @@ defining polynomial together with a half-open rational interval
 ``(lo, hi]`` isolating exactly one positive root, plus the exact value
 whenever that root is rational.  A rational root p/q of a primitive
 integer polynomial has q | a_n, so it lies on the grid Z/a_n: every real
-root is isolated by Sturm bisection, its cell narrowed below width
-1/|a_n|, and the one grid point left in it tested exactly.  The other
-roots keep Sturm cells of the polynomial deflated by the rational ones.
-Every sign is that of an integer form (homogeneous Horner at p/q over
-integer Sturm-chain members), so no divisor of a coefficient is ever
-enumerated.  Intervals refine on demand but no decision ever depends on
-interval width.
+root of the square-free part s is isolated by Sturm bisection, its cell
+narrowed to width 1/|a_n|, and the one grid point left in it tested
+exactly.  The same Sturm chain of s, bisected over (0, B_d] with B_d the
+Cauchy bound of s deflated by its rational roots, gives each irrational
+root its cell: the cells that hold no rational root.  The deflated
+polynomial is their defining polynomial, and each isolation builds one
+chain.  Every sign is that of an integer form (homogeneous Horner at p/q
+over integer Sturm-chain members), so no divisor of a coefficient is
+ever enumerated.  Intervals refine on demand but no decision ever
+depends on interval width.
 
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = 0 that all regular tubes of radius r satisfy: the K-H
@@ -169,27 +172,33 @@ def _sturm_cells(chain: list[list[int]], lo: Fraction, hi: Fraction) -> list[tup
 
 
 def _count_roots_halfopen(p: Poly1, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in (lo, hi]."""
+    """Distinct real roots of p in (lo, hi]: V(lo) - V(hi) on the Sturm
+    chain of its square-free part, which holds at endpoint roots too
+    since V(c) = V(c+) at a root c."""
     if p.is_zero:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    s = _squarefree(p)
-    count = 1 if s.eval(hi) == 0 else 0
-    for v in (lo, hi):
-        while s.degree >= 1 and s.eval(v) == 0:
-            s = s.divmod(Poly1([-v, 1]))[0]
-    if s.degree >= 1:
-        chain = _sturm_chain(s)
-        count += _variations(chain, lo) - _variations(chain, hi)
-    return count
-
-
-def _has_root_in(p: Poly1, lo: Fraction, hi: Fraction) -> bool:
-    return _count_roots_halfopen(p, lo, hi) >= 1
+    chain = _sturm_chain(_squarefree(p))
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def _cauchy_bound(p: Poly1) -> Fraction:
     lead = abs(p.coeffs[-1])
     return 1 + max(abs(c) for c in p.coeffs) / lead
+
+
+def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction, bool]:
+    """Bisect the one-root cell (lo, hi] of the integer polynomial by the
+    sign at hi until hi - lo <= width, stopping early when hi lands on the
+    root; the flag says it did."""
+    sign_hi = _sign_at(coeffs, hi)
+    while sign_hi and hi - lo > width:
+        mid = (lo + hi) / 2
+        sign_mid = _sign_at(coeffs, mid)
+        if sign_mid == sign_hi or sign_mid == 0:
+            hi, sign_hi = mid, sign_mid
+        else:
+            lo = mid
+    return lo, hi, sign_hi == 0
 
 
 def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
@@ -198,27 +207,18 @@ def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
 
     A root p/q in lowest terms has q | a_n, so it lies on the grid
     Z/|a_n|.  Each real root is isolated by Sturm bisection of (-B, B],
-    B the Cauchy bound, and its cell narrowed by the sign of s below
-    width 1/|a_n|: the one grid point left in the cell, or a midpoint
-    where s vanishes, is the only rational candidate.
+    B the Cauchy bound, and its cell narrowed to width 1/|a_n|: a
+    half-open cell that narrow holds one grid point, and that point, or
+    a midpoint where s vanishes, is the only rational candidate.  The
+    same chain later isolates the irrational roots.
     """
     coeffs = chain[0]
     lead = abs(coeffs[-1])
     bound = _cauchy_bound(s)
     roots = []
     for lo, hi in _sturm_cells(chain, -bound, bound):
-        sign_hi = _sign_at(coeffs, hi)
-        while sign_hi and (hi - lo) * lead >= 1:
-            mid = (lo + hi) / 2
-            sign_mid = _sign_at(coeffs, mid)
-            if sign_mid == sign_hi or sign_mid == 0:
-                hi, sign_hi = mid, sign_mid
-            else:
-                lo = mid
-        if sign_hi == 0:
-            roots.append(hi)
-            continue
-        grid = Fraction(math.floor(hi * lead), lead)
+        lo, hi, at_root = _narrow(coeffs, lo, hi, Fraction(1, lead))
+        grid = hi if at_root else Fraction(math.floor(hi * lead), lead)
         if grid > lo and _sign_at(coeffs, grid) == 0:
             roots.append(grid)
     return sorted(roots)
@@ -254,19 +254,8 @@ class AlgebraicRadius:
         if self.exact_value is not None:
             lo = max(lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
-        coeffs = _integer_coeffs(self.defining_poly)
-        sign_lo = 1 if _sign_at(coeffs, lo) > 0 else -1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            sign = _sign_at(coeffs, mid)
-            if sign == 0:
-                # landed exactly on the root
-                return AlgebraicRadius(self.defining_poly, lo, mid, mid)
-            if sign == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return AlgebraicRadius(self.defining_poly, lo, hi, None)
+        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly), lo, hi, width)
+        return AlgebraicRadius(self.defining_poly, lo, hi, hi if at_root else None)
 
     def approx(self, width: Fraction = DISPLAY_WIDTH) -> float:
         if self.exact_value is not None:
@@ -294,7 +283,7 @@ def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
     if rad.exact_value is not None:
         return p.eval(rad.exact_value) == 0
     common = _gcd(_squarefree(p), rad.defining_poly)
-    return common.degree >= 1 and _has_root_in(common, rad.lo, rad.hi)
+    return common.degree >= 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,9 @@ class RadiusSet:
 
 def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     """All roots of p in (0, +inf), as isolated AlgebraicRadius values
-    sorted ascending with pairwise disjoint intervals."""
+    sorted ascending with pairwise disjoint intervals.  A rational root
+    rho gets (lo, rho], lo the largest irrational cell end or rational
+    root below rho, or 0."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     s = _squarefree(p)
@@ -339,49 +330,25 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
         return []
     chain = _sturm_chain(s)
     rationals = _rational_roots(s, chain)
-    deflated = s  # already primitive: s serves, chain and all, when no root is rational
-    if rationals:
-        for rho in rationals:
-            quo, rem = deflated.divmod(Poly1([-rho, 1]))
-            assert rem.is_zero
-            deflated = quo
-        deflated = _primitive(deflated)
-        chain = _sturm_chain(deflated)
-
-    cells: list[tuple[Fraction, Fraction]] = []
+    positive = [rho for rho in rationals if rho > 0]
+    deflated = s
+    for rho in rationals:
+        deflated, rem = deflated.divmod(Poly1([-rho, 1]))
+        assert rem.is_zero
+    entries = []
     if deflated.degree >= 1:
-        cells = _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated))
-
-    # shrink irrational cells until no rational root lies inside
-    pos_rationals = [rho for rho in rationals if rho > 0]
-    fixed_cells = []
-    for lo, hi in cells:
-        while any(lo < rho <= hi for rho in pos_rationals):
-            mid = (lo + hi) / 2
-            if _variations(chain, lo) - _variations(chain, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        fixed_cells.append((lo, hi))
-
-    entries = [
-        AlgebraicRadius(deflated, lo, hi, None) for lo, hi in fixed_cells
-    ]
-    for rho in pos_rationals:
-        lin = _primitive(Poly1([-rho, 1]))
-        lo = rho / 2
-        while any(_overlaps((lo, rho), (o.lo, o.hi)) for o in entries) or any(
-            lo < other <= rho for other in pos_rationals if other != rho
-        ):
-            lo = (lo + rho) / 2
-        entries.append(AlgebraicRadius(lin, lo, rho, rho))
+        # the cells of s over (0, B_d] without a rational root are the
+        # first dyadic cells that hold one irrational root and nothing else
+        deflated = _primitive(deflated)
+        for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated)):
+            if not any(lo < rho <= hi for rho in positive):
+                entries.append(AlgebraicRadius(deflated, lo, hi, None))
+    ends = [rad.hi for rad in entries] + positive
+    for rho in positive:
+        lo = max((v for v in ends if v < rho), default=Fraction(0))
+        entries.append(AlgebraicRadius(_primitive(Poly1([-rho, 1])), lo, rho, rho))
     entries.sort(key=lambda rad: rad.lo)
     return entries
-
-
-def _overlaps(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    # (lo, hi] intervals
-    return a[0] < b[1] and b[0] < a[1]
 
 
 # ---------------------------------------------------------------------------

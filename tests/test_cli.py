@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_poly2
-from weingarten_tubes import cli
+from weingarten_tubes import cli, errors
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.cli import main, parse_poly
 from weingarten_tubes.errors import (
@@ -270,6 +270,12 @@ class TestGoldens:
             # irrational, positive rational and negative rational radius roots
             ("radius_irrational_negative_rational.json",
              ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),
+            # rational radius 1 inside the first bisection cell of sqrt(2)
+            ("radius_rational_in_irrational_cell.json",
+             ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
+            # rational radius 10 beyond the Cauchy bound 3 of r^2 - 2
+            ("radius_rational_beyond_deflated_bound.json",
+             ["radius", "(20*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
         ],
     )
     def test_report_is_byte_identical(self, capsys, monkeypatch, golden, argv):
@@ -496,6 +502,47 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "internal error: verified multiplication of the quotient failed\n"
+
+
+class TestDomainErrors:
+    """The exit-2 mapping is the DomainError hierarchy; a new domain
+    error must be added to this pinned set on purpose."""
+
+    NAMES = {
+        "DegenerateFrame",
+        "DegenerateRelation",
+        "DegreeTooLarge",
+        "GridTooLarge",
+        "InvalidSpecRow",
+        "LightlikeNormal",
+        "LinearInput",
+        "NoRegularPoints",
+        "NonpositiveLength",
+        "NonpositiveRadius",
+        "NotMember",
+        "UnwritableOutput",
+        "ZeroPolynomial",
+        "ZeroRadius",
+    }
+
+    def test_the_set_is_pinned(self):
+        found, todo = set(), [errors.DomainError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                found.add(sub.__name__)
+                todo.append(sub)
+        assert found == self.NAMES
+
+    @pytest.mark.parametrize("name", sorted(NAMES))
+    def test_each_exits_two(self, capsys, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise getattr(errors, name)("planted")
+
+        monkeypatch.setattr(cli, "parse_poly", fail)
+        code, out, err = run_cli(capsys, "classify", "x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: planted\n"
 
 
 class TestDeterminism:

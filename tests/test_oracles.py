@@ -8,7 +8,7 @@ repeats on every call."""
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import brute_substitute
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
@@ -18,6 +18,7 @@ from weingarten_tubes.radius import (
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    _count_roots_halfopen,
     isolate_positive_roots,
     principal_radius_set,
     star_radius_set,
@@ -165,3 +166,104 @@ def test_isolation_finds_exactly_the_planted_rational_roots(roots, lead, b, c):
         assert quadratic(rad.lo) * quadratic(rad.hi) < 0
     for left, right in zip(found, found[1:]):
         assert 0 <= left.lo < left.hi <= right.lo < right.hi
+
+
+# Reference Sturm machinery over Fraction, on Poly1 arithmetic alone.
+
+
+def reference_chain(p: Poly1) -> list[Poly1]:
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    return chain
+
+
+def reference_variations(chain: list[Poly1], v: Fraction) -> int:
+    signs = [value > 0 for value in (c.eval(v) for c in chain) if value != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def reference_irrational_cells(deflated: Poly1, rationals: set) -> list[tuple[Fraction, Fraction]]:
+    """The cells the isolation gave before one chain served both kinds
+    of root: bisection of (0, B] by the deflated polynomial's own chain,
+    B its Cauchy bound, then each cell shrunk until it holds no positive
+    rational root."""
+    chain = reference_chain(deflated)
+
+    def count(lo, hi):
+        return reference_variations(chain, lo) - reference_variations(chain, hi)
+
+    bound = 1 + max(abs(c) for c in deflated.coeffs) / abs(deflated.coeffs[-1])
+    cells, todo = [], [(Fraction(0), bound)]
+    while todo:
+        lo, hi = todo.pop()
+        n = count(lo, hi)
+        if n > 1:
+            mid = (lo + hi) / 2
+            todo += [(lo, mid), (mid, hi)]
+        elif n == 1:
+            while any(lo < rho <= hi for rho in rationals):
+                mid = (lo + hi) / 2
+                if count(lo, mid) == 1:
+                    hi = mid
+                else:
+                    lo = mid
+            cells.append((lo, hi))
+    return sorted(cells)
+
+
+# primitive quadratics a*t**2 + b*t + c, a > 0; those with a rational root are assumed away
+quadratics = st.lists(
+    st.tuples(st.integers(1, 40), st.integers(-40, 40), st.integers(-40, 40).filter(bool)),
+    min_size=1,
+    max_size=2,
+    unique=True,
+)
+# rational roots of the size of the quadratics' roots, so some fall in their cells
+near_roots = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=64), max_size=4)
+
+
+@PROPERTY
+@example(roots=[Fraction(1)], quads=[(1, 0, -2)])  # 1 in the first cell (0, 3] of sqrt(2)
+@example(roots=[Fraction(10)], quads=[(1, 0, -2)])  # 10 beyond that cell
+@example(roots=[Fraction(141, 100), Fraction(-3, 2)], quads=[(1, 0, -2), (2, -1, -4)])
+@given(roots=near_roots, quads=quadratics)
+def test_irrational_cells_match_the_deflated_chain(roots, quads):
+    deflated = Poly1([1])
+    for a, b, c in quads:
+        disc = b * b - 4 * a * c
+        assume(math.gcd(a, b, c) == 1 and (disc < 0 or math.isqrt(disc) ** 2 != disc))
+        deflated = deflated * Poly1([c, b, a])
+    p = deflated
+    for rho in roots:
+        p = p * Poly1([-rho, 1])
+    irrational = [rad for rad in isolate_positive_roots(p) if rad.exact_value is None]
+    assert all(rad.defining_poly == deflated for rad in irrational)
+    expected = reference_irrational_cells(deflated, {rho for rho in roots if rho > 0})
+    assert [(rad.lo, rad.hi) for rad in irrational] == expected
+
+
+@PROPERTY
+@given(
+    roots=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=20), min_size=1, max_size=5),
+    picks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    m=st.integers(0, 30),
+    lead=st.integers(-9, 9).filter(bool),
+)
+def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
+    # lead * (t**2 - m) * prod(t - rho), repeats allowed, counted on
+    # (lo, hi] whose ends are planted roots
+    assume(m == 0 or math.isqrt(m) ** 2 != m)
+    p = Poly1([lead]) * (Poly1([-m, 0, 1]) if m else Poly1([1]))
+    for rho in roots:
+        p = p * Poly1([-rho, 1])
+    lo, hi = sorted(roots[i % len(roots)] for i in picks)
+
+    def below(v: Fraction, sign: int) -> bool:
+        # v < sign * sqrt(m), exactly
+        return (v < 0 or v * v < m) if sign > 0 else (v < 0 and v * v > m)
+
+    brute = sum(lo < rho <= hi for rho in set(roots))
+    if m:
+        brute += sum(below(lo, sign) and not below(hi, sign) for sign in (1, -1))
+    assert _count_roots_halfopen(p, lo, hi) == brute

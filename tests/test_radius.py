@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly2
+from weingarten_tubes import radius
 from weingarten_tubes.errors import ZeroPolynomial
 from weingarten_tubes.polyalg import Poly1, Poly2, is_in_tube_ideal, tube_generator
 from weingarten_tubes.radius import (
@@ -58,6 +59,7 @@ class TestIsolation:
         assert rad.defining_poly == Poly1([-2, 0, 1])
         fine = rad.refined(Fraction(1, 10**6))
         assert fine.hi - fine.lo <= Fraction(1, 10**6)
+        assert fine.refined(fine.hi - fine.lo) == fine  # already narrow enough
         assert abs(rad.approx() - 2**0.5) < 1e-9
 
     def test_zero_polynomial_rejected(self):
@@ -86,6 +88,22 @@ class TestIsolation:
             p = p * Poly1([Fraction(rng.randint(1, 9)), 1]) * Poly1([-roots[0], 1])
             found = isolate_positive_roots(p)
             assert [f.exact_value for f in found] == roots
+
+    def test_one_sturm_chain_per_isolation(self, monkeypatch):
+        # (r - 1)(r^2 - 2)(r + 3)(2r - 5): rational roots on both sides of
+        # sqrt(2), both inside its first bisection cell (0, 3]
+        built = []
+        sturm_chain = radius._sturm_chain
+
+        def counting(s):
+            built.append(s)
+            return sturm_chain(s)
+
+        monkeypatch.setattr(radius, "_sturm_chain", counting)
+        p = Poly1([-1, 1]) * Poly1([-2, 0, 1]) * Poly1([3, 1]) * Poly1([-5, 2])
+        roots = isolate_positive_roots(p)
+        assert [r.exact_value for r in roots] == [1, None, Fraction(5, 2)]
+        assert len(built) == 1
 
     def test_multiplicity_is_ignored(self):
         p = Poly1([-3, 1]) * Poly1([-3, 1]) * Poly1([-3, 1])
