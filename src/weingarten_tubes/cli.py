@@ -5,7 +5,9 @@ Commands: ``classify`` (tube families satisfying a relation), ``radius``
 (radius / star-radius sets), ``divide`` (exact quotient by the tube
 relation), ``verify`` (numeric residuals on a sampled built-in tube),
 ``linear`` (linear-relation case analysis) and ``sff`` (constant
-second-fundamental-form length).
+second-fundamental-form length).  All but ``verify`` are exact algebra:
+``geometry`` is imported here for the tube table, but numpy is imported
+only on its first numeric call, so they start without it.
 
 Reports are JSON documents with a frozen field layout (see
 docs/report_schema.md); identical inputs produce byte-identical output.
@@ -80,6 +82,7 @@ MAX_DEGREE = 100
 
 
 _TOKEN_OPS = "+-*^()"
+_DIGITS = frozenset("0123456789")  # str.isdigit() also takes "²" and "٣"
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -90,15 +93,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             num = int(text[start:i])
             if i < n and text[i] == "/":
                 j = i + 1
-                if j < n and text[j].isdigit():
-                    while j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
+                    while j < n and text[j] in _DIGITS:
                         j += 1
                     den = int(text[i + 1 : j])
                     if den == 0:
@@ -113,7 +116,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = i
             while i < n and text[i].isalpha():
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(("name", text[start:i], start))
             continue

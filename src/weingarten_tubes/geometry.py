@@ -15,6 +15,14 @@ curvature sample or, at an irregular point, its xi.  ``sample_grid``,
 read that pass; ``curvatures`` is the same per-point core behind a
 frame built for one s.
 
+numpy is imported on the first attribute lookup of the module global
+``np`` (``_DeferredNumpy``), so importing this module costs no numpy
+and a process that runs only exact algebra never loads it.  The module
+itself stays an eager import of ``cli``: the benchmark's span installer
+(``bench/spans.py``) and ``tests/test_cli.py::TestBenchTargets`` look
+up ``weingarten_tubes.geometry`` in ``sys.modules`` right after
+``weingarten_tubes.cli`` is imported.
+
 Conventions:
 
 * Lorentzian inner product: sum of the first dim-1 coordinate products
@@ -43,9 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DegenerateFrame,
@@ -58,6 +64,25 @@ from .errors import (
     ZeroPolynomial,
 )
 from .polyalg import Poly2
+
+
+class _DeferredNumpy:
+    """The module global ``np`` until its first attribute lookup, which
+    imports numpy and rebinds ``np`` to it: after that every lookup is
+    plain numpy, and a process that never samples a tube never imports
+    it."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _DeferredNumpy()
 
 BIREGULARITY_EPS = 1e-10
 REGULARITY_CUTOFF = 1e-3

@@ -9,7 +9,8 @@ root of the square-free part s is isolated by Sturm bisection, its cell
 narrowed to width 1/|a_n|, and the one grid point left in it tested
 exactly.  The same Sturm chain of s, bisected over (0, B_d] with B_d the
 Cauchy bound of s deflated by its rational roots, gives each irrational
-root its cell: the cells that hold no rational root.  The deflated
+root its cell: the cells that hold no rational root, where a node
+whose roots are all known rationals is not bisected.  The deflated
 polynomial is their defining polynomial, and each isolation builds one
 chain.  Every sign is that of an integer form (homogeneous Horner at p/q
 over integer Sturm-chain members), so no divisor of a coefficient is
@@ -150,16 +151,20 @@ def _variations(chain: list[list[int]], v: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_cells(chain: list[list[int]], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _sturm_cells(
+    chain: list[list[int]], lo: Fraction, hi: Fraction, known: list[Fraction]
+) -> list[tuple[Fraction, Fraction]]:
     """Cells (a, b] that each hold exactly one root of the chain's
-    square-free head, by bisection of (lo, hi]; every root in (lo, hi]
-    lies in one of them."""
+    square-free head and none of the roots ``known``, by bisection of
+    (lo, hi]; every other root in (lo, hi] lies in one of them.  A node
+    whose roots are all known is not bisected, so each cell is still the
+    first dyadic node that holds its root and no other."""
     cells = []
     stack = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()
         n = v_lo - v_hi
-        if n == 0:
+        if n == sum(lo < rho <= hi for rho in known):
             continue
         if n == 1:
             cells.append((lo, hi))
@@ -216,7 +221,7 @@ def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
     lead = abs(coeffs[-1])
     bound = _cauchy_bound(s)
     roots = []
-    for lo, hi in _sturm_cells(chain, -bound, bound):
+    for lo, hi in _sturm_cells(chain, -bound, bound, []):
         lo, hi, at_root = _narrow(coeffs, lo, hi, Fraction(1, lead))
         grid = hi if at_root else Fraction(math.floor(hi * lead), lead)
         if grid > lo and _sign_at(coeffs, grid) == 0:
@@ -337,12 +342,11 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
         assert rem.is_zero
     entries = []
     if deflated.degree >= 1:
-        # the cells of s over (0, B_d] without a rational root are the
-        # first dyadic cells that hold one irrational root and nothing else
+        # the cells of s over (0, B_d] away from the known rationals are
+        # the first dyadic cells that hold one irrational root and nothing else
         deflated = _primitive(deflated)
-        for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated)):
-            if not any(lo < rho <= hi for rho in positive):
-                entries.append(AlgebraicRadius(deflated, lo, hi, None))
+        for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated), positive):
+            entries.append(AlgebraicRadius(deflated, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
     for rho in positive:
         lo = max((v for v in ends if v < rho), default=Fraction(0))

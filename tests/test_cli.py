@@ -3,7 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +102,24 @@ class TestParser:
     def test_trailing_input(self):
         with pytest.raises(PolySyntaxError):
             parse_poly("x + y)")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("²", "unexpected character '²'", 0),
+            ("x^²", "unexpected character '²'", 2),
+            ("1/²", "expected digits after '/'", 2),
+            ("x^٣", "unexpected character '٣'", 2),
+        ],
+    )
+    def test_only_ascii_digits(self, capsys, text, message, position):
+        # str.isdigit() is true for both; int() then rejected "²" (exit 2)
+        # and read "٣" as 3
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text)
+        assert message in str(err.value) and err.value.position == position
+        code, out, err = run_cli(capsys, "classify", text)
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def run_cli(capsys, *argv):
@@ -451,6 +471,55 @@ class TestBenchTargets:
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), (module, attr)
+
+
+def fresh_cli(snippet: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run snippet in a new interpreter on this checkout's src/, with
+    argv after it in sys.argv."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", snippet, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+class TestNumpyOnlyForVerify:
+    BLOCKED = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+        "from weingarten_tubes import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "all"],
+            ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"],
+            ["divide", EXQ_TEXT, "--r", "2"],
+            ["linear", "-1/8", "1", "2", "--space", "all"],
+            ["sff", "3", "--space", "all"],
+        ],
+    )
+    def test_algebra_commands_run_without_numpy(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        proc = fresh_cli(self.BLOCKED, *argv)
+        assert proc.returncode == code == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == out
+
+    def test_verify_imports_numpy(self):
+        snippet = (
+            "import contextlib, io, sys\n"
+            "from weingarten_tubes import cli\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, loaded, 'numpy' in sys.modules)\n"
+        )
+        proc = fresh_cli(snippet, "verify", "4*x - 4*y + 1", "--tube", "e3-torus:R=2,r=1", "--grid", "8x8")
+        assert proc.stdout.decode().split() == ["0", "False", "True"], proc.stderr.decode()
 
 
 class TestExitCodes:

@@ -105,6 +105,24 @@ class TestIsolation:
         assert [r.exact_value for r in roots] == [1, None, Fraction(5, 2)]
         assert len(built) == 1
 
+    def test_nodes_of_known_rationals_are_not_bisected(self, monkeypatch):
+        # (4r - 1)(5r - 1)(r^2 - 2): B_d = 3, and (0, 3/4] holds 1/5 and
+        # 1/4 and no irrational root; bisecting it on to separate them
+        # took four more midpoints, 103 sign evaluations in all
+        calls = []
+        sign_at = radius._sign_at
+
+        def counting(coeffs, v):
+            calls.append(v)
+            return sign_at(coeffs, v)
+
+        monkeypatch.setattr(radius, "_sign_at", counting)
+        p = Poly1([-1, 4]) * Poly1([-1, 5]) * Poly1([-2, 0, 1])
+        roots = isolate_positive_roots(p)
+        assert [r.exact_value for r in roots] == [Fraction(1, 5), Fraction(1, 4), None]
+        assert (roots[2].lo, roots[2].hi) == (Fraction(3, 4), Fraction(3, 2))
+        assert len(calls) == 83
+
     def test_multiplicity_is_ignored(self):
         p = Poly1([-3, 1]) * Poly1([-3, 1]) * Poly1([-3, 1])
         roots = isolate_positive_roots(p)
