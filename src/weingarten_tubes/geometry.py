@@ -8,20 +8,24 @@ derivative equations, and compares the resulting Gaussian/mean
 curvatures against the closed forms, so algebraic classifications can
 be verified on sampled surfaces.
 
-A sample grid is walked in one place, ``_grid_pass``: it builds the
-frame once per s-row and evaluates each (s, t) once, giving either a
-curvature sample or, at an irregular point, its xi.  ``sample_grid``,
-``verify_relation``, ``curvature_csv`` and ``verify_relation_csv`` all
-read that pass; ``curvatures`` is the same per-point core behind a
-frame built for one s.
+A sample grid is walked in one place, ``_grid_pass``: one ``mu_eta``
+per t column, then per s-row one frame and one call of the kernel
+``_row``, which evaluates the t-row as (n_t, dim) arrays; every grid
+function, and ``curvatures`` as a one-point row, reads that pass.  The
+kernel gives the bits of per-point scalar evaluation (the reference in
+``tests/test_row_kernel.py``): section values come from ``math``, as
+numpy's SIMD libm can differ in the last ulp; array expressions keep
+the scalar operand order; each inner product is one ``np.vecdot``, the
+same sequential FMA chain as ``np.dot`` on this numpy/OpenBLAS build;
+results leave numpy through ``tolist``, so residuals and CSV digits
+come from Python floats.
 
 numpy is imported on the first attribute lookup of the module global
 ``np`` (``_DeferredNumpy``), so importing this module costs no numpy
 and a process that runs only exact algebra never loads it.  The module
-itself stays an eager import of ``cli``: the benchmark's span installer
-(``bench/spans.py``) and ``tests/test_cli.py::TestBenchTargets`` look
-up ``weingarten_tubes.geometry`` in ``sys.modules`` right after
-``weingarten_tubes.cli`` is imported.
+stays an eager import of ``cli``: ``bench/spans.py`` and
+``tests/test_cli.py::TestBenchTargets`` look it up in ``sys.modules``
+right after ``weingarten_tubes.cli`` is imported.
 
 Conventions:
 
@@ -44,14 +48,14 @@ Conventions:
   normal, which is not tangent to H^3 at the tube point
   (<normal, psi> = -sinh r).  The H^3 residual is therefore a
   consistency check of the code against its own convention, not an
-  independent one, until the H^3 convention is settled (ROADMAP item 3).
+  independent one, until the H^3 convention is settled (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegenerateFrame,
@@ -116,12 +120,6 @@ def lorentz_cross(*vectors) -> np.ndarray:
             sign = -sign  # basis row entry is -e_dim
         out[k] = sign * np.linalg.det(minor)
     return out
-
-
-def _inner_for(space: str) -> Callable[[np.ndarray, np.ndarray], float]:
-    if space == "euclidean":
-        return lambda u, v: float(np.dot(u, v))
-    return lorentz_inner
 
 
 @dataclass(frozen=True)
@@ -328,15 +326,6 @@ def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
     return frame.gamma + r * mu * frame.N + r * eta * frame.B
 
 
-def _xi(spec: TubeSpec, frame: FrenetFrame, mu: float) -> float:
-    r = spec.radius
-    if spec.curve.space == "euclidean":
-        return 1.0 - r * frame.kappa * mu
-    if spec.curve.space == "lorentzian":
-        return 1.0 + frame.eps_B * r * frame.kappa * mu
-    return math.cosh(r) - frame.kappa * mu * math.sinh(r)
-
-
 @dataclass(frozen=True)
 class CurvatureSample:
     s: float
@@ -349,123 +338,124 @@ class CurvatureSample:
     eps: int
 
 
-# a grid point's evaluation: its sample, or its xi where the tube is irregular
-_Point = Union[CurvatureSample, float]
-# (s, t, point, |Q(K, H)|), the residual nan at irregular points
-_ScoredPoint = tuple[float, float, _Point, float]
-
-
-def _curvatures(spec: TubeSpec, frame: FrenetFrame, s: float, t: float) -> _Point:
-    """The curvature sample at (s, t) given the tube frame at s, or the
-    xi of the point when |xi| falls below the sampling cutoff."""
+def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.ndarray) -> tuple[list, ...]:
+    """The curvature kernel: every t column of an s-row at once, given
+    the tube frame at s and the (6, n_t) section values (mu, eta, mu',
+    eta', mu'', eta'').  K and H come from the first/second fundamental
+    forms, with the tube derivatives assembled through the frame
+    derivative equations; K_cf and H_cf are the closed-form expressions.
+    Returns Python lists over the columns: regular, K, H, K_cf, H_cf, xi
+    and eps, where all but xi mean something only at regular points.
+    Raises LightlikeNormal at the first regular column whose normal is
+    not unit."""
     space = spec.curve.space
     r = spec.radius
     kappa, tau = frame.kappa, frame.tau
     T, N, B = frame.T, frame.N, frame.B
-    mu, eta, mu_t, eta_t, mu_tt, eta_tt = spec.mu_eta(t)
-    xi = _xi(spec, frame, mu)
-    if abs(xi) < REGULARITY_CUTOFF:
-        return xi
-
-    if space == "hyperbolic":
-        sh, ch = math.sinh(r), math.cosh(r)
-        t_prime = frame.gamma + kappa * N
-        n_prime = -kappa * T + tau * B
-        b_prime = -tau * N
-        n_second = -kappa * frame.gamma - (kappa**2 + tau**2) * N
-        b_second = tau * kappa * T - tau**2 * B
-        psi_s = ch * T + sh * (mu * n_prime + eta * b_prime)
-        psi_ss = ch * t_prime + sh * (mu * n_second + eta * b_second)
-        psi_t = sh * (mu_t * N + eta_t * B)
-        psi_ts = sh * (mu_t * n_prime + eta_t * b_prime)
-        psi_tt = sh * (mu_tt * N + eta_tt * B)
-        k_cf = -kappa * mu / (xi * sh)
-        h_cf = (ch - 2.0 * kappa * mu * sh) / (2.0 * xi * sh)
-    else:
-        if space == "euclidean":
-            t_prime = kappa * N
+    mu, eta = sec[:2]
+    # the section values as (n_t, 1) columns, to scale frame vectors per point
+    mu_c, eta_c, mu_t_c, eta_t_c, mu_tt_c, eta_tt_c = sec[:, :, None]
+    # the closed forms divide by xi ~ 0 at irregular points
+    with np.errstate(all="ignore"):
+        if space == "hyperbolic":
+            ch, sh = math.cosh(r), math.sinh(r)
+            xi = ch - kappa * mu * sh
+            t_prime = frame.gamma + kappa * N
             n_prime = -kappa * T + tau * B
             b_prime = -tau * N
-            n_second = -(kappa**2 + tau**2) * N
+            n_second = -kappa * frame.gamma - (kappa**2 + tau**2) * N
             b_second = tau * kappa * T - tau**2 * B
+            psi_s = ch * T + sh * (mu_c * n_prime + eta_c * b_prime)
+            psi_ss = ch * t_prime + sh * (mu_c * n_second + eta_c * b_second)
+            psi_t = sh * (mu_t_c * N + eta_t_c * B)
+            psi_ts = sh * (mu_t_c * n_prime + eta_t_c * b_prime)
+            psi_tt = sh * (mu_tt_c * N + eta_tt_c * B)
+            k_cf = -kappa * mu / (xi * sh)
+            h_cf = (ch - 2.0 * kappa * mu * sh) / (2.0 * xi * sh)
         else:
-            eT, eN = frame.eps_T, frame.eps_N
             t_prime = kappa * N
-            n_prime = -eT * eN * kappa * T + tau * B
-            b_prime = eT * tau * N
-            n_second = (eT * tau**2 - eT * eN * kappa**2) * N
-            b_second = -eN * kappa * tau * T + eT * tau**2 * B
-        psi_s = T + r * mu * n_prime + r * eta * b_prime
-        psi_ss = t_prime + r * mu * n_second + r * eta * b_second
-        psi_t = r * (mu_t * N + eta_t * B)
-        psi_ts = r * (mu_t * n_prime + eta_t * b_prime)
-        psi_tt = r * (mu_tt * N + eta_tt * B)
-        if space == "euclidean":
-            k_cf = kappa * mu / (r * (r * kappa * mu - 1.0))
-            h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
-        else:
-            eB = frame.eps_B
-            sig = mu * mu * frame.eps_N + eta * eta * frame.eps_B
-            k_cf = sig * eB * kappa * mu / (r * (1.0 + eB * r * kappa * mu))
-            h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * (1.0 + eB * r * kappa * mu))
-    normal = -(mu * N + eta * B)
+            if space == "euclidean":
+                xi = 1.0 - r * kappa * mu
+                n_prime = -kappa * T + tau * B
+                b_prime = -tau * N
+                n_second = -(kappa**2 + tau**2) * N
+                b_second = tau * kappa * T - tau**2 * B
+            else:
+                eT, eN, eB = frame.eps_T, frame.eps_N, frame.eps_B
+                xi = 1.0 + eB * r * kappa * mu
+                n_prime = -eT * eN * kappa * T + tau * B
+                b_prime = eT * tau * N
+                n_second = (eT * tau**2 - eT * eN * kappa**2) * N
+                b_second = -eN * kappa * tau * T + eT * tau**2 * B
+            r_mu, r_eta = (r * mu)[:, None], (r * eta)[:, None]
+            psi_s = T + r_mu * n_prime + r_eta * b_prime
+            psi_ss = t_prime + r_mu * n_second + r_eta * b_second
+            psi_t = r * (mu_t_c * N + eta_t_c * B)
+            psi_ts = r * (mu_t_c * n_prime + eta_t_c * b_prime)
+            psi_tt = r * (mu_tt_c * N + eta_tt_c * B)
+            if space == "euclidean":
+                k_cf = kappa * mu / (r * (r * kappa * mu - 1.0))
+                h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
+            else:
+                sig = mu * mu * eN + eta * eta * eB
+                k_cf = sig * eB * kappa * mu / (r * (1.0 + eB * r * kappa * mu))
+                h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * (1.0 + eB * r * kappa * mu))
+        regular = ~(abs(xi) < REGULARITY_CUTOFF)
+        normal = -(mu_c * N + eta_c * B)
 
-    inner = _inner_for(space)
-    eps_f = inner(normal, normal)
-    if abs(abs(eps_f) - 1.0) > 1e-6:
-        raise LightlikeNormal(f"|<normal, normal>| = {abs(eps_f):.6f} is not 1 at (s, t) = ({s}, {t})")
-    eps = 1 if eps_f > 0 else -1
+        def inner(u, v):
+            if space == "euclidean":
+                return np.vecdot(u, v)
+            return np.vecdot(u[:, :-1], v[:, :-1]) - u[:, -1] * v[:, -1]
 
-    E = inner(psi_s, psi_s)
-    F = inner(psi_s, psi_t)
-    G = inner(psi_t, psi_t)
-    e = inner(psi_ss, normal)
-    f = inner(psi_ts, normal)
-    g = inner(psi_tt, normal)
-    denom = E * G - F * F
-    K = eps * (e * g - f * f) / denom
-    H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
-    return CurvatureSample(s, t, K, H, k_cf, h_cf, xi, eps)
+        eps_f = inner(normal, normal)
+        bad = regular & (abs(abs(eps_f) - 1.0) > 1e-6)
+        if bad.any():
+            k = int(bad.argmax())
+            message = f"|<normal, normal>| = {abs(eps_f[k]):.6f} is not 1 at (s, t) = ({s}, {t_grid[k]})"
+            raise LightlikeNormal(message)
+        eps = np.where(eps_f > 0, 1, -1)
+
+        E = inner(psi_s, psi_s)
+        F = inner(psi_s, psi_t)
+        G = inner(psi_t, psi_t)
+        e = inner(psi_ss, normal)
+        f = inner(psi_ts, normal)
+        g = inner(psi_tt, normal)
+        denom = E * G - F * F
+        if (regular & (denom == 0.0)).any():  # r below ~1e-160: raise as scalar division does
+            raise ZeroDivisionError("float division by zero")
+        K = eps * (e * g - f * f) / denom
+        H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
+    return tuple(a.tolist() for a in (regular, K, H, k_cf, h_cf, xi, eps))
+
+
+def _grid_pass(spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]) -> Iterator[tuple]:
+    """The one walk over a sample grid, row-major (s outer, t inner): one
+    ``mu_eta`` per t column, then per s-row one frame and one kernel
+    call.  Yields (s, t, regular, K, H, K_cf, H_cf, xi, eps) per point."""
+    t_grid = list(t_grid)
+    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.copy()
+    for s in s_grid:
+        for point in zip(t_grid, *_row(spec, _tube_frame(spec.curve, s), s, t_grid, sec)):
+            yield s, *point
 
 
 def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
-    """Gaussian and mean curvature at one regular tube point.
-
-    K and H come from the first/second fundamental forms, with the tube
-    derivatives assembled through the frame derivative equations; K_cf
-    and H_cf are the closed-form expressions.  Raises IrregularPoint
-    when |xi| falls below the sampling cutoff.
-    """
-    point = _curvatures(spec, _tube_frame(spec.curve, s), s, t)
-    if not isinstance(point, CurvatureSample):
-        raise IrregularPoint(f"|xi| = {abs(point):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
-    return point
+    """Gaussian and mean curvature at one regular tube point: the kernel
+    on a one-point row.  Raises IrregularPoint when |xi| falls below the
+    sampling cutoff."""
+    ((_, _, regular, *values),) = _grid_pass(spec, [s], [t])
+    if not regular:
+        raise IrregularPoint(f"|xi| = {abs(values[4]):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
+    return CurvatureSample(s, t, *values)
 
 
 def regularity_scan(
     spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
     """Grid points where |xi| < the sampling cutoff, as (s, t, xi)."""
-    violations = []
-    for s in s_grid:
-        frame = _tube_frame(spec.curve, s)
-        for t in t_grid:
-            xi = _xi(spec, frame, spec.mu_eta(t)[0])
-            if abs(xi) < REGULARITY_CUTOFF:
-                violations.append((s, t, xi))
-    return violations
-
-
-def _grid_pass(
-    spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
-) -> Iterator[tuple[float, float, _Point]]:
-    """The one walk over a sample grid, row-major (s outer, t inner): one
-    frame per s-row, then per t the curvature sample or, at an irregular
-    point, its xi."""
-    for s in s_grid:
-        frame = _tube_frame(spec.curve, s)
-        for t in t_grid:
-            yield s, t, _curvatures(spec, frame, s, t)
+    return [(s, t, xi) for s, t, regular, *_, xi, _ in _grid_pass(spec, s_grid, t_grid) if not regular]
 
 
 def sample_grid(
@@ -474,18 +464,32 @@ def sample_grid(
     """Curvature samples in row-major (s outer, t inner) order; None at
     irregular points."""
     points = _grid_pass(spec, s_grid, t_grid)
-    return [point if isinstance(point, CurvatureSample) else None for _, _, point in points]
+    return [CurvatureSample(s, t, *values) if regular else None for s, t, regular, *values in points]
+
+
+# (s, t, (K, H, K_cf, H_cf) or None at an irregular point, xi,
+# |Q(K, H)| or nan at an irregular point)
+_ScoredPoint = tuple[float, float, Optional[tuple[float, float, float, float]], float, float]
+
+
+def _residual(terms: list[tuple[float, int, int]], K: float, H: float) -> float:
+    """|Q(K, H)| in ``Poly2.eval_float``'s term order and expression."""
+    return abs(sum(c * K**i * H**j for c, i, j in terms))
 
 
 def _scored(
     q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> Iterator[_ScoredPoint]:
-    """The grid pass with |Q(K, H)| per point."""
-    for s, t, point in _grid_pass(spec, s_grid, t_grid):
-        if isinstance(point, CurvatureSample):
-            yield s, t, point, abs(q.eval_float(point.K, point.H))
-        else:
-            yield s, t, point, float("nan")
+    """The grid pass with |Q(K, H)| per regular point, on Python floats;
+    Q's coefficients become floats once, at the first regular point."""
+    terms = None
+    for s, t, regular, K, H, K_cf, H_cf, xi, _ in _grid_pass(spec, s_grid, t_grid):
+        if not regular:
+            yield s, t, None, xi, float("nan")
+            continue
+        if terms is None:
+            terms = [(float(c), i, j) for (i, j), c in q.terms()]
+        yield s, t, (K, H, K_cf, H_cf), xi, _residual(terms, K, H)
 
 
 @dataclass(frozen=True)
@@ -501,9 +505,9 @@ def _verification(scored: Iterable[_ScoredPoint]) -> VerificationResult:
     best = -1.0
     arg = (float("nan"), float("nan"))
     regular = total = 0
-    for s, t, point, residual in scored:
+    for s, t, values, _, residual in scored:
         total += 1
-        if not isinstance(point, CurvatureSample):
+        if values is None:
             continue
         regular += 1
         if residual > best:
@@ -524,16 +528,12 @@ def verify_relation(
 
 
 CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
+_NO_CURVATURES = (float("nan"),) * 4
 
 
 def _csv_line(row: _ScoredPoint) -> str:
-    s, t, point, residual = row
-    if isinstance(point, CurvatureSample):
-        vals = (s, t, point.K, point.H, point.K_cf, point.H_cf, point.xi, residual)
-    else:
-        nan = float("nan")
-        vals = (s, t, nan, nan, nan, nan, point, nan)
-    return ",".join(f"{v:.17g}" for v in vals)
+    s, t, values, xi, residual = row
+    return ",".join(f"{v:.17g}" for v in (s, t, *(values or _NO_CURVATURES), xi, residual))
 
 
 def curvature_csv(

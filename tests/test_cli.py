@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,9 +337,9 @@ class TestVerifyGoldens:
 class TestVerifyPasses:
     def test_one_frame_per_row_and_one_evaluation_per_point(self, capsys, monkeypatch, tmp_path):
         # verify --csv walks the grid once: a Frenet frame per s-row, one
-        # section evaluation per point and one residual per regular point,
-        # irregular points (t = 0 on this tube) included
-        calls = {"frenet_frame": 0, "mu_eta": 0, "eval_float": 0}
+        # section evaluation per t column for the whole pass and one
+        # residual per regular point (t = 0 is irregular on this tube)
+        calls = {"frenet_frame": 0, "mu_eta": 0, "_residual": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -349,7 +350,7 @@ class TestVerifyPasses:
 
         monkeypatch.setattr(geo, "frenet_frame", counted("frenet_frame", geo.frenet_frame))
         monkeypatch.setattr(geo.TubeSpec, "mu_eta", counted("mu_eta", geo.TubeSpec.mu_eta))
-        monkeypatch.setattr(Poly2, "eval_float", counted("eval_float", Poly2.eval_float))
+        monkeypatch.setattr(geo, "_residual", counted("_residual", geo._residual))
         code, out, err = run_cli(
             capsys, "verify", "x - 2*y + 1", "--tube", "e3-torus:R=1,r=1", "--grid", "6x5",
             "--csv", str(tmp_path / "samples.csv"),
@@ -357,7 +358,20 @@ class TestVerifyPasses:
         assert code == 0, err
         result = json.loads(out)["result"]
         assert result["regular_points"] == 24 and result["total_points"] == 30
-        assert calls == {"frenet_frame": 6, "mu_eta": 30, "eval_float": 24}
+        assert calls == {"frenet_frame": 6, "mu_eta": 5, "_residual": 24}
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
+    def test_irregular_points_raise_no_numpy_warning(self, capsys, tmp_path, csv):
+        # the row kernel's closed forms divide by xi ~ 0 at the irregular
+        # column t = 0 of this tube; nothing of that may reach stderr
+        argv = ["verify", "x - 2*y + 1", "--tube", "e3-torus:R=1,r=1", "--grid", "5x4"]
+        if csv:
+            argv += ["--csv", str(tmp_path / "samples.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["regular_points"] == 15
 
 
 class TestTubeArguments:

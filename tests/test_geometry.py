@@ -13,6 +13,7 @@ from weingarten_tubes.errors import (
     DimensionMismatch,
     InvalidSpecRow,
     IrregularPoint,
+    LightlikeNormal,
     NoRegularPoints,
 )
 from weingarten_tubes.polyalg import Poly2
@@ -294,6 +295,35 @@ class TestCurvatures:
         hyper = geo.TubeSpec(curve, 0.5, geo.SECTION_L_HYPERBOLA)
         assert geo.curvatures(circle, 0.3, 0.4).eps == 1
         assert geo.curvatures(hyper, 0.3, 0.4).eps == -1
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec, s, t: geo.verify_relation(Y, spec, s, t),
+            lambda spec, s, t: geo.curvature_csv(Y, spec, s, t),
+            lambda spec, s, t: geo.sample_grid(spec, s, t),
+        ],
+        ids=["verify_relation", "curvature_csv", "sample_grid"],
+    )
+    def test_non_unit_normal_names_first_offending_point(self, run):
+        # a hand-built geodesic whose normal0 has length 2: <normal, normal>
+        # = 4 cos^2 t + sin^2 t is 1 at t = pi/2 and 4 at t = 0, so in
+        # row-major order (0.5, 0.0) is the first regular point to fail
+        curve = geo.CentralCurve(
+            space="euclidean",
+            name="long-normal",
+            gamma=lambda s: np.array([s, 0.0, 0.0]),
+            d1=lambda s: np.array([1.0, 0.0, 0.0]),
+            d2=lambda s: np.zeros(3),
+            d3=lambda s: np.zeros(3),
+            domain=(0.0, 1.0),
+            normal0=(0.0, 2.0, 0.0),
+            binormal0=(0.0, 0.0, 1.0),
+        )
+        spec = geo.TubeSpec(curve, 1.0, geo.SECTION_EUCLIDEAN)
+        with pytest.raises(LightlikeNormal) as info:
+            run(spec, [0.5, 1.0], [math.pi / 2, 0.0])
+        assert str(info.value) == "|<normal, normal>| = 4.000000 is not 1 at (s, t) = (0.5, 0.0)"
 
     def test_finite_difference_cross_check(self):
         # independent fundamental forms from 4th-order stencils on the
