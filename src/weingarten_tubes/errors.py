@@ -58,6 +58,11 @@ class InvalidSpecRow(DomainError):
     """Requested curve-causality/section combination does not exist."""
 
 
+class FormUnderflow(DomainError):
+    """First fundamental form E*G - F**2 underflows to 0 at a regular point:
+    the tube radius is too small for double precision."""
+
+
 class IrregularPoint(WeingartenError):
     """Tube parametrization is singular (|xi| below cutoff) at the requested point."""
 

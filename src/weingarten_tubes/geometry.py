@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .errors import (
     DegenerateFrame,
     DimensionMismatch,
+    FormUnderflow,
     InvalidSpecRow,
     IrregularPoint,
     LightlikeNormal,
@@ -423,8 +424,14 @@ def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.nda
         f = inner(psi_ts, normal)
         g = inner(psi_tt, normal)
         denom = E * G - F * F
-        if (regular & (denom == 0.0)).any():  # r below ~1e-160: raise as scalar division does
-            raise ZeroDivisionError("float division by zero")
+        underflow = regular & (denom == 0.0)  # r below ~1e-160
+        if underflow.any():
+            k = int(underflow.argmax())
+            message = (
+                f"first fundamental form underflows (E*G - F^2 = 0) at (s, t) = ({s}, {t_grid[k]}): "
+                f"radius {r!r} is too small for double precision"
+            )
+            raise FormUnderflow(message)
         K = eps * (e * g - f * f) / denom
         H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
     return tuple(a.tolist() for a in (regular, K, H, k_cf, h_cf, xi, eps))
@@ -531,9 +538,12 @@ CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
 _NO_CURVATURES = (float("nan"),) * 4
 
 
+_CSV_LINE = ",".join(["%.17g"] * 8)
+
+
 def _csv_line(row: _ScoredPoint) -> str:
     s, t, values, xi, residual = row
-    return ",".join(f"{v:.17g}" for v in (s, t, *(values or _NO_CURVATURES), xi, residual))
+    return _CSV_LINE % (s, t, *(values or _NO_CURVATURES), xi, residual)
 
 
 def curvature_csv(

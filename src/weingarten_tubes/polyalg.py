@@ -1,7 +1,10 @@
 """Exact polynomial arithmetic and the tube-ideal machinery.
 
 All coefficients are `fractions.Fraction`, so every decision made here
-(equality, ideal membership, quotient extraction) is exact.  Two types:
+(equality, ideal membership, quotient extraction) is exact.  Products
+and powers of ``Poly2`` run on Python ints: each operand is cleared to
+integer numerators over the lcm of its denominators, the numerators are
+convolved, and one Fraction is made per output term.  Two types:
 
 * ``Poly2`` -- sparse bivariate polynomial in (x, y): map from exponent
   pairs (i, j) to nonzero rational coefficients.
@@ -243,6 +246,18 @@ def _term_order_key(exp: tuple[int, int]) -> tuple:
     return (-(i + j), -i)
 
 
+def _convolve(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Product of two integer-coefficient polynomials given as exponent ->
+    coefficient maps; cancelled terms stay as zeros."""
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for (i1, j1), n1 in a.items():
+        for (i2, j2), n2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = get(e, 0) + n1 * n2
+    return out
+
+
 class Poly2:
     """Sparse bivariate polynomial in (x, y) with exact rational coefficients.
 
@@ -331,20 +346,39 @@ class Poly2:
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
+    def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(den, numerators): every coefficient is numerator / den, with
+        den the lcm of the coefficient denominators."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}
+
+    @classmethod
+    def _from_cleared(cls, nums: Mapping[tuple[int, int], int], den: int) -> "Poly2":
+        """The polynomial sum nums[e] / den * x**i * y**j, built in
+        canonical form directly: zero numerators dropped, one sort."""
+        p = cls.__new__(cls)
+        p._terms = {e: Fraction(nums[e], den) for e in sorted(nums, key=_term_order_key) if nums[e]}
+        return p
+
     def __mul__(self, other: Union["Poly2", RatLike]) -> "Poly2":
-        if isinstance(other, Poly2):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    e = (i1 + i2, j1 + j2)
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return Poly2(out)
-        c = _frac(other)
-        return Poly2([(e, c * v) for e, v in self._terms.items()])
+        """Product on cleared integer numerators: one integer convolution,
+        then one Fraction per output term."""
+        if not isinstance(other, Poly2):
+            other = Poly2.constant(other)
+        den1, nums1 = self._cleared()
+        den2, nums2 = other._cleared()
+        return Poly2._from_cleared(_convolve(nums1, nums2), den1 * den2)
+
+    def __pow__(self, k: int) -> "Poly2":
+        """self**k (1 for k = 0) by k integer convolutions with the cleared
+        base, converted back to rationals once."""
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
+        den, nums = self._cleared()
+        acc = {(0, 0): 1}
+        for _ in range(k):
+            acc = _convolve(acc, nums)
+        return Poly2._from_cleared(acc, den**k)
 
     def __rmul__(self, other: RatLike) -> "Poly2":
         return self * other

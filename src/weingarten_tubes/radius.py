@@ -17,6 +17,13 @@ over integer Sturm-chain members), so no divisor of a coefficient is
 ever enumerated.  Intervals refine on demand but no decision ever
 depends on interval width.
 
+The gcd, the square-free part with its exact quotient, the deflation by
+rational roots and the Sturm chain run on integer coefficient lists: a
+primitive pseudo-remainder sequence, where each pseudo-remainder is
+scaled by a power of |lc| and divided by its positive content.  Every chain
+member is then a positive multiple of the Euclidean one over the
+rationals, with the same signs everywhere.
+
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = 0 that all regular tubes of radius r satisfy: the K-H
 relation x*r**2 - 2*r*y + eps of one lane, or the principal-curvature
@@ -85,14 +92,18 @@ HYPERBOLIC = SpaceTag("hyperbolic")
 # univariate root tools
 
 
+def _primitive_part(p: list[int]) -> list[int]:
+    """p divided by its positive content; the sign is kept."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
 def _integer_coeffs(p: Poly1) -> list[int]:
     """Integer coefficients of a positive multiple of p: the content is
     divided out but the sign kept, so signs at every point are p's own
     (_primitive may flip them)."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    nums = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*nums)
-    return [n // g for n in nums]
+    return _primitive_part([int(c * den) for c in p.coeffs])
 
 
 def _primitive(p: Poly1) -> Poly1:
@@ -104,21 +115,69 @@ def _primitive(p: Poly1) -> Poly1:
     return Poly1(nums if nums[-1] > 0 else [-n for n in nums])
 
 
-def _gcd(a: Poly1, b: Poly1) -> Poly1:
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return _primitive(a)
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|**e * (a mod b) for some e >= 0, on integers: a positive
+    multiple of the remainder of a by b over the rationals.  Each step
+    eliminates the top term by r -> lc(b)*r - top * x**shift * b."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    steps = 0
+    for k in range(len(r) - 1, d - 1, -1):
+        top = r.pop()
+        if top:
+            r = [lead * c for c in r]
+            for m in range(d):
+                r[k - d + m] -= top * b[m]
+            steps += 1
+    while r and r[-1] == 0:
+        r.pop()
+    return [-c for c in r] if lead < 0 and steps % 2 else r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd over the rationals by the primitive pseudo-remainder sequence;
+    up to sign, content 1."""
+    a, b = _primitive_part(a), _primitive_part(b)
+    while b:
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a, b primitive: by Gauss's lemma the quotient
+    has integer coefficients, so every step divides exactly."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    quo = [0] * (len(r) - d)
+    for k in range(len(r) - 1, d - 1, -1):
+        q, m = divmod(r.pop(), lead)
+        assert m == 0
+        quo[k - d] = q
+        for j in range(d):
+            r[k - d + j] -= q * b[j]
+    assert not any(r)
+    return quo
+
+
+def _gcd(*polys: Poly1) -> Poly1:
+    """Primitive gcd of the polynomials (zero when all are zero)."""
+    common: list[int] = []
+    for p in polys:
+        common = _int_gcd(common, _integer_coeffs(p))
+    return _primitive(Poly1(common))
 
 
 def _squarefree(p: Poly1) -> Poly1:
     if p.degree < 1:
         return _primitive(p)
-    g = _gcd(p, p.derivative())
-    if g.degree < 1:
-        return _primitive(p)
-    quo, rem = p.divmod(g)
-    assert rem.is_zero
-    return _primitive(quo)
+    a = _integer_coeffs(p)
+    return _primitive(Poly1(_exact_quotient(a, _int_gcd(a, _derivative(a)))))
 
 
 def _sign_at(coeffs: list[int], v: Fraction) -> int:
@@ -133,17 +192,20 @@ def _sign_at(coeffs: list[int], v: Fraction) -> int:
 
 
 def _sturm_chain(s: Poly1) -> list[list[int]]:
-    """Sturm chain of the square-free s, each member converted once to
-    the integer coefficients of a positive multiple of itself."""
-    chain = [s, s.derivative()]
-    if chain[1].is_zero:
-        chain = chain[:1]
-    while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero:
+    """Sturm chain of the square-free s by the primitive pseudo-remainder
+    sequence: each member the integer coefficients, content 1, of a
+    positive multiple of the member over the rationals, so every sign
+    and variation count is the same."""
+    chain = [_integer_coeffs(s)]
+    deriv = _primitive_part(_derivative(chain[0]))
+    if deriv:
+        chain.append(deriv)
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(-rem)
-    return [_integer_coeffs(p) for p in chain]
+        chain.append(_primitive_part([-c for c in rem]))
+    return chain
 
 
 def _variations(chain: list[list[int]], v: Fraction) -> int:
@@ -336,15 +398,14 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     chain = _sturm_chain(s)
     rationals = _rational_roots(s, chain)
     positive = [rho for rho in rationals if rho > 0]
-    deflated = s
+    deflated = chain[0]
     for rho in rationals:
-        deflated, rem = deflated.divmod(Poly1([-rho, 1]))
-        assert rem.is_zero
+        deflated = _exact_quotient(deflated, [-rho.numerator, rho.denominator])
     entries = []
-    if deflated.degree >= 1:
+    if len(deflated) > 1:
         # the cells of s over (0, B_d] away from the known rationals are
         # the first dyadic cells that hold one irrational root and nothing else
-        deflated = _primitive(deflated)
+        deflated = _primitive(Poly1(deflated))
         for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated), positive):
             entries.append(AlgebraicRadius(deflated, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
@@ -407,10 +468,7 @@ class GeneratorFamily:
     def star_poly(self, q: Poly2) -> Poly1:
         """gcd of the cleared polynomials: its positive roots are exactly
         the radii at which Q lies in the ideal of G_r."""
-        common = Poly1.zero()
-        for g in self.cleared(q):
-            common = _gcd(common, g)
-        return common
+        return _gcd(*self.cleared(q))
 
     def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
         """Q lies in the ideal of G_r; a rational r is decided by the

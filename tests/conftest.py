@@ -72,3 +72,14 @@ def brute_substitute(q: Poly2, r: Fraction, eps: int = 1) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def brute_product(p: Poly2, q: Poly2) -> dict:
+    """Independent product of two polynomials, term by term over Fraction;
+    returns {(i, j): coefficient} with cancelled terms dropped."""
+    out: dict = {}
+    for (i1, j1), a in p.terms():
+        for (i2, j2), b in q.terms():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return {key: c for key, c in out.items() if c != 0}

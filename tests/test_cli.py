@@ -420,6 +420,21 @@ class TestTubeArguments:
         code, out, err = run_cli(capsys, "verify", "x", "--tube", tube, "--grid", "4x4")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("tube", ["e3-line:r=1/1", "h3-circle:r0=1,r=1/1"])
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_underflowed_form_is_two(self, capsys, tmp_path, tube, csv):
+        # at r = 1e-170 the first fundamental form E*G - F^2 underflows to 0
+        # at every regular point; this was a ZeroDivisionError traceback
+        argv = ["verify", "x", "--tube", tube + "0" * 170, "--grid", "4x4"]
+        if csv:
+            argv += ["--csv", str(tmp_path / "grid.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: first fundamental form underflows (E*G - F^2 = 0) at (s, t) = (0.0, 0.0): "
+            "radius 1e-170 is too small for double precision\n"
+        )
+
     def test_unwritable_csv_fails_before_the_grid_pass(self, capsys, monkeypatch, tmp_path):
         def no_pass(*args):
             raise AssertionError("grid pass started")
@@ -449,6 +464,7 @@ class TestDegreeBudget:
             raise AssertionError("power expanded")
 
         monkeypatch.setattr(Poly2, "__mul__", no_product)
+        monkeypatch.setattr(Poly2, "__pow__", no_product)
         code, out, err = run_cli(capsys, "classify", poly)
         assert (code, out) == (2, "")
         assert err == f"error: power of total degree {degree} is over the budget of 100\n"
@@ -595,6 +611,7 @@ class TestDomainErrors:
         "DegenerateFrame",
         "DegenerateRelation",
         "DegreeTooLarge",
+        "FormUnderflow",
         "GridTooLarge",
         "InvalidSpecRow",
         "LightlikeNormal",

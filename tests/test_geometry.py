@@ -418,3 +418,20 @@ class TestCsv:
         # 17 significant digits survive parsing
         row = lines[1].split(",")
         assert float(row[2]) == pytest.approx(0.0, abs=1e-12) or "." in row[2] or "e" in row[2]
+
+    SPECIAL = [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e-310,
+        1.7976931348623157e308, 0.1, 1 / 3, -2.5, 7, 12345678901234567890,
+        np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf), np.float64(5e-324),
+    ]
+
+    @pytest.mark.parametrize("offset", range(0, len(SPECIAL), 3))
+    def test_line_matches_per_value_format(self, offset):
+        # one %-format for the whole line: the same bytes as formatting each
+        # value on its own with f"{v:.17g}", for special and numpy values too
+        values = [self.SPECIAL[(offset + k) % len(self.SPECIAL)] for k in range(8)]
+        s, t, *curvatures, xi, residual = values
+        want = ",".join(f"{v:.17g}" for v in values)
+        assert geo._csv_line((s, t, tuple(curvatures), xi, residual)) == want
+        irregular = ",".join(f"{v:.17g}" for v in (s, t, *[math.nan] * 4, xi, residual))
+        assert geo._csv_line((s, t, None, xi, residual)) == irregular

@@ -1,6 +1,8 @@
 """Property tests of every rational decision against oracles that share no
 code with the library: the binomial expansion in conftest for the tube
-families, and direct evaluation of Q(x, 1/r) for the principal family.
+families, direct evaluation of Q(x, 1/r) for the principal family, a
+term-by-term Fraction product for the integer ring arithmetic and a
+Fraction Euclidean Sturm chain for the integer one.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -8,10 +10,12 @@ repeats on every call."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import brute_substitute
+from conftest import brute_product, brute_substitute
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
+from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.polyalg import Poly1, Poly2, divide_by_tube_factor, substitute_tube, tube_generator
 from weingarten_tubes.radius import (
     EUCLIDEAN,
@@ -19,6 +23,7 @@ from weingarten_tubes.radius import (
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     _count_roots_halfopen,
+    _sturm_chain,
     isolate_positive_roots,
     principal_radius_set,
     star_radius_set,
@@ -267,3 +272,85 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     if m:
         brute += sum(below(lo, sign) and not below(hi, sign) for sign in (1, -1))
     assert _count_roots_halfopen(p, lo, hi) == brute
+
+
+# Integer ring arithmetic against term-by-term Fraction products.
+
+# small coefficients so that terms cancel, 20-digit numerators, and
+# denominators that are pairwise coprime primes
+wide_coefficients = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-(10**20), 10**20).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from([3, 7, 11, 13, 10**9 + 7])),
+)
+wide_polys = st.lists(st.tuples(exponents, wide_coefficients), max_size=6).map(Poly2)
+
+
+def brute_power(p: Poly2, k: int) -> dict:
+    acc = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        acc = brute_product(Poly2(acc), p)
+    return acc
+
+
+@PROPERTY
+@example(p=X + Y, q=X - Y)  # the x*y terms cancel
+@example(p=X + Poly2.constant(Fraction(1, 3)), q=X - Poly2.constant(Fraction(1, 3)))
+@example(p=Poly2.zero(), q=X)
+@given(p=wide_polys, q=wide_polys)
+def test_product_matches_brute(p, q):
+    product = p * q
+    assert list(product.terms()) == list(Poly2(brute_product(p, q)).terms())
+    assert all(c != 0 for _, c in product.terms())
+    scaled = p * Fraction(-7, 10**20 + 39)
+    assert scaled == Poly2(brute_product(p, Poly2.constant(Fraction(-7, 10**20 + 39))))
+
+
+@PROPERTY
+@example(p=X - Y, k=2)
+@example(p=Poly2.zero(), k=0)
+@given(p=wide_polys, k=st.integers(0, 4))
+def test_power_matches_brute(p, k):
+    assert list((p**k).terms()) == list(Poly2(brute_power(p, k)).terms())
+
+
+@pytest.mark.parametrize("k", range(31))
+def test_trinomial_power(k):
+    # (x + 2y + 1)^k = sum over a + b + c = k of C(k, a) C(k - a, b) 2^b x^a y^b
+    want = {
+        (a, b): Fraction(math.comb(k, a) * math.comb(k - a, b) * 2**b)
+        for a in range(k + 1)
+        for b in range(k - a + 1)
+    }
+    base = X + 2 * Y + Poly2.constant(1)
+    assert base**k == Poly2(want)
+    assert parse_poly(f"(x + 2*y + 1)^{k}") == Poly2(want)
+
+
+# Integer Sturm chains against the Fraction Euclidean chain.
+
+integer_polys = st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=9).filter(lambda c: c[-1] != 0)
+
+
+def reference_gcd_degree(p: Poly1, q: Poly1) -> int:
+    while not q.is_zero:
+        p, q = q, p.divmod(q)[1]
+    return p.degree
+
+
+@PROPERTY
+@example(coeffs=[-2, 0, 1])
+@example(coeffs=[0, -1, 0, 4])  # a root at 0
+@example(coeffs=[6, -5, 1, 0, 0, 0, -3])
+@given(coeffs=integer_polys)
+def test_sturm_chain_is_positive_multiples_of_the_euclidean_chain(coeffs):
+    s = Poly1([Fraction(c, 7) for c in coeffs])
+    assume(reference_gcd_degree(s, s.derivative()) == 0)  # square-free
+    chain = _sturm_chain(s)
+    reference = reference_chain(s)
+    assert len(chain) == len(reference)
+    for member, want in zip(chain, reference):
+        assert math.gcd(*member) == 1
+        ratio = Fraction(member[-1]) / want.coeffs[-1]
+        assert ratio > 0
+        assert Poly1(member) == want * ratio

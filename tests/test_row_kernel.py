@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from weingarten_tubes import cli
 from weingarten_tubes import geometry as geo
-from weingarten_tubes.errors import InvalidSpecRow
+from weingarten_tubes.errors import FormUnderflow, InvalidSpecRow
 
 PINNED_TUBES = [
     "e3-line:r=1/2",
@@ -185,12 +185,13 @@ def test_single_point_is_a_one_point_row():
 @pytest.mark.parametrize("tube", ["e3-line:r=1", "h3-circle:r0=1,r=1"])
 def test_underflowed_form_fails_like_the_reference(tube):
     # below r ~ 1e-160 the first fundamental form E*G - F*F underflows
-    # to 0; the per-point evaluation raised there, and so does the row
+    # to 0; the per-point evaluation divides by zero there, and the row
+    # raises the domain error the CLI reports with exit 2
     spec, _ = cli._tube_from_arg(tube)
     spec = geo.TubeSpec(spec.curve, 1e-200, spec.section)
     with pytest.raises(ZeroDivisionError):
         scalar_point(spec, geo._tube_frame(spec.curve, 0.5), 0.3)
-    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+    with pytest.raises(FormUnderflow, match=r"at \(s, t\) = \(0.5, 0.3\): radius 1e-200 is too small"):
         geo.sample_grid(spec, [0.5], [0.3])
 
 

@@ -1,5 +1,6 @@
-"""Differential tests of exact root isolation against sympy, which shares
-no code with the library.  sympy is a test-only dependency; the module
+"""Differential tests of exact root isolation and of the integer gcd and
+square-free machinery against sympy, which shares no code with the
+library.  sympy is a test-only dependency; the module
 is skipped when it is not installed."""
 
 import json
@@ -10,7 +11,7 @@ import pytest
 
 from weingarten_tubes.cli import main
 from weingarten_tubes.polyalg import Poly1
-from weingarten_tubes.radius import isolate_positive_roots
+from weingarten_tubes.radius import _gcd, _squarefree, isolate_positive_roots
 
 sp = pytest.importorskip("sympy")
 R, Y = sp.symbols("r y")
@@ -59,6 +60,39 @@ def test_isolation_matches_sympy_real_roots(seed):
     assert len(found) == len(roots)
     for rad, root in zip(found, roots):
         assert_same_root(rad.lo, rad.hi, rad.exact_value, root)
+
+
+def primitive_coeffs(poly) -> list[Fraction]:
+    """Low-to-high coefficients of the primitive, positive-lead integer
+    multiple of a sympy Poly, the normal form of _gcd and _squarefree."""
+    _, prim = poly.primitive()
+    if prim.LC() < 0:
+        prim = -prim
+    return [Fraction(int(c)) for c in reversed(prim.all_coeffs())]
+
+
+def scaled(coeffs: list[int], rng: random.Random) -> Poly1:
+    # a rational multiple, so the denominators are cleared on the way in
+    scale = Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 7))
+    return Poly1([c * scale for c in coeffs])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gcd_and_squarefree_match_sympy(seed):
+    rng = random.Random(f"gcd:{seed}")
+    common = random_poly(rng)
+    polys = []
+    for _ in range(rng.randint(2, 3)):
+        other = random_poly(rng)
+        product = sp.Poly(list(reversed(common)), R) * sp.Poly(list(reversed(other)), R)
+        polys.append([int(c) for c in reversed(product.all_coeffs())])
+    want = sp.Poly(list(reversed(polys[0])), R)
+    for coeffs in polys[1:]:
+        want = want.gcd(sp.Poly(list(reversed(coeffs)), R))
+    assert list(_gcd(*(scaled(c, rng) for c in polys)).coeffs) == primitive_coeffs(want)
+    for coeffs in polys:
+        want = sp.Poly(list(reversed(coeffs)), R).sqf_part()
+        assert list(_squarefree(scaled(coeffs, rng)).coeffs) == primitive_coeffs(want)
 
 
 P40 = 1234567890123456789012345678901234567891
