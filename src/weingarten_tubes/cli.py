@@ -55,10 +55,12 @@ from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
 
-# Budget for --grid.  A point costs 50 to 75 us of Python-level vector work
-# (2-vCPU x86 host, Python 3.11), and with --csv its line of about 160 bytes
-# is held until the file is written: 2**18 points (512x512) take about 15 s
-# and 160 MB.  Uncapped, a grid like 100000x100000 would run for days.
+# Budget for --grid.  A point costs about 1.5 us of block-vectorised work
+# (2-vCPU x86 host, Python 3.11), and with --csv about 7 us more to format
+# its line of about 160 bytes, which is held until the file is written:
+# 2**18 points (512x512) take about 0.5 s and 30 MB, or 2.2 s and 150 MB
+# with --csv.  Uncapped, a grid like 100000x100000 would run for hours, and
+# with --csv run out of memory.
 MAX_GRID_POINTS = 2**18
 
 # Budget for the parsed polynomial: no exponent and no product may exceed

@@ -8,17 +8,17 @@ derivative equations, and compares the resulting Gaussian/mean
 curvatures against the closed forms, so algebraic classifications can
 be verified on sampled surfaces.
 
-A sample grid is walked in one place, ``_grid_pass``: one ``mu_eta``
-per t column, then per s-row one frame and one call of the kernel
-``_row``, which evaluates the t-row as (n_t, dim) arrays; every grid
-function, and ``curvatures`` as a one-point row, reads that pass.  The
-kernel gives the bits of per-point scalar evaluation (the reference in
-``tests/test_row_kernel.py``): section values come from ``math``, as
-numpy's SIMD libm can differ in the last ulp; array expressions keep
-the scalar operand order; each inner product is one ``np.vecdot``, the
-same sequential FMA chain as ``np.dot`` on this numpy/OpenBLAS build;
-results leave numpy through ``tolist``, so residuals and CSV digits
-come from Python floats.
+A sample grid is walked in one place, ``_grid_blocks``: one ``mu_eta``
+per t column, then blocks of whole s-rows of at most ``BLOCK_POINTS``
+points, each one call of the kernel ``_block`` (one frame per row, all
+points as (rows, n_t, dim) arrays); every grid function, ``curvatures``
+as a one-point block, reads that pass, and ``verify`` takes residual,
+argmax and CSV per block.  The kernel gives the bits of per-point scalar
+evaluation (the reference in ``tests/test_row_kernel.py``): section
+values and powers above 1 come from Python's ``math`` and ``pow``, as
+numpy's SIMD libm can differ in the last ulp; array expressions keep the
+scalar operand order; each inner product is one ``np.vecdot``, the same
+sequential FMA chain as ``np.dot`` on this numpy/OpenBLAS build.
 
 numpy is imported on the first attribute lookup of the module global
 ``np`` (``_DeferredNumpy``), so importing this module costs no numpy
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DegenerateFrame,
@@ -339,38 +339,51 @@ class CurvatureSample:
     eps: int
 
 
-def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.ndarray) -> tuple[list, ...]:
-    """The curvature kernel: every t column of an s-row at once, given
-    the tube frame at s and the (6, n_t) section values (mu, eta, mu',
-    eta', mu'', eta'').  K and H come from the first/second fundamental
-    forms, with the tube derivatives assembled through the frame
-    derivative equations; K_cf and H_cf are the closed-form expressions.
-    Returns Python lists over the columns: regular, K, H, K_cf, H_cf, xi
-    and eps, where all but xi mean something only at regular points.
-    Raises LightlikeNormal at the first regular column whose normal is
-    not unit."""
+# Points per block of the grid pass, bounded for memory: the kernel's
+# arrays peak at about 0.3 KB per point.  On a 512x512 H^3 grid (2-vCPU x86
+# host) one whole-grid block raised peak RSS from 30 to 112 MB, while
+# blocks of 4096 or 16384 points ran at most a fifth faster than 1024.
+BLOCK_POINTS = 1024
+
+
+def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple:
+    """The curvature kernel over a block of s-rows: one tube frame per row,
+    stacked as (rows, 1, dim) and (rows, 1, 1) arrays, against the
+    (6, 1, n_t, 1) section values (mu, eta, mu', eta', mu'', eta'') of the
+    t columns.  K and H come from the first/second fundamental forms, with
+    the tube derivatives assembled through the frame derivative equations;
+    K_cf and H_cf are the closed-form expressions.  Returns the (rows, n_t)
+    arrays regular, K, H, K_cf, H_cf, xi and eps, where all but xi mean
+    something only at regular points.  Raises LightlikeNormal at a regular
+    point whose normal is not unit, else FormUnderflow where E*G - F^2 is
+    0.  cosh r, kappa**2 and tau**2 are Python floats, taken in the
+    per-point order, so they overflow with the same OverflowError.  The
+    frames' numpy warnings are silenced: they would depend on the block
+    size, as a block builds frames past a row that fails."""
     space = spec.curve.space
     r = spec.radius
-    kappa, tau = frame.kappa, frame.tau
-    T, N, B = frame.T, frame.N, frame.B
-    mu, eta = sec[:2]
-    # the section values as (n_t, 1) columns, to scale frame vectors per point
-    mu_c, eta_c, mu_t_c, eta_t_c, mu_tt_c, eta_tt_c = sec[:, :, None]
+    with np.errstate(all="ignore"):
+        frames = [_tube_frame(spec.curve, s) for s in s_rows]
+    ch, sh = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, None)
+    rows = [(f.gamma, f.T, f.N, f.B, f.kappa, f.tau, f.eps_T, f.eps_N, f.eps_B, f.kappa**2, f.tau**2) for f in frames]
+    gamma, T, N, B, kappa, tau, eT, eN, eB, kappa2, tau2 = (
+        np.array(column, dtype=float).reshape(len(rows), 1, -1) for column in zip(*rows)
+    )
+    mu, eta, mu_t, eta_t, mu_tt, eta_tt = sec
     # the closed forms divide by xi ~ 0 at irregular points
     with np.errstate(all="ignore"):
         if space == "hyperbolic":
-            ch, sh = math.cosh(r), math.sinh(r)
             xi = ch - kappa * mu * sh
-            t_prime = frame.gamma + kappa * N
+            t_prime = gamma + kappa * N
             n_prime = -kappa * T + tau * B
             b_prime = -tau * N
-            n_second = -kappa * frame.gamma - (kappa**2 + tau**2) * N
-            b_second = tau * kappa * T - tau**2 * B
-            psi_s = ch * T + sh * (mu_c * n_prime + eta_c * b_prime)
-            psi_ss = ch * t_prime + sh * (mu_c * n_second + eta_c * b_second)
-            psi_t = sh * (mu_t_c * N + eta_t_c * B)
-            psi_ts = sh * (mu_t_c * n_prime + eta_t_c * b_prime)
-            psi_tt = sh * (mu_tt_c * N + eta_tt_c * B)
+            n_second = -kappa * gamma - (kappa2 + tau2) * N
+            b_second = tau * kappa * T - tau2 * B
+            psi_s = ch * T + sh * (mu * n_prime + eta * b_prime)
+            psi_ss = ch * t_prime + sh * (mu * n_second + eta * b_second)
+            psi_t = sh * (mu_t * N + eta_t * B)
+            psi_ts = sh * (mu_t * n_prime + eta_t * b_prime)
+            psi_tt = sh * (mu_tt * N + eta_tt * B)
             k_cf = -kappa * mu / (xi * sh)
             h_cf = (ch - 2.0 * kappa * mu * sh) / (2.0 * xi * sh)
         else:
@@ -379,21 +392,20 @@ def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.nda
                 xi = 1.0 - r * kappa * mu
                 n_prime = -kappa * T + tau * B
                 b_prime = -tau * N
-                n_second = -(kappa**2 + tau**2) * N
-                b_second = tau * kappa * T - tau**2 * B
+                n_second = -(kappa2 + tau2) * N
+                b_second = tau * kappa * T - tau2 * B
             else:
-                eT, eN, eB = frame.eps_T, frame.eps_N, frame.eps_B
                 xi = 1.0 + eB * r * kappa * mu
                 n_prime = -eT * eN * kappa * T + tau * B
                 b_prime = eT * tau * N
-                n_second = (eT * tau**2 - eT * eN * kappa**2) * N
-                b_second = -eN * kappa * tau * T + eT * tau**2 * B
-            r_mu, r_eta = (r * mu)[:, None], (r * eta)[:, None]
+                n_second = (eT * tau2 - eT * eN * kappa2) * N
+                b_second = -eN * kappa * tau * T + eT * tau2 * B
+            r_mu, r_eta = r * mu, r * eta
             psi_s = T + r_mu * n_prime + r_eta * b_prime
             psi_ss = t_prime + r_mu * n_second + r_eta * b_second
-            psi_t = r * (mu_t_c * N + eta_t_c * B)
-            psi_ts = r * (mu_t_c * n_prime + eta_t_c * b_prime)
-            psi_tt = r * (mu_tt_c * N + eta_tt_c * B)
+            psi_t = r * (mu_t * N + eta_t * B)
+            psi_ts = r * (mu_t * n_prime + eta_t * b_prime)
+            psi_tt = r * (mu_tt * N + eta_tt * B)
             if space == "euclidean":
                 k_cf = kappa * mu / (r * (r * kappa * mu - 1.0))
                 h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
@@ -402,21 +414,14 @@ def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.nda
                 k_cf = sig * eB * kappa * mu / (r * (1.0 + eB * r * kappa * mu))
                 h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * (1.0 + eB * r * kappa * mu))
         regular = ~(abs(xi) < REGULARITY_CUTOFF)
-        normal = -(mu_c * N + eta_c * B)
+        normal = -(mu * N + eta * B)
 
         def inner(u, v):
             if space == "euclidean":
-                return np.vecdot(u, v)
-            return np.vecdot(u[:, :-1], v[:, :-1]) - u[:, -1] * v[:, -1]
+                return np.vecdot(u, v)[..., None]
+            return np.vecdot(u[..., :-1], v[..., :-1])[..., None] - u[..., -1:] * v[..., -1:]
 
         eps_f = inner(normal, normal)
-        bad = regular & (abs(abs(eps_f) - 1.0) > 1e-6)
-        if bad.any():
-            k = int(bad.argmax())
-            message = f"|<normal, normal>| = {abs(eps_f[k]):.6f} is not 1 at (s, t) = ({s}, {t_grid[k]})"
-            raise LightlikeNormal(message)
-        eps = np.where(eps_f > 0, 1, -1)
-
         E = inner(psi_s, psi_s)
         F = inner(psi_s, psi_t)
         G = inner(psi_t, psi_t)
@@ -424,36 +429,52 @@ def _row(spec: TubeSpec, frame: FrenetFrame, s: float, t_grid: list, sec: np.nda
         f = inner(psi_ts, normal)
         g = inner(psi_tt, normal)
         denom = E * G - F * F
+        bad = regular & (abs(abs(eps_f) - 1.0) > 1e-6)
         underflow = regular & (denom == 0.0)  # r below ~1e-160
-        if underflow.any():
-            k = int(underflow.argmax())
-            message = (
-                f"first fundamental form underflows (E*G - F^2 = 0) at (s, t) = ({s}, {t_grid[k]}): "
-                f"radius {r!r} is too small for double precision"
+        if bad.any() or underflow.any():
+            k = int((bad if bad.any() else underflow).argmax())
+            at = f"(s, t) = ({s_rows[k // len(t_grid)]}, {t_grid[k % len(t_grid)]})"
+            if bad.any():
+                raise LightlikeNormal(f"|<normal, normal>| = {abs(eps_f.flat[k]):.6f} is not 1 at {at}")
+            raise FormUnderflow(
+                f"first fundamental form underflows (E*G - F^2 = 0) at {at}: radius {r!r} is too small for double precision"
             )
-            raise FormUnderflow(message)
+        eps = np.where(eps_f > 0, 1, -1)
         K = eps * (e * g - f * f) / denom
         H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
-    return tuple(a.tolist() for a in (regular, K, H, k_cf, h_cf, xi, eps))
+    return tuple(a[..., 0] for a in (regular, K, H, k_cf, h_cf, xi, eps))
 
 
-def _grid_pass(spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]) -> Iterator[tuple]:
-    """The one walk over a sample grid, row-major (s outer, t inner): one
-    ``mu_eta`` per t column, then per s-row one frame and one kernel
-    call.  Yields (s, t, regular, K, H, K_cf, H_cf, xi, eps) per point."""
-    t_grid = list(t_grid)
-    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.copy()
-    for s in s_grid:
-        for point in zip(t_grid, *_row(spec, _tube_frame(spec.curve, s), s, t_grid, sec)):
-            yield s, *point
+def _grid_blocks(spec: TubeSpec, s_grid: Sequence[float], t_grid: list) -> Iterator[tuple]:
+    """The one walk over a sample grid, row-major (s outer, t inner), in
+    blocks of whole s-rows of at most ``BLOCK_POINTS`` points (one row if
+    a row is longer): one ``mu_eta`` per t column, then per block one
+    ``_block`` call.  Yields the block's s values and its (rows, n_t)
+    arrays.  A block that fails is walked again one row at a time, so the
+    first error in row-major order is raised after the rows before it."""
+    s_grid = list(s_grid)
+    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.reshape(6, 1, -1, 1)
+    step = max(1, BLOCK_POINTS // max(1, len(t_grid)))
+    for start in range(0, len(s_grid), step):
+        s_rows = s_grid[start : start + step]
+        try:
+            block = _block(spec, s_rows, t_grid, sec)
+        except Exception:  # raised again below, by the row that fails
+            block = None
+        if block is not None:
+            yield s_rows, *block
+            continue
+        for s in s_rows:
+            yield [s], *_block(spec, [s], t_grid, sec)
 
 
 def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
     """Gaussian and mean curvature at one regular tube point: the kernel
-    on a one-point row.  Raises IrregularPoint when |xi| falls below the
+    on a one-point block.  Raises IrregularPoint when |xi| falls below the
     sampling cutoff."""
-    ((_, _, regular, *values),) = _grid_pass(spec, [s], [t])
-    if not regular:
+    ((_, regular, *values),) = _grid_blocks(spec, [s], [t])
+    values = [v.item() for v in values]
+    if not regular.item():
         raise IrregularPoint(f"|xi| = {abs(values[4]):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
     return CurvatureSample(s, t, *values)
 
@@ -462,7 +483,11 @@ def regularity_scan(
     spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
     """Grid points where |xi| < the sampling cutoff, as (s, t, xi)."""
-    return [(s, t, xi) for s, t, regular, *_, xi, _ in _grid_pass(spec, s_grid, t_grid) if not regular]
+    t_grid = list(t_grid)
+    found = []
+    for s_rows, regular, *_, xi, _ in _grid_blocks(spec, s_grid, t_grid):
+        found += [(s_rows[i], t_grid[j], xi[i, j].item()) for i, j in zip(*np.nonzero(~regular))]
+    return found
 
 
 def sample_grid(
@@ -470,33 +495,33 @@ def sample_grid(
 ) -> list[Optional[CurvatureSample]]:
     """Curvature samples in row-major (s outer, t inner) order; None at
     irregular points."""
-    points = _grid_pass(spec, s_grid, t_grid)
-    return [CurvatureSample(s, t, *values) if regular else None for s, t, regular, *values in points]
+    t_grid = list(t_grid)
+    samples = []
+    for s_rows, *arrays in _grid_blocks(spec, s_grid, t_grid):
+        for s, regular, *rows in zip(s_rows, *(a.tolist() for a in arrays)):
+            samples += [CurvatureSample(s, t, *values) if ok else None for t, ok, *values in zip(t_grid, regular, *rows)]
+    return samples
 
 
-# (s, t, (K, H, K_cf, H_cf) or None at an irregular point, xi,
-# |Q(K, H)| or nan at an irregular point)
-_ScoredPoint = tuple[float, float, Optional[tuple[float, float, float, float]], float, float]
+def _residuals(terms: list[tuple[float, int, int]], regular: np.ndarray, K: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """|Q(K, H)| at the regular points of a block, nan elsewhere, with the
+    bits of the scalar ``abs(sum(c * K**i * H**j for c, i, j in terms))``
+    of Python 3.11, whose float ``sum`` is not compensated: the terms
+    accumulate left to right.  A power above 1 is Python's float pow per
+    element (libm ``pow``; numpy's SIMD power rounds differently), so one
+    that overflows raises OverflowError as the scalar expression does."""
+    bases = (np.where(regular, K, 0.0), np.where(regular, H, 0.0))  # irregular points must not raise
 
+    def power(v: int, n: int):
+        if n < 2:  # x**0 is 1.0 and x**1 is x for every float, nan and inf included
+            return bases[v] if n else 1.0
+        return np.frompyfunc(pow, 2, 1)(bases[v], n).astype(float)
 
-def _residual(terms: list[tuple[float, int, int]], K: float, H: float) -> float:
-    """|Q(K, H)| in ``Poly2.eval_float``'s term order and expression."""
-    return abs(sum(c * K**i * H**j for c, i, j in terms))
-
-
-def _scored(
-    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
-) -> Iterator[_ScoredPoint]:
-    """The grid pass with |Q(K, H)| per regular point, on Python floats;
-    Q's coefficients become floats once, at the first regular point."""
-    terms = None
-    for s, t, regular, K, H, K_cf, H_cf, xi, _ in _grid_pass(spec, s_grid, t_grid):
-        if not regular:
-            yield s, t, None, xi, float("nan")
-            continue
-        if terms is None:
-            terms = [(float(c), i, j) for (i, j), c in q.terms()]
-        yield s, t, (K, H, K_cf, H_cf), xi, _residual(terms, K, H)
+    acc = 0.0
+    with np.errstate(all="ignore"):
+        for c, i, j in terms:
+            acc = acc + c * power(0, i) * power(1, j)
+    return np.where(regular, abs(acc), np.nan)
 
 
 @dataclass(frozen=True)
@@ -508,42 +533,56 @@ class VerificationResult:
     total_points: int
 
 
-def _verification(scored: Iterable[_ScoredPoint]) -> VerificationResult:
-    best = -1.0
-    arg = (float("nan"), float("nan"))
-    regular = total = 0
-    for s, t, values, _, residual in scored:
-        total += 1
-        if values is None:
-            continue
-        regular += 1
-        if residual > best:
-            best = residual
-            arg = (s, t)
-    if regular == 0:
+CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
+_CSV_LINE = "\n" + ",".join(["%.17g"] * 8)
+
+
+def _csv_block(s, t, regular, *columns) -> str:
+    """CSV lines of a block, each led by a newline, from one %-format:
+    the s and t values broadcast against the (rows, n_t) columns K, H,
+    K_cf, H_cf, xi and residual; irregular points carry nan curvature
+    columns."""
+    curvatures = [np.where(regular, v, np.nan) for v in columns[:4]]
+    table = np.stack(np.broadcast_arrays(s, t, *curvatures, *columns[4:]), axis=-1)
+    return _CSV_LINE * (table.size // 8) % tuple(table.ravel().tolist())
+
+
+def _verification(
+    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float], csv: Optional[list], checked: bool
+) -> VerificationResult:
+    """The grid pass with |Q(K, H)| per regular point, its maximum and where
+    it first occurs (nan never wins); with ``csv`` given, each block's CSV
+    lines are appended to it.  Q's coefficients become floats once, at the
+    first block with a regular point.  ``checked`` refuses the zero
+    polynomial and a grid without regular points."""
+    if checked and q.is_zero:
+        raise ZeroPolynomial("verification needs a nonzero relation")
+    t_grid = list(t_grid)
+    terms = None
+    best, arg, regular_points, total = -1.0, (float("nan"), float("nan")), 0, 0
+    for s_rows, regular, K, H, K_cf, H_cf, xi, _ in _grid_blocks(spec, s_grid, t_grid):
+        if terms is None and regular.any():
+            terms = [(float(c), i, j) for (i, j), c in q.terms()]
+        residual = _residuals(terms or [], regular, K, H)
+        peak = np.fmax.reduce(residual, axis=None, initial=-math.inf)
+        if peak > best:
+            best = float(peak)
+            row, col = divmod(int(np.argmax(residual == peak)), len(t_grid))
+            arg = (s_rows[row], t_grid[col])
+        regular_points += int(regular.sum())
+        total += regular.size
+        if csv is not None:
+            csv.append(_csv_block(np.array(s_rows, dtype=float)[:, None], t_grid, regular, K, H, K_cf, H_cf, xi, residual))
+    if checked and not regular_points:
         raise NoRegularPoints("every grid point is irregular")
-    return VerificationResult(best, arg[0], arg[1], regular, total)
+    return VerificationResult(best, *arg, regular_points, total)
 
 
 def verify_relation(
     q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> VerificationResult:
     """Max |Q(K, H)| over the regular grid points and where it occurs."""
-    if q.is_zero:
-        raise ZeroPolynomial("verification needs a nonzero relation")
-    return _verification(_scored(q, spec, s_grid, t_grid))
-
-
-CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
-_NO_CURVATURES = (float("nan"),) * 4
-
-
-_CSV_LINE = ",".join(["%.17g"] * 8)
-
-
-def _csv_line(row: _ScoredPoint) -> str:
-    s, t, values, xi, residual = row
-    return _CSV_LINE % (s, t, *(values or _NO_CURVATURES), xi, residual)
+    return _verification(q, spec, s_grid, t_grid, None, True)
 
 
 def curvature_csv(
@@ -551,25 +590,19 @@ def curvature_csv(
 ) -> str:
     """CSV dump of the sampled grid: fixed header, 17 significant digits,
     row-major order; irregular points carry nan curvature columns."""
-    return "\n".join([CSV_HEADER, *map(_csv_line, _scored(q, spec, s_grid, t_grid))]) + "\n"
+    lines = [CSV_HEADER]
+    _verification(q, spec, s_grid, t_grid, lines, False)
+    return "".join(lines) + "\n"
 
 
 def verify_relation_csv(
     q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
 ) -> tuple[VerificationResult, str]:
     """``verify_relation`` and ``curvature_csv`` from one evaluation of
-    each grid point; only the CSV lines are kept, not the samples."""
-    if q.is_zero:
-        raise ZeroPolynomial("verification needs a nonzero relation")
+    each grid point; only the CSV text is kept, not the samples."""
     lines = [CSV_HEADER]
-
-    def rows():
-        for row in _scored(q, spec, s_grid, t_grid):
-            lines.append(_csv_line(row))
-            yield row
-
-    result = _verification(rows())
-    return result, "\n".join(lines) + "\n"
+    result = _verification(q, spec, s_grid, t_grid, lines, True)
+    return result, "".join(lines) + "\n"
 
 
 def default_grids(spec: TubeSpec, n_s: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:

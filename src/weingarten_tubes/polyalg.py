@@ -388,7 +388,12 @@ class Poly2:
         return sum((c * x**i * y**j for (i, j), c in self._terms.items()), Fraction(0))
 
     def eval_float(self, x: float, y: float) -> float:
-        return sum(float(c) * x**i * y**j for (i, j), c in self._terms.items())
+        """Q(x, y) in floats, the terms added left to right in canonical
+        order (not by ``sum``, which compensates from Python 3.12 on)."""
+        acc = 0.0
+        for (i, j), c in self._terms.items():
+            acc += float(c) * x**i * y**j
+        return acc
 
     def x_coefficients(self) -> list[Poly1]:
         """Coefficient polynomials in y: index i gives the y-polynomial

@@ -333,13 +333,54 @@ class TestVerifyGoldens:
         code, out, err = run_cli(capsys, *case["argv"])
         assert (code, out, err) == (case["code"], "", case["stderr"])
 
+    # a curve whose frames overflow inside numpy: its normal is not unit
+    NONUNIT_NORMAL = ["verify", "x", "--tube", "h3-circle:r0=1/1" + "0" * 160 + ",r=1", "--grid", "4x4"]
+    # numeric exits 2 raised inside the grid pass: a residual overflow, an
+    # underflowed form, a non-unit normal and a degenerate frame
+    FAILING = [
+        ["verify", "x^4 + y", "--tube", "e3-torus:R=10,r=1/1" + "0" * 100, "--grid", "4x4"],
+        ["verify", "x", "--tube", "e3-line:r=1/1" + "0" * 170, "--grid", "4x4"],
+        ["verify", "x", "--tube", "h3-circle:r0=1,r=1/1" + "0" * 170, "--grid", "4x4"],
+        NONUNIT_NORMAL,
+        ["verify", "x", "--tube", "e3-torus:R=100000000000,r=1", "--grid", "4x4"],
+    ]
+
+    @pytest.mark.parametrize("block_points", [1, 12, geo.BLOCK_POINTS], ids=["row", "3-rows", "default"])
+    def test_block_size_changes_no_byte(self, capsys, monkeypatch, tmp_path, block_points):
+        # blocks of one s-row, of three (12 points of 4 columns) and the
+        # default: the same reports, CSVs and first errors
+        failing = {" ".join(argv): run_cli(capsys, *argv) for argv in self.FAILING}
+        monkeypatch.setattr(geo, "BLOCK_POINTS", block_points)
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        monkeypatch.chdir(tmp_path)
+        for case in self.TUBES:
+            assert run_cli(capsys, *case["argv"]) == (0, case["stdout"], "")
+            assert run_cli(capsys, *case["argv"], "--csv", "samples.csv") == (0, case["stdout_csv"], "")
+            assert (tmp_path / "samples.csv").read_text() == case["csv"]
+        for case in self.ERRORS:
+            assert run_cli(capsys, *case["argv"]) == (case["code"], "", case["stderr"])
+        for argv in self.FAILING:
+            assert failing[" ".join(argv)][0] == 2
+            assert run_cli(capsys, *argv) == failing[" ".join(argv)]
+
+    @pytest.mark.parametrize("block_points", [1, 12, geo.BLOCK_POINTS], ids=["row", "3-rows", "default"])
+    def test_degenerate_frame_raises_no_numpy_warning(self, capsys, monkeypatch, block_points):
+        # a block builds the frames of rows past the failing one, so no
+        # numpy warning of theirs may reach stderr
+        monkeypatch.setattr(geo, "BLOCK_POINTS", block_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *self.NONUNIT_NORMAL)
+        assert (code, out, err) == (2, "", "error: |<normal, normal>| = 0.000000 is not 1 at (s, t) = (0.0, 0.0)\n")
+
 
 class TestVerifyPasses:
     def test_one_frame_per_row_and_one_evaluation_per_point(self, capsys, monkeypatch, tmp_path):
         # verify --csv walks the grid once: a Frenet frame per s-row, one
         # section evaluation per t column for the whole pass and one
-        # residual per regular point (t = 0 is irregular on this tube)
-        calls = {"frenet_frame": 0, "mu_eta": 0, "_residual": 0}
+        # residual per regular point (t = 0 is irregular on this tube); the
+        # block residual counts the regular points it is given
+        calls = {"frenet_frame": 0, "mu_eta": 0, "residual_points": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -348,9 +389,14 @@ class TestVerifyPasses:
 
             return wrapper
 
+        def residuals(terms, regular, K, H):
+            calls["residual_points"] += int(regular.sum())
+            return block_residuals(terms, regular, K, H)
+
+        block_residuals = geo._residuals
         monkeypatch.setattr(geo, "frenet_frame", counted("frenet_frame", geo.frenet_frame))
         monkeypatch.setattr(geo.TubeSpec, "mu_eta", counted("mu_eta", geo.TubeSpec.mu_eta))
-        monkeypatch.setattr(geo, "_residual", counted("_residual", geo._residual))
+        monkeypatch.setattr(geo, "_residuals", residuals)
         code, out, err = run_cli(
             capsys, "verify", "x - 2*y + 1", "--tube", "e3-torus:R=1,r=1", "--grid", "6x5",
             "--csv", str(tmp_path / "samples.csv"),
@@ -358,7 +404,7 @@ class TestVerifyPasses:
         assert code == 0, err
         result = json.loads(out)["result"]
         assert result["regular_points"] == 24 and result["total_points"] == 30
-        assert calls == {"frenet_frame": 6, "mu_eta": 5, "_residual": 24}
+        assert calls == {"frenet_frame": 6, "mu_eta": 5, "residual_points": 24}
 
     @pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
     def test_irregular_points_raise_no_numpy_warning(self, capsys, tmp_path, csv):
@@ -390,6 +436,16 @@ class TestTubeArguments:
     def test_overflow_is_two(self, capsys, tube, message):
         code, out, err = run_cli(capsys, "verify", "x", "--tube", tube, "--grid", "4x4")
         assert (code, out, err) == (2, "", f"error: numeric overflow: {message}\n")
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
+    def test_residual_overflow_is_two(self, capsys, tmp_path, csv):
+        # at r = 1e-100, |K| is about 1e99 and K**4 overflows at the first
+        # regular point; the --csv file is opened first and left empty
+        path = tmp_path / "grid.csv"
+        argv = ["verify", "x^4 + y", "--tube", "e3-torus:R=10,r=1/1" + "0" * 100, "--grid", "4x4"]
+        code, out, err = run_cli(capsys, *argv, *(["--csv", str(path)] if csv else []))
+        assert (code, out, err) == (2, "", "error: numeric overflow: (34, 'Numerical result out of range')\n")
+        assert path.exists() == csv and (not csv or path.read_text() == "")
 
     def test_grid_budget_is_two(self, capsys, monkeypatch):
         assert cli.MAX_GRID_POINTS == 2**18  # checked first: without a budget the run takes hours

@@ -398,6 +398,19 @@ class TestVerifyRelation:
         result = geo.verify_relation(Y - Poly2.constant(1), spec, s_grid, t_grid)
         assert result.max_residual > 1e-2
 
+    def test_residual_adds_left_to_right(self):
+        # on this cylinder K = 0 and H = 1 exactly, so the terms of
+        # -1e16*y^2 + y + 1e16 are -1e16, 1, 1e16 at every point: 0 added
+        # left to right, 1 by the compensated float sum() of Python 3.12
+        spec = geo.TubeSpec(geo.e3_line(), 0.5, geo.SECTION_EUCLIDEAN)
+        q = Poly2([((0, 2), -(10**16)), ((0, 1), 1), ((0, 0), 10**16)])
+        s_grid, t_grid = geo.default_grids(spec, 3, 4)
+        assert {(p.K, p.H) for p in geo.sample_grid(spec, s_grid, t_grid)} == {(0.0, 1.0)}
+        assert math.fsum([-1e16, 1.0, 1e16]) == 1.0
+        result = geo.verify_relation(q, spec, s_grid, t_grid)
+        assert (result.max_residual, result.regular_points) == (0.0, 12)
+        assert geo.curvature_csv(q, spec, s_grid, t_grid).endswith(",1,0\n")
+
     def test_no_regular_points(self):
         spec = geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN)
         with pytest.raises(NoRegularPoints):
@@ -427,11 +440,25 @@ class TestCsv:
 
     @pytest.mark.parametrize("offset", range(0, len(SPECIAL), 3))
     def test_line_matches_per_value_format(self, offset):
-        # one %-format for the whole line: the same bytes as formatting each
-        # value on its own with f"{v:.17g}", for special and numpy values too
-        values = [self.SPECIAL[(offset + k) % len(self.SPECIAL)] for k in range(8)]
-        s, t, *curvatures, xi, residual = values
-        want = ",".join(f"{v:.17g}" for v in values)
-        assert geo._csv_line((s, t, tuple(curvatures), xi, residual)) == want
-        irregular = ",".join(f"{v:.17g}" for v in (s, t, *[math.nan] * 4, xi, residual))
-        assert geo._csv_line((s, t, None, xi, residual)) == irregular
+        # one %-format for a whole block: the same bytes as formatting each
+        # value on its own with f"{v:.17g}", for special and numpy values
+        # too, one line per point in row-major order
+        def value(k):
+            return self.SPECIAL[(offset + k) % len(self.SPECIAL)]
+
+        s, t, *curvatures, xi, residual = values = [value(k) for k in range(8)]
+        one = [np.array([[v]]) for v in (*curvatures, xi, residual)]
+        assert geo._csv_block(s, t, True, *one) == "\n" + ",".join(f"{v:.17g}" for v in values)
+        irregular = "\n" + ",".join(f"{v:.17g}" for v in (s, t, *[math.nan] * 4, xi, residual))
+        assert geo._csv_block(s, t, False, *one) == irregular
+        # a 2 x 3 block: s per row, t per column, irregular where (i + j) % 3 == 1
+        s_col = np.array([[float(value(1))], [float(value(2))]])
+        t_row = np.array([float(value(3 + j)) for j in range(3)])
+        regular = np.array([[(i + j) % 3 != 1 for j in range(3)] for i in range(2)])
+        columns = [np.array([[float(value(6 * c + 3 * i + j)) for j in range(3)] for i in range(2)]) for c in range(6)]
+        want = ""
+        for i in range(2):
+            for j in range(3):
+                point = [columns[c][i, j] if regular[i, j] or c >= 4 else math.nan for c in range(6)]
+                want += "\n" + ",".join(f"{v:.17g}" for v in (s_col[i, 0], t_row[j], *point))
+        assert geo._csv_block(s_col, t_row, regular, *columns) == want

@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: ring operations, substitution machinery,
 quotients and the binomial identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -54,6 +55,16 @@ class TestRingOperations:
     def test_canonical_order(self):
         p = Poly2([((0, 2), 1), ((1, 1), 1), ((2, 0), 1), ((0, 0), 3)])
         assert [e for e, _ in p.terms()] == [(2, 0), (1, 1), (0, 2), (0, 0)]
+
+    def test_eval_float_adds_left_to_right(self):
+        # the terms of -1e16*y^2 + y + 1e16 at y = 1 are -1e16, 1, 1e16 in
+        # canonical order: 0 added left to right, 1 by the compensated
+        # float sum() of Python 3.12
+        q = Poly2([((0, 2), -(10**16)), ((0, 1), 1), ((0, 0), 10**16)])
+        terms = [-1e16, 1.0, 1e16]
+        assert (terms[0] + terms[1]) + terms[2] == 0.0 and math.fsum(terms) == 1.0
+        assert q.eval_float(0.5, 1.0) == 0.0
+        assert Poly2.zero().eval_float(1.0, 2.0) == 0.0
 
     def test_poly1_divmod_roundtrip(self):
         rng = random.Random(11)

@@ -6,7 +6,9 @@ kernel must give the same doubles, not merely close ones, because the
 pinned verify reports and CSVs print them with 17 significant digits.
 """
 
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from weingarten_tubes import cli
 from weingarten_tubes import geometry as geo
-from weingarten_tubes.errors import FormUnderflow, InvalidSpecRow
+from weingarten_tubes.errors import DegenerateFrame, FormUnderflow, InvalidSpecRow, LightlikeNormal
+from weingarten_tubes.polyalg import Poly2
 
 PINNED_TUBES = [
     "e3-line:r=1/2",
@@ -138,8 +141,20 @@ def bits(values) -> tuple:
     return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
 
 
+def grid_points(spec, s_grid, t_grid):
+    """The block pass flattened to (s, t, regular, K, H, K_cf, H_cf, xi,
+    eps) per point, row-major, as Python values."""
+    t_grid = list(t_grid)
+    points = []
+    for s_rows, *arrays in geo._grid_blocks(spec, s_grid, t_grid):
+        assert all(a.shape == (len(s_rows), len(t_grid)) for a in arrays)
+        for s, *rows in zip(s_rows, *(a.tolist() for a in arrays)):
+            points += [(s, t, *values) for t, *values in zip(t_grid, *rows)]
+    return points
+
+
 def assert_kernel_matches_reference(spec, s_grid, t_grid):
-    points = list(geo._grid_pass(spec, s_grid, t_grid))
+    points = grid_points(spec, s_grid, t_grid)
     assert len(points) == len(s_grid) * len(t_grid)
     expected_irregular = []
     for k, (s, t, regular, *values) in enumerate(points):
@@ -165,6 +180,16 @@ def test_every_admissible_row_matches_reference(tube):
         irregular = assert_kernel_matches_reference(spec, s_grid, t_grid)
         if tube == "e3-torus:R=1,r=1":
             assert irregular and all(t == 0.0 for _, t, _ in irregular)
+
+
+@pytest.mark.parametrize("block_points", [1, 21], ids=["row", "3-rows"])
+@pytest.mark.parametrize("tube", PINNED_TUBES)
+def test_every_block_size_matches_reference(tube, block_points, monkeypatch):
+    # the default block holds every row of these grids; here blocks of one
+    # row and of three (21 points of 7 columns: the 9-row grid ends in a
+    # full block, the 5-row grid is one block of 5 rows of 4)
+    monkeypatch.setattr(geo, "BLOCK_POINTS", block_points)
+    test_every_admissible_row_matches_reference(tube)
 
 
 def test_pinned_rows_cover_the_table():
@@ -193,6 +218,81 @@ def test_underflowed_form_fails_like_the_reference(tube):
         scalar_point(spec, geo._tube_frame(spec.curve, 0.5), 0.3)
     with pytest.raises(FormUnderflow, match=r"at \(s, t\) = \(0.5, 0.3\): radius 1e-200 is too small"):
         geo.sample_grid(spec, [0.5], [0.3])
+
+
+@pytest.mark.parametrize("block_points", [1, 8, geo.BLOCK_POINTS], ids=["row", "2-rows", "default"])
+def test_first_error_in_row_major_order(monkeypatch, block_points):
+    # row 1 has a non-unit normal and row 2 no frame; at r = 1e-100, x^4
+    # overflows at every regular point.  Whatever the block size, the
+    # first error in row-major order is raised, after the rows before it
+    monkeypatch.setattr(geo, "BLOCK_POINTS", block_points)
+    spec = geo.TubeSpec(geo.e3_circle(10.0), 1e-100, geo.SECTION_EUCLIDEAN)
+    s_grid, t_grid = geo.default_grids(spec, 4, 4)
+    frame_of = geo._tube_frame
+
+    def tube_frame(curve, s):
+        frame = frame_of(curve, s)
+        if s == s_grid[2]:
+            raise DegenerateFrame("no frame in row 2")
+        return dataclasses.replace(frame, N=2.0 * frame.N) if s == s_grid[1] else frame
+
+    monkeypatch.setattr(geo, "_tube_frame", tube_frame)
+    x, y = Poly2.variable("x"), Poly2.variable("y")
+    with pytest.raises(OverflowError) as raised:
+        geo.verify_relation(x**4 + y, spec, s_grid, t_grid)
+    assert raised.value.args == (34, "Numerical result out of range")
+    with pytest.raises(LightlikeNormal, match=rf"at \(s, t\) = \({s_grid[1]}, 0.0\)"):
+        geo.verify_relation(x, spec, s_grid, t_grid)
+    with pytest.raises(LightlikeNormal):
+        geo.regularity_scan(spec, s_grid, t_grid)
+    assert len(geo.regularity_scan(spec, s_grid[:1], t_grid)) == 0
+    with pytest.raises(DegenerateFrame, match="row 2"):
+        geo.sample_grid(spec, [s_grid[0], s_grid[2], s_grid[1]], t_grid)
+    # at r = 1e-200 the form underflows at every point: row 0 fails first.
+    # In row 1 the normal is unit only where mu = 0 (t = pi/2), and the
+    # first non-unit normal (t = pi) is reported, not the underflow before it
+    tiny = geo.TubeSpec(spec.curve, 1e-200, spec.section)
+    with pytest.raises(FormUnderflow, match=rf"at \(s, t\) = \({s_grid[0]}, 0.0\)"):
+        geo.sample_grid(tiny, s_grid[:2], t_grid)
+    with pytest.raises(LightlikeNormal, match=re.escape(f"at (s, t) = ({s_grid[1]}, {t_grid[2]})")):
+        geo.sample_grid(tiny, s_grid[1:2], t_grid[1:])
+
+
+FLOATS = st.one_of(
+    st.floats(),  # nan and +-inf included
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.3407807929942596e154, -1.4e154, 5.6e102, 1e308, 2.2e-308, 5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 5), st.integers(0, 5)), max_size=5
+    ),
+    points=st.lists(st.tuples(FLOATS, FLOATS, st.booleans()), min_size=2, max_size=12).filter(lambda p: len(p) % 2 == 0),
+)
+def test_block_residual_is_the_scalar_expression(terms, points):
+    """``_residuals`` on a (2, n) block against the scalar expression with
+    Python 3.11's float sum (from 0, left to right, not compensated):
+    equal bits at regular points, nan at irregular ones, and an
+    OverflowError where the scalar expression raises one first."""
+
+    def scalar(K, H):
+        acc = 0
+        for c, i, j in terms:
+            acc = acc + c * K**i * H**j
+        return float(abs(acc))
+
+    K, H, regular = (np.array(column).reshape(2, -1) for column in zip(*points))
+    try:
+        want = [scalar(k, h) if ok else math.nan for k, h, ok in points]
+    except OverflowError as ex:
+        with pytest.raises(OverflowError) as raised:
+            geo._residuals(terms, regular, K, H)
+        assert raised.value.args == ex.args
+        return
+    assert bits(geo._residuals(terms, regular, K, H).ravel().tolist()) == bits(want)
 
 
 CURVES = [
