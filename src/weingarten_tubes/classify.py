@@ -34,7 +34,7 @@ from .errors import (
     NotMember,
     ZeroPolynomial,
 )
-from .polyalg import Poly2, tube_generator
+from .polyalg import Poly2
 from .radius import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -174,12 +174,10 @@ class QSDescription:
         return not self.surface.is_right_cylinder
 
     def generator(self) -> Optional[Poly2]:
-        if self.surface.is_right_cylinder:
-            return None
         r = self.surface.rational_radius
-        if r is None:
+        if self.surface.is_right_cylinder or r is None:
             return None
-        return tube_generator(r, self.surface.tag.eps)
+        return tube_family(self.surface.tag).generator(r)
 
     def contains(self, q: Poly2) -> bool:
         if q.is_zero:
@@ -218,39 +216,25 @@ def classify_linear(
 ) -> tuple[LinearCase, ...]:
     """Case analysis for the linear relation a*x + b*y - c = 0.
 
-    Euclidean/hyperbolic: nonempty iff b = c = 0 (cylinders of any
-    radius) or b*c > 0 (radius b/(2c), all tubes iff b**2 + 4ac = 0).
-    Lorentzian: nonempty iff b = c = 0 (both signals, any radius) or
-    b, c both nonzero, in which case only the lane eps = sgn(b*c) is
-    populated, with radius b*eps/(2c) and discriminant eps*b**2 + 4ac
-    deciding all-tubes versus cylinders.  The result is cross-checked
-    against solve_SQ on the same polynomial.
+    A lane of signal eps (+1 outside the Lorentzian space) is nonempty
+    iff b = c = 0 (cylinders of any radius) or b, c are nonzero with
+    sgn(b*c) = eps: radius b*eps/(2c), all tubes iff the discriminant
+    eps*b**2 + 4ac is 0.  The result is cross-checked against solve_SQ.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 and b == 0:
         raise DegenerateRelation("need (a, b) != (0, 0)")
     cases = []
     for tag in expand_spaces(spaces):
-        if tag.space == "lorentzian":
-            if b == 0 and c == 0:
-                cases.append(LinearCase(tag, "cylinders-any-radius"))
-            elif b != 0 and c != 0 and tag.eps == _sgn(b * c):
-                radius = b * tag.eps / (2 * c)
-                delta = tag.eps * b * b + 4 * a * c
-                kind = "all-tubes" if delta == 0 else "right-cylinders"
-                cases.append(LinearCase(tag, kind, radius, delta))
-            else:
-                cases.append(LinearCase(tag, "empty"))
+        if b == 0 and c == 0:
+            cases.append(LinearCase(tag, "cylinders-any-radius"))
+        elif b != 0 and c != 0 and tag.eps == _sgn(b * c):
+            radius = b * tag.eps / (2 * c)  # rho in the hyperbolic lane
+            delta = tag.eps * b * b + 4 * a * c
+            kind = "all-tubes" if delta == 0 else "right-cylinders"
+            cases.append(LinearCase(tag, kind, radius, delta))
         else:
-            if b == 0 and c == 0:
-                cases.append(LinearCase(tag, "cylinders-any-radius"))
-            elif b * c > 0:
-                radius = b / (2 * c)  # rho in the hyperbolic lane
-                delta = b * b + 4 * a * c
-                kind = "all-tubes" if delta == 0 else "right-cylinders"
-                cases.append(LinearCase(tag, kind, radius, delta))
-            else:
-                cases.append(LinearCase(tag, "empty"))
+            cases.append(LinearCase(tag, "empty"))
     q = Poly2([((1, 0), a), ((0, 1), b), ((0, 0), -c)])
     _check_linear_cases(cases, solve_SQ(q, spaces))
     return tuple(cases)

@@ -365,10 +365,7 @@ def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
                 raise UsageError(f"duplicate tube parameter {key!r}")
             params[key] = value
     if name not in _TUBES:
-        raise UsageError(
-            f"unknown tube {name!r}; built-ins: e3-line, e3-torus, e3-helix, l3-helix-ss, "
-            "l3-helix-st, l3-helix-tl, l3-line, h3-geodesic, h3-circle"
-        )
+        raise UsageError(f"unknown tube {name!r}; built-ins: {', '.join(_TUBES)}")
     builder, keys, section = _TUBES[name]
 
     def rat(key: str) -> float:

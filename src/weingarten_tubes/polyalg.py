@@ -25,9 +25,9 @@ a single synthetic division in y:
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
   x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image as
-  explicit rational expressions in r (the paper's formula), and their
-  denominator-cleared polynomial forms, whose common roots locate the
-  star radii exactly, rational or not.
+  explicit rational expressions in r and their cleared polynomial forms:
+  the paper's formula, kept as the test oracle for the integer expansion
+  that decides (radius.GeneratorFamily), not on the decision path.
 * ``epsilon_transform`` -- the substitution x -> eps*x, y -> eps*y that
   carries statements between the eps = -1 and eps = +1 generators.
 """
@@ -331,20 +331,26 @@ class Poly2:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Poly2":
-        return Poly2([(e, -c) for e, c in self._terms.items()])
+        return Poly2._canonical({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: "Poly2") -> "Poly2":
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly2(out)
+            out[e] = out.get(e, 0) + c
+        return Poly2._canonical(out)
 
     def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            out[e] = out.get(e, 0) - c
+        return Poly2._canonical(out)
+
+    @classmethod
+    def _canonical(cls, terms: Mapping[tuple[int, int], Fraction]) -> "Poly2":
+        """Canonical form built directly: zero coefficients dropped, one sort."""
+        p = cls.__new__(cls)
+        p._terms = {e: terms[e] for e in sorted(terms, key=_term_order_key) if terms[e]}
+        return p
 
     def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
         """(den, numerators): every coefficient is numerator / den, with
@@ -395,24 +401,14 @@ class Poly2:
             acc += float(c) * x**i * y**j
         return acc
 
-    def x_coefficients(self) -> list[Poly1]:
-        """Coefficient polynomials in y: index i gives the y-polynomial
-        multiplying x**i."""
-        return self._coefficients(0)
-
     def y_coefficients(self) -> list[Poly1]:
         """Coefficient polynomials in x: index j gives the x-polynomial
         multiplying y**j."""
-        return self._coefficients(1)
-
-    def _coefficients(self, axis: int) -> list[Poly1]:
-        # index e: the polynomial in the other variable multiplying the
-        # variable of this axis (0 for x, 1 for y) to the power e
         if self.is_zero:
             return []
-        rows: list[dict[int, Fraction]] = [{} for _ in range(max(e[axis] for e in self._terms) + 1)]
-        for e, c in self._terms.items():
-            rows[e[axis]][e[1 - axis]] = c
+        rows: list[dict[int, Fraction]] = [{} for _ in range(max(j for _, j in self._terms) + 1)]
+        for (i, j), c in self._terms.items():
+            rows[j][i] = c
         return [Poly1([row.get(k, 0) for k in range(max(row) + 1 if row else 0)]) for row in rows]
 
     def __str__(self) -> str:

@@ -25,20 +25,22 @@ member is then a positive multiple of the Euclidean one over the
 rationals, with the same signs everywhere.
 
 Every radius question runs through one :class:`GeneratorFamily`, the
-relation G_r = 0 that all regular tubes of radius r satisfy: the K-H
-relation x*r**2 - 2*r*y + eps of one lane, or the principal-curvature
-relation y - 1/r.  A family supplies the polynomial in r whose positive
-roots are the cylinder radii, the cleared polynomials whose common roots
-are the star radii, and G_r itself at a rational r.  ``decide_radii``
-decides each candidate radius once: a rational one by the certified
-division by G_r (polyalg), an irrational one by the gcd of the cleared
-polynomials and a Sturm count on its isolating interval.
+relation G_r = a(r)*x + b(r)*y + c(r) that all regular tubes of radius r
+satisfy, printed divided by d(r).  The table of families (r is
+rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 
-The three ambient spaces are lanes of the K-H family.  The eps = -1
-Lorentzian lane reads the sign-transformed polynomial, and hyperbolic
-radii are computed in the substituted variable rho = sinh(r) (reported
-alongside a numeric r = asinh(rho) rendering), so every membership
-decision stays in exact rational arithmetic.
+    K-H lane of signal eps   (a, b, c, d) = (r**2, -2*r, eps, 1)
+    principal curvatures     (a, b, c, d) = (0, r, -1, r): y - 1/r
+
+Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
+n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
+G_r iff R(x, r) vanishes identically in x, and holds on the right
+cylinder of radius r iff R(0, r) = 0.  The radius poly is R(0, r) and
+the star poly the gcd of R's x-coefficients, each without its factor
+r**m (r = 0 is never a radius); R is expanded by an integer Horner
+scheme in y.  ``decide_radii`` decides each candidate radius once: a
+rational one by the certified division by G_r (polyalg), an irrational
+one by the star poly and a Sturm count on its isolating interval.
 """
 
 from __future__ import annotations
@@ -46,19 +48,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Optional, Union
+from functools import reduce
+from typing import Optional, Union
 
 from .errors import ZeroPolynomial
 from .polyalg import (
     Poly1,
     Poly2,
+    _convolve,
     certified_quotient,
     check_epsilon,
     divide_by_linear,
-    epsilon_transform,
-    gamma_cleared,
-    tube_generator,
 )
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
@@ -432,43 +432,66 @@ def axis_restriction(q: Poly2) -> Poly1:
     return Poly1(coeffs)
 
 
-def _reversed_scaled(q0: Poly1, scale: int) -> Poly1:
-    """(scale*t)**d * q0(1/(scale*t)) as an exact polynomial in t; its
-    positive roots are 1/(scale * y*) for the positive roots y* of q0."""
-    d = q0.degree
-    return Poly1([q0.coeff(d - m) * Fraction(scale) ** m for m in range(d + 1)])
+def _x_coefficients(terms: dict[tuple[int, int], int]) -> dict[int, list[int]]:
+    """The nonzero x-coefficients of an integer polynomial keyed (power of
+    x, power of r), each divided by the largest power of r dividing it."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, k), c in terms.items():
+        if c:
+            rows.setdefault(i, {})[k] = c
+    return {i: [row.get(k, 0) for k in range(min(row), max(row) + 1)] for i, row in rows.items()}
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """The relation G_r(x, y) = 0 that every regular tube of radius r
-    satisfies, as a family in r.
+    """The relation G_r = a(r)*x + b(r)*y + c(r), printed divided by d(r),
+    that every regular tube of radius r satisfies; a, b, c have integer
+    coefficients.  Every answer derives from R(x, r) (module docstring)."""
 
-    Two families exist: the K-H lane relation x*r**2 - 2*r*y + eps
-    (``tube_family``; r is rho = sinh(r) in the hyperbolic space) and the
-    principal-curvature relation y - 1/r (``PRINCIPAL``).  Q holds on every
-    tube of radius r exactly when Q lies in the ideal of G_r, and on the
-    right cylinder of radius r exactly when Q vanishes at the point
-    (0, eps/(axis_scale*r)) where G_r meets the axis x = 0.
+    a: Poly1
+    b: Poly1
+    c: Poly1
+    d: Poly1
 
-    ``generator`` gives G_r at a rational r; ``cleared`` gives polynomials
-    in r whose common roots are the radii where Q lies in the ideal.
-    """
-
-    eps: int
-    axis_scale: int
-    generator: Callable[[Fraction], Poly2]
-    cleared: Callable[[Poly2], list[Poly1]]
+    def _restriction(self, q: Poly2, axis: bool) -> dict[tuple[int, int], int]:
+        """R(x, r) times Q's common denominator, or its column R(0, r) alone
+        when ``axis``, keyed (power of x, power of r): Horner in y over Q's
+        cleared numerators, each step homogenised by a power of b(r)."""
+        _, nums = q._cleared()
+        cols: list[dict[tuple[int, int], int]] = [{} for _ in range(max((j for _, j in nums), default=0) + 1)]
+        for (i, j), c in nums.items():
+            if not (axis and i):
+                cols[j][(i, 0)] = c
+        line = {(0, k): -c.numerator for k, c in enumerate(self.c.coeffs)}
+        if not axis:
+            line.update({(1, k): -c.numerator for k, c in enumerate(self.a.coeffs)})
+        b = {(0, k): c.numerator for k, c in enumerate(self.b.coeffs)}
+        acc, b_power = {}, {(0, 0): 1}
+        for col in reversed(cols):
+            acc = _convolve(acc, line)
+            for e, c in _convolve(col, b_power).items():
+                acc[e] = acc.get(e, 0) + c
+            b_power = _convolve(b_power, b)
+        return acc
 
     def radius_poly(self, q: Poly2) -> Poly1:
-        """Polynomial in r whose positive roots are the cylinder radii;
-        zero when Q vanishes on the whole axis."""
-        return _reversed_scaled(axis_restriction(epsilon_transform(q, self.eps)), self.axis_scale)
+        """A multiple of R(0, r) / r**m: its positive roots are the cylinder
+        radii; zero when Q vanishes on the whole axis."""
+        return Poly1(_x_coefficients(self._restriction(q, True)).get(0, ()))
 
     def star_poly(self, q: Poly2) -> Poly1:
-        """gcd of the cleared polynomials: its positive roots are exactly
-        the radii at which Q lies in the ideal of G_r."""
-        return _gcd(*self.cleared(q))
+        """The primitive gcd of the x-coefficients of R(x, r) / r**m: its
+        positive roots are the radii at which Q lies in the ideal of G_r."""
+        return _primitive(Poly1(reduce(_int_gcd, _x_coefficients(self._restriction(q, False)).values(), [])))
+
+    def generator(self, r: Fraction) -> Poly2:
+        """G_r / d(r) at a rational r = p/q, from the integers q**m * f(p/q)
+        for f in a, b, c, d and m their top degree."""
+        p, q = r.numerator, r.denominator
+        polys = (self.a, self.b, self.c, self.d)
+        m = max(g.degree for g in polys)
+        a, b, c, d = (sum(f.numerator * p**k * q ** (m - k) for k, f in enumerate(g.coeffs)) for g in polys)
+        return Poly2._canonical({(1, 0): Fraction(a, d), (0, 1): Fraction(b, d), (0, 0): Fraction(c, d)})
 
     def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
         """Q lies in the ideal of G_r; a rational r is decided by the
@@ -478,24 +501,17 @@ class GeneratorFamily:
         return divide_by_linear(q, self.generator(radius))[1].is_zero
 
 
+# the table of families; Poly1 coefficients run from the constant term up
+_TUBE_FAMILIES = {
+    tag: GeneratorFamily(Poly1([0, 0, 1]), Poly1([0, -2]), Poly1([tag.eps]), Poly1([1]))
+    for tag in (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)
+}
+PRINCIPAL = GeneratorFamily(Poly1([]), Poly1([0, 1]), Poly1([-1]), Poly1([0, 1]))
+
+
 def tube_family(tag: SpaceTag) -> GeneratorFamily:
     """The generator family x*r**2 - 2*r*y + eps of one lane."""
-    eps = tag.eps
-    return GeneratorFamily(
-        eps, 2, partial(tube_generator, eps=eps), lambda q: gamma_cleared(epsilon_transform(q, eps))
-    )
-
-
-def _principal_generator(r: Fraction) -> Poly2:
-    return Poly2([((0, 1), 1), ((0, 0), -1 / r)])
-
-
-def _principal_cleared(q: Poly2) -> list[Poly1]:
-    # r**deg * h(1/r) for each coefficient h(y) of a power of x in Q(x, 1/r)
-    return [_reversed_scaled(h, 1) for h in q.x_coefficients() if not h.is_zero]
-
-
-PRINCIPAL = GeneratorFamily(1, 1, _principal_generator, _principal_cleared)
+    return _TUBE_FAMILIES[tag]
 
 
 def decide_radii(

@@ -1,8 +1,9 @@
 """Property tests of every rational decision against oracles that share no
-code with the library: the binomial expansion in conftest for the tube
-families, direct evaluation of Q(x, 1/r) for the principal family, a
-term-by-term Fraction product for the integer ring arithmetic and a
-Fraction Euclidean Sturm chain for the integer one.
+code with the library: the binomial expansion in conftest and the paper's
+gamma polynomials for the tube families, direct evaluation of Q(x, 1/r)
+for the principal family, a term-by-term Fraction product and the
+validating constructor for the ring arithmetic, and a Fraction Euclidean
+Sturm chain for the integer one.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -16,17 +17,27 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import brute_product, brute_substitute
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
 from weingarten_tubes.cli import parse_poly
-from weingarten_tubes.polyalg import Poly1, Poly2, divide_by_tube_factor, substitute_tube, tube_generator
+from weingarten_tubes.polyalg import (
+    Poly1,
+    Poly2,
+    divide_by_tube_factor,
+    epsilon_transform,
+    gamma_cleared,
+    substitute_tube,
+    tube_generator,
+)
 from weingarten_tubes.radius import (
     EUCLIDEAN,
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    PRINCIPAL,
     _count_roots_halfopen,
     _sturm_chain,
     isolate_positive_roots,
     principal_radius_set,
     star_radius_set,
+    tube_family,
 )
 
 X = Poly2.variable("x")
@@ -133,6 +144,88 @@ def test_principal_star_flags_match_brute(shape, a, b, r):
         assert (cls.quotient is not None) == star
         if star:
             assert evaluates_equal(q, Y - Poly2.constant(1 / v), cls.quotient)
+
+
+# The generator families against the paper's formula and direct evaluation.
+
+
+def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:
+    """The x-coefficients of the family's R(x, r), as polynomials in r."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, k), c in family._restriction(q, False).items():
+        rows.setdefault(i, {})[k] = c
+    return {i: Poly1([row.get(k, 0) for k in range(max(row) + 1)]) for i, row in rows.items()}
+
+
+def proportional_up_to_r_power(p: Poly1, g: Poly1) -> bool:
+    """p = lambda * r**m * g for a rational lambda != 0 and an integer m."""
+    p, g = (Poly1(f.coeffs[next((k for k, c in enumerate(f.coeffs) if c), 0):]) for f in (p, g))
+    if p.is_zero or g.is_zero:
+        return p.is_zero and g.is_zero
+    return p * g.coeffs[-1] == g * p.coeffs[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii, tag=tags)
+def test_kh_restriction_is_the_papers_gamma_up_to_r_powers(shape, a, b, r, tag):
+    q = build(shape, tube_generator(r, tag.eps), a, b)
+    assume(not q.is_zero)
+    columns = restriction_columns(tube_family(tag), q)
+    gammas = gamma_cleared(epsilon_transform(q, tag.eps))
+    for k in range(max(len(gammas), max(columns, default=-1) + 1)):
+        gamma = gammas[k] if k < len(gammas) else Poly1()
+        assert proportional_up_to_r_power(columns.get(k, Poly1()), gamma)
+
+
+def common_denominator(q: Poly2) -> int:
+    return math.lcm(*(c.denominator for _, c in q.terms()))
+
+
+def evaluate_restriction(family, q: Poly2, x: Fraction, r: Fraction) -> Fraction:
+    return sum((c * x**i * r**k for (i, k), c in family._restriction(q, False).items()), Fraction(0))
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii, x0=coefficients, r0=nonzero_radii, eps=signals)
+def test_restriction_is_q_on_the_generator_line(shape, a, b, r, x0, r0, eps):
+    """R(x, r) = (-2r)**n * Q(x, (r**2 x + eps)/(2r)) for the K-H family of
+    signal eps and r**n * Q(x, 1/r) for the principal one, n = deg_y Q,
+    both times the common denominator of Q's coefficients."""
+    for family, gen, y0, b0 in (
+        (tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN), tube_generator(r, eps),
+         (r0 * r0 * x0 + eps) / (2 * r0), -2 * r0),
+        (PRINCIPAL, Y - Poly2.constant(1 / r), 1 / r0, r0),
+    ):
+        q = build(shape, gen, a, b)
+        assume(not q.is_zero)
+        n = max(j for (_, j), _ in q.terms())
+        direct = sum((c * x0**i * y0**j for (i, j), c in q.terms()), Fraction(0))
+        assert evaluate_restriction(family, q, x0, r0) == common_denominator(q) * b0**n * direct
+
+
+@PROPERTY
+@given(r=nonzero_radii, tag=tags)
+def test_family_generators_are_the_printed_relations(r, tag):
+    for got, want in (
+        (tube_family(tag).generator(r), tube_generator(r, tag.eps)),
+        (PRINCIPAL.generator(r), Y - Poly2.constant(1 / r)),
+    ):
+        assert list(got.terms()) == list(want.terms())
+
+
+@PROPERTY
+@example(p=X + Y, q=X + Y)  # every term cancels in p - q
+@example(p=Poly2.zero(), q=X)
+@given(p=polys, q=polys)
+def test_sums_are_the_validated_constructor(p, q):
+    negated = [(e, -c) for e, c in q.terms()]
+    for got, want in (
+        (p + q, Poly2(list(p.terms()) + list(q.terms()))),
+        (p - q, Poly2(list(p.terms()) + negated)),
+        (-q, Poly2(negated)),
+    ):
+        assert list(got.terms()) == list(want.terms())
+        assert got == want and hash(got) == hash(want)
 
 
 @PROPERTY
