@@ -15,8 +15,9 @@ driver that consumes a generator family from radius: each lane of
 Conventions: hyperbolic radii appear in the substituted variable
 rho = sinh(r) everywhere in this module, and the Lorentzian space always
 contributes two lanes, one per signal eps in {-1, +1}.  The Euclidean
-and hyperbolic lanes are the eps = +1 specialization of the same code
-path.
+and hyperbolic lanes share the eps = +1 Lorentzian lane's family row, so
+``solve_SQ`` decides that row once and builds all three lane reports
+from the one decision.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class ClassificationReport:
         return all(lane.is_empty for lane in self.lanes)
 
 
-def _lane(q: Poly2, family: GeneratorFamily, tag: SpaceTag) -> LaneReport:
-    all_positive, decisions = decide_radii(q, family)
+def _lane(decided: tuple, tag: SpaceTag) -> LaneReport:
+    """One lane's report from the ``decide_radii`` result of its family."""
+    all_positive, decisions = decided
     classes = tuple(
         SurfaceClass(ALL_REGULAR_TUBES if entry.star else RIGHT_CYLINDERS, entry.radius, tag.eps, quotient)
         for entry, quotient in decisions
@@ -120,11 +122,21 @@ def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> Classificat
     quotient witness at rational radii); a vanishing axis restriction
     means right cylinders of every radius (plus any star radii found by
     common vanishing of the cleared coefficient polynomials).
+
+    Each distinct family row among the requested lanes is decided once
+    per call, keyed by the family value with all its fields; lanes that
+    share a row differ only in their tag and eps.
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    lanes = tuple(_lane(q, tube_family(tag), tag) for tag in expand_spaces(spaces))
-    return ClassificationReport(q, lanes)
+    decided: dict[GeneratorFamily, tuple] = {}
+    lanes = []
+    for tag in expand_spaces(spaces):
+        family = tube_family(tag)
+        if family not in decided:
+            decided[family] = decide_radii(q, family)
+        lanes.append(_lane(decided[family], tag))
+    return ClassificationReport(q, tuple(lanes))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +309,7 @@ def solve_SQ_principal(q: Poly2) -> ClassificationReport:
     additionally Q(x, 1/r) vanishes identically in x."""
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    return ClassificationReport(q, (_lane(q, PRINCIPAL, EUCLIDEAN),), principal=True)
+    return ClassificationReport(q, (_lane(decide_radii(q, PRINCIPAL), EUCLIDEAN),), principal=True)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,9 @@ SCHEMA_VERSION = "1"
 
 # Budget for --grid.  A point costs about 1.5 us of block-vectorised work
 # (2-vCPU x86 host, Python 3.11), and with --csv about 7 us more to format
-# its line of about 160 bytes, which is held until the file is written:
-# 2**18 points (512x512) take about 0.5 s and 30 MB, or 2.2 s and 150 MB
-# with --csv.  Uncapped, a grid like 100000x100000 would run for hours, and
-# with --csv run out of memory.
+# its line of about 160 bytes, written to the file block by block: 2**18
+# points (512x512) take about 0.5 s, or 1.8 s with --csv, and about 30 MB
+# either way.  Uncapped, a grid like 100000x100000 would run for hours.
 MAX_GRID_POINTS = 2**18
 
 # Budget for the parsed polynomial: no exponent and no product may exceed
@@ -468,8 +467,13 @@ def _cmd_verify(args) -> dict:
         except OSError as ex:
             raise UnwritableOutput(f"cannot write --csv {csv_path!r}: {ex.strerror}") from ex
         with handle:
-            result, csv_text = geo.verify_relation_csv(poly, spec, s_grid, t_grid)
-            handle.write(csv_text)
+            try:
+                result = geo.verify_relation_csv(poly, spec, s_grid, t_grid, handle)
+            except BaseException:  # an in-pass error leaves an empty file
+                if handle.seekable():
+                    handle.seek(0)
+                    handle.truncate()
+                raise
     else:
         result = geo.verify_relation(poly, spec, s_grid, t_grid)
     inputs = {"poly": str(poly), **tube_echo, "grid": args.grid, "csv": csv_path}

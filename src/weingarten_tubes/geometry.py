@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
 
 from .errors import (
     DegenerateFrame,
@@ -548,11 +548,16 @@ def _csv_block(s, t, regular, *columns) -> str:
 
 
 def _verification(
-    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float], csv: Optional[list], checked: bool
+    q: Poly2,
+    spec: TubeSpec,
+    s_grid: Sequence[float],
+    t_grid: Sequence[float],
+    write_csv: Optional[Callable[[str], object]],
+    checked: bool,
 ) -> VerificationResult:
     """The grid pass with |Q(K, H)| per regular point, its maximum and where
-    it first occurs (nan never wins); with ``csv`` given, each block's CSV
-    lines are appended to it.  Q's coefficients become floats once, at the
+    it first occurs (nan never wins); with ``write_csv`` given, each block's
+    CSV lines are passed to it.  Q's coefficients become floats once, at the
     first block with a regular point.  ``checked`` refuses the zero
     polynomial and a grid without regular points."""
     if checked and q.is_zero:
@@ -571,8 +576,8 @@ def _verification(
             arg = (s_rows[row], t_grid[col])
         regular_points += int(regular.sum())
         total += regular.size
-        if csv is not None:
-            csv.append(_csv_block(np.array(s_rows, dtype=float)[:, None], t_grid, regular, K, H, K_cf, H_cf, xi, residual))
+        if write_csv is not None:
+            write_csv(_csv_block(np.array(s_rows, dtype=float)[:, None], t_grid, regular, K, H, K_cf, H_cf, xi, residual))
     if checked and not regular_points:
         raise NoRegularPoints("every grid point is irregular")
     return VerificationResult(best, *arg, regular_points, total)
@@ -591,18 +596,21 @@ def curvature_csv(
     """CSV dump of the sampled grid: fixed header, 17 significant digits,
     row-major order; irregular points carry nan curvature columns."""
     lines = [CSV_HEADER]
-    _verification(q, spec, s_grid, t_grid, lines, False)
+    _verification(q, spec, s_grid, t_grid, lines.append, False)
     return "".join(lines) + "\n"
 
 
 def verify_relation_csv(
-    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
-) -> tuple[VerificationResult, str]:
-    """``verify_relation`` and ``curvature_csv`` from one evaluation of
-    each grid point; only the CSV text is kept, not the samples."""
-    lines = [CSV_HEADER]
-    result = _verification(q, spec, s_grid, t_grid, lines, True)
-    return result, "".join(lines) + "\n"
+    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float], out: TextIO
+) -> VerificationResult:
+    """``verify_relation`` that writes the text of ``curvature_csv`` to
+    ``out`` from the same evaluation of each grid point, one block at a
+    time, so no more than one block's text is held.  When the pass
+    raises, the blocks before the error are already written."""
+    out.write(CSV_HEADER)
+    result = _verification(q, spec, s_grid, t_grid, out.write, True)
+    out.write("\n")
+    return result
 
 
 def default_grids(spec: TubeSpec, n_s: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:

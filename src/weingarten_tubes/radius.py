@@ -37,10 +37,14 @@ n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
 G_r iff R(x, r) vanishes identically in x, and holds on the right
 cylinder of radius r iff R(0, r) = 0.  The radius poly is R(0, r) and
 the star poly the gcd of R's x-coefficients, each without its factor
-r**m (r = 0 is never a radius); R is expanded by an integer Horner
-scheme in y.  ``decide_radii`` decides each candidate radius once: a
-rational one by the certified division by G_r (polyalg), an irrational
-one by the star poly and a Sturm count on its isolating interval.
+r**m (r = 0 is never a radius); both are expanded by an integer Horner
+scheme in y, the radius poly on Q's x**0 column alone.  ``decide_radii``
+decides each candidate radius once: a rational one by the certified
+division by G_r (polyalg), an irrational one by the star poly and a
+Sturm count on its isolating interval.  Lanes whose families are equal
+values (E3, H3 and L3 with eps = +1 share one row) get one decision:
+``classify.solve_SQ`` decides each distinct row once per call, keyed by
+the family value with all its fields.
 """
 
 from __future__ import annotations
@@ -113,6 +117,18 @@ def _primitive(p: Poly1) -> Poly1:
         return p
     nums = _integer_coeffs(p)
     return Poly1(nums if nums[-1] > 0 else [-n for n in nums])
+
+
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists (empty for zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for k, v in enumerate(b):
+                out[i + k] += u * v
+    return out
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -311,10 +327,6 @@ class AlgebraicRadius:
             if not (self.lo < self.exact_value <= self.hi):
                 raise ValueError("exact_value outside the isolating interval")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.exact_value is not None
-
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
         """Equivalent radius whose interval has length <= width."""
         lo, hi = self.lo, self.hi
@@ -376,9 +388,6 @@ class RadiusSet:
     @property
     def is_all_positive(self) -> bool:
         return self.kind == "all-positive"
-
-    def star_entries(self) -> tuple[RadiusEntry, ...]:
-        return tuple(e for e in self.entries if e.star)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +462,16 @@ class GeneratorFamily:
     c: Poly1
     d: Poly1
 
-    def _restriction(self, q: Poly2, axis: bool) -> dict[tuple[int, int], int]:
-        """R(x, r) times Q's common denominator, or its column R(0, r) alone
-        when ``axis``, keyed (power of x, power of r): Horner in y over Q's
-        cleared numerators, each step homogenised by a power of b(r)."""
+    def _restriction(self, q: Poly2) -> dict[tuple[int, int], int]:
+        """R(x, r) times Q's common denominator, keyed (power of x, power of
+        r): Horner in y over Q's cleared numerators, each step homogenised
+        by a power of b(r)."""
         _, nums = q._cleared()
         cols: list[dict[tuple[int, int], int]] = [{} for _ in range(max((j for _, j in nums), default=0) + 1)]
         for (i, j), c in nums.items():
-            if not (axis and i):
-                cols[j][(i, 0)] = c
+            cols[j][(i, 0)] = c
         line = {(0, k): -c.numerator for k, c in enumerate(self.c.coeffs)}
-        if not axis:
-            line.update({(1, k): -c.numerator for k, c in enumerate(self.a.coeffs)})
+        line.update({(1, k): -c.numerator for k, c in enumerate(self.a.coeffs)})
         b = {(0, k): c.numerator for k, c in enumerate(self.b.coeffs)}
         acc, b_power = {}, {(0, 0): 1}
         for col in reversed(cols):
@@ -475,14 +482,35 @@ class GeneratorFamily:
         return acc
 
     def radius_poly(self, q: Poly2) -> Poly1:
-        """A multiple of R(0, r) / r**m: its positive roots are the cylinder
-        radii; zero when Q vanishes on the whole axis."""
-        return Poly1(_x_coefficients(self._restriction(q, True)).get(0, ()))
+        """R(0, r) / r**m times the common denominator of Q's x**0 terms: its
+        positive roots are the cylinder radii; zero when Q vanishes on the
+        whole axis.  The same Horner in y as R(x, r), run on the cleared
+        x**0 column alone as integer lists in r."""
+        column = {j: c for (i, j), c in q.terms() if not i}
+        if not column:
+            return Poly1()
+        n = max(j for (_, j), _ in q.terms())
+        den = math.lcm(*(c.denominator for c in column.values()))
+        line = [-c.numerator for c in self.c.coeffs]
+        b = [c.numerator for c in self.b.coeffs]
+        acc: list[int] = []
+        b_power = [1]
+        for j in range(n, -1, -1):
+            acc = _int_product(acc, line)
+            c = column.get(j)
+            if c is not None:
+                num = c.numerator * (den // c.denominator)
+                acc += [0] * (len(b_power) - len(acc))
+                for k, v in enumerate(b_power):
+                    acc[k] += num * v
+            if j:
+                b_power = _int_product(b_power, b)
+        return Poly1(acc[next((k for k, v in enumerate(acc) if v), len(acc)) :])
 
     def star_poly(self, q: Poly2) -> Poly1:
         """The primitive gcd of the x-coefficients of R(x, r) / r**m: its
         positive roots are the radii at which Q lies in the ideal of G_r."""
-        return _primitive(Poly1(reduce(_int_gcd, _x_coefficients(self._restriction(q, False)).values(), [])))
+        return _primitive(Poly1(reduce(_int_gcd, _x_coefficients(self._restriction(q)).values(), [])))
 
     def generator(self, r: Fraction) -> Poly2:
         """G_r / d(r) at a rational r = p/q, from the integers q**m * f(p/q)
@@ -524,7 +552,9 @@ def decide_radii(
     candidates are the positive roots of the radius poly or, when Q
     vanishes on the whole axis (right cylinders of every radius), of the
     star poly.  A rational candidate is decided once, by the certified
-    division by G_r; an irrational one by the star poly.
+    division by G_r; an irrational one by the star poly.  The result
+    depends on Q and the family value alone, so callers with several
+    lanes decide each distinct family once (``classify.solve_SQ``).
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")

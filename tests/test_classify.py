@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly2
+from weingarten_tubes import classify
 from weingarten_tubes.classify import (
     ALL_REGULAR_TUBES,
     RIGHT_CYLINDERS,
@@ -33,6 +34,7 @@ from weingarten_tubes.radius import (
     LORENTZIAN_POS,
     isolate_positive_roots,
     radius_set,
+    tube_family,
 )
 from weingarten_tubes.polyalg import Poly1
 
@@ -121,6 +123,24 @@ class TestSolveSQ:
         assert cls.kind == ALL_REGULAR_TUBES
         assert cls.radius.exact_value is None
         assert cls.quotient is None
+
+
+    @pytest.mark.parametrize("spaces", ["all", "euclidean", "lorentzian", "hyperbolic", ["euclidean", "hyperbolic"]])
+    def test_one_decision_per_distinct_family(self, monkeypatch, exq_poly, spaces):
+        # E3, L3 eps = +1 and H3 share one family row, decided once per call
+        calls = []
+
+        def counted(q, family):
+            calls.append(family)
+            return decide(q, family)
+
+        decide = classify.decide_radii
+        monkeypatch.setattr(classify, "decide_radii", counted)
+        report = solve_SQ(exq_poly, spaces)
+        families = {tube_family(lane.tag) for lane in report.lanes}
+        assert len(calls) == len(families) and set(calls) == families
+        if spaces == "all":
+            assert len(report.lanes) == 4 and len(calls) == 2
 
 
 class TestSolveQS:

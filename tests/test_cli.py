@@ -420,6 +420,37 @@ class TestVerifyPasses:
         assert json.loads(out)["result"]["regular_points"] == 15
 
 
+    def test_streamed_csv_is_curvature_csv(self, capsys, tmp_path):
+        # 40x40 points span two blocks, each written as it is computed
+        poly, tube, path = "4*x - 4*y + 1", "e3-torus:R=10,r=2", tmp_path / "grid.csv"
+        assert 40 * 40 > geo.BLOCK_POINTS
+        code, out, err = run_cli(capsys, "verify", poly, "--tube", tube, "--grid", "40x40", "--csv", str(path))
+        assert code == 0, err
+        spec, _ = cli._tube_from_arg(tube)
+        s_grid, t_grid = geo.default_grids(spec, 40, 40)
+        assert path.read_bytes() == geo.curvature_csv(parse_poly(poly), spec, s_grid, t_grid).encode()
+
+    def test_error_in_second_block_leaves_an_empty_csv(self, capsys, monkeypatch, tmp_path):
+        # the first block is on disk when the second one fails; the file
+        # is then emptied, as for an error before any block
+        path = tmp_path / "grid.csv"
+        sizes = []  # the file size at each kernel call
+
+        def failing(spec, s_rows, t_grid, sec):
+            sizes.append(path.stat().st_size)
+            if len(sizes) > 1:
+                raise OverflowError("second block")
+            return block(spec, s_rows, t_grid, sec)
+
+        block = geo._block
+        monkeypatch.setattr(geo, "_block", failing)
+        code, out, err = run_cli(
+            capsys, "verify", "x", "--tube", "e3-torus:R=10,r=2", "--grid", "40x40", "--csv", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: numeric overflow: second block\n")
+        assert sizes[1] > 0 and path.read_bytes() == b""
+
+
 class TestTubeArguments:
     def test_duplicate_parameter_is_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-torus:R=10,R=3,r=2")

@@ -34,6 +34,7 @@ from weingarten_tubes.radius import (
     PRINCIPAL,
     _count_roots_halfopen,
     _sturm_chain,
+    decide_radii,
     isolate_positive_roots,
     principal_radius_set,
     star_radius_set,
@@ -152,7 +153,7 @@ def test_principal_star_flags_match_brute(shape, a, b, r):
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:
     """The x-coefficients of the family's R(x, r), as polynomials in r."""
     rows: dict[int, dict[int, int]] = {}
-    for (i, k), c in family._restriction(q, False).items():
+    for (i, k), c in family._restriction(q).items():
         rows.setdefault(i, {})[k] = c
     return {i: Poly1([row.get(k, 0) for k in range(max(row) + 1)]) for i, row in rows.items()}
 
@@ -182,7 +183,7 @@ def common_denominator(q: Poly2) -> int:
 
 
 def evaluate_restriction(family, q: Poly2, x: Fraction, r: Fraction) -> Fraction:
-    return sum((c * x**i * r**k for (i, k), c in family._restriction(q, False).items()), Fraction(0))
+    return sum((c * x**i * r**k for (i, k), c in family._restriction(q).items()), Fraction(0))
 
 
 @PROPERTY
@@ -201,6 +202,64 @@ def test_restriction_is_q_on_the_generator_line(shape, a, b, r, x0, r0, eps):
         n = max(j for (_, j), _ in q.terms())
         direct = sum((c * x0**i * y0**j for (i, j), c in q.terms()), Fraction(0))
         assert evaluate_restriction(family, q, x0, r0) == common_denominator(q) * b0**n * direct
+
+
+def axis_image(family, q: Poly2, r: Fraction) -> Fraction:
+    """b(r)**n * Q(0, -c(r)/b(r)), n = deg_y Q, evaluated term by term."""
+    n = max(j for (_, j), _ in q.terms())
+    b = family.b.eval(r)
+    y0 = -family.c.eval(r) / b
+    return b**n * sum((c * y0**j for (i, j), c in q.terms() if i == 0), Fraction(0))
+
+
+@PROPERTY
+@given(
+    shape=shapes, a=cofactors, b=polys, r=positive_radii, eps=signals,
+    points=st.lists(nonzero_radii, min_size=3, max_size=3, unique=True),
+)
+def test_radius_poly_is_q_on_the_axis_up_to_r_powers(shape, a, b, r, eps, points):
+    """R(0, v) = lambda * v**m * radius_poly(v) at every sampled v, for one
+    lambda != 0 and one m >= 0 per Q; both vanish identically exactly
+    when Q(0, y) does.  Every K-H row (eps = +1 and -1) and the principal
+    row are checked."""
+    assert {tube_family(tag) for tag in (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)} == {
+        tube_family(LORENTZIAN_POS), tube_family(LORENTZIAN_NEG)
+    }
+    kh = tube_family(LORENTZIAN_NEG if eps < 0 else LORENTZIAN_POS)
+    for family, gen in ((kh, tube_generator(r, eps)), (PRINCIPAL, Y - Poly2.constant(1 / r))):
+        q = build(shape, gen, a, b)
+        assume(not q.is_zero)
+        p = family.radius_poly(q)
+        direct = [axis_image(family, q, v) for v in points]
+        if all(i for (i, _), _ in q.terms()):  # Q(0, y) = 0
+            assert p.is_zero and not any(direct)
+            continue
+        assert not p.is_zero
+        values = [p.eval(v) for v in points]
+        assert [d == 0 for d in direct] == [v == 0 for v in values]
+        ratios = [(v, d / pv) for v, d, pv in zip(points, direct, values) if pv]
+        assert not ratios or any(
+            len({ratio / v**m for v, ratio in ratios}) == 1 for m in range(q.degree + 1)
+        )
+
+
+@PROPERTY
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii, eps=signals)
+def test_all_spaces_is_each_space_alone(shape, a, b, r, eps):
+    """solve_SQ decides the rows shared by E3, L3 eps = +1 and H3 once:
+    its lanes are those of the one-space calls, and each lane is the
+    decision of its own tag's family, so no shared decision reaches the
+    eps = -1 lane."""
+    q = build(shape, tube_generator(r, eps), a, b)
+    assume(not q.is_zero)
+    each = [lane for space in ("euclidean", "lorentzian", "hyperbolic") for lane in solve_SQ(q, space).lanes]
+    assert list(solve_SQ(q, "all").lanes) == each
+    for lane in each:
+        all_positive, decisions = decide_radii(q, tube_family(lane.tag))
+        assert lane.all_cylinders_any_radius == all_positive
+        assert [(cls.radius, cls.kind == ALL_REGULAR_TUBES, cls.quotient, cls.eps) for cls in lane.classes] == [
+            (entry.radius, entry.star, quotient, lane.tag.eps) for entry, quotient in decisions
+        ]
 
 
 @PROPERTY
