@@ -97,7 +97,6 @@ class LaneReport:
 class ClassificationReport:
     input_poly: Poly2
     lanes: tuple[LaneReport, ...]
-    principal: bool = False
 
     @property
     def is_empty(self) -> bool:
@@ -309,7 +308,7 @@ def solve_SQ_principal(q: Poly2) -> ClassificationReport:
     additionally Q(x, 1/r) vanishes identically in x."""
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    return ClassificationReport(q, (_lane(decide_radii(q, PRINCIPAL), EUCLIDEAN),), principal=True)
+    return ClassificationReport(q, (_lane(decide_radii(q, PRINCIPAL), EUCLIDEAN),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ convolved, and one Fraction is made per output term.  Two types:
 * ``Poly1`` -- dense univariate polynomial: coefficient tuple indexed by
   exponent, trailing coefficient nonzero.
 
-On top of the ring arithmetic the module answers every question about
-one linear relation g = a*x + b*y + c (b != 0) at a rational radius with
-a single synthetic division in y:
+On top of the ring arithmetic the module divides by one linear relation
+g = a*x + b*y + c (b != 0) at a rational radius with a single synthetic
+division in y, the path that yields quotients and substitution images
+(``radius.GeneratorFamily`` decides membership without building one):
 
 * ``divide_by_linear`` -- Q = (y - L(x)) * R + rho(x) on the line
   y = L(x) where g vanishes.  Q lies in the ideal of g iff rho = 0, and

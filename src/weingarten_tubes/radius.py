@@ -35,16 +35,19 @@ rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
 n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
 G_r iff R(x, r) vanishes identically in x, and holds on the right
-cylinder of radius r iff R(0, r) = 0.  The radius poly is R(0, r) and
-the star poly the gcd of R's x-coefficients, each without its factor
-r**m (r = 0 is never a radius); both are expanded by an integer Horner
-scheme in y, the radius poly on Q's x**0 column alone.  ``decide_radii``
-decides each candidate radius once: a rational one by the certified
-division by G_r (polyalg), an irrational one by the star poly and a
-Sturm count on its isolating interval.  Lanes whose families are equal
-values (E3, H3 and L3 with eps = +1 share one row) get one decision:
-``classify.solve_SQ`` decides each distinct row once per call, keyed by
-the family value with all its fields.
+cylinder of radius r iff R(0, r) = 0.  One integer Horner scheme in y,
+``_line_image``, expands R as one integer list in r per power of x and
+serves all three: on Q's x**0 terms and the axis x = 0 it gives the
+radius poly R(0, r); on all of Q, the star poly, the gcd of R's rows
+(each without its factor r**m: r = 0 is never a radius); at a rational
+r, on the integers of G_r, membership: every row is zero.
+``decide_radii`` decides each candidate radius once: a rational one by
+the certified division by G_r (polyalg), which also yields the quotient,
+an irrational one by the star poly and a Sturm count on its isolating
+interval.  Lanes whose families are equal values (E3, H3 and L3 with
+eps = +1 share one row) get one decision: ``classify.solve_SQ`` decides
+each distinct row once per call, keyed by the family value with all its
+fields.
 """
 
 from __future__ import annotations
@@ -56,14 +59,7 @@ from functools import reduce
 from typing import Optional, Union
 
 from .errors import ZeroPolynomial
-from .polyalg import (
-    Poly1,
-    Poly2,
-    _convolve,
-    certified_quotient,
-    check_epsilon,
-    divide_by_linear,
-)
+from .polyalg import Poly1, Poly2, certified_quotient, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -129,6 +125,13 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
             for k, v in enumerate(b):
                 out[i + k] += u * v
     return out
+
+
+def _int_sum(a: list[int], b: list[int]) -> list[int]:
+    """Sum of two integer coefficient lists; may return an argument."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [u + v for u, v in zip(a, b)] + a[len(b) :] if b else a
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -342,9 +345,6 @@ class AlgebraicRadius:
         fine = self.refined(width)
         return float((fine.lo + fine.hi) / 2)
 
-    def contains(self, v: Fraction) -> bool:
-        return self.lo < v <= self.hi
-
     def __repr__(self) -> str:
         if self.exact_value is not None:
             return f"AlgebraicRadius({self.exact_value})"
@@ -361,7 +361,7 @@ def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
         return True
     if rad.exact_value is not None:
         return p.eval(rad.exact_value) == 0
-    common = _gcd(_squarefree(p), rad.defining_poly)
+    common = _gcd(p, rad.defining_poly)
     return common.degree >= 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
 
 
@@ -374,7 +374,10 @@ class RadiusEntry:
 @dataclass(frozen=True)
 class RadiusSet:
     """Either every positive radius (axis restriction identically zero)
-    or a finite sorted list of isolated radii with star flags."""
+    or a finite sorted list of isolated radii, as entries with star flags.
+    An all-positive set from star_radius_set or principal_radius_set
+    lists its star radii, the positive roots of the star poly; radius_set
+    leaves every flag False and an all-positive set empty."""
 
     kind: str  # "all-positive" | "finite"
     entries: tuple[RadiusEntry, ...] = ()
@@ -382,8 +385,6 @@ class RadiusSet:
     def __post_init__(self):
         if self.kind not in ("all-positive", "finite"):
             raise ValueError(f"bad RadiusSet kind {self.kind!r}")
-        if self.kind == "all-positive" and self.entries:
-            raise ValueError("all-positive radius set carries no entries")
 
     @property
     def is_all_positive(self) -> bool:
@@ -441,92 +442,89 @@ def axis_restriction(q: Poly2) -> Poly1:
     return Poly1(coeffs)
 
 
-def _x_coefficients(terms: dict[tuple[int, int], int]) -> dict[int, list[int]]:
-    """The nonzero x-coefficients of an integer polynomial keyed (power of
-    x, power of r), each divided by the largest power of r dividing it."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, k), c in terms.items():
-        if c:
-            rows.setdefault(i, {})[k] = c
-    return {i: [row.get(k, 0) for k in range(min(row), max(row) + 1)] for i, row in rows.items()}
+def _line_image(terms: list, c: list[int], a: list[int], b: list[int]) -> list[list[int]]:
+    """b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)) times the common denominator
+    of the given terms of Q, n their top power of y, as one integer list
+    in r per power of x: Horner in y over the cleared numerators, each
+    step homogenised by a power of b.  a, b, c are integer lists in r,
+    constants for the line at one rational r; a zero a is the axis x = 0."""
+    den = math.lcm(*(v.denominator for _, v in terms))
+    cols: list[list] = [[] for _ in range(max((j for (_, j), _ in terms), default=-1) + 1)]
+    for (i, j), v in terms:
+        cols[j].append((i, v.numerator * (den // v.denominator)))
+    c, a = [-v for v in c], [-v for v in a] if any(a) else []
+    rows: list[list[int]] = []
+    b_power = [1]
+    for col in reversed(cols):
+        # rows times the line -(a*x + c) (a row longer only for a nonzero a),
+        # plus the column times b**(n - j)
+        rows = [_int_sum(_int_product(row, c), _int_product(below, a)) for below, row in zip([[]] + rows, rows + [[]] * bool(a))]
+        for i, num in col:
+            rows += [[]] * (i + 1 - len(rows))
+            rows[i] = _int_sum(rows[i], [num * v for v in b_power])
+        b_power = _int_product(b_power, b)
+    return rows
+
+
+def _without_r_power(row: list[int]) -> list[int]:
+    """row / r**m, m the largest such power, without trailing zeros."""
+    nonzero = [k for k, v in enumerate(row) if v]
+    return row[nonzero[0] : nonzero[-1] + 1] if nonzero else []
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
     """The relation G_r = a(r)*x + b(r)*y + c(r), printed divided by d(r),
     that every regular tube of radius r satisfies; a, b, c have integer
-    coefficients.  Every answer derives from R(x, r) (module docstring)."""
+    coefficients.  Every answer derives from R(x, r) (module docstring),
+    computed by ``_line_image``."""
 
     a: Poly1
     b: Poly1
     c: Poly1
     d: Poly1
 
-    def _restriction(self, q: Poly2) -> dict[tuple[int, int], int]:
-        """R(x, r) times Q's common denominator, keyed (power of x, power of
-        r): Horner in y over Q's cleared numerators, each step homogenised
-        by a power of b(r)."""
-        _, nums = q._cleared()
-        cols: list[dict[tuple[int, int], int]] = [{} for _ in range(max((j for _, j in nums), default=0) + 1)]
-        for (i, j), c in nums.items():
-            cols[j][(i, 0)] = c
-        line = {(0, k): -c.numerator for k, c in enumerate(self.c.coeffs)}
-        line.update({(1, k): -c.numerator for k, c in enumerate(self.a.coeffs)})
-        b = {(0, k): c.numerator for k, c in enumerate(self.b.coeffs)}
-        acc, b_power = {}, {(0, 0): 1}
-        for col in reversed(cols):
-            acc = _convolve(acc, line)
-            for e, c in _convolve(col, b_power).items():
-                acc[e] = acc.get(e, 0) + c
-            b_power = _convolve(b_power, b)
-        return acc
+    def _line(self) -> tuple[list[int], list[int], list[int]]:
+        """The integer lists in r of c, a and b."""
+        return tuple([v.numerator for v in f.coeffs] for f in (self.c, self.a, self.b))
 
     def radius_poly(self, q: Poly2) -> Poly1:
-        """R(0, r) / r**m times the common denominator of Q's x**0 terms: its
-        positive roots are the cylinder radii; zero when Q vanishes on the
-        whole axis.  The same Horner in y as R(x, r), run on the cleared
-        x**0 column alone as integer lists in r."""
-        column = {j: c for (i, j), c in q.terms() if not i}
-        if not column:
-            return Poly1()
-        n = max(j for (_, j), _ in q.terms())
-        den = math.lcm(*(c.denominator for c in column.values()))
-        line = [-c.numerator for c in self.c.coeffs]
-        b = [c.numerator for c in self.b.coeffs]
-        acc: list[int] = []
-        b_power = [1]
-        for j in range(n, -1, -1):
-            acc = _int_product(acc, line)
-            c = column.get(j)
-            if c is not None:
-                num = c.numerator * (den // c.denominator)
-                acc += [0] * (len(b_power) - len(acc))
-                for k, v in enumerate(b_power):
-                    acc[k] += num * v
-            if j:
-                b_power = _int_product(b_power, b)
-        return Poly1(acc[next((k for k, v in enumerate(acc) if v), len(acc)) :])
+        """R(0, r) / r**m up to a constant factor: its positive roots are
+        the cylinder radii; zero when Q vanishes on the whole axis.  The
+        Horner of R(x, r) on Q's x**0 terms alone, on the line x = 0."""
+        c, _, b = self._line()
+        rows = _line_image([term for term in q.terms() if not term[0][0]], c, [], b)
+        return Poly1(_without_r_power(rows[0]) if rows else [])
 
     def star_poly(self, q: Poly2) -> Poly1:
-        """The primitive gcd of the x-coefficients of R(x, r) / r**m: its
-        positive roots are the radii at which Q lies in the ideal of G_r."""
-        return _primitive(Poly1(reduce(_int_gcd, _x_coefficients(self._restriction(q)).values(), [])))
+        """The primitive gcd of the x-coefficients of R(x, r), each without
+        its factor r**m: its positive roots are the radii at which Q lies in
+        the ideal of G_r."""
+        rows = _line_image(list(q.terms()), *self._line())
+        return _primitive(Poly1(reduce(_int_gcd, map(_without_r_power, rows), [])))
 
-    def generator(self, r: Fraction) -> Poly2:
-        """G_r / d(r) at a rational r = p/q, from the integers q**m * f(p/q)
-        for f in a, b, c, d and m their top degree."""
+    def _at(self, r: Fraction) -> tuple[int, int, int, int]:
+        """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
+        their top degree: G_r / d(r) up to the common factor."""
         p, q = r.numerator, r.denominator
         polys = (self.a, self.b, self.c, self.d)
         m = max(g.degree for g in polys)
-        a, b, c, d = (sum(f.numerator * p**k * q ** (m - k) for k, f in enumerate(g.coeffs)) for g in polys)
+        return tuple(sum(f.numerator * p**k * q ** (m - k) for k, f in enumerate(g.coeffs)) for g in polys)
+
+    def generator(self, r: Fraction) -> Poly2:
+        """G_r / d(r) at a rational r."""
+        a, b, c, d = self._at(r)
         return Poly2._canonical({(1, 0): Fraction(a, d), (0, 1): Fraction(b, d), (0, 0): Fraction(c, d)})
 
     def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
-        """Q lies in the ideal of G_r; a rational r is decided by the
-        remainder of one division, an irrational one by the star poly."""
+        """Q lies in the ideal of G_r.  At a rational r, R(x, r) itself:
+        the Horner of R on the integer line of ``generator``, Q a member iff
+        every x-coefficient is zero, with no quotient built.  At an
+        irrational r, the star poly vanishes there."""
         if isinstance(radius, AlgebraicRadius):
             return vanishes_at(self.star_poly(q), radius)
-        return divide_by_linear(q, self.generator(radius))[1].is_zero
+        a, b, c, _ = self._at(radius)
+        return not any(map(any, _line_image(list(q.terms()), [c], [a], [b])))
 
 
 # the table of families; Poly1 coefficients run from the constant term up
@@ -580,9 +578,7 @@ def decide_radii(
 
 def _star_set(q: Poly2, family: GeneratorFamily) -> RadiusSet:
     all_positive, decisions = decide_radii(q, family)
-    if all_positive:
-        return RadiusSet("all-positive")
-    return RadiusSet("finite", tuple(entry for entry, _ in decisions))
+    return RadiusSet("all-positive" if all_positive else "finite", tuple(entry for entry, _ in decisions))
 
 
 def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
@@ -604,7 +600,8 @@ def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
 
 def star_radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """radius_set with star = True exactly where Q lies in the ideal of
-    the tube relation at that radius (see decide_radii)."""
+    the tube relation at that radius (see decide_radii); an all-positive
+    set lists the star radii, as classify does."""
     return _star_set(q, tube_family(tag))
 
 

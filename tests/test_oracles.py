@@ -33,6 +33,7 @@ from weingarten_tubes.radius import (
     LORENTZIAN_POS,
     PRINCIPAL,
     _count_roots_halfopen,
+    _line_image,
     _sturm_chain,
     decide_radii,
     isolate_positive_roots,
@@ -147,15 +148,60 @@ def test_principal_star_flags_match_brute(shape, a, b, r):
             assert evaluates_equal(q, Y - Poly2.constant(1 / v), cls.quotient)
 
 
+@PROPERTY
+@example(a=Poly2.constant(1), b=Poly2.zero(), shift=Fraction(1), r=Fraction(1), eps=1)
+@given(a=cofactors, b=polys, shift=coefficients, r=positive_radii, eps=signals)
+def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
+    """GeneratorFamily.contains at a rational r, on planted members G_r*A,
+    the same shifted by a nonzero constant (never members) and by x*B
+    (members or not), for the K-H row of signal eps and the principal row."""
+    kh = tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN)
+    for family, gen, brute in (
+        (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps)),
+        (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r)),
+    ):
+        member = gen * a
+        assert family.contains(member, r) and brute(member) == []
+        if shift:
+            shifted = member + Poly2.constant(shift)
+            assert not family.contains(shifted, r) and brute(shifted) != []
+        cylinder = member + X * b
+        assert family.contains(cylinder, r) == (brute(cylinder) == [])
+
+
+@PROPERTY
+@example(shape="axis", a=Poly2.constant(1), b=Poly2.zero(), r=Fraction(1), tag=EUCLIDEAN)
+@given(shape=shapes, a=cofactors, b=polys, r=positive_radii, tag=tags)
+def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
+    """The entries of star_radius_set and principal_radius_set are the
+    radii and star flags that solve_SQ and solve_SQ_principal report,
+    all-positive lanes included (x*(x - 2*y + 1) has the star radius 1)."""
+    for gen, rset, lane_of in (
+        (tube_generator(r, tag.eps), lambda q: star_radius_set(q, tag),
+         lambda q: next(lane for lane in solve_SQ(q, tag.space).lanes if lane.tag == tag)),
+        (Y - Poly2.constant(1 / r), principal_radius_set, lambda q: solve_SQ_principal(q).lanes[0]),
+    ):
+        q = build(shape, gen, a, b)
+        assume(not q.is_zero)
+        got, lane = rset(q), lane_of(q)
+        assert got.is_all_positive == lane.all_cylinders_any_radius
+        assert [(e.radius, e.star) for e in got.entries] == [
+            (cls.radius, cls.kind == ALL_REGULAR_TUBES) for cls in lane.classes
+        ]
+
+
 # The generator families against the paper's formula and direct evaluation.
+
+
+def restriction_rows(family, q: Poly2) -> list[list[int]]:
+    """The family's R(x, r) times Q's common denominator, by the library's
+    one Horner routine: one integer list in r per power of x."""
+    return _line_image(list(q.terms()), *family._line())
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:
     """The x-coefficients of the family's R(x, r), as polynomials in r."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, k), c in family._restriction(q).items():
-        rows.setdefault(i, {})[k] = c
-    return {i: Poly1([row.get(k, 0) for k in range(max(row) + 1)]) for i, row in rows.items()}
+    return {i: Poly1(row) for i, row in enumerate(restriction_rows(family, q))}
 
 
 def proportional_up_to_r_power(p: Poly1, g: Poly1) -> bool:
@@ -183,7 +229,8 @@ def common_denominator(q: Poly2) -> int:
 
 
 def evaluate_restriction(family, q: Poly2, x: Fraction, r: Fraction) -> Fraction:
-    return sum((c * x**i * r**k for (i, k), c in family._restriction(q).items()), Fraction(0))
+    rows = restriction_rows(family, q)
+    return sum((c * x**i * r**k for i, row in enumerate(rows) for k, c in enumerate(row)), Fraction(0))
 
 
 @PROPERTY
