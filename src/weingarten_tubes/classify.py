@@ -22,9 +22,8 @@ from the one decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     DegenerateRelation,
@@ -69,8 +68,7 @@ def expand_spaces(spaces: Union[str, Iterable[str]] = "all") -> tuple[SpaceTag, 
     return tuple(tag for tag in _ALL_TAGS if tag.space in names)
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     """One family in the answer: the right cylinders of a radius, or all
     regular tubes of that radius.  A quotient witness (the cofactor of
     the tube generator) is attached exactly when the family is
@@ -82,8 +80,7 @@ class SurfaceClass:
     quotient: Optional[Poly2] = None
 
 
-@dataclass(frozen=True)
-class LaneReport:
+class LaneReport(NamedTuple):
     tag: SpaceTag
     all_cylinders_any_radius: bool
     classes: tuple[SurfaceClass, ...]
@@ -93,8 +90,7 @@ class LaneReport:
         return not self.all_cylinders_any_radius and not self.classes
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     input_poly: Poly2
     lanes: tuple[LaneReport, ...]
 
@@ -142,30 +138,34 @@ def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> Classificat
 # Q(S): relations satisfied by one fixed tube
 
 
-@dataclass(frozen=True)
-class TubeIdentity:
-    """A fixed tube surface: ambient lane, radius (rho = sinh r in the
-    hyperbolic space), and whether the central curve is a geodesic."""
-
+class _TubeIdentity(NamedTuple):
     tag: SpaceTag
-    radius: Union[Fraction, int, AlgebraicRadius]
+    radius: Union[Fraction, AlgebraicRadius]
     is_right_cylinder: bool
 
-    def __post_init__(self):
-        r = self.radius
-        if isinstance(r, AlgebraicRadius):
-            return  # isolated roots are positive by construction
-        if not isinstance(r, (int, Fraction)) or r <= 0:
-            raise NonpositiveRadius(f"tube radius must be a positive rational, got {r!r}")
-        object.__setattr__(self, "radius", Fraction(r))
+
+class TubeIdentity(_TubeIdentity):
+    """A fixed tube surface: ambient lane, radius (rho = sinh r in the
+    hyperbolic space), and whether the central curve is a geodesic.  An
+    int radius is stored as a Fraction."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, tag: SpaceTag, radius: Union[Fraction, int, AlgebraicRadius], is_right_cylinder: bool):
+        # isolated roots are positive by construction
+        if not isinstance(radius, AlgebraicRadius):
+            if not isinstance(radius, (int, Fraction)) or radius <= 0:
+                raise NonpositiveRadius(f"tube radius must be a positive rational, got {radius!r}")
+            radius = Fraction(radius)
+        return super().__new__(cls, tag, radius, is_right_cylinder)
 
     @property
     def rational_radius(self) -> Optional[Fraction]:
         return self.radius if isinstance(self.radius, Fraction) else None
 
 
-@dataclass(frozen=True)
-class QSDescription:
+class QSDescription(NamedTuple):
     """The set of polynomial relations satisfied by a fixed tube; it is
     always an ideal.
 
@@ -210,8 +210,7 @@ def solve_QS(surface: TubeIdentity) -> QSDescription:
 # corollaries
 
 
-@dataclass(frozen=True)
-class LinearCase:
+class LinearCase(NamedTuple):
     tag: SpaceTag
     kind: str  # "cylinders-any-radius" | "all-tubes" | "right-cylinders" | "empty"
     radius: Optional[Fraction] = None  # rho for the hyperbolic lane
@@ -315,8 +314,7 @@ def solve_SQ_principal(q: Poly2) -> ClassificationReport:
 # true nonlinear relations
 
 
-@dataclass(frozen=True)
-class NonlinearVerdict:
+class NonlinearVerdict(NamedTuple):
     kind: str  # "not-true" | "cylinder-case"
     witness: Optional[Poly2]
     note: str

@@ -303,11 +303,11 @@ def _document(command: str, inputs: dict, result: dict) -> dict:
 # ---------------------------------------------------------------------------
 # argument helpers
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # \d also takes "٣"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise UsageError(f"{what} must be an exact rational 'p' or 'p/q', got {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -322,6 +322,12 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # after -h is added: any other single-dash argument, such as -1/8 or
+        # a relation -x*y+1, is a positional value
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
     def error(self, message):  # exit code 1, not argparse's default 2
         raise UsageError(message)
 
@@ -451,7 +457,7 @@ def _cmd_verify(args) -> dict:
     prec = _precision()
     poly = parse_poly(args.poly)
     spec, tube_echo = _tube_from_arg(args.tube)
-    match = re.match(r"^(\d+)x(\d+)$", args.grid)
+    match = re.fullmatch(r"([0-9]+)x([0-9]+)", args.grid)
     if not match:
         raise UsageError(f"--grid must look like 64x64, got {args.grid!r}")
     n_s, n_t = int(match.group(1)), int(match.group(2))
@@ -551,8 +557,6 @@ def _build_parser() -> _ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("linear", help="linear relation a*x + b*y - c case analysis")
-    # let negative rationals like -1/8 through as positional values
-    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")

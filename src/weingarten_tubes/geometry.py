@@ -54,8 +54,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import (
     DegenerateFrame,
@@ -123,8 +122,7 @@ def lorentz_cross(*vectors) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CentralCurve:
+class CentralCurve(NamedTuple):
     """Unit-speed central curve with analytic derivatives to order 3.
 
     eps_T/eps_N are the (constant) causalities of the tangent and
@@ -152,8 +150,7 @@ class CentralCurve:
         return self.normal0 is not None
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(NamedTuple):
     gamma: np.ndarray
     T: np.ndarray
     N: np.ndarray
@@ -249,8 +246,15 @@ _L3_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class TubeSpec:
+class _TubeSpec(NamedTuple):
+    curve: CentralCurve
+    radius: float
+    section: str
+    delta: int = 1
+    name: str = ""
+
+
+class TubeSpec(_TubeSpec):
     """A tube: central curve, radius, normal-section type and the sign
     delta selecting the branch of the section parametrization.
 
@@ -258,33 +262,30 @@ class TubeSpec:
     itself (the algebra modules work in sinh r; the conversion happens
     at the reporting layer)."""
 
-    curve: CentralCurve
-    radius: float
-    section: str
-    delta: int = 1
-    name: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise NonpositiveRadius(f"tube radius must be positive, got {self.radius}")
-        if self.delta not in (-1, 1):
+    def __new__(cls, curve: CentralCurve, radius: float, section: str, delta: int = 1, name: str = ""):
+        if not radius > 0:
+            raise NonpositiveRadius(f"tube radius must be positive, got {radius}")
+        if delta not in (-1, 1):
             raise ValueError("delta must be -1 or +1")
-        space = self.curve.space
+        space = curve.space
         if space == "euclidean":
-            if self.section != SECTION_EUCLIDEAN:
+            if section != SECTION_EUCLIDEAN:
                 raise InvalidSpecRow(f"Euclidean tubes use {SECTION_EUCLIDEAN!r}")
         elif space == "hyperbolic":
-            if self.section != SECTION_HYPERBOLIC:
+            if section != SECTION_HYPERBOLIC:
                 raise InvalidSpecRow(f"hyperbolic tubes use {SECTION_HYPERBOLIC!r}")
         else:
-            key = (self.curve.eps_T, self.curve.eps_N, self.section)
-            if self.section not in (SECTION_L_CIRCLE, SECTION_L_HYPERBOLA):
-                raise InvalidSpecRow(f"Lorentzian tubes use circle or hyperbola sections, got {self.section!r}")
-            if key not in _L3_PAIRS:
+            if section not in (SECTION_L_CIRCLE, SECTION_L_HYPERBOLA):
+                raise InvalidSpecRow(f"Lorentzian tubes use circle or hyperbola sections, got {section!r}")
+            if (curve.eps_T, curve.eps_N, section) not in _L3_PAIRS:
                 raise InvalidSpecRow(
-                    f"no tube with curve causality {self.curve.eps_T}, normal causality "
-                    f"{self.curve.eps_N} and section {self.section!r} exists"
+                    f"no tube with curve causality {curve.eps_T}, normal causality "
+                    f"{curve.eps_N} and section {section!r} exists"
                 )
+        return super().__new__(cls, curve, radius, section, delta, name)
 
     def _pair_kind(self) -> str:
         if self.curve.space in ("euclidean", "hyperbolic"):
@@ -327,8 +328,7 @@ def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
     return frame.gamma + r * mu * frame.N + r * eta * frame.B
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     s: float
     t: float
     K: float
@@ -524,8 +524,7 @@ def _residuals(terms: list[tuple[float, int, int]], regular: np.ndarray, K: np.n
     return np.where(regular, abs(acc), np.nan)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     max_residual: float
     argmax_s: float
     argmax_t: float

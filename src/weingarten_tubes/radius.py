@@ -53,10 +53,9 @@ fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ZeroPolynomial
 from .polyalg import Poly1, Poly2, certified_quotient, check_epsilon
@@ -66,20 +65,30 @@ DISPLAY_WIDTH = Fraction(1, 10**12)
 SPACES = ("euclidean", "lorentzian", "hyperbolic")
 
 
-@dataclass(frozen=True)
-class SpaceTag:
-    """Ambient-space selector; eps is meaningful only for the Lorentzian
-    space and fixed +1 otherwise."""
+# Records are immutable named tuples.  One that checks its fields is a
+# subclass of its field tuple whose __new__ validates; its _make, and so
+# _replace, goes through that __new__ too.
 
+
+class _SpaceTag(NamedTuple):
     space: str
     eps: int = 1
 
-    def __post_init__(self):
-        if self.space not in SPACES:
-            raise ValueError(f"unknown space {self.space!r}")
-        check_epsilon(self.eps)
-        if self.space != "lorentzian" and self.eps != 1:
+
+class SpaceTag(_SpaceTag):
+    """Ambient-space selector; eps is meaningful only for the Lorentzian
+    space and fixed +1 otherwise."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, space: str, eps: int = 1):
+        if space not in SPACES:
+            raise ValueError(f"unknown space {space!r}")
+        check_epsilon(eps)
+        if space != "lorentzian" and eps != 1:
             raise ValueError("eps = -1 is only meaningful in the Lorentzian space")
+        return super().__new__(cls, space, eps)
 
 
 EUCLIDEAN = SpaceTag("euclidean")
@@ -310,25 +319,30 @@ def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class AlgebraicRadius:
-    """A positive real root: square-free defining polynomial plus an
-    isolating half-open interval (lo, hi], and the exact value when the
-    root is rational."""
-
+class _AlgebraicRadius(NamedTuple):
     defining_poly: Poly1
     lo: Fraction
     hi: Fraction
     exact_value: Optional[Fraction] = None
 
-    def __post_init__(self):
-        if self.lo < 0 or not self.lo < self.hi:
+
+class AlgebraicRadius(_AlgebraicRadius):
+    """A positive real root: square-free defining polynomial plus an
+    isolating half-open interval (lo, hi], and the exact value when the
+    root is rational."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, defining_poly: Poly1, lo: Fraction, hi: Fraction, exact_value: Optional[Fraction] = None):
+        if lo < 0 or not lo < hi:
             raise ValueError("isolating interval must satisfy 0 <= lo < hi")
-        if self.exact_value is not None:
-            if self.defining_poly.eval(self.exact_value) != 0:
+        if exact_value is not None:
+            if defining_poly.eval(exact_value) != 0:
                 raise ValueError("exact_value is not a root of the defining polynomial")
-            if not (self.lo < self.exact_value <= self.hi):
+            if not (lo < exact_value <= hi):
                 raise ValueError("exact_value outside the isolating interval")
+        return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
         """Equivalent radius whose interval has length <= width."""
@@ -365,26 +379,30 @@ def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
     return common.degree >= 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
 
 
-@dataclass(frozen=True)
-class RadiusEntry:
+class RadiusEntry(NamedTuple):
     radius: AlgebraicRadius
     star: bool
 
 
-@dataclass(frozen=True)
-class RadiusSet:
+class _RadiusSet(NamedTuple):
+    kind: str  # "all-positive" | "finite"
+    entries: tuple[RadiusEntry, ...] = ()
+
+
+class RadiusSet(_RadiusSet):
     """Either every positive radius (axis restriction identically zero)
     or a finite sorted list of isolated radii, as entries with star flags.
     An all-positive set from star_radius_set or principal_radius_set
     lists its star radii, the positive roots of the star poly; radius_set
     leaves every flag False and an all-positive set empty."""
 
-    kind: str  # "all-positive" | "finite"
-    entries: tuple[RadiusEntry, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.kind not in ("all-positive", "finite"):
-            raise ValueError(f"bad RadiusSet kind {self.kind!r}")
+    def __new__(cls, kind: str, entries: tuple[RadiusEntry, ...] = ()):
+        if kind not in ("all-positive", "finite"):
+            raise ValueError(f"bad RadiusSet kind {kind!r}")
+        return super().__new__(cls, kind, entries)
 
     @property
     def is_all_positive(self) -> bool:
@@ -472,8 +490,7 @@ def _without_r_power(row: list[int]) -> list[int]:
     return row[nonzero[0] : nonzero[-1] + 1] if nonzero else []
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(NamedTuple):
     """The relation G_r = a(r)*x + b(r)*y + c(r), printed divided by d(r),
     that every regular tube of radius r satisfies; a, b, c have integer
     coefficients.  Every answer derives from R(x, r) (module docstring),

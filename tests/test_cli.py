@@ -451,6 +451,64 @@ class TestVerifyPasses:
         assert sizes[1] > 0 and path.read_bytes() == b""
 
 
+class TestArgumentValues:
+    """Rational and polynomial arguments that start with '-', and the
+    ASCII-only digits of rational arguments."""
+
+    def test_negative_sff_length_is_a_domain_error(self, capsys):
+        # argparse once read -1/8 as an unknown option and asked for c
+        for c in ("-1/8", "-1"):
+            code, out, err = run_cli(capsys, "sff", c)
+            assert (code, out) == (2, "") and "must be positive" in err
+
+    def test_negative_divide_radius(self, capsys):
+        spaced = run_cli(capsys, "divide", "x*y - 1", "--r=-1/2")
+        assert spaced[0] == 0 and json.loads(spaced[1])["inputs"]["r"] == "-1/2"
+        assert run_cli(capsys, "divide", "x*y - 1", "--r", "-1/2") == spaced
+
+    @pytest.mark.parametrize(
+        "argv, tight",
+        [
+            (["classify", "-x*y + 1"], "-x*y+1"),
+            (["radius", "-(2*y - 1)*(8*y^2 - 1)", "--star"], "-(2*y-1)*(8*y^2-1)"),
+            (["divide", "-4*x + 4*y - 1", "--r", "2"], "-4*x+4*y-1"),
+            (["verify", "-4*x + 4*y - 1", "--tube", "e3-torus:R=10,r=2", "--grid", "4x4"], "-4*x+4*y-1"),
+        ],
+    )
+    def test_relation_with_leading_minus(self, capsys, argv, tight):
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        assert run_cli(capsys, argv[0], tight, *argv[2:]) == expected
+
+    @pytest.mark.parametrize("argv", [["classify", "-h"], ["sff", "-h"], ["-h"]])
+    def test_help_still_prints_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: weingarten-tubes")
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["sff", "\u0663"], "c"),
+            (["sff", "3\n"], "c"),
+            (["divide", "x", "--r", "\u0661/2"], "--r"),
+            (["linear", "1", "\u0662", "2"], "b"),
+            (["verify", "x", "--tube", "e3-torus:R=\u0661\u0660,r=2", "--grid", "4x4"], "tube parameter 'R'"),
+        ],
+        ids=["sff", "sff-newline", "divide", "linear", "tube"],
+    )
+    def test_rationals_take_only_ascii_digits(self, capsys, argv, what):
+        # \d matched "٣", and int() then read it as 3
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} must be an exact rational 'p' or 'p/q', got ")
+
+    @pytest.mark.parametrize("grid", ["\u0668x\u0668", "8x8\n"])
+    def test_grid_takes_only_ascii_digits(self, capsys, grid):
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-torus:R=10,r=2", "--grid", grid)
+        assert (code, out) == (1, "") and err.startswith("error: --grid must look like 64x64")
+
+
 class TestTubeArguments:
     def test_duplicate_parameter_is_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-torus:R=10,R=3,r=2")
@@ -637,6 +695,35 @@ class TestNumpyOnlyForVerify:
         )
         proc = fresh_cli(snippet, "verify", "4*x - 4*y + 1", "--tube", "e3-torus:R=2,r=1", "--grid", "8x8")
         assert proc.stdout.decode().split() == ["0", "False", "True"], proc.stderr.decode()
+
+
+class TestNoDataclasses:
+    # the result records are named tuples: no command imports dataclasses,
+    # which costs a cold process its inspect, ast, dis and tokenize imports
+    BLOCKED = (
+        "import sys\n"
+        "sys.modules['dataclasses'] = None  # any import of dataclasses now raises\n"
+        "from weingarten_tubes import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "all"],
+            ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"],
+            ["divide", EXQ_TEXT, "--r", "2"],
+            ["verify", "4*x - 4*y + 1", "--tube", "h3-circle:r0=1,r=1/2", "--grid", "8x8"],
+            ["linear", "-1/8", "1", "2", "--space", "all"],
+            ["sff", "3", "--space", "all"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_runs_without_dataclasses(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        proc = fresh_cli(self.BLOCKED, *argv)
+        assert proc.returncode == code == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == out
 
 
 class TestExitCodes:

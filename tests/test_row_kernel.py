@@ -6,7 +6,6 @@ kernel must give the same doubles, not merely close ones, because the
 pinned verify reports and CSVs print them with 17 significant digits.
 """
 
-import dataclasses
 import math
 import re
 import struct
@@ -234,7 +233,7 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
         frame = frame_of(curve, s)
         if s == s_grid[2]:
             raise DegenerateFrame("no frame in row 2")
-        return dataclasses.replace(frame, N=2.0 * frame.N) if s == s_grid[1] else frame
+        return frame._replace(N=2.0 * frame.N) if s == s_grid[1] else frame
 
     monkeypatch.setattr(geo, "_tube_frame", tube_frame)
     x, y = Poly2.variable("x"), Poly2.variable("y")
