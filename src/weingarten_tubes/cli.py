@@ -69,6 +69,11 @@ MAX_GRID_POINTS = 2**18
 # Unchecked, `y^99999999` never finishes parsing.
 MAX_DEGREE = 100
 
+# Budget for parenthesis nesting: each level costs the recursive parser
+# four stack frames, so about 245 levels exhaust Python's default recursion
+# limit.  No shipped input nests deeper than 3.
+MAX_NESTING = 100
+
 
 # ---------------------------------------------------------------------------
 # polynomial expression parser
@@ -136,6 +141,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -214,8 +220,12 @@ class _Parser:
                 f"unknown variable {value!r} (allowed: {self.variables[0]}, {self.variables[1]})", at
             )
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolySyntaxError("expected a number, variable or parenthesized expression", at)
 

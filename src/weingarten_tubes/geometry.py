@@ -10,15 +10,18 @@ be verified on sampled surfaces.
 
 A sample grid is walked in one place, ``_grid_blocks``: one ``mu_eta``
 per t column, then blocks of whole s-rows of at most ``BLOCK_POINTS``
-points, each one call of the kernel ``_block`` (one frame per row, all
-points as (rows, n_t, dim) arrays); every grid function, ``curvatures``
-as a one-point block, reads that pass, and ``verify`` takes residual,
-argmax and CSV per block.  The kernel gives the bits of per-point scalar
-evaluation (the reference in ``tests/test_row_kernel.py``): section
-values and powers above 1 come from Python's ``math`` and ``pow``, as
-numpy's SIMD libm can differ in the last ulp; array expressions keep the
-scalar operand order; each inner product is one ``np.vecdot``, the same
-sequential FMA chain as ``np.dot`` on this numpy/OpenBLAS build.
+points, each one call of the kernel ``_block`` (one ``_frames`` call
+for the rows, whose one-row case is ``frenet_frame``, and all points as
+(rows, n_t, dim) arrays); every grid function, ``curvatures`` as a
+one-point block, reads that pass, and ``verify`` takes residual, argmax
+and CSV per block.  The kernel gives the bits of per-point scalar
+evaluation on per-row frames (the reference in
+``tests/test_row_kernel.py``): section values and powers above 1 come
+from Python's ``math`` and ``pow``, as numpy's SIMD libm can differ in
+the last ulp; array expressions keep the scalar operand order; each
+inner product is one ``np.vecdot``, the same sequential FMA chain as
+``np.dot`` on this numpy/OpenBLAS build; a block's cross-product minors
+go to one batched ``det``, which keeps each matrix's LAPACK bits.
 
 numpy is imported on the first attribute lookup of the module global
 ``np`` (``_DeferredNumpy``), so importing this module costs no numpy
@@ -92,34 +95,42 @@ BIREGULARITY_EPS = 1e-10
 REGULARITY_CUTOFF = 1e-3
 
 
+def _inner(space: str, u, v):
+    """The space's inner product over the last axis (H^3 lives in L^4)."""
+    if space == "euclidean":
+        return np.vecdot(u, v)
+    return np.vecdot(u[..., :-1], v[..., :-1]) - u[..., -1] * v[..., -1]
+
+
 def lorentz_inner(u, v) -> float:
     """Index-1 bilinear form: u1*v1 + ... + u_{n-1}*v_{n-1} - u_n*v_n."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.shape not in ((3,), (4,)):
         raise DimensionMismatch(f"need matching 3- or 4-vectors, got {u.shape} and {v.shape}")
-    return float(np.dot(u[:-1], v[:-1]) - u[-1] * v[-1])
+    return float(_inner("lorentzian", u, v))
 
 
 def lorentz_cross(*vectors) -> np.ndarray:
-    """Formal-determinant cross product of dim-1 vectors in L^3 or L^4;
-    the basis row carries -e_dim, so the result is Lorentz-orthogonal to
-    every input."""
+    """Formal-determinant cross product of dim-1 vectors in L^3 or L^4, or
+    row by row of equal stacks of them, shaped (..., dim); the basis row
+    carries -e_dim, so the result is Lorentz-orthogonal to every input.
+    All minors go to one batched ``det``."""
     vs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vs or vs[0].shape not in ((3,), (4,)):
+    if not vs or vs[0].shape[-1:] not in ((3,), (4,)):
         raise DimensionMismatch("need 3- or 4-dimensional vectors")
-    dim = vs[0].shape[0]
-    if len(vs) != dim - 1 or any(v.shape != (dim,) for v in vs):
+    dim = vs[0].shape[-1]
+    if len(vs) != dim - 1 or any(v.shape != vs[0].shape for v in vs):
         raise DimensionMismatch(f"need exactly {dim - 1} vectors of dimension {dim}")
-    rows = np.array(vs)
-    out = np.empty(dim)
-    for k in range(dim):
-        minor = np.delete(rows, k, axis=1)
-        sign = -1.0 if k % 2 else 1.0
-        if k == dim - 1:
-            sign = -sign  # basis row entry is -e_dim
-        out[k] = sign * np.linalg.det(minor)
-    return out
+    columns = [[j for j in range(dim) if j != k] for k in range(dim)]
+    minors = np.stack(vs, axis=-2)[..., columns].swapaxes(-3, -2)  # (..., k, vector, column)
+    signs = [(-1.0) ** k for k in range(dim - 1)] + [(-1.0) ** dim]  # basis row entry is -e_dim
+    return signs * np.linalg.det(minors)
+
+
+def _pow(x, n: int):
+    """x**n per element by Python's float power, which raises OverflowError."""
+    return np.frompyfunc(pow, 2, 1)(x, n).astype(float)
 
 
 class CentralCurve(NamedTuple):
@@ -162,70 +173,62 @@ class FrenetFrame(NamedTuple):
     eps_B: int
 
 
-def frenet_frame(curve: CentralCurve, s: float) -> FrenetFrame:
-    """Frame at parameter s.  Raises DegenerateFrame where the curve is
-    not biregular (geodesics take the constant-completion path in the
-    tube machinery instead) and LightlikeNormal if the acceleration is
-    numerically lightlike."""
-    pos = np.asarray(curve.gamma(s), dtype=float)
-    t_vec = np.asarray(curve.d1(s), dtype=float)
-    acc = np.asarray(curve.d2(s), dtype=float)
-    jerk = np.asarray(curve.d3(s), dtype=float)
+def _frames(curve: CentralCurve, s_rows: Sequence[float]) -> FrenetFrame:
+    """The frames at the parameters s_rows as one record of (rows, dim)
+    vectors and (rows,) kappa, tau and signs; a geodesic gets its constant
+    completion.  Raises for the first row where the curve is not biregular
+    (DegenerateFrame) or its acceleration numerically lightlike
+    (LightlikeNormal), with that row's s."""
+    space = curve.space
+    derivatives = (curve.gamma, curve.d1, curve.d2, curve.d3)
+    pos, t_vec, acc, jerk = (np.array([d(s) for s in s_rows], dtype=float) for d in derivatives)
+    ones = np.ones(len(s_rows))
+    if curve.is_geodesic:
+        n_vec, b_vec = (np.broadcast_to(np.asarray(v, dtype=float), pos.shape) for v in (curve.normal0, curve.binormal0))
+        eps = (curve.eps_T, curve.eps_N, -curve.eps_T * curve.eps_N if space == "lorentzian" else 1)
+        return FrenetFrame(pos, t_vec, n_vec, b_vec, 0.0 * ones, 0.0 * ones, *(e * ones for e in eps))
 
-    if curve.space == "euclidean":
-        kappa = float(np.linalg.norm(acc))
-        if kappa < BIREGULARITY_EPS:
-            raise DegenerateFrame(f"curve {curve.name!r} has |gamma''| < {BIREGULARITY_EPS} at s={s}")
-        n_vec = acc / kappa
-        b_vec = np.cross(t_vec, n_vec)
-        kappa_dot = float(np.dot(acc, jerk)) / kappa
-        n_prime = jerk / kappa - acc * (kappa_dot / kappa**2)
-        tau = float(np.dot(n_prime, b_vec))
-        return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, 1, 1, 1)
+    # the hyperbolic frame is built on gamma'' - gamma and its derivative
+    w, w_dot = (acc - pos, jerk - t_vec) if space == "hyperbolic" else (acc, jerk)
+    h = _inner(space, w, w)
+    kappa = np.sqrt(abs(h))
+    if space == "euclidean":
+        degenerate, what = kappa < BIREGULARITY_EPS, f"has |gamma''| < {BIREGULARITY_EPS}"
+    elif space == "lorentzian":
+        degenerate, what = np.sqrt(np.vecdot(acc, acc)) < BIREGULARITY_EPS, "has gamma'' ~ 0"
+    else:
+        degenerate, what = h < BIREGULARITY_EPS**2, f"has |gamma'' - gamma| < {BIREGULARITY_EPS}"
+    failed = degenerate | ((abs(h) < BIREGULARITY_EPS**2) & (space == "lorentzian"))
+    if failed.any():
+        k = int(failed.argmax())
+        if degenerate[k]:
+            raise DegenerateFrame(f"curve {curve.name!r} {what} at s={s_rows[k]}")
+        raise LightlikeNormal(f"curve {curve.name!r} has lightlike acceleration at s={s_rows[k]}")
 
-    if curve.space == "lorentzian":
-        h = lorentz_inner(acc, acc)
-        if np.linalg.norm(acc) < BIREGULARITY_EPS:
-            raise DegenerateFrame(f"curve {curve.name!r} has gamma'' ~ 0 at s={s}")
-        if abs(h) < BIREGULARITY_EPS**2:
-            raise LightlikeNormal(f"curve {curve.name!r} has lightlike acceleration at s={s}")
-        eps_T = 1 if lorentz_inner(t_vec, t_vec) > 0 else -1
-        eps_N = 1 if h > 0 else -1
-        kappa = math.sqrt(abs(h))
-        n_vec = acc / kappa
-        b_vec = lorentz_cross(t_vec, n_vec)
+    eps_T = eps_N = eps_B = ones
+    if space == "lorentzian":
+        eps_T, eps_N = (np.where(v > 0, 1.0, -1.0) for v in (_inner(space, t_vec, t_vec), h))
         eps_B = -eps_T * eps_N
-        kappa_dot = eps_N * lorentz_inner(acc, jerk) / kappa
-        n_prime = jerk / kappa - acc * (kappa_dot / kappa**2)
-        # tau is the B-coefficient of N' so the frame equations hold exactly
-        tau = eps_B * lorentz_inner(n_prime, b_vec)
-        return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, eps_T, eps_N, eps_B)
-
-    # hyperbolic (hyperboloid model, vectors in L^4)
-    w = acc - pos
-    ww = lorentz_inner(w, w)
-    if ww < BIREGULARITY_EPS**2:
-        raise DegenerateFrame(f"curve {curve.name!r} has |gamma'' - gamma| < {BIREGULARITY_EPS} at s={s}")
-    kappa = math.sqrt(ww)
-    n_vec = w / kappa
-    b_vec = lorentz_cross(pos, t_vec, n_vec)
-    w_dot = jerk - t_vec
-    kappa_dot = lorentz_inner(w, w_dot) / kappa
-    n_prime = w_dot / kappa - w * (kappa_dot / kappa**2)
-    tau = lorentz_inner(n_prime, b_vec)
-    return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, 1, 1, 1)
+    n_vec = w / kappa[:, None]
+    if space == "euclidean":
+        b_vec = np.cross(t_vec, n_vec)
+    else:
+        b_vec = lorentz_cross(*([pos] if space == "hyperbolic" else []), t_vec, n_vec)
+    kappa_dot = eps_N * _inner(space, w, w_dot) / kappa
+    n_prime = w_dot / kappa[:, None] - w * (kappa_dot / _pow(kappa, 2))[:, None]
+    # tau is the B-coefficient of N' so the frame equations hold exactly
+    tau = eps_B * _inner(space, n_prime, b_vec)
+    return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, eps_T, eps_N, eps_B)
 
 
-def _tube_frame(curve: CentralCurve, s: float) -> FrenetFrame:
-    """The Frenet frame, or for a geodesic its constant completion."""
-    if not curve.is_geodesic:
-        return frenet_frame(curve, s)
-    pos = np.asarray(curve.gamma(s), dtype=float)
-    t_vec = np.asarray(curve.d1(s), dtype=float)
-    n_vec = np.asarray(curve.normal0, dtype=float)
-    b_vec = np.asarray(curve.binormal0, dtype=float)
-    eps_B = -curve.eps_T * curve.eps_N if curve.space == "lorentzian" else 1
-    return FrenetFrame(pos, t_vec, n_vec, b_vec, 0.0, 0.0, curve.eps_T, curve.eps_N, eps_B)
+def frenet_frame(curve: CentralCurve, s: float) -> FrenetFrame:
+    """Frame at parameter s, the block frame on one row.  Raises
+    DegenerateFrame where the curve is not biregular, geodesics included
+    (the tube machinery takes their constant completion instead), and
+    LightlikeNormal if the acceleration is numerically lightlike."""
+    # without its completion a geodesic fails the biregularity check
+    frame = _frames(curve._replace(normal0=None, binormal0=None), [s])
+    return FrenetFrame(*(v[0] for v in frame[:4]), *(v.item() for v in frame[4:6]), *(int(e.item()) for e in frame[6:]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +322,12 @@ class TubeSpec(_TubeSpec):
 
 def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
     """Position of the tube parametrization at (s, t)."""
-    frame = _tube_frame(spec.curve, s)
+    gamma, _, N, B = (v[0] for v in _frames(spec.curve, [s])[:4])
     r = spec.radius
     mu, eta, *_ = spec.mu_eta(t)
     if spec.curve.space == "hyperbolic":
-        circ = mu * frame.N + eta * frame.B
-        return math.cosh(r) * frame.gamma + math.sinh(r) * circ
-    return frame.gamma + r * mu * frame.N + r * eta * frame.B
+        return math.cosh(r) * gamma + math.sinh(r) * (mu * N + eta * B)
+    return gamma + r * mu * N + r * eta * B
 
 
 class CurvatureSample(NamedTuple):
@@ -347,8 +349,8 @@ BLOCK_POINTS = 1024
 
 
 def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple:
-    """The curvature kernel over a block of s-rows: one tube frame per row,
-    stacked as (rows, 1, dim) and (rows, 1, 1) arrays, against the
+    """The curvature kernel over a block of s-rows: the block's tube frames
+    as (rows, 1, dim) and (rows, 1, 1) arrays, against the
     (6, 1, n_t, 1) section values (mu, eta, mu', eta', mu'', eta'') of the
     t columns.  K and H come from the first/second fundamental forms, with
     the tube derivatives assembled through the frame derivative equations;
@@ -356,19 +358,18 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     arrays regular, K, H, K_cf, H_cf, xi and eps, where all but xi mean
     something only at regular points.  Raises LightlikeNormal at a regular
     point whose normal is not unit, else FormUnderflow where E*G - F^2 is
-    0.  cosh r, kappa**2 and tau**2 are Python floats, taken in the
-    per-point order, so they overflow with the same OverflowError.  The
+    0.  cosh r, kappa**2 and tau**2 are Python float powers, so they
+    overflow with the same OverflowError as per point.  The
     frames' numpy warnings are silenced: they would depend on the block
     size, as a block builds frames past a row that fails."""
     space = spec.curve.space
     r = spec.radius
     with np.errstate(all="ignore"):
-        frames = [_tube_frame(spec.curve, s) for s in s_rows]
+        frame = _frames(spec.curve, s_rows)
     ch, sh = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, None)
-    rows = [(f.gamma, f.T, f.N, f.B, f.kappa, f.tau, f.eps_T, f.eps_N, f.eps_B, f.kappa**2, f.tau**2) for f in frames]
-    gamma, T, N, B, kappa, tau, eT, eN, eB, kappa2, tau2 = (
-        np.array(column, dtype=float).reshape(len(rows), 1, -1) for column in zip(*rows)
-    )
+    gamma, T, N, B = (v[:, None, :] for v in frame[:4])
+    kappa, tau, eT, eN, eB = (v[:, None, None] for v in frame[4:])
+    kappa2, tau2 = _pow(kappa, 2), _pow(tau, 2)
     mu, eta, mu_t, eta_t, mu_tt, eta_tt = sec
     # the closed forms divide by xi ~ 0 at irregular points
     with np.errstate(all="ignore"):
@@ -417,9 +418,7 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
         normal = -(mu * N + eta * B)
 
         def inner(u, v):
-            if space == "euclidean":
-                return np.vecdot(u, v)[..., None]
-            return np.vecdot(u[..., :-1], v[..., :-1])[..., None] - u[..., -1:] * v[..., -1:]
+            return _inner(space, u, v)[..., None]
 
         eps_f = inner(normal, normal)
         E = inner(psi_s, psi_s)
@@ -515,7 +514,7 @@ def _residuals(terms: list[tuple[float, int, int]], regular: np.ndarray, K: np.n
     def power(v: int, n: int):
         if n < 2:  # x**0 is 1.0 and x**1 is x for every float, nan and inf included
             return bases[v] if n else 1.0
-        return np.frompyfunc(pow, 2, 1)(bases[v], n).astype(float)
+        return _pow(bases[v], n)
 
     acc = 0.0
     with np.errstate(all="ignore"):

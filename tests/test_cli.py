@@ -379,8 +379,10 @@ class TestVerifyPasses:
         # verify --csv walks the grid once: a Frenet frame per s-row, one
         # section evaluation per t column for the whole pass and one
         # residual per regular point (t = 0 is irregular on this tube); the
-        # block residual counts the regular points it is given
-        calls = {"frenet_frame": 0, "mu_eta": 0, "residual_points": 0}
+        # block frame counts the s-rows and the block residual the regular
+        # points it is given
+        calls = {"mu_eta": 0, "residual_points": 0}
+        frame_rows = []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -389,12 +391,16 @@ class TestVerifyPasses:
 
             return wrapper
 
+        def frames(curve, s_rows):
+            frame_rows.extend(s_rows)
+            return block_frames(curve, s_rows)
+
         def residuals(terms, regular, K, H):
             calls["residual_points"] += int(regular.sum())
             return block_residuals(terms, regular, K, H)
 
-        block_residuals = geo._residuals
-        monkeypatch.setattr(geo, "frenet_frame", counted("frenet_frame", geo.frenet_frame))
+        block_frames, block_residuals = geo._frames, geo._residuals
+        monkeypatch.setattr(geo, "_frames", frames)
         monkeypatch.setattr(geo.TubeSpec, "mu_eta", counted("mu_eta", geo.TubeSpec.mu_eta))
         monkeypatch.setattr(geo, "_residuals", residuals)
         code, out, err = run_cli(
@@ -404,7 +410,8 @@ class TestVerifyPasses:
         assert code == 0, err
         result = json.loads(out)["result"]
         assert result["regular_points"] == 24 and result["total_points"] == 30
-        assert calls == {"frenet_frame": 6, "mu_eta": 5, "residual_points": 24}
+        assert calls == {"mu_eta": 5, "residual_points": 24}
+        assert len(frame_rows) == len(set(frame_rows)) == 6
 
     @pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
     def test_irregular_points_raise_no_numpy_warning(self, capsys, tmp_path, csv):
@@ -631,6 +638,54 @@ class TestDegreeBudget:
         assert cli.MAX_DEGREE == 100
         assert parse_poly("x^60 * y^40").degree == 100
         assert parse_poly("(x*y)^50").degree == 100
+
+
+class TestNestingBudget:
+    @staticmethod
+    def nested(levels: int) -> str:
+        return "(" * levels + "x" + ")" * levels
+
+    def test_budget_admits_100_levels(self):
+        assert cli.MAX_NESTING == 100
+        assert parse_poly(self.nested(100)) == Poly2.variable("x")
+
+    def test_101_levels_is_one(self, capsys):
+        with pytest.raises(PolySyntaxError) as raised:
+            parse_poly(self.nested(101))
+        assert raised.value.position == 100
+        code, out, err = run_cli(capsys, "classify", self.nested(101))
+        assert (code, out, err) == (1, "", "error: parentheses nested deeper than 100 (at position 100)\n")
+
+    def test_deep_nesting_prints_no_traceback(self):
+        # 245 levels exhausted the recursion limit of the four-frame-per-level parser
+        snippet = "import sys\nfrom weingarten_tubes import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = fresh_cli(snippet, "classify", self.nested(245))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == "error: parentheses nested deeper than 100 (at position 100)\n"
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["divide", "x", "--r", "0"], 2, "--r must be nonzero"),
+            (
+                ["classify", "k2 - 1", "--principal", "--space", "lorentzian"],
+                1,
+                "--principal is the Euclidean principal-curvature problem",
+            ),
+            (["classify", "(x"], 1, "expected ')' (at position 2)"),
+            (["classify", "x^"], 1, "expected an exponent (at position 2)"),
+            (["classify", "x+*y"], 1, "expected a number, variable or parenthesized expression (at position 2)"),
+        ],
+    )
+    def test_message_and_exit_code(self, capsys, argv, code, message):
+        assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_precision_that_is_not_an_integer_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEINGARTEN_PRECISION", "abc")
+        assert run_cli(capsys, "sff", "3") == (2, "", "error: WEINGARTEN_PRECISION must be an integer, got 'abc'\n")
 
 
 class TestBenchTargets:

@@ -18,6 +18,8 @@ from weingarten_tubes.errors import (
 )
 from weingarten_tubes.polyalg import Poly2
 
+from test_row_kernel import tube_frame
+
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
 
@@ -358,7 +360,7 @@ class TestCurvatures:
                 psi_ss = stencil2(lambda u: geo.tube_point(spec, u, t), s)
                 psi_tt = stencil2(lambda u: geo.tube_point(spec, s, u), t)
                 psi_st = stencil(lambda u: stencil(lambda w: geo.tube_point(spec, w, u), s), t)
-                frame = geo._tube_frame(spec.curve, s)
+                frame = tube_frame(spec.curve, s)
                 if spec.curve.space == "hyperbolic":
                     mu, eta = math.cos(t), math.sin(t)
                 else:

@@ -1,7 +1,9 @@
 """The row curvature kernel against a per-point scalar reference, bit for bit.
 
 ``scalar_point`` below is the per-point evaluation the kernel replaced:
-3- and 4-vectors per grid point, with an inner product of its own.  The
+3- and 4-vectors per grid point, with an inner product of its own, on
+the per-row frame of ``tube_frame``, which the block frame replaced: a
+scalar Frenet frame with a cross product of one ``det`` per minor.  The
 kernel must give the same doubles, not merely close ones, because the
 pinned verify reports and CSVs print them with 17 significant digits.
 """
@@ -52,6 +54,81 @@ PINNED_TUBES = [
 
 def lorentz_inner(u, v) -> float:
     return float(np.dot(u[:-1], v[:-1]) - u[-1] * v[-1])
+
+
+def lorentz_cross(*vectors) -> np.ndarray:
+    """The formal-determinant cross product, one ``det`` per minor."""
+    rows = np.array(vectors, dtype=float)
+    dim = rows.shape[1]
+    out = np.empty(dim)
+    for k in range(dim):
+        minor = np.delete(rows, k, axis=1)
+        sign = -1.0 if k % 2 else 1.0
+        if k == dim - 1:
+            sign = -sign  # basis row entry is -e_dim
+        out[k] = sign * np.linalg.det(minor)
+    return out
+
+
+def frenet_frame(curve, s: float) -> geo.FrenetFrame:
+    """The Frenet frame at s, one row at a time."""
+    pos = np.asarray(curve.gamma(s), dtype=float)
+    t_vec = np.asarray(curve.d1(s), dtype=float)
+    acc = np.asarray(curve.d2(s), dtype=float)
+    jerk = np.asarray(curve.d3(s), dtype=float)
+
+    if curve.space == "euclidean":
+        kappa = float(np.linalg.norm(acc))
+        if kappa < geo.BIREGULARITY_EPS:
+            raise DegenerateFrame(f"curve {curve.name!r} has |gamma''| < {geo.BIREGULARITY_EPS} at s={s}")
+        n_vec = acc / kappa
+        b_vec = np.cross(t_vec, n_vec)
+        kappa_dot = float(np.dot(acc, jerk)) / kappa
+        n_prime = jerk / kappa - acc * (kappa_dot / kappa**2)
+        tau = float(np.dot(n_prime, b_vec))
+        return geo.FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, 1, 1, 1)
+
+    if curve.space == "lorentzian":
+        h = lorentz_inner(acc, acc)
+        if np.linalg.norm(acc) < geo.BIREGULARITY_EPS:
+            raise DegenerateFrame(f"curve {curve.name!r} has gamma'' ~ 0 at s={s}")
+        if abs(h) < geo.BIREGULARITY_EPS**2:
+            raise LightlikeNormal(f"curve {curve.name!r} has lightlike acceleration at s={s}")
+        eps_T = 1 if lorentz_inner(t_vec, t_vec) > 0 else -1
+        eps_N = 1 if h > 0 else -1
+        kappa = math.sqrt(abs(h))
+        n_vec = acc / kappa
+        b_vec = lorentz_cross(t_vec, n_vec)
+        eps_B = -eps_T * eps_N
+        kappa_dot = eps_N * lorentz_inner(acc, jerk) / kappa
+        n_prime = jerk / kappa - acc * (kappa_dot / kappa**2)
+        tau = eps_B * lorentz_inner(n_prime, b_vec)
+        return geo.FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, eps_T, eps_N, eps_B)
+
+    w = acc - pos
+    ww = lorentz_inner(w, w)
+    if ww < geo.BIREGULARITY_EPS**2:
+        raise DegenerateFrame(f"curve {curve.name!r} has |gamma'' - gamma| < {geo.BIREGULARITY_EPS} at s={s}")
+    kappa = math.sqrt(ww)
+    n_vec = w / kappa
+    b_vec = lorentz_cross(pos, t_vec, n_vec)
+    w_dot = jerk - t_vec
+    kappa_dot = lorentz_inner(w, w_dot) / kappa
+    n_prime = w_dot / kappa - w * (kappa_dot / kappa**2)
+    tau = lorentz_inner(n_prime, b_vec)
+    return geo.FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, 1, 1, 1)
+
+
+def tube_frame(curve, s: float) -> geo.FrenetFrame:
+    """The Frenet frame, or for a geodesic its constant completion."""
+    if not curve.is_geodesic:
+        return frenet_frame(curve, s)
+    pos = np.asarray(curve.gamma(s), dtype=float)
+    t_vec = np.asarray(curve.d1(s), dtype=float)
+    n_vec = np.asarray(curve.normal0, dtype=float)
+    b_vec = np.asarray(curve.binormal0, dtype=float)
+    eps_B = -curve.eps_T * curve.eps_N if curve.space == "lorentzian" else 1
+    return geo.FrenetFrame(pos, t_vec, n_vec, b_vec, 0.0, 0.0, curve.eps_T, curve.eps_N, eps_B)
 
 
 def scalar_xi(spec, frame, mu: float) -> float:
@@ -158,7 +235,7 @@ def assert_kernel_matches_reference(spec, s_grid, t_grid):
     expected_irregular = []
     for k, (s, t, regular, *values) in enumerate(points):
         assert (s, t) == (s_grid[k // len(t_grid)], t_grid[k % len(t_grid)])
-        want = scalar_point(spec, geo._tube_frame(spec.curve, s), t)
+        want = scalar_point(spec, tube_frame(spec.curve, s), t)
         if isinstance(want, float):
             assert not regular, (s, t)
             assert bits([values[4]]) == bits([want]), (s, t)
@@ -201,7 +278,7 @@ def test_single_point_is_a_one_point_row():
     spec, _ = cli._tube_from_arg("l3-helix-st:a=1,b=1,r=1/2,section=hyperbola,delta=-1")
     for s, t in ((0.3, 0.4), (-1.2, 0.9)):
         sample = geo.curvatures(spec, s, t)
-        want = scalar_point(spec, geo._tube_frame(spec.curve, s), t)
+        want = scalar_point(spec, tube_frame(spec.curve, s), t)
         assert (sample.s, sample.t) == (s, t)
         assert bits((sample.K, sample.H, sample.K_cf, sample.H_cf, sample.xi, sample.eps)) == bits(want)
 
@@ -214,7 +291,7 @@ def test_underflowed_form_fails_like_the_reference(tube):
     spec, _ = cli._tube_from_arg(tube)
     spec = geo.TubeSpec(spec.curve, 1e-200, spec.section)
     with pytest.raises(ZeroDivisionError):
-        scalar_point(spec, geo._tube_frame(spec.curve, 0.5), 0.3)
+        scalar_point(spec, tube_frame(spec.curve, 0.5), 0.3)
     with pytest.raises(FormUnderflow, match=r"at \(s, t\) = \(0.5, 0.3\): radius 1e-200 is too small"):
         geo.sample_grid(spec, [0.5], [0.3])
 
@@ -227,15 +304,15 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
     monkeypatch.setattr(geo, "BLOCK_POINTS", block_points)
     spec = geo.TubeSpec(geo.e3_circle(10.0), 1e-100, geo.SECTION_EUCLIDEAN)
     s_grid, t_grid = geo.default_grids(spec, 4, 4)
-    frame_of = geo._tube_frame
+    frames_of = geo._frames
 
-    def tube_frame(curve, s):
-        frame = frame_of(curve, s)
-        if s == s_grid[2]:
+    def frames(curve, s_rows):
+        frame = frames_of(curve, s_rows)
+        if s_grid[2] in s_rows:
             raise DegenerateFrame("no frame in row 2")
-        return frame._replace(N=2.0 * frame.N) if s == s_grid[1] else frame
+        return frame._replace(N=np.where(np.equal(s_rows, s_grid[1])[:, None], 2.0 * frame.N, frame.N))
 
-    monkeypatch.setattr(geo, "_tube_frame", tube_frame)
+    monkeypatch.setattr(geo, "_frames", frames)
     x, y = Poly2.variable("x"), Poly2.variable("y")
     with pytest.raises(OverflowError) as raised:
         geo.verify_relation(x**4 + y, spec, s_grid, t_grid)
@@ -341,6 +418,52 @@ def test_random_tubes_match_reference(curve_index, section_index, delta, radius,
     assert_kernel_matches_reference(spec, s_grid, t_grid)
 
 
+def test_frenet_frame_is_the_reference_frame():
+    # the block frame on one row: same bits, Python floats for kappa and
+    # tau and ints for the signs; geodesics fail with the reference message
+    for make in CURVES:
+        curve = make()
+        lo, hi = curve.domain
+        for s in (lo, 0.3 * lo + 0.7 * hi):
+            try:
+                want = frenet_frame(curve, s)
+            except DegenerateFrame as ex:
+                with pytest.raises(DegenerateFrame) as raised:
+                    geo.frenet_frame(curve, s)
+                assert raised.value.args == ex.args
+                continue
+            got = geo.frenet_frame(curve, s)
+            assert [type(v) for v in got[4:]] == [float, float, int, int, int]
+            assert [bits(v.tolist()) for v in got[:4]] == [bits(v.tolist()) for v in want[:4]]
+            assert bits(got[4:]) == bits(want[4:])
+
+
+def test_block_frame_fails_at_its_first_failing_row():
+    # acceleration zero at s = 1/2 and lightlike at s = 1
+    curve = geo.CentralCurve(
+        space="lorentzian",
+        name="test-curve",
+        gamma=lambda s: np.zeros(3),
+        d1=lambda s: np.array([1.0, 0.0, 0.0]),
+        d2=lambda s: (s - 0.5) * np.array([1.0, 0.0, s]),
+        d3=lambda s: np.zeros(3),
+        domain=(0.0, 1.0),
+    )
+    for s_rows in ([0.0, 1.0, 0.5], [0.25, 0.5, 1.0], [0.0, 0.25, 0.75]):
+        errors = []
+        for s in s_rows:
+            try:
+                frenet_frame(curve, s)
+            except (DegenerateFrame, LightlikeNormal) as ex:
+                errors.append(ex)
+        if not errors:
+            assert geo._frames(curve, s_rows).kappa.shape == (3,)
+            continue
+        with pytest.raises(type(errors[0])) as raised:
+            geo._frames(curve, s_rows)
+        assert raised.value.args == errors[0].args
+
+
 def test_vecdot_is_dot_bit_for_bit():
     """The kernel's one ``np.vecdot`` per inner product reproduces the
     per-point ``np.dot`` only where both run the same accumulation (one
@@ -356,3 +479,21 @@ def test_vecdot_is_dot_bit_for_bit():
     sliced = np.vecdot(u[:, :-1], v[:, :-1])
     assert [float(np.dot(a[:-1], b[:-1])) for a, b in zip(u, v)] == sliced.tolist()
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([3, 4]), rows=st.integers(1, 5), data=st.data())
+def test_stacked_cross_is_the_per_vector_cross(dim, rows, data):
+    """``lorentz_cross`` of (rows, dim) stacks gives, row by row, the bits
+    of its own per-vector call and of the reference's one ``det`` per
+    minor."""
+    values = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0, 1.0, 5e-324]))
+    size = (dim - 1) * rows * dim
+    vectors = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(dim - 1, rows, dim)
+    with np.errstate(all="ignore"):  # determinants that overflow
+        stacked = geo.lorentz_cross(*vectors)
+        assert stacked.shape == (rows, dim)
+        for k in range(rows):
+            row = [v[k] for v in vectors]
+            assert bits(stacked[k].tolist()) == bits(geo.lorentz_cross(*row).tolist())
+            assert bits(stacked[k].tolist()) == bits(lorentz_cross(*row).tolist())
