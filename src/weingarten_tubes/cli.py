@@ -50,7 +50,7 @@ from .errors import (
     UnwritableOutput,
     ZeroRadius,
 )
-from .polyalg import Poly2, divide_by_tube_factor, substitute_tube, tube_generator
+from .polyalg import Poly2, tube_division, tube_generator
 from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
@@ -448,11 +448,10 @@ def _cmd_divide(args) -> dict:
     if r == 0:
         raise ZeroRadius("--r must be nonzero")
     eps = 1 if args.eps in ("1", "+1") else -1
-    quotient = divide_by_tube_factor(poly, r, eps)
+    quotient, image = tube_division(poly, r, eps)
     generator = tube_generator(r, eps)
     inputs = {"poly": str(poly), "r": str(r), "eps": eps}
     if quotient is None:
-        image = substitute_tube(poly, r, eps)
         result = {
             "in_ideal": False,
             "generator": str(generator),

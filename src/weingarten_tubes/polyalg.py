@@ -11,18 +11,21 @@ convolved, and one Fraction is made per output term.  Two types:
 * ``Poly1`` -- dense univariate polynomial: coefficient tuple indexed by
   exponent, trailing coefficient nonzero.
 
-On top of the ring arithmetic the module divides by one linear relation
-g = a*x + b*y + c (b != 0) at a rational radius with a single synthetic
-division in y, the path that yields quotients and substitution images
-(``radius.GeneratorFamily`` decides membership without building one):
+On top of the ring arithmetic the module owns the one division by a
+linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
+g = 0.  ``radius`` only consumes it.
 
-* ``divide_by_linear`` -- Q = (y - L(x)) * R + rho(x) on the line
-  y = L(x) where g vanishes.  Q lies in the ideal of g iff rho = 0, and
-  then R / b is the exact quotient.
-* ``certified_quotient`` -- that quotient, certified once by
-  g * quotient == Q.
-* ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
-  -- the division specialised to the tube generators
+* ``_line_image`` -- Horner in y on integers, the line's coefficients
+  integer lists in r: each step is a quotient column, the last the image
+  of Q on the line.  Over a whole family it gives the radius and star
+  polys of ``radius.GeneratorFamily``; at one rational radius, the
+  division below.
+* ``divide_by_linear`` -- Q = g * quotient + rho(x), rho = Q(x, L(x)) on
+  the line y = L(x) where g vanishes.  Q lies in the ideal of g iff
+  rho = 0, and then the quotient is certified once by g * quotient == Q.
+* ``certified_quotient`` -- that quotient alone.
+* ``tube_division`` / ``substitute_tube`` / ``is_in_tube_ideal`` /
+  ``divide_by_tube_factor`` -- the division by the tube generator
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
   x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image as
@@ -402,16 +405,6 @@ class Poly2:
             acc += float(c) * x**i * y**j
         return acc
 
-    def y_coefficients(self) -> list[Poly1]:
-        """Coefficient polynomials in x: index j gives the x-polynomial
-        multiplying y**j."""
-        if self.is_zero:
-            return []
-        rows: list[dict[int, Fraction]] = [{} for _ in range(max(j for _, j in self._terms) + 1)]
-        for (i, j), c in self._terms.items():
-            rows[j][i] = c
-        return [Poly1([row.get(k, 0) for k in range(max(row) + 1 if row else 0)]) for row in rows]
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -501,51 +494,99 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     return out
 
 
-def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
-    """Synthetic division in y by a relation g = a*x + b*y + c, b != 0.
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists (empty for zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for k, v in enumerate(b):
+                out[i + k] += u * v
+    return out
 
-    Writes Q = (y - L(x)) * R + rho(x) with L(x) = -(a*x + c)/b, so rho is
-    the restriction Q(x, L(x)) and Q lies in the ideal of g iff rho = 0.
-    Returns (R / b, rho) -- the exact quotient of Q by g -- when rho = 0,
-    and (None, rho) otherwise.
-    """
-    b = g.coeff(0, 1)
-    line = Poly1([-g.coeff(0, 0) / b, -g.coeff(1, 0) / b])
-    cols = q.y_coefficients()  # Q = sum_j cols[j](x) * y**j
-    quotient_cols = [Poly1()] * max(len(cols) - 1, 0)
-    rho = Poly1()
-    for j in range(len(cols) - 1, -1, -1):
-        rho = cols[j] + line * rho
-        if j:
-            quotient_cols[j - 1] = rho
+
+def _int_sum(a: list[int], b: list[int]) -> list[int]:
+    """Sum of two integer coefficient lists; may return an argument."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [u + v for u, v in zip(a, b)] + a[len(b) :] if b else a
+
+
+def _line_image(terms: list, c: list[int], a: list[int], b: list[int]) -> list[list[list[int]]]:
+    """Horner division in y of the given terms of Q by the line
+    a(r)*x + b(r)*y + c(r) = 0, L = -(a*x + c)/b:
+    Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  a, b, c are integer lists
+    in r, constants at one rational r; a zero a is the axis x = 0.  Step j
+    of the result is den * b**(n-j) * H_j (den the terms' common
+    denominator, n their top power of y), one integer list in r per power
+    of x: step 0 is the image of Q on the line, and H_j / b (j >= 1) the
+    y**(j-1) column of the quotient by a*x + b*y + c."""
+    den = math.lcm(*(v.denominator for _, v in terms))
+    cols: list[list] = [[] for _ in range(max((j for (_, j), _ in terms), default=-1) + 1)]
+    for (i, j), v in terms:
+        cols[j].append((i, v.numerator * (den // v.denominator)))
+    c, a = [-v for v in c], [-v for v in a] if any(a) else []
+    steps: list[list[list[int]]] = []
+    rows: list[list[int]] = []
+    b_power = [1]
+    for col in reversed(cols):
+        # rows times the line -(a*x + c) (a row longer only for a nonzero a),
+        # plus the column times b**(n - j)
+        rows = [_int_sum(_int_product(row, c), _int_product(below, a)) for below, row in zip([[]] + rows, rows + [[]] * bool(a))]
+        for i, num in col:
+            rows += [[]] * (i + 1 - len(rows))
+            rows[i] = _int_sum(rows[i], [num * v for v in b_power])
+        steps.append(rows)
+        b_power = _int_product(b_power, b)
+    return steps[::-1] or [[]]
+
+
+def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
+    """Q = g * quotient + rho(x) for g = a*x + b*y + c, b != 0, with
+    rho = Q(x, -(a*x + c)/b), by one ``_line_image`` pass on Q and g
+    cleared to integers.  (quotient, rho) when rho = 0, the quotient
+    certified by g * quotient == Q (InternalMismatch on failure, an
+    arithmetic bug); (None, rho) when Q is not in the ideal of g."""
+    g_den, g_nums = g._cleared()
+    a, b, c = (g_nums.get(e, 0) for e in ((1, 0), (0, 1), (0, 0)))
+    den, nums = q._cleared()
+    steps = _line_image(list(nums.items()), [c], [a], [b])
+    # step j is den * b**(n - j) * H_j on the cleared line g * g_den, and
+    # the quotient by g has y**(j - 1) column g_den * H_j / b
+    scale = den * b ** (len(steps) - 1)
+    rho = Poly1([Fraction(row[0], scale) if row else 0 for row in steps[0]])
     if rho:
         return None, rho
-    quotient = Poly2(
-        ((i, j), c / b) for j, col in enumerate(quotient_cols) for i, c in enumerate(col.coeffs)
+    quotient = Poly2._from_cleared(
+        {(i, j - 1): row[0] * g_den * b ** (j - 1) for j, rows in enumerate(steps[1:], 1) for i, row in enumerate(rows) if row},
+        scale,
     )
+    if g * quotient != q:
+        raise InternalMismatch("verified multiplication of the quotient failed")
     return quotient, rho
 
 
 def certified_quotient(q: Poly2, g: Poly2) -> Optional[Poly2]:
-    """Exact quotient of Q by the linear relation g, or None when Q is not
-    in its ideal.  The quotient is certified by g * quotient == Q; a
-    failure indicates an arithmetic bug and raises InternalMismatch."""
-    quotient, _ = divide_by_linear(q, g)
-    if quotient is not None and g * quotient != q:
-        raise InternalMismatch("verified multiplication of the quotient failed")
-    return quotient
+    """Exact quotient of Q by the linear relation g, certified by
+    g * quotient == Q, or None when Q is not in its ideal."""
+    return divide_by_linear(q, g)[0]
+
+
+def tube_division(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Poly1]:
+    """``divide_by_tube_factor`` and ``substitute_tube`` from one division:
+    the certified quotient (None for a non-member) and the image
+    Q(eps*x/r, eps*(x*r + 1)/(2*r)), the remainder rho rescaled by
+    x -> eps*x/r."""
+    r = _frac(r)
+    quotient, rho = divide_by_linear(q, tube_generator(r, eps))
+    scale = eps / r
+    return quotient, Poly1([c * scale**k for k, c in enumerate(rho.coeffs)])
 
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
-    """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)).
-
-    This is the remainder rho of the division by the tube generator,
-    rescaled by x -> eps*x/r.
-    """
-    r = _frac(r)
-    _, rho = divide_by_linear(q, tube_generator(r, eps))
-    scale = eps / r
-    return Poly1([c * scale**k for k, c in enumerate(rho.coeffs)])
+    """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r))."""
+    return tube_division(q, r, eps)[1]
 
 
 def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:

@@ -35,16 +35,16 @@ rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
 n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
 G_r iff R(x, r) vanishes identically in x, and holds on the right
-cylinder of radius r iff R(0, r) = 0.  One integer Horner scheme in y,
-``_line_image``, expands R as one integer list in r per power of x and
-serves all three: on Q's x**0 terms and the axis x = 0 it gives the
-radius poly R(0, r); on all of Q, the star poly, the gcd of R's rows
-(each without its factor r**m: r = 0 is never a radius); at a rational
-r, on the integers of G_r, membership: every row is zero.
+cylinder of radius r iff R(0, r) = 0.  The one integer Horner division
+in y, ``polyalg._line_image``, expands R as one integer list in r per
+power of x and serves all three: on Q's x**0 terms and the axis x = 0 it
+gives the radius poly R(0, r); on all of Q, the star poly, the gcd of
+R's rows (each without its factor r**m: r = 0 is never a radius); at a
+rational r, on the integers of G_r, membership: every row is zero.
 ``decide_radii`` decides each candidate radius once: a rational one by
-the certified division by G_r (polyalg), which also yields the quotient,
-an irrational one by the star poly and a Sturm count on its isolating
-interval.  Lanes whose families are equal values (E3, H3 and L3 with
+the same division at that r (``polyalg.certified_quotient``), which also
+yields the certified quotient, an irrational one by the star poly and a
+Sturm count on its isolating interval.  Lanes whose families are equal values (E3, H3 and L3 with
 eps = +1 share one row) get one decision: ``classify.solve_SQ`` decides
 each distinct row once per call, keyed by the family value with all its
 fields.
@@ -58,7 +58,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Union
 
 from .errors import ZeroPolynomial
-from .polyalg import Poly1, Poly2, certified_quotient, check_epsilon
+from .polyalg import Poly1, Poly2, _line_image, certified_quotient, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -122,25 +122,6 @@ def _primitive(p: Poly1) -> Poly1:
         return p
     nums = _integer_coeffs(p)
     return Poly1(nums if nums[-1] > 0 else [-n for n in nums])
-
-
-def _int_product(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists (empty for zero)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for k, v in enumerate(b):
-                out[i + k] += u * v
-    return out
-
-
-def _int_sum(a: list[int], b: list[int]) -> list[int]:
-    """Sum of two integer coefficient lists; may return an argument."""
-    if len(a) < len(b):
-        a, b = b, a
-    return [u + v for u, v in zip(a, b)] + a[len(b) :] if b else a
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -460,30 +441,6 @@ def axis_restriction(q: Poly2) -> Poly1:
     return Poly1(coeffs)
 
 
-def _line_image(terms: list, c: list[int], a: list[int], b: list[int]) -> list[list[int]]:
-    """b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)) times the common denominator
-    of the given terms of Q, n their top power of y, as one integer list
-    in r per power of x: Horner in y over the cleared numerators, each
-    step homogenised by a power of b.  a, b, c are integer lists in r,
-    constants for the line at one rational r; a zero a is the axis x = 0."""
-    den = math.lcm(*(v.denominator for _, v in terms))
-    cols: list[list] = [[] for _ in range(max((j for (_, j), _ in terms), default=-1) + 1)]
-    for (i, j), v in terms:
-        cols[j].append((i, v.numerator * (den // v.denominator)))
-    c, a = [-v for v in c], [-v for v in a] if any(a) else []
-    rows: list[list[int]] = []
-    b_power = [1]
-    for col in reversed(cols):
-        # rows times the line -(a*x + c) (a row longer only for a nonzero a),
-        # plus the column times b**(n - j)
-        rows = [_int_sum(_int_product(row, c), _int_product(below, a)) for below, row in zip([[]] + rows, rows + [[]] * bool(a))]
-        for i, num in col:
-            rows += [[]] * (i + 1 - len(rows))
-            rows[i] = _int_sum(rows[i], [num * v for v in b_power])
-        b_power = _int_product(b_power, b)
-    return rows
-
-
 def _without_r_power(row: list[int]) -> list[int]:
     """row / r**m, m the largest such power, without trailing zeros."""
     nonzero = [k for k, v in enumerate(row) if v]
@@ -510,14 +467,14 @@ class GeneratorFamily(NamedTuple):
         the cylinder radii; zero when Q vanishes on the whole axis.  The
         Horner of R(x, r) on Q's x**0 terms alone, on the line x = 0."""
         c, _, b = self._line()
-        rows = _line_image([term for term in q.terms() if not term[0][0]], c, [], b)
+        rows = _line_image([term for term in q.terms() if not term[0][0]], c, [], b)[0]
         return Poly1(_without_r_power(rows[0]) if rows else [])
 
     def star_poly(self, q: Poly2) -> Poly1:
         """The primitive gcd of the x-coefficients of R(x, r), each without
         its factor r**m: its positive roots are the radii at which Q lies in
         the ideal of G_r."""
-        rows = _line_image(list(q.terms()), *self._line())
+        rows = _line_image(list(q.terms()), *self._line())[0]
         return _primitive(Poly1(reduce(_int_gcd, map(_without_r_power, rows), [])))
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
@@ -541,7 +498,7 @@ class GeneratorFamily(NamedTuple):
         if isinstance(radius, AlgebraicRadius):
             return vanishes_at(self.star_poly(q), radius)
         a, b, c, _ = self._at(radius)
-        return not any(map(any, _line_image(list(q.terms()), [c], [a], [b])))
+        return not any(map(any, _line_image(list(q.terms()), [c], [a], [b])[0]))
 
 
 # the table of families; Poly1 coefficients run from the constant term up

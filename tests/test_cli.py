@@ -819,13 +819,14 @@ class TestExitCodes:
     def test_failed_certificate_is_three(self, capsys, monkeypatch, argv):
         # a division that returns a wrong quotient must be caught by the
         # multiplication certificate, in both generator families
-        divide = polyalg.divide_by_linear
+        line_image = polyalg._line_image
 
-        def off_by_one(q, g):
-            quotient, rho = divide(q, g)
-            return (None if quotient is None else quotient + Poly2.constant(1)), rho
+        def off_by_one(terms, c, a, b):
+            # one more x-power in the quotient's y**0 column, the image kept
+            steps = line_image(terms, c, a, b)
+            return steps[:1] + [steps[1] + [[1]]] + steps[2:]
 
-        monkeypatch.setattr(polyalg, "divide_by_linear", off_by_one)
+        monkeypatch.setattr(polyalg, "_line_image", off_by_one)
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -5,9 +5,11 @@ invocation's (exit code, stdout, stderr) followed by its argv as JSON.
 The corpus mixes random relations, planted rational stars, planted
 quadratic-irrational stars and relations x*P that vanish on the whole
 axis, each asked as ``classify``, ``radius --star`` and
-``classify --principal``.  Regenerate the file with
-``PYTHONPATH=src python tests/test_corpus.py`` and only when an output
-change is intended.
+``classify --principal``.  ``golden/pinned/divide_corpus.txt`` pins
+``divide`` the same way: planted members and non-members under both
+signals, negative and large-denominator radii, and the zero polynomial.
+Regenerate both files with ``PYTHONPATH=src python tests/test_corpus.py``
+and only when an output change is intended.
 """
 
 import contextlib
@@ -27,8 +29,11 @@ from weingarten_tubes.cli import main  # noqa: E402
 from weingarten_tubes.polyalg import Poly2  # noqa: E402
 
 CORPUS = Path(__file__).parent / "golden" / "pinned" / "corpus.txt"
+DIVIDE_CORPUS = CORPUS.with_name("divide_corpus.txt")
 SEED = 1010
+DIVIDE_SEED = 1515
 ROUNDS = 100
+DIVIDE_KINDS = ("member", "non-member", "random", "member-plus-x")
 KINDS = ("random", "rational-star", "irrational-star", "axis")
 
 X = Poly2.variable("x")
@@ -107,6 +112,36 @@ def corpus_argvs() -> list[list[str]]:
     return argvs
 
 
+def _divide_radius(rng: random.Random, n: int) -> Fraction:
+    """Small positive, negative and large-denominator radii in turn."""
+    if n % 3 == 0:
+        return random_positive_rational(rng, 6, 9)
+    if n % 3 == 1:
+        return -random_positive_rational(rng, 6, 9)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**20), rng.randint(10**19, 10**20))
+
+
+def divide_argvs() -> list[list[str]]:
+    rng = random.Random(DIVIDE_SEED)
+    argvs = []
+    for n in range(ROUNDS):
+        r, eps = _divide_radius(rng, n), rng.choice([-1, 1])
+        kind = DIVIDE_KINDS[n % len(DIVIDE_KINDS)]
+        gen = X * r * r - Y * (2 * r) + Poly2.constant(eps)
+        if n % 20 == 0:
+            q = Poly2.zero()
+        elif kind == "random":
+            q = random_poly2(rng, 4, 5)
+        else:
+            q = gen * _cofactor(rng)
+            if kind == "non-member":
+                q = q + Poly2.constant(random_rational(rng, 1, 9))
+            elif kind == "member-plus-x":
+                q = q + X * random_poly2(rng, 1, 2)
+        argvs.append(["divide", _text(q), "--r", str(r), "--eps", rng.choice(["1", "+1"]) if eps == 1 else "-1"])
+    return argvs
+
+
 def run_digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -114,8 +149,8 @@ def run_digest(argv: list[str]) -> str:
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 
-def read_corpus() -> list[tuple[str, list[str]]]:
-    lines = CORPUS.read_text().splitlines()
+def read_corpus(path: Path = CORPUS) -> list[tuple[str, list[str]]]:
+    lines = path.read_text().splitlines()
     return [(digest, json.loads(argv)) for digest, argv in (line.split(" ", 1) for line in lines)]
 
 
@@ -128,5 +163,15 @@ def test_outputs_are_byte_identical():
     assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
 
 
+def test_divide_corpus_is_the_seeded_one():
+    assert [argv for _, argv in read_corpus(DIVIDE_CORPUS)] == divide_argvs()
+
+
+def test_divide_outputs_are_byte_identical():
+    changed = [json.dumps(argv) for digest, argv in read_corpus(DIVIDE_CORPUS) if run_digest(argv) != digest]
+    assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
+
+
 if __name__ == "__main__":
-    CORPUS.write_text("".join(f"{run_digest(argv)} {json.dumps(argv)}\n" for argv in corpus_argvs()))
+    for path, argvs in ((CORPUS, corpus_argvs()), (DIVIDE_CORPUS, divide_argvs())):
+        path.write_text("".join(f"{run_digest(argv)} {json.dumps(argv)}\n" for argv in argvs))

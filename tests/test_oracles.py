@@ -20,6 +20,8 @@ from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
+    _line_image,
+    divide_by_linear,
     divide_by_tube_factor,
     epsilon_transform,
     gamma_cleared,
@@ -33,7 +35,6 @@ from weingarten_tubes.radius import (
     LORENTZIAN_POS,
     PRINCIPAL,
     _count_roots_halfopen,
-    _line_image,
     _sturm_chain,
     decide_radii,
     isolate_positive_roots,
@@ -99,6 +100,65 @@ def test_divide_quotient_iff_brute_image_zero(shape, a, b, r, eps):
     assert (quotient is not None) == (brute_substitute(q, r, eps) == [])
     if quotient is not None:
         assert evaluates_equal(q, gen, quotient)
+
+
+# coefficients of a general line g = a*x + b*y + c, some with 20-digit denominators
+line_coefficients = st.one_of(
+    coefficients,
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(10**19, 10**20)),
+)
+
+
+def line_restriction(q: Poly2, a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
+    """Coefficients of Q(x, -(a*x + c)/b) in x: each term's power of the
+    line expanded by repeated multiplication of coefficient lists."""
+    line = [-c / b, -a / b]
+    out: list[Fraction] = []
+    for (i, j), coeff in q.terms():
+        power = [Fraction(1)]
+        for _ in range(j):
+            power = [
+                sum((power[k] * line[m - k] for k in range(len(power)) if 0 <= m - k < 2), Fraction(0))
+                for m in range(len(power) + 1)
+            ]
+        out += [Fraction(0)] * (i + len(power) - len(out))
+        for k, v in enumerate(power):
+            out[i + k] += coeff * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@PROPERTY
+@example(a=Poly2.constant(1), gx=Fraction(0), gy=Fraction(-3, 7), gc=Fraction(2), shift=Fraction(1))
+@example(
+    a=X * Y + Poly2.constant(1),
+    gx=Fraction(3, 10**20 - 1),
+    gy=Fraction(-(10**20) + 7, 10**19 + 3),
+    gc=Fraction(5, 10**19 + 9),
+    shift=Fraction(-2, 9),
+)
+@given(
+    a=cofactors,
+    gx=st.one_of(st.just(Fraction(0)), line_coefficients),
+    gy=line_coefficients.filter(bool),
+    gc=line_coefficients,
+    shift=coefficients.filter(bool),
+)
+def test_division_by_a_general_line(a, gx, gy, gc, shift):
+    """The one division by g = a*x + b*y + c, b != 0: a planted g*A returns
+    exactly A, a shift by a nonzero constant returns None, and the remainder
+    is Q on the line g = 0."""
+    g = Poly2([((1, 0), gx), ((0, 1), gy), ((0, 0), gc)])
+    q = Poly2(brute_product(g, a))
+    quotient, rho = divide_by_linear(q, g)
+    assert quotient == a
+    assert list(rho.coeffs) == line_restriction(q, gx, gy, gc) == []
+    shifted = q + Poly2.constant(shift)
+    quotient, rho = divide_by_linear(shifted, g)
+    assert quotient is None
+    assert list(rho.coeffs) == line_restriction(shifted, gx, gy, gc) == [shift]
+    assert list(divide_by_linear(a, g)[1].coeffs) == line_restriction(a, gx, gy, gc)
 
 
 @PROPERTY
@@ -196,7 +256,7 @@ def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
 def restriction_rows(family, q: Poly2) -> list[list[int]]:
     """The family's R(x, r) times Q's common denominator, by the library's
     one Horner routine: one integer list in r per power of x."""
-    return _line_image(list(q.terms()), *family._line())
+    return _line_image(list(q.terms()), *family._line())[0]
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:

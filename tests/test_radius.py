@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly2
+from conftest import brute_substitute, random_poly2
 from weingarten_tubes import radius
 from weingarten_tubes.errors import ZeroPolynomial
 from weingarten_tubes.polyalg import Poly1, Poly2, is_in_tube_ideal, tube_generator
@@ -238,6 +238,7 @@ class TestStarRadiusSet:
                 if value is None:
                     continue
                 assert is_in_tube_ideal(q, value, tag.eps) == star
+                assert (brute_substitute(q, value, tag.eps) == []) == star
 
 
 class TestPrincipalRadiusSet:
