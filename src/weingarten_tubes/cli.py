@@ -63,9 +63,11 @@ SCHEMA_VERSION = "1"
 MAX_GRID_POINTS = 2**18
 
 # Budget for the parsed polynomial: no exponent and no product may exceed
-# this total degree.  Dense inputs cost about d**2.5 (2-vCPU x86 host,
-# Python 3.11): `classify "(x + 2*y + 1)^k"` takes 0.02 s at k = 30, the
-# largest degree of any shipped input, 0.4 s at k = 100 and 1.1 s at k = 150.
+# this total degree.  Dense inputs cost about d**3 (2-vCPU x86 host,
+# Python 3.11, in-process, the budget raised for k = 150): `classify
+# "(x + 2*y + 1)^k"` takes 0.015 s at k = 30, the largest degree of any
+# shipped input, 0.4 s at k = 100 and 1.4 s at k = 150, nearly all of it
+# the expansion of the power.
 # Unchecked, `y^99999999` never finishes parsing.
 MAX_DEGREE = 100
 
@@ -157,22 +159,21 @@ class _Parser:
             raise PolySyntaxError(f"expected {op!r}", at)
 
     def parse_expr(self) -> Poly2:
-        negate = False
+        # the signed summands are added once, into one integer dict, so the
+        # cost is linear in their number
+        sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            negate = True
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
+            sign = -1
+        summands = [(sign, self.parse_term())]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.parse_term()
-                acc = acc + rhs if value == "+" else acc - rhs
+                summands.append((1 if value == "+" else -1, self.parse_term()))
             else:
-                return acc
+                return Poly2._sum(summands)
 
     def parse_term(self) -> Poly2:
         acc = self.parse_factor()

@@ -1,25 +1,31 @@
 """Exact polynomial arithmetic and the tube-ideal machinery.
 
-All coefficients are `fractions.Fraction`, so every decision made here
-(equality, ideal membership, quotient extraction) is exact.  Products
-and powers of ``Poly2`` run on Python ints: each operand is cleared to
-integer numerators over the lcm of its denominators, the numerators are
-convolved, and one Fraction is made per output term.  Two types:
+Every decision made here (equality, ideal membership, quotient
+extraction) is exact and runs on Python ints.  Two types:
 
-* ``Poly2`` -- sparse bivariate polynomial in (x, y): map from exponent
-  pairs (i, j) to nonzero rational coefficients.
-* ``Poly1`` -- dense univariate polynomial: coefficient tuple indexed by
-  exponent, trailing coefficient nonzero.
+* ``Poly2`` -- sparse bivariate polynomial in (x, y), stored cleared:
+  one positive integer denominator and nonzero integer numerators keyed
+  by exponent pairs (i, j), with no factor common to all of them, in
+  canonical term order.  Equality and hashing compare integers; sums,
+  products, powers and negation work on the numerators and build no
+  Fraction.  ``terms`` and ``coeff`` hand out Fractions.
+* ``Poly1`` -- dense univariate polynomial: Fraction coefficient tuple
+  indexed by exponent, trailing coefficient nonzero.
 
 On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
 g = 0.  ``radius`` only consumes it.
 
-* ``_line_image`` -- Horner in y on integers, the line's coefficients
-  integer lists in r: each step is a quotient column, the last the image
-  of Q on the line.  Over a whole family it gives the radius and star
-  polys of ``radius.GeneratorFamily``; at one rational radius, the
-  division below.
+* ``_line_image`` -- one Horner loop in y on Q's integer numerators and
+  integers a, b, c: each step is a quotient column, the last the image
+  of Q on the line.  At one rational radius it is the division below.
+* ``_family_image`` -- the same loop over a whole family, a, b, c
+  integer lists in r: each list is packed at r = 2**k (Kronecker
+  substitution) and each image row unpacked by balanced base-2**k
+  digits.  Every coefficient in r of a row is at most
+  T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum of |numerators| and n
+  the top power of y, and k is one past that bound's bit length.  It
+  gives the radius and star polys of ``radius.GeneratorFamily``.
 * ``divide_by_linear`` -- Q = g * quotient + rho(x), rho = Q(x, L(x)) on
   the line y = L(x) where g vanishes.  Q lies in the ideal of g iff
   rho = 0, and then the quotient is certified once by g * quotient == Q.
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial, ZeroRadius
 
@@ -52,6 +58,15 @@ def _frac(value: RatLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _num_den(value: RatLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int):
+        return int(value), 1
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -265,29 +280,30 @@ def _convolve(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
 class Poly2:
     """Sparse bivariate polynomial in (x, y) with exact rational coefficients.
 
-    Canonical form: no zero coefficients are stored; iteration and
-    printing follow graded lexicographic order with x before y, highest
-    degree first, so equal polynomials print identically.
+    Stored cleared: one positive integer denominator and a map from
+    exponent pairs to nonzero integer numerators, with no factor common to
+    the denominator and all numerators, in graded lexicographic order with
+    x before y, highest degree first.  Equal polynomials have equal fields
+    and print identically; ``terms`` and ``coeff`` hand out Fractions.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
+        parts = []
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = _frac(c)
-            if c == 0:
-                continue
-            key = (int(i), int(j))
-            c = acc.get(key, Fraction(0)) + c
-            if c == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        self._terms = {k: acc[k] for k in sorted(acc, key=_term_order_key)}
+            num, den = _num_den(c)
+            if num:
+                parts.append(((int(i), int(j)), num, den))
+        den = math.lcm(*(d for _, _, d in parts))
+        nums: dict[tuple[int, int], int] = {}
+        for e, num, d in parts:
+            nums[e] = nums.get(e, 0) + num * (den // d)
+        canonical = Poly2._from_cleared(nums, den)
+        self._den, self._nums = canonical._den, canonical._nums
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -307,125 +323,135 @@ class Poly2:
 
     @property
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
+        """Total degree, that of the first term; -1 for the zero polynomial."""
+        return sum(next(iter(self._nums), (-1, 0)))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._nums.get((i, j), 0), self._den)
 
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Iterate ((i, j), coefficient) in canonical order."""
-        return iter(self._terms.items())
+        den = self._den
+        return ((e, Fraction(v, den)) for e, v in self._nums.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __neg__(self) -> "Poly2":
-        return Poly2._canonical({e: -c for e, c in self._terms.items()})
+        return Poly2._make({e: -v for e, v in self._nums.items()}, self._den)
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly2._canonical(out)
+        return Poly2._sum(((1, self), (1, other)))
 
     def __sub__(self, other: "Poly2") -> "Poly2":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) - c
-        return Poly2._canonical(out)
+        return Poly2._sum(((1, self), (-1, other)))
 
     @classmethod
-    def _canonical(cls, terms: Mapping[tuple[int, int], Fraction]) -> "Poly2":
-        """Canonical form built directly: zero coefficients dropped, one sort."""
+    def _sum(cls, parts: Sequence[tuple[int, "Poly2"]]) -> "Poly2":
+        """sum(sign * p for sign, p in parts) on numerators over the lcm of
+        the denominators, into one dict, canonicalised once."""
+        den = math.lcm(*(p._den for _, p in parts))
+        nums: dict[tuple[int, int], int] = {}
+        get = nums.get
+        for sign, p in parts:
+            scale = sign * (den // p._den)
+            for e, v in p._nums.items():
+                nums[e] = get(e, 0) + v * scale
+        return cls._from_cleared(nums, den)
+
+    @classmethod
+    def _make(cls, nums: dict[tuple[int, int], int], den: int) -> "Poly2":
+        """A Poly2 on fields already in canonical form."""
         p = cls.__new__(cls)
-        p._terms = {e: terms[e] for e in sorted(terms, key=_term_order_key) if terms[e]}
+        p._den, p._nums = den, nums
         return p
 
     def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(den, numerators): every coefficient is numerator / den, with
-        den the lcm of the coefficient denominators."""
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        return den, {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}
+        """(den, numerators), every coefficient numerator / den: the stored
+        fields themselves, not to be mutated."""
+        return self._den, self._nums
 
     @classmethod
     def _from_cleared(cls, nums: Mapping[tuple[int, int], int], den: int) -> "Poly2":
-        """The polynomial sum nums[e] / den * x**i * y**j, built in
-        canonical form directly: zero numerators dropped, one sort."""
-        p = cls.__new__(cls)
-        p._terms = {e: Fraction(nums[e], den) for e in sorted(nums, key=_term_order_key) if nums[e]}
-        return p
+        """The polynomial sum nums[e] / den * x**i * y**j, den != 0, in
+        canonical form: zero numerators dropped, the content common to den
+        and the numerators divided out with the sign that makes den
+        positive, one sort."""
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        return cls._make({e: nums[e] // g for e in sorted(nums, key=_term_order_key) if nums[e]}, den // g)
 
     def __mul__(self, other: Union["Poly2", RatLike]) -> "Poly2":
-        """Product on cleared integer numerators: one integer convolution,
-        then one Fraction per output term."""
+        """Product on numerators: one integer convolution over the product
+        of the denominators."""
         if not isinstance(other, Poly2):
             other = Poly2.constant(other)
-        den1, nums1 = self._cleared()
-        den2, nums2 = other._cleared()
-        return Poly2._from_cleared(_convolve(nums1, nums2), den1 * den2)
+        return Poly2._from_cleared(_convolve(self._nums, other._nums), self._den * other._den)
 
     def __pow__(self, k: int) -> "Poly2":
-        """self**k (1 for k = 0) by k integer convolutions with the cleared
-        base, converted back to rationals once."""
+        """self**k (1 for k = 0) by k integer convolutions with the
+        numerators, over den**k."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        den, nums = self._cleared()
         acc = {(0, 0): 1}
         for _ in range(k):
-            acc = _convolve(acc, nums)
-        return Poly2._from_cleared(acc, den**k)
+            acc = _convolve(acc, self._nums)
+        return Poly2._from_cleared(acc, self._den**k)
 
     def __rmul__(self, other: RatLike) -> "Poly2":
         return self * other
 
     def eval(self, x: RatLike, y: RatLike) -> Fraction:
         x, y = _frac(x), _frac(y)
-        return sum((c * x**i * y**j for (i, j), c in self._terms.items()), Fraction(0))
+        return sum((v * x**i * y**j for (i, j), v in self._nums.items()), Fraction(0)) / self._den
 
     def eval_float(self, x: float, y: float) -> float:
         """Q(x, y) in floats, the terms added left to right in canonical
-        order (not by ``sum``, which compensates from Python 3.12 on)."""
+        order (not by ``sum``, which compensates from Python 3.12 on); each
+        coefficient is numerator / den, correctly rounded."""
         acc = 0.0
-        for (i, j), c in self._terms.items():
-            acc += float(c) * x**i * y**j
+        den = self._den
+        for (i, j), v in self._nums.items():
+            acc += v / den * x**i * y**j
         return acc
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
+        den = self._den
         parts = []
-        for (i, j), c in self._terms.items():
+        for (i, j), v in self._nums.items():
             factors = []
             if i:
                 factors.append("x" if i == 1 else f"x^{i}")
             if j:
                 factors.append("y" if j == 1 else f"y^{j}")
             mono = "*".join(factors)
+            g = math.gcd(v, den)
+            value = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = value
+            elif value == "1":
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{value}*{mono}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if v > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -435,11 +461,12 @@ class Poly2:
 def tube_generator(r: RatLike, eps: int = 1) -> Poly2:
     """The linear relation x*r**2 - 2*r*y + eps satisfied by every
     regular tube of radius r (signal eps)."""
-    r = _frac(r)
-    if r == 0:
+    p, q = _num_den(r)
+    if p == 0:
         raise ZeroRadius("generator requires a nonzero radius")
     check_epsilon(eps)
-    return Poly2([((1, 0), r * r), ((0, 1), -2 * r), ((0, 0), eps)])
+    # (p**2*x - 2*p*q*y + eps*q**2) / q**2, canonical as built: gcd(p, q) = 1
+    return Poly2._make({(1, 0): p * p, (0, 1): -2 * p * q, (0, 0): eps * q * q}, q * q)
 
 
 def epsilon_transform(q: Poly2, eps: int) -> Poly2:
@@ -449,7 +476,8 @@ def epsilon_transform(q: Poly2, eps: int) -> Poly2:
     check_epsilon(eps)
     if eps == 1:
         return q
-    return Poly2([((i, j), c if (i + j) % 2 == 0 else -c) for (i, j), c in q.terms()])
+    den, nums = q._cleared()
+    return Poly2._make({(i, j): v if (i + j) % 2 == 0 else -v for (i, j), v in nums.items()}, den)
 
 
 def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
@@ -494,52 +522,55 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     return out
 
 
-def _int_product(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists (empty for zero)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for k, v in enumerate(b):
-                out[i + k] += u * v
-    return out
-
-
-def _int_sum(a: list[int], b: list[int]) -> list[int]:
-    """Sum of two integer coefficient lists; may return an argument."""
-    if len(a) < len(b):
-        a, b = b, a
-    return [u + v for u, v in zip(a, b)] + a[len(b) :] if b else a
-
-
-def _line_image(terms: list, c: list[int], a: list[int], b: list[int]) -> list[list[list[int]]]:
-    """Horner division in y of the given terms of Q by the line
-    a(r)*x + b(r)*y + c(r) = 0, L = -(a*x + c)/b:
-    Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  a, b, c are integer lists
-    in r, constants at one rational r; a zero a is the axis x = 0.  Step j
-    of the result is den * b**(n-j) * H_j (den the terms' common
-    denominator, n their top power of y), one integer list in r per power
-    of x: step 0 is the image of Q on the line, and H_j / b (j >= 1) the
-    y**(j-1) column of the quotient by a*x + b*y + c."""
-    den = math.lcm(*(v.denominator for _, v in terms))
-    cols: list[list] = [[] for _ in range(max((j for (_, j), _ in terms), default=-1) + 1)]
-    for (i, j), v in terms:
-        cols[j].append((i, v.numerator * (den // v.denominator)))
-    c, a = [-v for v in c], [-v for v in a] if any(a) else []
-    steps: list[list[list[int]]] = []
-    rows: list[list[int]] = []
-    b_power = [1]
+def _line_image(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> list[list[int]]:
+    """Horner division in y of Q, given by its integer numerators, by the
+    line a*x + b*y + c = 0, L = -(a*x + c)/b:
+    Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  Step j of the result is
+    b**(n-j) * H_j (n the top power of y), one integer per power of x:
+    step 0 is the image b**n * Q(x, L), and H_j / b (j >= 1) the
+    y**(j-1) column of the quotient by a*x + b*y + c.  A zero a is the
+    axis x = 0.  A family line runs through here packed (``_family_image``)."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(max((j for _, j in nums), default=-1) + 1)]
+    for (i, j), v in nums.items():
+        cols[j].append((i, v))
+    c, a = -c, -a
+    steps: list[list[int]] = []
+    rows: list[int] = []
+    b_power = 1
     for col in reversed(cols):
-        # rows times the line -(a*x + c) (a row longer only for a nonzero a),
+        # rows times the line -(a*x + c), one row longer for a nonzero a,
         # plus the column times b**(n - j)
-        rows = [_int_sum(_int_product(row, c), _int_product(below, a)) for below, row in zip([[]] + rows, rows + [[]] * bool(a))]
-        for i, num in col:
-            rows += [[]] * (i + 1 - len(rows))
-            rows[i] = _int_sum(rows[i], [num * v for v in b_power])
+        rows = [u * c + w * a for u, w in zip(rows + [0], [0] + rows)] if a else [u * c for u in rows]
+        for i, v in col:
+            rows += [0] * (i + 1 - len(rows))
+            rows[i] += v * b_power
         steps.append(rows)
-        b_power = _int_product(b_power, b)
+        b_power *= b
     return steps[::-1] or [[]]
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """The integer list p, entries in [-2**(k-1), 2**(k-1)) and no trailing
+    zero, with p(2**k) = v: the balanced base-2**k digits of v."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    digits = []
+    while v:
+        d = ((v + half) & mask) - half
+        digits.append(d)
+        v = (v - d) >> k
+    return digits
+
+
+def _family_image(nums: Mapping[tuple[int, int], int], c: list[int], a: list[int], b: list[int]) -> list[list[int]]:
+    """Step 0 of ``_line_image`` on a family line whose coefficients are
+    integer lists in r: one integer list in r per power of x, packed at
+    r = 2**k and unpacked with k past the bound of the module docstring."""
+    n = max((j for _, j in nums), default=0)
+    norm = [sum(map(abs, p)) for p in (c, a, b)]
+    bound = sum(map(abs, nums.values())) * max(norm[0] + norm[1], norm[2], 1) ** n
+    k = bound.bit_length() + 1
+    packed = [sum(v << (k * e) for e, v in enumerate(p)) for p in (c, a, b)]
+    return [_unpack(v, k) for v in _line_image(nums, *packed)[0]]
 
 
 def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
@@ -547,24 +578,26 @@ def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
     rho = Q(x, -(a*x + c)/b), by one ``_line_image`` pass on Q and g
     cleared to integers.  (quotient, rho) when rho = 0, the quotient
     certified by g * quotient == Q (InternalMismatch on failure, an
-    arithmetic bug); (None, rho) when Q is not in the ideal of g."""
+    arithmetic bug); (None, rho) when Q is not in the ideal of g.
+    ValueError when g is not of that form."""
     g_den, g_nums = g._cleared()
+    if not g_nums.get((0, 1)) or not g_nums.keys() <= {(1, 0), (0, 1), (0, 0)}:
+        raise ValueError(f"expected a*x + b*y + c with b != 0, got {g}")
     a, b, c = (g_nums.get(e, 0) for e in ((1, 0), (0, 1), (0, 0)))
     den, nums = q._cleared()
-    steps = _line_image(list(nums.items()), [c], [a], [b])
-    # step j is den * b**(n - j) * H_j on the cleared line g * g_den, and
-    # the quotient by g has y**(j - 1) column g_den * H_j / b
+    steps = _line_image(nums, c, a, b)
+    # step j is b**(n - j) * H_j for den * Q on the cleared line g * g_den,
+    # and the quotient by g has y**(j - 1) column g_den * H_j / (den * b)
     scale = den * b ** (len(steps) - 1)
-    rho = Poly1([Fraction(row[0], scale) if row else 0 for row in steps[0]])
-    if rho:
-        return None, rho
+    if any(steps[0]):
+        return None, Poly1([Fraction(v, scale) for v in steps[0]])
     quotient = Poly2._from_cleared(
-        {(i, j - 1): row[0] * g_den * b ** (j - 1) for j, rows in enumerate(steps[1:], 1) for i, row in enumerate(rows) if row},
+        {(i, j - 1): v * g_den * b ** (j - 1) for j, rows in enumerate(steps[1:], 1) for i, v in enumerate(rows) if v},
         scale,
     )
     if g * quotient != q:
         raise InternalMismatch("verified multiplication of the quotient failed")
-    return quotient, rho
+    return quotient, Poly1()
 
 
 def certified_quotient(q: Poly2, g: Poly2) -> Optional[Poly2]:

@@ -36,11 +36,13 @@ Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
 n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
 G_r iff R(x, r) vanishes identically in x, and holds on the right
 cylinder of radius r iff R(0, r) = 0.  The one integer Horner division
-in y, ``polyalg._line_image``, expands R as one integer list in r per
-power of x and serves all three: on Q's x**0 terms and the axis x = 0 it
-gives the radius poly R(0, r); on all of Q, the star poly, the gcd of
-R's rows (each without its factor r**m: r = 0 is never a radius); at a
-rational r, on the integers of G_r, membership: every row is zero.
+in y, ``polyalg._line_image``, serves all three.  Over the family, with
+a, b and c packed at r = 2**k (``polyalg._family_image``), it expands R
+as one integer list in r per power of x: on Q's x**0 terms and the axis
+x = 0 the radius poly R(0, r); on all of Q, the star poly, the gcd of
+R's rows (each without its factor r**m: r = 0 is never a radius).  At a
+rational r, on the integers of G_r, it decides membership: every row is
+zero.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division at that r (``polyalg.certified_quotient``), which also
 yields the certified quotient, an irrational one by the star poly and a
@@ -58,7 +60,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Union
 
 from .errors import ZeroPolynomial
-from .polyalg import Poly1, Poly2, _line_image, certified_quotient, check_epsilon
+from .polyalg import Poly1, Poly2, _family_image, _line_image, certified_quotient, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -458,37 +460,43 @@ class GeneratorFamily(NamedTuple):
     c: Poly1
     d: Poly1
 
+    def _lists(self) -> tuple[list[int], ...]:
+        """The integer lists in r of a, b, c and d: the table's, built once,
+        for a family of the table."""
+        return _TABLE_LISTS.get(id(self)) or _integer_lists(self)
+
     def _line(self) -> tuple[list[int], list[int], list[int]]:
         """The integer lists in r of c, a and b."""
-        return tuple([v.numerator for v in f.coeffs] for f in (self.c, self.a, self.b))
+        a, b, c, _ = self._lists()
+        return c, a, b
 
     def radius_poly(self, q: Poly2) -> Poly1:
         """R(0, r) / r**m up to a constant factor: its positive roots are
         the cylinder radii; zero when Q vanishes on the whole axis.  The
-        Horner of R(x, r) on Q's x**0 terms alone, on the line x = 0."""
+        image of Q's x**0 terms alone on the line x = 0."""
         c, _, b = self._line()
-        rows = _line_image([term for term in q.terms() if not term[0][0]], c, [], b)[0]
+        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, c, [], b)
         return Poly1(_without_r_power(rows[0]) if rows else [])
 
     def star_poly(self, q: Poly2) -> Poly1:
         """The primitive gcd of the x-coefficients of R(x, r), each without
         its factor r**m: its positive roots are the radii at which Q lies in
         the ideal of G_r."""
-        rows = _line_image(list(q.terms()), *self._line())[0]
+        rows = _family_image(q._cleared()[1], *self._line())
         return _primitive(Poly1(reduce(_int_gcd, map(_without_r_power, rows), [])))
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
         """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
         their top degree: G_r / d(r) up to the common factor."""
         p, q = r.numerator, r.denominator
-        polys = (self.a, self.b, self.c, self.d)
-        m = max(g.degree for g in polys)
-        return tuple(sum(f.numerator * p**k * q ** (m - k) for k, f in enumerate(g.coeffs)) for g in polys)
+        lists = self._lists()
+        m = max(map(len, lists)) - 1
+        return tuple(sum(f * p**k * q ** (m - k) for k, f in enumerate(g)) for g in lists)
 
     def generator(self, r: Fraction) -> Poly2:
         """G_r / d(r) at a rational r."""
         a, b, c, d = self._at(r)
-        return Poly2._canonical({(1, 0): Fraction(a, d), (0, 1): Fraction(b, d), (0, 0): Fraction(c, d)})
+        return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
     def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
         """Q lies in the ideal of G_r.  At a rational r, R(x, r) itself:
@@ -498,7 +506,11 @@ class GeneratorFamily(NamedTuple):
         if isinstance(radius, AlgebraicRadius):
             return vanishes_at(self.star_poly(q), radius)
         a, b, c, _ = self._at(radius)
-        return not any(map(any, _line_image(list(q.terms()), [c], [a], [b])[0]))
+        return not any(_line_image(q._cleared()[1], c, a, b)[0])
+
+
+def _integer_lists(family: GeneratorFamily) -> tuple[list[int], ...]:
+    return tuple([v.numerator for v in f.coeffs] for f in family)
 
 
 # the table of families; Poly1 coefficients run from the constant term up
@@ -507,6 +519,9 @@ _TUBE_FAMILIES = {
     for tag in (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)
 }
 PRINCIPAL = GeneratorFamily(Poly1([]), Poly1([0, 1]), Poly1([-1]), Poly1([0, 1]))
+# each table family's integer lists, keyed by identity: the table's
+# families live as long as the module, so no other object takes their ids
+_TABLE_LISTS = {id(f): _integer_lists(f) for f in (*_TUBE_FAMILIES.values(), PRINCIPAL)}
 
 
 def tube_family(tag: SpaceTag) -> GeneratorFamily:

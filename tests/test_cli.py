@@ -69,6 +69,19 @@ class TestParser:
         source = "3*x^2*y - 7/2*y + 1"
         assert str(parse_poly(source)) == source
 
+    def test_dense_summands(self):
+        # all x^i*y^j with i + j <= 70, random p/q coefficients: 2,556
+        # summands of distinct denominators, added once
+        rng = random.Random(3)
+        terms = {}
+        for d in range(71):
+            for i in range(d + 1):
+                terms[(i, d - i)] = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        text = "0 " + " ".join(
+            f"{'-' if c < 0 else '+'} {abs(c.numerator)}/{c.denominator}*x^{i}*y^{j}" for (i, j), c in terms.items()
+        )
+        assert parse_poly(text) == Poly2(terms)
+
     def test_syntax_error_position(self):
         with pytest.raises(PolySyntaxError) as err:
             parse_poly("x + @")
@@ -821,10 +834,10 @@ class TestExitCodes:
         # multiplication certificate, in both generator families
         line_image = polyalg._line_image
 
-        def off_by_one(terms, c, a, b):
+        def off_by_one(nums, c, a, b):
             # one more x-power in the quotient's y**0 column, the image kept
-            steps = line_image(terms, c, a, b)
-            return steps[:1] + [steps[1] + [[1]]] + steps[2:]
+            steps = line_image(nums, c, a, b)
+            return steps[:1] + [steps[1] + [1]] + steps[2:]
 
         monkeypatch.setattr(polyalg, "_line_image", off_by_one)
         code, out, err = run_cli(capsys, *argv)

@@ -20,7 +20,7 @@ from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
-    _line_image,
+    _family_image,
     divide_by_linear,
     divide_by_tube_factor,
     epsilon_transform,
@@ -256,7 +256,7 @@ def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
 def restriction_rows(family, q: Poly2) -> list[list[int]]:
     """The family's R(x, r) times Q's common denominator, by the library's
     one Horner routine: one integer list in r per power of x."""
-    return _line_image(list(q.terms()), *family._line())[0]
+    return _family_image(q._cleared()[1], *family._line())
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:

@@ -6,14 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_substitute, random_poly2, random_rational
+from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.errors import ZeroPolynomial, ZeroRadius
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
+    _family_image,
+    _unpack,
     binom,
     binomial_alternating_sum,
+    divide_by_linear,
     divide_by_tube_factor,
     epsilon_transform,
     gamma_at,
@@ -55,6 +60,30 @@ class TestRingOperations:
     def test_canonical_order(self):
         p = Poly2([((0, 2), 1), ((1, 1), 1), ((2, 0), 1), ((0, 0), 3)])
         assert [e for e, _ in p.terms()] == [(2, 0), (1, 1), (0, 2), (0, 0)]
+
+    def test_canonical_cleared_form(self):
+        half, third = Poly2.constant(Fraction(1, 2)), Poly2.constant(Fraction(1, 3))
+        routes = [
+            # a sum that cancels, a negation, a product by a constant, a power 0
+            (
+                (half * X + third * Y) + (-(third * Y)),
+                Poly2({(1, 0): Fraction(3, 6)}),
+                (X + X) * Fraction(1, 4),
+            ),
+            (-(Y * Fraction(4, 6) - X), Poly2([((1, 0), 1), ((0, 1), Fraction(-2, 3))]), X - 2 * third * Y),
+            ((X * 6 - Y * 4) * Fraction(1, 8), Poly2({(1, 0): Fraction(3, 4), (0, 1): Fraction(-1, 2)})),
+            ((X * Fraction(7, 3) + Y) ** 0, Poly2.constant(1), Y - Y + Poly2.constant(Fraction(5, 5))),
+            (X - X, Poly2.zero(), (half * Y) * 0),
+        ]
+        for built in routes:
+            for p in built:
+                den, nums = p._cleared()
+                assert den > 0 and math.gcd(den, *nums.values()) == 1
+                assert all(type(v) is int and v for v in nums.values())
+                assert p == built[0] and hash(p) == hash(built[0])
+                assert all(type(c) is Fraction for _, c in p.terms())
+                assert type(p.coeff(1, 0)) is Fraction and type(p.coeff(5, 5)) is Fraction
+                assert parse_poly(str(p)) == p
 
     def test_eval_float_adds_left_to_right(self):
         # the terms of -1e16*y^2 + y + 1e16 at y = 1 are -1e16, 1, 1e16 in
@@ -211,6 +240,21 @@ class TestIdealMembership:
     def test_divide_non_member_returns_none(self, exq_poly):
         assert divide_by_tube_factor(exq_poly, 1) is None
 
+    @pytest.mark.parametrize(
+        "q, g",
+        [
+            # b = 0: x^2 - 1 is a multiple of x - 1, but the division is in y
+            (X * X - Poly2.constant(1), X - Poly2.constant(1)),
+            # non-linear terms of g
+            (X * Y - Poly2.constant(1), X * Y - Poly2.constant(1)),
+            (Y * Y - X, Y * Y - X),
+        ],
+        ids=["b-zero", "xy-term", "y-squared"],
+    )
+    def test_divide_by_linear_rejects_other_relations(self, q, g):
+        with pytest.raises(ValueError, match="expected a\\*x \\+ b\\*y \\+ c with b != 0"):
+            divide_by_linear(q, g)
+
     def test_membership_roundtrip_randomized(self):
         # r ranges over nonzero rationals of both signs
         rng = random.Random(505)
@@ -233,6 +277,73 @@ class TestIdealMembership:
             c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))
             q = tube_generator(r, eps) * quotient + Poly2.constant(c)
             assert not is_in_tube_ideal(q, r, eps)
+
+
+def line_image_oracle(q: Poly2, c: Fraction, a: Fraction, b: Fraction) -> list[Fraction]:
+    """x-coefficients of den * b**n * Q(x, -(a*x + c)/b), n = deg_y Q and
+    den the common denominator of Q, by Fraction expansion."""
+    den = math.lcm(*(v.denominator for _, v in q.terms()))
+    n = max((j for (_, j), _ in q.terms()), default=0)
+    line = Poly1([-c / b, -a / b])
+    out = Poly1()
+    for (i, j), v in q.terms():
+        power = Poly1([1])
+        for _ in range(j):
+            power = power * line
+        out = out + power * Poly1([0] * i + [v * den * b**n])
+    return list(out.coeffs)
+
+
+def eval_list(p: list[int], v: Fraction) -> Fraction:
+    return sum((c * v**k for k, c in enumerate(p)), Fraction(0))
+
+
+def eval_rows(rows: list[list[int]], v: Fraction) -> list[Fraction]:
+    return list(Poly1([eval_list(row, v) for row in rows]).coeffs)
+
+
+big = st.integers(-(2**80), 2**80)
+r_lists = st.lists(big, max_size=4)
+nonzero_r_lists = st.lists(big, min_size=1, max_size=4).filter(lambda p: p[-1] != 0)
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    max_size=6,
+).map(Poly2)
+
+
+class TestPackedHorner:
+    """``_family_image`` packs the line at r = 2**k and unpacks the rows;
+    at every rational r it must agree with a Fraction expansion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=small_polys, c=r_lists, a=r_lists, b=nonzero_r_lists)
+    @example(q=Poly2({(1, 2): 3, (0, 1): Fraction(-1, 2), (0, 0): 7}), c=[5, 0, -(2**80)], a=[], b=[1, -(2**80)])
+    @example(q=Poly2({(2, 3): Fraction(2, 9), (1, 0): 1}), c=[-1], a=[0, 0, 2**80], b=[0, 0, 0, -3])
+    # the cross term 2*a*c of (a*x + c)**2 needs |a|_1 + |c|_1 in the bound, not the larger
+    @example(q=Poly2({(0, 2): 1}), c=[2**80], a=[2**80], b=[1])
+    def test_rows_are_the_image_at_every_rational_r(self, q, c, a, b):
+        rows = _family_image(q._cleared()[1], c, a, b)
+        checked = 0
+        for v in (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-7, 5), Fraction(11, 2), Fraction(0)):
+            b_v = eval_list(b, v)
+            if b_v:
+                expected = line_image_oracle(q, eval_list(c, v), eval_list(a, v), b_v)
+                assert eval_rows(rows, v) == expected
+                checked += 1
+        assert checked >= 3
+
+    def test_coefficient_at_the_digit_edge(self):
+        # Q = y on the axis with c = -+(2**80 - 1): the bound T * M**n is
+        # 2**80 - 1, so k = 81 and the one row coefficient is -+(2**(k-1) - 1)
+        edge = 2**80 - 1
+        for sign in (1, -1):
+            assert _family_image({(0, 1): 1}, [-sign * edge], [], [1]) == [[sign * edge]]
+            assert _family_image({(0, 1): 1}, [0, 0, -sign * edge], [], [3]) == [[0, 0, sign * edge]]
+        # balanced digits at both ends of [-2**(k-1), 2**(k-1)), next to zeros
+        k = 81
+        for digits in ([-(2**80), 2**80 - 1], [2**80 - 1, 0, -(2**80)], [0, -(2**80), -(2**80)], [-1, 2**80 - 1]):
+            assert _unpack(sum(d << (k * e) for e, d in enumerate(digits)), k) == digits
 
 
 class TestEpsilonTransform:
