@@ -8,7 +8,11 @@ axis, each asked as ``classify``, ``radius --star`` and
 ``classify --principal``.  ``golden/pinned/divide_corpus.txt`` pins
 ``divide`` the same way: planted members and non-members under both
 signals, negative and large-denominator radii, and the zero polynomial.
-Regenerate both files with ``PYTHONPATH=src python tests/test_corpus.py``
+``golden/pinned/verify_csv_corpus.txt`` pins the bytes of ``verify
+--csv`` across block boundaries: the sha256 of the CSV of each argv of
+``verify_tubes.json`` at 64x64 (four blocks of 16 rows at the default
+1024 points per block) and at 45x37 (blocks of 27 rows, then 18).
+Regenerate the files with ``PYTHONPATH=src python tests/test_corpus.py``
 and only when an output change is intended.
 """
 
@@ -19,6 +23,7 @@ import json
 import math
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +35,9 @@ from weingarten_tubes.polyalg import Poly2  # noqa: E402
 
 CORPUS = Path(__file__).parent / "golden" / "pinned" / "corpus.txt"
 DIVIDE_CORPUS = CORPUS.with_name("divide_corpus.txt")
+VERIFY_CSV_CORPUS = CORPUS.with_name("verify_csv_corpus.txt")
+VERIFY_TUBES = CORPUS.with_name("verify_tubes.json")
+MULTI_BLOCK_GRIDS = ("64x64", "45x37")
 SEED = 1010
 DIVIDE_SEED = 1515
 ROUNDS = 100
@@ -142,6 +150,25 @@ def divide_argvs() -> list[list[str]]:
     return argvs
 
 
+def verify_csv_argvs() -> list[list[str]]:
+    argvs = []
+    for grid in MULTI_BLOCK_GRIDS:
+        for case in json.loads(VERIFY_TUBES.read_text()):
+            argv = list(case["argv"])
+            argv[argv.index("--grid") + 1] = grid
+            argvs.append(argv)
+    return argvs
+
+
+def csv_digest(argv: list[str], directory: Path) -> str:
+    """The sha256 of the CSV that ``argv --csv`` writes into ``directory``."""
+    path = directory / "samples.csv"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, "--csv", str(path)])
+    assert code == 0, err.getvalue()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -172,6 +199,19 @@ def test_divide_outputs_are_byte_identical():
     assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
 
 
+def test_verify_csv_corpus_is_the_pinned_tubes():
+    assert [argv for _, argv in read_corpus(VERIFY_CSV_CORPUS)] == verify_csv_argvs()
+
+
+def test_multi_block_csvs_are_byte_identical(monkeypatch, tmp_path):
+    monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+    changed = [json.dumps(argv) for digest, argv in read_corpus(VERIFY_CSV_CORPUS) if csv_digest(argv, tmp_path) != digest]
+    assert not changed, f"{len(changed)} CSVs changed:\n" + "\n".join(changed)
+
+
 if __name__ == "__main__":
     for path, argvs in ((CORPUS, corpus_argvs()), (DIVIDE_CORPUS, divide_argvs())):
         path.write_text("".join(f"{run_digest(argv)} {json.dumps(argv)}\n" for argv in argvs))
+    with tempfile.TemporaryDirectory() as directory:
+        lines = [f"{csv_digest(argv, Path(directory))} {json.dumps(argv)}\n" for argv in verify_csv_argvs()]
+    VERIFY_CSV_CORPUS.write_text("".join(lines))
