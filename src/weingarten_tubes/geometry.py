@@ -301,23 +301,12 @@ class TubeSpec(_TubeSpec):
         d = float(self.delta) if self.curve.space == "lorentzian" else 1.0
         kind = self._pair_kind()
         if kind == "cos-sin":
-            return (
-                d * math.cos(t), math.sin(t),
-                -d * math.sin(t), math.cos(t),
-                -d * math.cos(t), -math.sin(t),
-            )
+            c, s = math.cos(t), math.sin(t)
+            return d * c, s, -d * s, c, -d * c, -s
+        ch, sh = math.cosh(t), math.sinh(t)
         if kind == "cosh-sinh":
-            return (
-                d * math.cosh(t), math.sinh(t),
-                d * math.sinh(t), math.cosh(t),
-                d * math.cosh(t), math.sinh(t),
-            )
-        # sinh-cosh
-        return (
-            math.sinh(t), d * math.cosh(t),
-            math.cosh(t), d * math.sinh(t),
-            math.sinh(t), d * math.cosh(t),
-        )
+            return d * ch, sh, d * sh, ch, d * ch, sh
+        return sh, d * ch, ch, d * sh, sh, d * ch  # sinh-cosh
 
 
 def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
@@ -343,8 +332,9 @@ class CurvatureSample(NamedTuple):
 
 # Points per block of the grid pass, bounded for memory: the kernel's
 # arrays peak at about 0.3 KB per point.  On a 512x512 H^3 grid (2-vCPU x86
-# host) one whole-grid block raised peak RSS from 30 to 112 MB, while
-# blocks of 4096 or 16384 points ran at most a fifth faster than 1024.
+# host) one whole-grid block raised peak RSS from 30 to 112 MB.  A 512x512
+# torus with --csv took 0.92 s in blocks of 4096 points and 0.96 s in blocks
+# of 1024, at peaks of 34.4 and 31.8 MB.
 BLOCK_POINTS = 1024
 
 
@@ -532,16 +522,26 @@ class VerificationResult(NamedTuple):
 
 
 CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
-_CSV_LINE = "\n" + ",".join(["%.17g"] * 8)
+_CSV_LINE = "\n" + ",".join(["%s"] * 8)
 
 
 def _csv_block(s, t, regular, *columns) -> str:
-    """CSV lines of a block, each led by a newline, from one %-format:
-    the s and t values broadcast against the (rows, n_t) columns K, H,
-    K_cf, H_cf, xi and residual; irregular points carry nan curvature
-    columns."""
+    """CSV lines of a block, each led by a newline: s and t against the
+    (rows, n_t) columns K, H, K_cf, H_cf, xi and residual, nan curvatures
+    at irregular points.  A 17-digit print costs about 0.5 us and most
+    values repeat (on constant-curvature curves K_cf, H_cf and xi vary with
+    t alone), so one %-format prints s, t and each distinct bit pattern of
+    the six columns once (0.0 and -0.0 print 0 and -0); a second places them."""
+    s, t = (np.array(v, dtype=float).ravel() for v in (s, t))
     curvatures = [np.where(regular, v, np.nan) for v in columns[:4]]
-    table = np.stack(np.broadcast_arrays(s, t, *curvatures, *columns[4:]), axis=-1)
+    values = np.stack((*curvatures, *columns[4:]), axis=-1, dtype=float)
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    distinct = [*bits.view(float).tolist(), *s.tolist(), *t.tolist()]
+    digits = np.array(("%.17g," * len(distinct) % tuple(distinct)).split(",")[:-1], dtype=object)
+    table = np.empty((s.size, t.size, 8), dtype=object)
+    table[..., 0] = digits[bits.size : bits.size + s.size, None]
+    table[..., 1] = digits[bits.size + s.size :]
+    table[..., 2:] = digits[inverse].reshape(values.shape)
     return _CSV_LINE * (table.size // 8) % tuple(table.ravel().tolist())
 
 
@@ -575,7 +575,7 @@ def _verification(
         regular_points += int(regular.sum())
         total += regular.size
         if write_csv is not None:
-            write_csv(_csv_block(np.array(s_rows, dtype=float)[:, None], t_grid, regular, K, H, K_cf, H_cf, xi, residual))
+            write_csv(_csv_block(s_rows, t_grid, regular, K, H, K_cf, H_cf, xi, residual))
     if checked and not regular_points:
         raise NoRegularPoints("every grid point is irregular")
     return VerificationResult(best, *arg, regular_points, total)

@@ -2,10 +2,12 @@
 curvature samples and finite-difference cross-checks."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.errors import (
@@ -31,6 +33,34 @@ FRENET_CURVES = [
     geo.l3_timelike_helix(1.0, 2.0),
     geo.h3_circle(2.0),
 ]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# a small pool, so values repeat across rows and columns: both zeros, NaNs
+# with other payloads and the sign bit, infinities, subnormals and
+# neighbours one ulp apart
+CSV_POOL = [
+    0.0, -0.0, math.nan, _from_bits(0x7FF8000000000001), _from_bits(0xFFF8000000000000),
+    _from_bits(0x7FF0000000000001), math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), -1.0, 0.1, 1 / 3,
+]
+csv_values = st.sampled_from(CSV_POOL)
+
+
+@st.composite
+def csv_blocks(draw):
+    """(s, t, regular, six columns) of a block of 1-4 rows and 1-5 columns;
+    s may be a scalar when the block has one row, and t when it has one
+    column."""
+    rows, n_t = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    s = draw(csv_values) if rows == 1 and draw(st.booleans()) else draw(st.lists(csv_values, min_size=rows, max_size=rows))
+    t = draw(csv_values) if n_t == 1 and draw(st.booleans()) else draw(st.lists(csv_values, min_size=n_t, max_size=n_t))
+    regular = draw(st.lists(st.lists(st.booleans(), min_size=n_t, max_size=n_t), min_size=rows, max_size=rows))
+    grid = st.lists(st.lists(csv_values, min_size=n_t, max_size=n_t), min_size=rows, max_size=rows)
+    return s, t, regular, [draw(grid) for _ in range(6)]
 
 
 def sample_params(curve, n):
@@ -464,3 +494,20 @@ class TestCsv:
                 point = [columns[c][i, j] if regular[i, j] or c >= 4 else math.nan for c in range(6)]
                 want += "\n" + ",".join(f"{v:.17g}" for v in (s_col[i, 0], t_row[j], *point))
         assert geo._csv_block(s_col, t_row, regular, *columns) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=csv_blocks())
+    @example(block=([1.0], [0.0, 1.0], [[True, True]], [[[0.0, -0.0]]] * 6))
+    def test_deduplicated_block_matches_per_value_format(self, block):
+        # each distinct bit pattern is printed once per block: the same
+        # bytes as printing every value on its own, for -0.0 beside 0.0 and
+        # NaN payloads beside each other
+        s, t, regular, columns = block
+        s_list, t_list = np.atleast_1d(s).tolist(), np.atleast_1d(t).tolist()
+        want = ""
+        for i, s_value in enumerate(s_list):
+            for j, t_value in enumerate(t_list):
+                point = [column[i][j] if regular[i][j] or c >= 4 else math.nan for c, column in enumerate(columns)]
+                want += "\n" + ",".join(f"{v:.17g}" for v in (s_value, t_value, *point))
+        arrays = [np.array(column, dtype=float) for column in columns]
+        assert geo._csv_block(s, t, np.array(regular), *arrays) == want
