@@ -30,7 +30,6 @@ from .radius import (
     RadiusEntry,
     RadiusSet,
     SpaceTag,
-    axis_restriction,
     isolate_positive_roots,
     principal_radius_set,
     radius_set,
@@ -69,7 +68,6 @@ __all__ = [
     "RadiusEntry",
     "RadiusSet",
     "SpaceTag",
-    "axis_restriction",
     "isolate_positive_roots",
     "principal_radius_set",
     "radius_set",
@@ -86,4 +84,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

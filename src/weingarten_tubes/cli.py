@@ -55,11 +55,12 @@ from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
 
-# Budget for --grid.  A point costs about 1.5 us of block-vectorised work
-# (2-vCPU x86 host, Python 3.11), and with --csv about 7 us more to format
-# its line of about 160 bytes, written to the file block by block: 2**18
-# points (512x512) take about 0.5 s, or 1.8 s with --csv, and about 30 MB
-# either way.  Uncapped, a grid like 100000x100000 would run for hours.
+# Budget for --grid.  A point costs about 0.5-0.8 us of block-vectorised
+# work (2-vCPU x86 host, Python 3.11, in-process), and with --csv about
+# 2.5-4 us more to format its line of about 150 bytes, written to the file
+# block by block: 2**18 points (512x512 e3-torus) take 0.13-0.3 s, or
+# 0.8-1.3 s with --csv, and peak at 30.3 MB, or 31.8 MB with --csv.
+# Uncapped, a grid like 100000x100000 would run for hours.
 MAX_GRID_POINTS = 2**18
 
 # Budget for the parsed polynomial: no exponent and no product may exceed

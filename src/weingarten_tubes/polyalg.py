@@ -10,7 +10,10 @@ extraction) is exact and runs on Python ints.  Two types:
   products, powers and negation work on the numerators and build no
   Fraction.  ``terms`` and ``coeff`` hand out Fractions.
 * ``Poly1`` -- dense univariate polynomial: Fraction coefficient tuple
-  indexed by exponent, trailing coefficient nonzero.
+  indexed by exponent, trailing coefficient nonzero.  It is the public
+  boundary type of the univariate results (substitution images, the
+  paper's gamma polynomials, radius and star polys, defining polynomials
+  of radii); the algebra behind them runs on integer lists.
 
 On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
@@ -20,16 +23,17 @@ g = 0.  ``radius`` only consumes it.
   integers a, b, c: each step is a quotient column, the last the image
   of Q on the line.  At one rational radius it is the division below.
 * ``_family_image`` -- the same loop over a whole family, a, b, c
-  integer lists in r: each list is packed at r = 2**k (Kronecker
-  substitution) and each image row unpacked by balanced base-2**k
-  digits.  Every coefficient in r of a row is at most
-  T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum of |numerators| and n
-  the top power of y, and k is one past that bound's bit length.  It
-  gives the radius and star polys of ``radius.GeneratorFamily``.
+  integer coefficient tuples in r, constant term first, as in the
+  family table of ``radius`` (the K-H row a, b, c = (0, 0, 1), (0, -2),
+  (eps,)): each is packed at r = 2**k (Kronecker substitution) and each
+  image row unpacked by balanced base-2**k digits.  Every coefficient in
+  r of a row is at most T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum
+  of |numerators| and n the top power of y, and k is one past that
+  bound's bit length.  It gives the radius and star polys of
+  ``radius.GeneratorFamily``.
 * ``divide_by_linear`` -- Q = g * quotient + rho(x), rho = Q(x, L(x)) on
   the line y = L(x) where g vanishes.  Q lies in the ideal of g iff
   rho = 0, and then the quotient is certified once by g * quotient == Q.
-* ``certified_quotient`` -- that quotient alone.
 * ``tube_division`` / ``substitute_tube`` / ``is_in_tube_ideal`` /
   ``divide_by_tube_factor`` -- the division by the tube generator
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
@@ -207,29 +211,6 @@ class Poly1:
         for c in reversed(self._coeffs):
             acc = acc * v + float(c)
         return acc
-
-    def derivative(self) -> "Poly1":
-        return Poly1([k * c for k, c in enumerate(self._coeffs)][1:])
-
-    def divmod(self, other: "Poly1") -> tuple["Poly1", "Poly1"]:
-        """Exact quotient and remainder over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        d = other.degree
-        lead = other._coeffs[-1]
-        if len(rem) - 1 < d:
-            return Poly1(), Poly1(rem)
-        quo = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lead
-            quo[k - d] = q
-            for m in range(d + 1):
-                rem[k - d + m] -= q * other._coeffs[m]
-        return Poly1(quo), Poly1(rem)
 
     def to_string(self, var: str = "x") -> str:
         if self.is_zero:
@@ -561,7 +542,9 @@ def _unpack(v: int, k: int) -> list[int]:
     return digits
 
 
-def _family_image(nums: Mapping[tuple[int, int], int], c: list[int], a: list[int], b: list[int]) -> list[list[int]]:
+def _family_image(
+    nums: Mapping[tuple[int, int], int], c: Sequence[int], a: Sequence[int], b: Sequence[int]
+) -> list[list[int]]:
     """Step 0 of ``_line_image`` on a family line whose coefficients are
     integer lists in r: one integer list in r per power of x, packed at
     r = 2**k and unpacked with k past the bound of the module docstring."""
@@ -600,12 +583,6 @@ def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
     return quotient, Poly1()
 
 
-def certified_quotient(q: Poly2, g: Poly2) -> Optional[Poly2]:
-    """Exact quotient of Q by the linear relation g, certified by
-    g * quotient == Q, or None when Q is not in its ideal."""
-    return divide_by_linear(q, g)[0]
-
-
 def tube_division(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Poly1]:
     """``divide_by_tube_factor`` and ``substitute_tube`` from one division:
     the certified quotient (None for a non-member) and the image
@@ -631,4 +608,4 @@ def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:
     """Exact quotient R with Q = (x*r**2 - 2*r*y + eps) * R, or None when
     Q is not in the ideal; verified by multiplication before returning."""
-    return certified_quotient(q, tube_generator(r, eps))
+    return divide_by_linear(q, tube_generator(r, eps))[0]

@@ -17,20 +17,27 @@ over integer Sturm-chain members), so no divisor of a coefficient is
 ever enumerated.  Intervals refine on demand but no decision ever
 depends on interval width.
 
-The gcd, the square-free part with its exact quotient, the deflation by
-rational roots and the Sturm chain run on integer coefficient lists: a
-primitive pseudo-remainder sequence, where each pseudo-remainder is
-scaled by a power of |lc| and divided by its positive content.  Every chain
-member is then a positive multiple of the Euclidean one over the
-rationals, with the same signs everywhere.
+Inside this module a univariate polynomial is a primitive integer
+coefficient list, constant term first.  ``Poly1`` is the public boundary
+type: the argument of ``isolate_positive_roots`` and ``vanishes_at`` is
+cleared to such a list once, and ``AlgebraicRadius.defining_poly`` and
+the radius and star polys of a family are built from one.  The gcd, the
+square-free part with its exact quotient, the deflation by rational
+roots and the Sturm chain run a primitive pseudo-remainder sequence,
+where each pseudo-remainder is scaled by a power of |lc| and divided by
+its positive content.  Every chain member is then a positive multiple of
+the Euclidean one over the rationals, with the same signs everywhere.
 
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = a(r)*x + b(r)*y + c(r) that all regular tubes of radius r
-satisfy, printed divided by d(r).  The table of families (r is
-rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
+satisfy, printed divided by d(r), each field the integer coefficients of
+a polynomial in r from the constant term up.  The table of families (r
+is rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 
-    K-H lane of signal eps   (a, b, c, d) = (r**2, -2*r, eps, 1)
-    principal curvatures     (a, b, c, d) = (0, r, -1, r): y - 1/r
+    K-H lane of signal eps   (a, b, c, d) = ((0, 0, 1), (0, -2), (eps,), (1,))
+                             r**2*x - 2*r*y + eps
+    principal curvatures     (a, b, c, d) = ((), (0, 1), (-1,), (0, 1))
+                             (r*y - 1) / r = y - 1/r
 
 Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
 n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
@@ -44,12 +51,12 @@ R's rows (each without its factor r**m: r = 0 is never a radius).  At a
 rational r, on the integers of G_r, it decides membership: every row is
 zero.
 ``decide_radii`` decides each candidate radius once: a rational one by
-the same division at that r (``polyalg.certified_quotient``), which also
+the same division at that r (``polyalg.divide_by_linear``), which also
 yields the certified quotient, an irrational one by the star poly and a
-Sturm count on its isolating interval.  Lanes whose families are equal values (E3, H3 and L3 with
-eps = +1 share one row) get one decision: ``classify.solve_SQ`` decides
-each distinct row once per call, keyed by the family value with all its
-fields.
+Sturm count on its isolating interval.  Lanes whose families are equal
+values (E3, H3 and L3 with eps = +1 share one row) get one decision:
+``classify.solve_SQ`` decides each distinct row once per call, keyed by
+the family value with all its fields.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import ZeroPolynomial
-from .polyalg import Poly1, Poly2, _family_image, _line_image, certified_quotient, check_epsilon
+from .errors import InternalMismatch, ZeroPolynomial
+from .polyalg import Poly1, Poly2, _family_image, _line_image, check_epsilon, divide_by_linear
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -109,21 +116,18 @@ def _primitive_part(p: list[int]) -> list[int]:
     return [c // g for c in p] if g > 1 else p
 
 
-def _integer_coeffs(p: Poly1) -> list[int]:
-    """Integer coefficients of a positive multiple of p: the content is
-    divided out but the sign kept, so signs at every point are p's own
-    (_primitive may flip them)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive_part([int(c * den) for c in p.coeffs])
+def _normal(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    p = _primitive_part(p)
+    return [-c for c in p] if p and p[-1] < 0 else p
 
 
-def _primitive(p: Poly1) -> Poly1:
-    """Integer-coefficient scalar multiple with coprime coefficients and a
-    positive leading coefficient."""
-    if p.is_zero:
-        return p
-    nums = _integer_coeffs(p)
-    return Poly1(nums if nums[-1] > 0 else [-n for n in nums])
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
+    """Integer coefficients of a positive multiple of the polynomial with
+    these rational coefficients: the content is divided out but the sign
+    kept, so signs at every point are its own."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive_part([int(c * den) for c in coeffs])
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -150,45 +154,38 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return [-c for c in r] if lead < 0 and steps % 2 else r
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd over the rationals by the primitive pseudo-remainder sequence;
-    up to sign, content 1."""
+def _common_divisor(a: list[int], b: list[int]) -> list[int]:
+    """gcd over the rationals by the primitive pseudo-remainder sequence,
+    in normal form (empty when both are zero)."""
     a, b = _primitive_part(a), _primitive_part(b)
     while b:
         a, b = b, _primitive_part(_pseudo_remainder(a, b))
-    return a
+    return _normal(a)
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b for b dividing a, b primitive: by Gauss's lemma the quotient
-    has integer coefficients, so every step divides exactly."""
+    has integer coefficients, so every step divides exactly.  A step that
+    does not, or a nonzero remainder, is an arithmetic bug."""
     r = list(a)
     d = len(b) - 1
     lead = b[-1]
     quo = [0] * (len(r) - d)
     for k in range(len(r) - 1, d - 1, -1):
         q, m = divmod(r.pop(), lead)
-        assert m == 0
+        if m:
+            raise InternalMismatch("inexact step in an exact polynomial division")
         quo[k - d] = q
         for j in range(d):
             r[k - d + j] -= q * b[j]
-    assert not any(r)
+    if any(r):
+        raise InternalMismatch("nonzero remainder in an exact polynomial division")
     return quo
 
 
-def _gcd(*polys: Poly1) -> Poly1:
-    """Primitive gcd of the polynomials (zero when all are zero)."""
-    common: list[int] = []
-    for p in polys:
-        common = _int_gcd(common, _integer_coeffs(p))
-    return _primitive(Poly1(common))
-
-
-def _squarefree(p: Poly1) -> Poly1:
-    if p.degree < 1:
-        return _primitive(p)
-    a = _integer_coeffs(p)
-    return _primitive(Poly1(_exact_quotient(a, _int_gcd(a, _derivative(a)))))
+def _squarefree(p: list[int]) -> list[int]:
+    """The square-free part of the nonzero p, in normal form."""
+    return _normal(_exact_quotient(p, _common_divisor(p, _derivative(p))))
 
 
 def _sign_at(coeffs: list[int], v: Fraction) -> int:
@@ -202,12 +199,12 @@ def _sign_at(coeffs: list[int], v: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(s: Poly1) -> list[list[int]]:
-    """Sturm chain of the square-free s by the primitive pseudo-remainder
-    sequence: each member the integer coefficients, content 1, of a
-    positive multiple of the member over the rationals, so every sign
-    and variation count is the same."""
-    chain = [_integer_coeffs(s)]
+def _sturm_chain(s: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free primitive s by the primitive
+    pseudo-remainder sequence: each member the integer coefficients,
+    content 1, of a positive multiple of the member over the rationals,
+    so every sign and variation count is the same."""
+    chain = [s]
     deriv = _primitive_part(_derivative(chain[0]))
     if deriv:
         chain.append(deriv)
@@ -249,19 +246,18 @@ def _sturm_cells(
     return cells
 
 
-def _count_roots_halfopen(p: Poly1, lo: Fraction, hi: Fraction) -> int:
+def _count_roots_halfopen(p: list[int], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in (lo, hi]: V(lo) - V(hi) on the Sturm
     chain of its square-free part, which holds at endpoint roots too
     since V(c) = V(c+) at a root c."""
-    if p.is_zero:
+    if not p:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
     chain = _sturm_chain(_squarefree(p))
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _cauchy_bound(p: Poly1) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+def _cauchy_bound(p: list[int]) -> Fraction:
+    return 1 + Fraction(max(map(abs, p)), abs(p[-1]))
 
 
 def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction, bool]:
@@ -279,9 +275,9 @@ def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> t
     return lo, hi, sign_hi == 0
 
 
-def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
-    """All rational roots (any sign), ascending, of a square-free
-    primitive integer polynomial s with Sturm chain ``chain``.
+def _rational_roots(chain: list[list[int]]) -> list[Fraction]:
+    """All rational roots (any sign), ascending, of the square-free
+    primitive integer polynomial s at the head of the Sturm chain.
 
     A root p/q in lowest terms has q | a_n, so it lies on the grid
     Z/|a_n|.  Each real root is isolated by Sturm bisection of (-B, B],
@@ -292,7 +288,7 @@ def _rational_roots(s: Poly1, chain: list[list[int]]) -> list[Fraction]:
     """
     coeffs = chain[0]
     lead = abs(coeffs[-1])
-    bound = _cauchy_bound(s)
+    bound = _cauchy_bound(coeffs)
     roots = []
     for lo, hi in _sturm_cells(chain, -bound, bound, []):
         lo, hi, at_root = _narrow(coeffs, lo, hi, Fraction(1, lead))
@@ -333,7 +329,7 @@ class AlgebraicRadius(_AlgebraicRadius):
         if self.exact_value is not None:
             lo = max(lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
-        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly), lo, hi, width)
+        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly.coeffs), lo, hi, width)
         return AlgebraicRadius(self.defining_poly, lo, hi, hi if at_root else None)
 
     def approx(self, width: Fraction = DISPLAY_WIDTH) -> float:
@@ -358,8 +354,8 @@ def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
         return True
     if rad.exact_value is not None:
         return p.eval(rad.exact_value) == 0
-    common = _gcd(p, rad.defining_poly)
-    return common.degree >= 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
+    common = _common_divisor(_integer_coeffs(p.coeffs), _integer_coeffs(rad.defining_poly.coeffs))
+    return len(common) > 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
 
 
 class RadiusEntry(NamedTuple):
@@ -403,44 +399,34 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     root below rho, or 0."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    s = _squarefree(p)
-    if s.degree < 1:
+    s = _squarefree(_integer_coeffs(p.coeffs))
+    if len(s) < 2:
         return []
     chain = _sturm_chain(s)
-    rationals = _rational_roots(s, chain)
+    rationals = _rational_roots(chain)
     positive = [rho for rho in rationals if rho > 0]
-    deflated = chain[0]
+    deflated = s
     for rho in rationals:
         deflated = _exact_quotient(deflated, [-rho.numerator, rho.denominator])
     entries = []
     if len(deflated) > 1:
         # the cells of s over (0, B_d] away from the known rationals are
-        # the first dyadic cells that hold one irrational root and nothing else
-        deflated = _primitive(Poly1(deflated))
+        # the first dyadic cells that hold one irrational root and nothing
+        # else; deflated is primitive with a positive lead, as s and every
+        # factor q*r - p are (Gauss's lemma)
+        defining = Poly1(deflated)
         for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated), positive):
-            entries.append(AlgebraicRadius(deflated, lo, hi, None))
+            entries.append(AlgebraicRadius(defining, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
     for rho in positive:
         lo = max((v for v in ends if v < rho), default=Fraction(0))
-        entries.append(AlgebraicRadius(_primitive(Poly1([-rho, 1])), lo, rho, rho))
+        entries.append(AlgebraicRadius(Poly1([-rho.numerator, rho.denominator]), lo, rho, rho))
     entries.sort(key=lambda rad: rad.lo)
     return entries
 
 
 # ---------------------------------------------------------------------------
 # radius sets
-
-
-def axis_restriction(q: Poly2) -> Poly1:
-    """The univariate restriction q0(y) = Q(0, y)."""
-    terms = [(j, c) for (i, j), c in q.terms() if i == 0]
-    if not terms:
-        return Poly1()
-    size = max(j for j, _ in terms) + 1
-    coeffs = [Fraction(0)] * size
-    for j, c in terms:
-        coeffs[j] = c
-    return Poly1(coeffs)
 
 
 def _without_r_power(row: list[int]) -> list[int]:
@@ -451,47 +437,36 @@ def _without_r_power(row: list[int]) -> list[int]:
 
 class GeneratorFamily(NamedTuple):
     """The relation G_r = a(r)*x + b(r)*y + c(r), printed divided by d(r),
-    that every regular tube of radius r satisfies; a, b, c have integer
-    coefficients.  Every answer derives from R(x, r) (module docstring),
-    computed by ``_line_image``."""
+    that every regular tube of radius r satisfies; each field is the
+    integer coefficients of a polynomial in r, constant term first.  Every
+    answer derives from R(x, r) (module docstring), computed by
+    ``_line_image``."""
 
-    a: Poly1
-    b: Poly1
-    c: Poly1
-    d: Poly1
-
-    def _lists(self) -> tuple[list[int], ...]:
-        """The integer lists in r of a, b, c and d: the table's, built once,
-        for a family of the table."""
-        return _TABLE_LISTS.get(id(self)) or _integer_lists(self)
-
-    def _line(self) -> tuple[list[int], list[int], list[int]]:
-        """The integer lists in r of c, a and b."""
-        a, b, c, _ = self._lists()
-        return c, a, b
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+    d: tuple[int, ...]
 
     def radius_poly(self, q: Poly2) -> Poly1:
         """R(0, r) / r**m up to a constant factor: its positive roots are
         the cylinder radii; zero when Q vanishes on the whole axis.  The
         image of Q's x**0 terms alone on the line x = 0."""
-        c, _, b = self._line()
-        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, c, [], b)
+        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, self.c, (), self.b)
         return Poly1(_without_r_power(rows[0]) if rows else [])
 
     def star_poly(self, q: Poly2) -> Poly1:
         """The primitive gcd of the x-coefficients of R(x, r), each without
         its factor r**m: its positive roots are the radii at which Q lies in
         the ideal of G_r."""
-        rows = _family_image(q._cleared()[1], *self._line())
-        return _primitive(Poly1(reduce(_int_gcd, map(_without_r_power, rows), [])))
+        rows = _family_image(q._cleared()[1], self.c, self.a, self.b)
+        return Poly1(reduce(_common_divisor, map(_without_r_power, rows), []))
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
         """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
         their top degree: G_r / d(r) up to the common factor."""
         p, q = r.numerator, r.denominator
-        lists = self._lists()
-        m = max(map(len, lists)) - 1
-        return tuple(sum(f * p**k * q ** (m - k) for k, f in enumerate(g)) for g in lists)
+        m = max(map(len, self)) - 1
+        return tuple(sum(f * p**k * q ** (m - k) for k, f in enumerate(g)) for g in self)
 
     def generator(self, r: Fraction) -> Poly2:
         """G_r / d(r) at a rational r."""
@@ -509,19 +484,12 @@ class GeneratorFamily(NamedTuple):
         return not any(_line_image(q._cleared()[1], c, a, b)[0])
 
 
-def _integer_lists(family: GeneratorFamily) -> tuple[list[int], ...]:
-    return tuple([v.numerator for v in f.coeffs] for f in family)
-
-
-# the table of families; Poly1 coefficients run from the constant term up
+# the table of families
 _TUBE_FAMILIES = {
-    tag: GeneratorFamily(Poly1([0, 0, 1]), Poly1([0, -2]), Poly1([tag.eps]), Poly1([1]))
+    tag: GeneratorFamily((0, 0, 1), (0, -2), (tag.eps,), (1,))
     for tag in (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)
 }
-PRINCIPAL = GeneratorFamily(Poly1([]), Poly1([0, 1]), Poly1([-1]), Poly1([0, 1]))
-# each table family's integer lists, keyed by identity: the table's
-# families live as long as the module, so no other object takes their ids
-_TABLE_LISTS = {id(f): _integer_lists(f) for f in (*_TUBE_FAMILIES.values(), PRINCIPAL)}
+PRINCIPAL = GeneratorFamily((), (0, 1), (-1,), (0, 1))
 
 
 def tube_family(tag: SpaceTag) -> GeneratorFamily:
@@ -555,7 +523,7 @@ def decide_radii(
     for rad in radii:
         quotient = None
         if rad.exact_value is not None:
-            quotient = certified_quotient(q, family.generator(rad.exact_value))
+            quotient = divide_by_linear(q, family.generator(rad.exact_value))[0]
             star = quotient is not None
         else:
             if star_poly is None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weingarten_tubes.polyalg import Poly2
+from weingarten_tubes.polyalg import Poly1, Poly2
 
 
 @pytest.fixture
@@ -83,3 +83,12 @@ def brute_product(p: Poly2, q: Poly2) -> dict:
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, Fraction(0)) + a * b
     return {key: c for key, c in out.items() if c != 0}
+
+
+def axis_restriction(q: Poly2) -> Poly1:
+    """The univariate restriction q0(y) = Q(0, y), read off Q's terms."""
+    coeffs: dict = {}
+    for (i, j), c in q.terms():
+        if i == 0:
+            coeffs[j] = c
+    return Poly1([coeffs.get(j, 0) for j in range(max(coeffs, default=-1) + 1)])

@@ -22,7 +22,7 @@ from weingarten_tubes.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
-from weingarten_tubes import polyalg
+from weingarten_tubes import polyalg, radius
 from weingarten_tubes.polyalg import Poly2
 
 X = Poly2.variable("x")
@@ -844,6 +844,16 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "internal error: verified multiplication of the quotient failed\n"
+
+    def test_failed_deflation_is_three(self, capsys, monkeypatch):
+        # a rational root that is not one leaves a remainder when the
+        # isolation deflates by it, under python -O too
+        rational_roots = radius._rational_roots
+        monkeypatch.setattr(radius, "_rational_roots", lambda chain: rational_roots(chain) + [Fraction(7)])
+        code, out, err = run_cli(capsys, "radius", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "euclidean")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: nonzero remainder in an exact polynomial division\n"
 
 
 class TestDomainErrors:

@@ -256,7 +256,7 @@ def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
 def restriction_rows(family, q: Poly2) -> list[list[int]]:
     """The family's R(x, r) times Q's common denominator, by the library's
     one Horner routine: one integer list in r per power of x."""
-    return _family_image(q._cleared()[1], *family._line())
+    return _family_image(q._cleared()[1], family.c, family.a, family.b)
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:
@@ -314,8 +314,8 @@ def test_restriction_is_q_on_the_generator_line(shape, a, b, r, x0, r0, eps):
 def axis_image(family, q: Poly2, r: Fraction) -> Fraction:
     """b(r)**n * Q(0, -c(r)/b(r)), n = deg_y Q, evaluated term by term."""
     n = max(j for (_, j), _ in q.terms())
-    b = family.b.eval(r)
-    y0 = -family.c.eval(r) / b
+    b = Poly1(family.b).eval(r)
+    y0 = -Poly1(family.c).eval(r) / b
     return b**n * sum((c * y0**j for (i, j), c in q.terms() if i == 0), Fraction(0))
 
 
@@ -432,13 +432,28 @@ def test_isolation_finds_exactly_the_planted_rational_roots(roots, lead, b, c):
         assert 0 <= left.lo < left.hi <= right.lo < right.hi
 
 
-# Reference Sturm machinery over Fraction, on Poly1 arithmetic alone.
+# Reference Sturm machinery over Fraction, on Poly1 arithmetic and its own
+# derivative and long division.
+
+
+def reference_derivative(p: Poly1) -> Poly1:
+    return Poly1([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def reference_remainder(a: Poly1, b: Poly1) -> Poly1:
+    """a mod b by long division over Fraction, b nonzero."""
+    rem, d, lead = list(a.coeffs), b.degree, b.coeffs[-1]
+    for k in range(len(rem) - 1, d - 1, -1):
+        q = rem[k] / lead
+        for m in range(d + 1):
+            rem[k - d + m] -= q * b.coeffs[m]
+    return Poly1(rem)
 
 
 def reference_chain(p: Poly1) -> list[Poly1]:
-    chain = [p, p.derivative()]
+    chain = [p, reference_derivative(p)]
     while chain[-1].degree > 0:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+        chain.append(-reference_remainder(chain[-2], chain[-1]))
     return chain
 
 
@@ -520,7 +535,7 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     assume(m == 0 or math.isqrt(m) ** 2 != m)
     p = Poly1([lead]) * (Poly1([-m, 0, 1]) if m else Poly1([1]))
     for rho in roots:
-        p = p * Poly1([-rho, 1])
+        p = p * Poly1([-rho.numerator, rho.denominator])
     lo, hi = sorted(roots[i % len(roots)] for i in picks)
 
     def below(v: Fraction, sign: int) -> bool:
@@ -530,7 +545,7 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     brute = sum(lo < rho <= hi for rho in set(roots))
     if m:
         brute += sum(below(lo, sign) and not below(hi, sign) for sign in (1, -1))
-    assert _count_roots_halfopen(p, lo, hi) == brute
+    assert _count_roots_halfopen([int(c) for c in p.coeffs], lo, hi) == brute
 
 
 # Integer ring arithmetic against term-by-term Fraction products.
@@ -593,7 +608,7 @@ integer_polys = st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=9).f
 
 def reference_gcd_degree(p: Poly1, q: Poly1) -> int:
     while not q.is_zero:
-        p, q = q, p.divmod(q)[1]
+        p, q = q, reference_remainder(p, q)
     return p.degree
 
 
@@ -604,8 +619,9 @@ def reference_gcd_degree(p: Poly1, q: Poly1) -> int:
 @given(coeffs=integer_polys)
 def test_sturm_chain_is_positive_multiples_of_the_euclidean_chain(coeffs):
     s = Poly1([Fraction(c, 7) for c in coeffs])
-    assume(reference_gcd_degree(s, s.derivative()) == 0)  # square-free
-    chain = _sturm_chain(s)
+    assume(reference_gcd_degree(s, reference_derivative(s)) == 0)  # square-free
+    content = math.gcd(*coeffs)
+    chain = _sturm_chain([c // content for c in coeffs])
     reference = reference_chain(s)
     assert len(chain) == len(reference)
     for member, want in zip(chain, reference):

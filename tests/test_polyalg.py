@@ -95,17 +95,6 @@ class TestRingOperations:
         assert q.eval_float(0.5, 1.0) == 0.0
         assert Poly2.zero().eval_float(1.0, 2.0) == 0.0
 
-    def test_poly1_divmod_roundtrip(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            a = Poly1([random_rational(rng) for _ in range(rng.randint(1, 7))])
-            b = Poly1([random_rational(rng) for _ in range(rng.randint(1, 5))])
-            if b.is_zero:
-                continue
-            quo, rem = a.divmod(b)
-            assert quo * b + rem == a
-            assert rem.degree < b.degree or rem.is_zero
-
 
 class TestGamma:
     def test_gamma_exq_independent_term(self, exq_poly):

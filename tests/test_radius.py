@@ -6,17 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_substitute, random_poly2
+from conftest import axis_restriction, brute_substitute, random_poly2
 from weingarten_tubes import radius
-from weingarten_tubes.errors import ZeroPolynomial
+from weingarten_tubes.errors import InternalMismatch, ZeroPolynomial
 from weingarten_tubes.polyalg import Poly1, Poly2, is_in_tube_ideal, tube_generator
 from weingarten_tubes.radius import (
     EUCLIDEAN,
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    GeneratorFamily,
     SpaceTag,
-    axis_restriction,
+    decide_radii,
     isolate_positive_roots,
     principal_radius_set,
     radius_set,
@@ -26,18 +27,6 @@ from weingarten_tubes.radius import (
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
-
-
-class TestAxisRestriction:
-    def test_example_sq(self, sq_poly):
-        assert axis_restriction(sq_poly) == Poly1([-1, 14, -40])
-
-    def test_pure_x_vanishes(self):
-        assert axis_restriction(X).is_zero
-
-    def test_constant_gauss_relation(self):
-        c = Fraction(5, 2)
-        assert axis_restriction(X - Poly2.constant(c)) == Poly1([-c])
 
 
 class TestIsolation:
@@ -127,6 +116,32 @@ class TestIsolation:
         p = Poly1([-3, 1]) * Poly1([-3, 1]) * Poly1([-3, 1])
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [3]
+
+
+class TestExactQuotient:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1, 0, 1], [-1, 1]),  # r^2 + 1 = (r - 1)(r + 1) + 2
+            ([1, 0, 1], [-1, 2]),  # the top step of r^2 + 1 by 2r - 1 is 1/2
+        ],
+    )
+    def test_remainder_is_an_internal_mismatch(self, a, b):
+        # an assert would vanish under python -O; the CLI exits 3 on this
+        with pytest.raises(InternalMismatch):
+            radius._exact_quotient(a, b)
+
+
+class TestGeneratorFamily:
+    def test_literal_row_equals_the_table_row(self, sq_poly, exq_poly):
+        # a family built from int tuples equal to the K-H row of eps = +1,
+        # but not the table's object, is the same value
+        family = GeneratorFamily((0, 0, 1), (0, -2), (1,), (1,))
+        table = radius.tube_family(EUCLIDEAN)
+        assert family is not table
+        assert family == table and hash(family) == hash(table)
+        for q in (exq_poly, sq_poly):
+            assert decide_radii(q, family) == decide_radii(q, table)
 
 
 class TestRadiusSet:

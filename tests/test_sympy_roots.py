@@ -6,12 +6,13 @@ is skipped when it is not installed."""
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from weingarten_tubes.cli import main
 from weingarten_tubes.polyalg import Poly1
-from weingarten_tubes.radius import _gcd, _squarefree, isolate_positive_roots
+from weingarten_tubes.radius import _common_divisor, _squarefree, isolate_positive_roots
 
 sp = pytest.importorskip("sympy")
 R, Y = sp.symbols("r y")
@@ -64,17 +65,19 @@ def test_isolation_matches_sympy_real_roots(seed):
 
 def primitive_coeffs(poly) -> list[Fraction]:
     """Low-to-high coefficients of the primitive, positive-lead integer
-    multiple of a sympy Poly, the normal form of _gcd and _squarefree."""
+    multiple of a sympy Poly, the normal form of _common_divisor and
+    _squarefree."""
     _, prim = poly.primitive()
     if prim.LC() < 0:
         prim = -prim
     return [Fraction(int(c)) for c in reversed(prim.all_coeffs())]
 
 
-def scaled(coeffs: list[int], rng: random.Random) -> Poly1:
-    # a rational multiple, so the denominators are cleared on the way in
-    scale = Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 7))
-    return Poly1([c * scale for c in coeffs])
+def scaled(coeffs: list[int], rng: random.Random) -> list[int]:
+    # an integer multiple of either sign, so the content and the sign
+    # are normalised on the way out
+    scale = rng.choice([-3, 2, 5]) * rng.randint(1, 7)
+    return [c * scale for c in coeffs]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -89,10 +92,10 @@ def test_gcd_and_squarefree_match_sympy(seed):
     want = sp.Poly(list(reversed(polys[0])), R)
     for coeffs in polys[1:]:
         want = want.gcd(sp.Poly(list(reversed(coeffs)), R))
-    assert list(_gcd(*(scaled(c, rng) for c in polys)).coeffs) == primitive_coeffs(want)
+    assert reduce(_common_divisor, (scaled(c, rng) for c in polys), []) == primitive_coeffs(want)
     for coeffs in polys:
         want = sp.Poly(list(reversed(coeffs)), R).sqf_part()
-        assert list(_squarefree(scaled(coeffs, rng)).coeffs) == primitive_coeffs(want)
+        assert _squarefree(scaled(coeffs, rng)) == primitive_coeffs(want)
 
 
 P40 = 1234567890123456789012345678901234567891
