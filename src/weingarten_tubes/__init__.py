@@ -11,10 +11,7 @@ spaces and verifies the algebraic answers on curvature samples.
 from .polyalg import (
     Poly1,
     Poly2,
-    binom,
-    binomial_alternating_sum,
     divide_by_tube_factor,
-    epsilon_transform,
     gamma_at,
     gamma_cleared,
     is_in_tube_ideal,
@@ -51,10 +48,7 @@ from .classify import (
 __all__ = [
     "Poly1",
     "Poly2",
-    "binom",
-    "binomial_alternating_sum",
     "divide_by_tube_factor",
-    "epsilon_transform",
     "gamma_at",
     "gamma_cleared",
     "is_in_tube_ideal",
@@ -84,4 +78,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -38,17 +38,18 @@ g = 0.  ``radius`` only consumes it.
   ``divide_by_tube_factor`` -- the division by the tube generator
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
   x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
-* ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image as
-  explicit rational expressions in r and their cleared polynomial forms:
-  the paper's formula, kept as the test oracle for the integer expansion
-  that decides (radius.GeneratorFamily), not on the decision path.
-* ``epsilon_transform`` -- the substitution x -> eps*x, y -> eps*y that
-  carries statements between the eps = -1 and eps = +1 generators.
+* ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
+  eps = +1, at one radius and as cleared polynomials in r: a view of
+  ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's binomial
+  double sum for them is a test oracle (tests/paper_formulas.py).
+
+Both types print through one term printer, ``_join_terms``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -80,43 +81,26 @@ def check_epsilon(eps: int) -> int:
     return eps
 
 
-def binom(p: int, q: int) -> int:
-    """Binomial symbol with the pinned zero conventions.
-
-    C(p, q) = 0 for q < 0; C(p, 0) = 1 for every integer p; for q > 0 the
-    symbol is 0 whenever p < 0 (hard zero, not the generalized binomial)
-    or 0 <= p < q, and the ordinary binomial coefficient otherwise.
-    """
-    if q < 0:
-        return 0
-    if q == 0:
-        return 1
-    if p < 0 or q > p:
-        return 0
-    return math.comb(p, q)
+def _power(var: str, e: int) -> str:
+    """The monomial var**e as printed: "" for e = 0, var for e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
-def binomial_alternating_sum(n: int, x: int, j: int) -> int:
-    """Direct evaluation of sum_{m=0..n} (-1)^m C(x-m, j) C(n, m).
-
-    Under the conventions of :func:`binom` this equals C(x-n, j-n)
-    whenever no symbol involved has a negative upper index together with
-    a positive lower index; see :func:`lemma_identity_defined`.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum((-1) ** m * binom(x - m, j) * math.comb(n, m) for m in range(n + 1))
-
-
-def lemma_identity_defined(n: int, x: int, j: int) -> bool:
-    """True when every binomial symbol in the alternating-sum identity is
-    outside the negative-upper/positive-lower corner where the hard-zero
-    convention and the generalized binomial disagree."""
-    if any(x - m < 0 and j > 0 for m in range(n + 1)):
-        return False
-    if x - n < 0 and j - n > 0:
-        return False
-    return True
+def _join_terms(terms: Iterable[tuple[int, int, str]]) -> str:
+    """The printed sum of num/den * mono over (num, den, mono) triples, num
+    nonzero and den positive, in the order given; "0" for none.  The first
+    term carries its sign, later ones are joined by "+ " or "- ", num/den
+    is in lowest terms and a coefficient 1 is dropped before a monomial."""
+    parts = []
+    for num, den, mono in terms:
+        g = math.gcd(num, den)
+        value = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+        body = value if not mono else mono if value == "1" else f"{value}*{mono}"
+        if parts:
+            parts.append(f"- {body}" if num < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if num < 0 else body)
+    return " ".join(parts) or "0"
 
 
 class Poly1:
@@ -206,32 +190,9 @@ class Poly1:
             acc = acc * v + c
         return acc
 
-    def eval_float(self, v: float) -> float:
-        acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * v + float(c)
-        return acc
-
     def to_string(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if k == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        terms = reversed(tuple(enumerate(self._coeffs)))
+        return _join_terms((c.numerator, c.denominator, _power(var, k)) for k, c in terms if c)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -274,11 +235,12 @@ class Poly2:
         items = terms.items() if isinstance(terms, Mapping) else terms
         parts = []
         for (i, j), c in items:
+            i, j = operator.index(i), operator.index(j)
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
             num, den = _num_den(c)
             if num:
-                parts.append(((int(i), int(j)), num, den))
+                parts.append(((i, j), num, den))
         den = math.lcm(*(d for _, _, d in parts))
         nums: dict[tuple[int, int], int] = {}
         for e, num, d in parts:
@@ -410,30 +372,11 @@ class Poly2:
         return acc
 
     def __str__(self) -> str:
-        if not self._nums:
-            return "0"
         den = self._den
-        parts = []
-        for (i, j), v in self._nums.items():
-            factors = []
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            mono = "*".join(factors)
-            g = math.gcd(v, den)
-            value = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
-            if not mono:
-                body = value
-            elif value == "1":
-                body = mono
-            else:
-                body = f"{value}*{mono}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms(
+            (v, den, f"{_power('x', i)}*{_power('y', j)}" if i and j else _power("x", i) or _power("y", j))
+            for (i, j), v in self._nums.items()
+        )
 
     def __repr__(self) -> str:
         return f"Poly2({str(self)!r})"
@@ -448,17 +391,6 @@ def tube_generator(r: RatLike, eps: int = 1) -> Poly2:
     check_epsilon(eps)
     # (p**2*x - 2*p*q*y + eps*q**2) / q**2, canonical as built: gcd(p, q) = 1
     return Poly2._make({(1, 0): p * p, (0, 1): -2 * p * q, (0, 0): eps * q * q}, q * q)
-
-
-def epsilon_transform(q: Poly2, eps: int) -> Poly2:
-    """Coefficient map a_{i,j} -> eps**(i+j) * a_{i,j}; equivalently the
-    ring substitution x -> eps*x, y -> eps*y.  Identity for eps = +1,
-    an involution for eps = -1."""
-    check_epsilon(eps)
-    if eps == 1:
-        return q
-    den, nums = q._cleared()
-    return Poly2._make({(i, j): v if (i + j) % 2 == 0 else -v for (i, j), v in nums.items()}, den)
 
 
 def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
@@ -479,28 +411,26 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
 
 def gamma_cleared(q: Poly2) -> list[Poly1]:
     """Denominator-cleared coefficient polynomials g_k(r) = 2**n * r**n *
-    gamma_k(r), expanded exactly in r.
+    gamma_k(r), expanded exactly in r, n the total degree of Q.
 
     For every r != 0, g_k(r) = 0 iff gamma_k(r) = 0, so the common roots
     of the g_k locate the radii at which the substitution image vanishes
     identically.  The 2**n * r**n scaling is pinned for reproducibility;
-    only the root sets matter downstream.
+    only the root sets matter downstream.  A view of ``_family_image`` on
+    the line r**2*x - 2*r*y + 1, whose row k is den * (-2*r)**m * r**k *
+    gamma_k(r), m the top power of y.
     """
     if q.is_zero:
         raise ZeroPolynomial("gamma_cleared requires a nonzero polynomial")
-    n = q.degree
-    out = []
-    for k in range(n + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for i in range(k + 1):
-            for j in range(n - k + 1):
-                a = q.coeff(i, k - i + j)
-                if a == 0:
-                    continue
-                # 2^n r^n * C(k-i+j, j) a / (2^(k-i+j) r^(j+i))
-                coeffs[n - j - i] += binom(k - i + j, j) * a * 2 ** (n - (k - i + j))
-        out.append(Poly1(coeffs))
-    return out
+    den, nums = q._cleared()
+    n, m = q.degree, max(j for _, j in nums)
+    scale = (-1) ** m * 2 ** (n - m)
+    # g_k = scale * r**(n-m-k) * row_k / den; for k > n - m, row k carries
+    # r**(k-n+m), and the n + 1 rows run to x**n
+    return [
+        Poly1([Fraction(v * scale, den) for v in [0] * (n - m - k) + row[max(k - n + m, 0) :]])
+        for k, row in enumerate(_family_image(nums, (1,), (0, 0, 1), (0, -2)))
+    ]
 
 
 def _line_image(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> list[list[int]]:

@@ -324,7 +324,9 @@ class AlgebraicRadius(_AlgebraicRadius):
         return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
-        """Equivalent radius whose interval has length <= width."""
+        """Equivalent radius whose interval has length <= width > 0."""
+        if width <= 0:
+            raise ValueError(f"refinement width must be positive, got {width}")
         lo, hi = self.lo, self.hi
         if self.exact_value is not None:
             lo = max(lo, self.exact_value - width)

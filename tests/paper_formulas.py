@@ -1,0 +1,87 @@
+"""The paper's closed formulas, kept as test oracles.
+
+None of this is on a decision path.  ``gamma_formula`` is the paper's
+binomial double sum for the cleared coefficient polynomials g_k(r); the
+library computes the same polynomials by one integer Horner expansion
+(``polyalg.gamma_cleared``, a view of ``_family_image``), and the tests
+compare the two.  The binomial symbol and its alternating-sum identity
+pin the conventions that formula rests on, and ``epsilon_transform``
+carries statements between the eps = -1 and eps = +1 generators.
+"""
+
+import math
+from fractions import Fraction
+
+from weingarten_tubes.errors import ZeroPolynomial
+from weingarten_tubes.polyalg import Poly1, Poly2, check_epsilon
+
+
+def binom(p: int, q: int) -> int:
+    """Binomial symbol with the pinned zero conventions.
+
+    C(p, q) = 0 for q < 0; C(p, 0) = 1 for every integer p; for q > 0 the
+    symbol is 0 whenever p < 0 (hard zero, not the generalized binomial)
+    or 0 <= p < q, and the ordinary binomial coefficient otherwise.
+    """
+    if q < 0:
+        return 0
+    if q == 0:
+        return 1
+    if p < 0 or q > p:
+        return 0
+    return math.comb(p, q)
+
+
+def binomial_alternating_sum(n: int, x: int, j: int) -> int:
+    """Direct evaluation of sum_{m=0..n} (-1)^m C(x-m, j) C(n, m).
+
+    Under the conventions of :func:`binom` this equals C(x-n, j-n)
+    whenever no symbol involved has a negative upper index together with
+    a positive lower index; see :func:`lemma_identity_defined`.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return sum((-1) ** m * binom(x - m, j) * math.comb(n, m) for m in range(n + 1))
+
+
+def lemma_identity_defined(n: int, x: int, j: int) -> bool:
+    """True when every binomial symbol in the alternating-sum identity is
+    outside the negative-upper/positive-lower corner where the hard-zero
+    convention and the generalized binomial disagree."""
+    if any(x - m < 0 and j > 0 for m in range(n + 1)):
+        return False
+    if x - n < 0 and j - n > 0:
+        return False
+    return True
+
+
+def epsilon_transform(q: Poly2, eps: int) -> Poly2:
+    """Coefficient map a_{i,j} -> eps**(i+j) * a_{i,j}; equivalently the
+    ring substitution x -> eps*x, y -> eps*y.  Identity for eps = +1,
+    an involution for eps = -1."""
+    check_epsilon(eps)
+    if eps == 1:
+        return q
+    return Poly2([((i, j), c if (i + j) % 2 == 0 else -c) for (i, j), c in q.terms()])
+
+
+def gamma_formula(q: Poly2) -> list[Poly1]:
+    """g_k(r) = 2**n * r**n * gamma_k(r), k = 0..n, n the total degree of
+    Q, by the paper's double sum: gamma_k(r) = sum_{i=0..k}
+    sum_{j=0..n-k} C(k-i+j, j) * a_{i,k-i+j} / (2**(k-i+j) * r**(j+i))
+    is the x**k coefficient of Q(x/r, (x*r + 1)/(2*r))."""
+    if q.is_zero:
+        raise ZeroPolynomial("gamma_formula requires a nonzero polynomial")
+    n = q.degree
+    out = []
+    for k in range(n + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        for i in range(k + 1):
+            for j in range(n - k + 1):
+                a = q.coeff(i, k - i + j)
+                if a == 0:
+                    continue
+                # 2^n r^n * C(k-i+j, j) a / (2^(k-i+j) r^(j+i))
+                coeffs[n - j - i] += binom(k - i + j, j) * a * 2 ** (n - (k - i + j))
+        out.append(Poly1(coeffs))
+    return out

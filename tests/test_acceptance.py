@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import brute_substitute, random_poly2, random_rational, random_positive_rational
+from paper_formulas import binom, binomial_alternating_sum, gamma_formula, lemma_identity_defined
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.classify import (
     RIGHT_CYLINDERS,
@@ -24,12 +25,10 @@ from weingarten_tubes.cli import main, parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
-    binom,
-    binomial_alternating_sum,
     divide_by_tube_factor,
     gamma_at,
+    gamma_cleared,
     is_in_tube_ideal,
-    lemma_identity_defined,
     substitute_tube,
     tube_generator,
 )
@@ -166,7 +165,8 @@ def test_criterion_05_membership_roundtrip():
 def test_criterion_06_gamma_oracle():
     """500 random polynomials (deg <= 6) at random rational r: the
     coefficient formula equals an independent binomial-theorem
-    expansion.  Exact equality."""
+    expansion, and its cleared polynomials the paper's double sum.  Exact
+    equality."""
     rng = random.Random(60606)
     done = 0
     while done < 500:
@@ -177,6 +177,7 @@ def test_criterion_06_gamma_oracle():
         expected = brute_substitute(q, r, 1)
         expected += [Fraction(0)] * (q.degree + 1 - len(expected))
         assert gamma_at(q, r) == expected
+        assert q.is_zero or gamma_cleared(q) == gamma_formula(q)
         done += 1
     print("\nACCEPTANCE 6 PASS: 500/500 coefficient vectors match the brute-force oracle")
 

@@ -1,9 +1,13 @@
 """Property tests of every rational decision against oracles that share no
-code with the library: the binomial expansion in conftest and the paper's
-gamma polynomials for the tube families, direct evaluation of Q(x, 1/r)
-for the principal family, a term-by-term Fraction product and the
-validating constructor for the ring arithmetic, and a Fraction Euclidean
-Sturm chain for the integer one.
+code with the library:
+
+* the tube families: ``conftest.brute_substitute``, a binomial-theorem
+  expansion of Q on the generator line, and ``paper_formulas.gamma_formula``,
+  the paper's double sum, against the rows of ``_family_image``;
+* the principal family: ``brute_principal``, direct evaluation of Q(x, 1/r);
+* the ring arithmetic: ``conftest.brute_product`` and ``brute_power``,
+  term-by-term Fraction products, and the validating constructor;
+* the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import brute_product, brute_substitute
+from paper_formulas import epsilon_transform, gamma_formula
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
 from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.polyalg import (
@@ -23,8 +28,6 @@ from weingarten_tubes.polyalg import (
     _family_image,
     divide_by_linear,
     divide_by_tube_factor,
-    epsilon_transform,
-    gamma_cleared,
     substitute_tube,
     tube_generator,
 )
@@ -278,7 +281,7 @@ def test_kh_restriction_is_the_papers_gamma_up_to_r_powers(shape, a, b, r, tag):
     q = build(shape, tube_generator(r, tag.eps), a, b)
     assume(not q.is_zero)
     columns = restriction_columns(tube_family(tag), q)
-    gammas = gamma_cleared(epsilon_transform(q, tag.eps))
+    gammas = gamma_formula(epsilon_transform(q, tag.eps))
     for k in range(max(len(gammas), max(columns, default=-1) + 1)):
         gamma = gammas[k] if k < len(gammas) else Poly1()
         assert proportional_up_to_r_power(columns.get(k, Poly1()), gamma)

@@ -1,5 +1,5 @@
-"""Exact-arithmetic layer: ring operations, substitution machinery,
-quotients and the binomial identity."""
+"""Exact-arithmetic layer: ring operations, printing, substitution
+machinery, quotients and the binomial identity."""
 
 import math
 import random
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_substitute, random_poly2, random_rational
+from paper_formulas import binom, binomial_alternating_sum, epsilon_transform, gamma_formula, lemma_identity_defined
 from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.errors import ZeroPolynomial, ZeroRadius
 from weingarten_tubes.polyalg import (
@@ -16,21 +17,46 @@ from weingarten_tubes.polyalg import (
     Poly2,
     _family_image,
     _unpack,
-    binom,
-    binomial_alternating_sum,
     divide_by_linear,
     divide_by_tube_factor,
-    epsilon_transform,
     gamma_at,
     gamma_cleared,
     is_in_tube_ideal,
-    lemma_identity_defined,
     substitute_tube,
     tube_generator,
 )
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
+
+# 20-digit numerators and denominators, and the coefficients +-1 that the
+# printers drop in front of a monomial
+big_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+)
+
+
+def dense_poly2s(max_degree: int):
+    exps = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(lambda e: sum(e) <= max_degree)
+    return st.lists(st.tuples(exps, big_coefficients), max_size=8).map(Poly2)
+
+
+def axis_poly2s(max_degree: int, axis: int):
+    """Polynomials in x alone (axis 0) or y alone (axis 1)."""
+    return st.lists(big_coefficients, max_size=max_degree + 1).map(
+        lambda cs: Poly2([((k, 0) if axis == 0 else (0, k), c) for k, c in enumerate(cs)])
+    )
+
+
+def poly2s(max_degree: int):
+    """Dense, pure-x, pure-y and constant polynomials, zero among them."""
+    return st.one_of(
+        dense_poly2s(max_degree),
+        axis_poly2s(max_degree, 0),
+        axis_poly2s(max_degree, 1),
+        big_coefficients.map(Poly2.constant),
+    )
 
 
 class TestRingOperations:
@@ -56,6 +82,15 @@ class TestRingOperations:
     def test_zero_polynomial_degree(self):
         assert Poly2.zero().degree == -1
         assert Poly1.zero().degree == -1
+
+    def test_exponents_must_be_integers(self):
+        for e in (1.5, Fraction(1), 1.0):
+            with pytest.raises(TypeError):
+                Poly2([((e, 0), 1)])
+            with pytest.raises(TypeError):
+                Poly2({(0, e): 1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            Poly2([((-1, 0), 1)])
 
     def test_canonical_order(self):
         p = Poly2([((0, 2), 1), ((1, 1), 1), ((2, 0), 1), ((0, 0), 3)])
@@ -96,6 +131,74 @@ class TestRingOperations:
         assert Poly2.zero().eval_float(1.0, 2.0) == 0.0
 
 
+def reference_poly1_string(p: Poly1, var: str) -> str:
+    """Poly1.to_string as printed in 0.2.0, before ``_join_terms``."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        if k == 0:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_poly2_string(p: Poly2) -> str:
+    """Poly2.__str__ as printed in 0.2.0, before ``_join_terms``."""
+    den, nums = p._cleared()
+    if not nums:
+        return "0"
+    parts = []
+    for (i, j), v in nums.items():
+        factors = []
+        if i:
+            factors.append("x" if i == 1 else f"x^{i}")
+        if j:
+            factors.append("y" if j == 1 else f"y^{j}")
+        mono = "*".join(factors)
+        g = math.gcd(v, den)
+        value = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
+        if not mono:
+            body = value
+        elif value == "1":
+            body = mono
+        else:
+            body = f"{value}*{mono}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+class TestPrinters:
+    @settings(max_examples=300, deadline=None)
+    @given(p=poly2s(30))
+    @example(p=Poly2.zero())
+    @example(p=-(X**30) + X * Y - Y + Poly2.constant(-1))
+    def test_poly2_prints_as_before(self, p):
+        assert str(p) == reference_poly2_string(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cs=st.lists(st.one_of(st.just(Fraction(0)), big_coefficients), max_size=31), var=st.sampled_from(["x", "r"]))
+    @example(cs=[], var="r")
+    @example(cs=[Fraction(-1), Fraction(1), Fraction(0), Fraction(-1)], var="r")
+    def test_poly1_prints_as_before(self, cs, var):
+        p = Poly1(cs)
+        assert p.to_string(var) == reference_poly1_string(p, var)
+
+
 class TestGamma:
     def test_gamma_exq_independent_term(self, exq_poly):
         # Gamma_0(r) = -(96r^3 - 196r^2 + 7r + 2)/(4r^3)
@@ -121,6 +224,7 @@ class TestGamma:
         # g_0(r) = 2^4 r^4 Gamma_0(r) = -4r(96r^3 - 196r^2 + 7r + 2)
         g0 = gamma_cleared(exq_poly)[0]
         assert g0 == Poly1([0, -8, -28, 784, -384])
+        assert gamma_cleared(exq_poly) == gamma_formula(exq_poly)
 
     def test_gamma_cleared_mean_curvature(self):
         # Q = y - c: g_0 = 1 - 2cr, g_1 = r
@@ -128,6 +232,7 @@ class TestGamma:
         g = gamma_cleared(Y - Poly2.constant(c))
         assert g[0] == Poly1([1, -2 * c])
         assert g[1] == Poly1([0, 1])
+        assert g == gamma_formula(Y - Poly2.constant(c))
 
     def test_gamma_cleared_gauss_relation(self):
         # Q = x: Gamma = [0, 1/r]; under the 2^n r^n scaling g_1 is the
@@ -135,6 +240,7 @@ class TestGamma:
         g = gamma_cleared(X)
         assert g[0].is_zero
         assert g[1] == Poly1.constant(2)
+        assert g == gamma_formula(X)
 
     def test_gamma_cleared_rejects_zero(self):
         with pytest.raises(ZeroPolynomial):
@@ -154,6 +260,19 @@ class TestGamma:
             cleared = gamma_cleared(q)
             for gk, value in zip(cleared, gamma_at(q, r)):
                 assert gk.eval(r) == scale * value
+            assert cleared == gamma_formula(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=poly2s(8))
+    @example(q=X**3 * Y**5)
+    @example(q=Y**8 - Poly2.constant(Fraction(10**20 - 1, 3)))
+    def test_gamma_cleared_is_the_papers_formula(self, q):
+        # the one integer expansion against the paper's binomial double sum
+        if q.is_zero:
+            with pytest.raises(ZeroPolynomial):
+                gamma_formula(q)
+        else:
+            assert gamma_cleared(q) == gamma_formula(q)
 
 
 class TestSubstitution:

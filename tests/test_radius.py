@@ -51,6 +51,17 @@ class TestIsolation:
         assert fine.refined(fine.hi - fine.lo) == fine  # already narrow enough
         assert abs(rad.approx() - 2**0.5) < 1e-9
 
+    def test_nonpositive_width_rejected(self):
+        # bisection never narrows a cell to width <= 0
+        (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
+        (two,) = isolate_positive_roots(Poly1([-2, 1]))
+        for width in (Fraction(0), Fraction(-1)):
+            for r in (rad, two):
+                with pytest.raises(ValueError, match="width must be positive"):
+                    r.refined(width)
+            with pytest.raises(ValueError, match="width must be positive"):
+                rad.approx(width)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             isolate_positive_roots(Poly1())
