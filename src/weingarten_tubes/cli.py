@@ -263,34 +263,48 @@ def _fmt(value: float, prec: int) -> str:
     return format(value, f".{prec}g")
 
 
-def _radius_json(rad: AlgebraicRadius, tag: SpaceTag, prec: int) -> dict:
+def _radius_body(rad: AlgebraicRadius, prec: int) -> tuple[dict, float]:
+    """The printed radius, in the hyperbolic space its sinh, and its value."""
     if rad.exact_value is not None:
-        body: dict = {"exact": str(rad.exact_value)}
-        value = float(rad.exact_value)
-    else:
-        fine = rad.refined()
-        value = float((fine.lo + fine.hi) / 2)  # what rad.approx() returns
-        body = {
-            "defining_poly": rad.defining_poly.to_string("r"),
-            "interval": [str(fine.lo), str(fine.hi)],
-            "approx": _fmt(value, prec),
-        }
+        return {"exact": str(rad.exact_value)}, float(rad.exact_value)
+    fine = rad.refined()
+    value = float((fine.lo + fine.hi) / 2)  # what rad.approx() returns
+    body = {
+        "defining_poly": rad.defining_poly.to_string("r"),
+        "interval": [str(fine.lo), str(fine.hi)],
+        "approx": _fmt(value, prec),
+    }
+    return body, value
+
+
+def _radius_json(body: dict, value: float, tag: SpaceTag, prec: int) -> dict:
     if tag.space == "hyperbolic":
         return {"sinh_radius": body, "radius_approx": _fmt(math.asinh(value), prec)}
     return body
 
 
 def _classification_json(report: ClassificationReport, prec: int) -> dict:
+    # lanes that share a family row share its radius and quotient objects
+    # (classify.solve_SQ): each is printed once, keyed by id() while the
+    # report keeps it alive
+    printed: dict[int, object] = {}
+
+    def once(obj, render):
+        if id(obj) not in printed:
+            printed[id(obj)] = render(obj)
+        return printed[id(obj)]
+
     lanes = []
     for lane in report.lanes:
         classes = []
         for cls in lane.classes:
+            body, value = once(cls.radius, lambda rad: _radius_body(rad, prec))
             entry = {
                 "class": cls.kind,
-                "radius": _radius_json(cls.radius, lane.tag, prec),
+                "radius": _radius_json(body, value, lane.tag, prec),
             }
             if cls.quotient is not None:
-                entry["quotient"] = str(cls.quotient)
+                entry["quotient"] = once(cls.quotient, str)
             classes.append(entry)
         lanes.append(
             {
@@ -434,7 +448,7 @@ def _cmd_radius(args) -> dict:
         if rset.kind == "finite":
             entries = []
             for entry in rset.entries:
-                item: dict = {"radius": _radius_json(entry.radius, tag, prec)}
+                item: dict = {"radius": _radius_json(*_radius_body(entry.radius, prec), tag, prec)}
                 if args.star:
                     item["star"] = entry.star
                 entries.append(item)

@@ -3,18 +3,18 @@
 A radius is reported as an :class:`AlgebraicRadius`: a square-free
 defining polynomial together with a half-open rational interval
 ``(lo, hi]`` isolating exactly one positive root, plus the exact value
-whenever that root is rational.  A rational root p/q of a primitive
-integer polynomial has q | a_n, so it lies on the grid Z/a_n: every real
-root of the square-free part s is isolated by Sturm bisection, its cell
-narrowed to width 1/|a_n|, and the one grid point left in it tested
-exactly.  The same Sturm chain of s, bisected over (0, B_d] with B_d the
-Cauchy bound of s deflated by its rational roots, gives each irrational
-root its cell: the cells that hold no rational root, where a node
-whose roots are all known rationals is not bisected.  The deflated
-polynomial is their defining polynomial, and each isolation builds one
-chain.  Every sign is that of an integer form (homogeneous Horner at p/q
-over integer Sturm-chain members), so no divisor of a coefficient is
-ever enumerated.  Intervals refine on demand but no decision ever
+whenever that root is rational.  The rational roots of the square-free
+part s come from its roots modulo one small prime l, lifted l-adically
+(``_rational_roots``): a root p/q has q | a_n, so a_n*p/q is an integer
+smaller than the lift's modulus, and it is read off the lift's symmetric
+residue.  Only when s deflated by its rational roots keeps a degree is a
+Sturm chain of s built: bisected over (0, B_d], B_d the Cauchy bound of
+the deflated polynomial, it gives each irrational root its cell, the
+cells that hold no rational root, where a node whose roots are all known
+rationals is not bisected.  The deflated polynomial is their defining
+polynomial.  Every sign is that of an integer form (homogeneous Horner
+at p/q over integer Sturm-chain members), so no divisor of a coefficient
+is ever enumerated.  Intervals refine on demand but no decision ever
 depends on interval width.
 
 Inside this module a univariate polynomial is a primitive integer
@@ -183,8 +183,47 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return quo
 
 
+def _remainder_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """a mod b over the integers modulo the prime m, for reduced a and b,
+    b with a nonzero top coefficient."""
+    r = list(a)
+    d = len(b) - 1
+    inverse = pow(b[-1], -1, m)
+    for k in range(len(r) - 1, d - 1, -1):
+        top = r.pop() * inverse % m
+        if top:
+            for j in range(d):
+                r[k - d + j] = (r[k - d + j] - top * b[j]) % m
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _squarefree_mod(p: list[int], m: int) -> bool:
+    """p is square-free modulo the prime m and keeps its degree there:
+    m does not divide lc(p), and p and p' are coprime mod m.  Then p is
+    square-free over the rationals too, since a square factor f**2 of p,
+    f primitive with lc(f) | lc(p), stays a square factor mod m."""
+    if p[-1] % m == 0:
+        return False
+    a, b = [c % m for c in p], [c % m for c in _derivative(p)]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _remainder_mod(a, b, m)
+    return len(a) == 1
+
+
+# the prime of the square-free check in front of the pseudo-remainder sequence
+_CHECK_PRIME = 2**61 - 1
+
+
 def _squarefree(p: list[int]) -> list[int]:
-    """The square-free part of the nonzero p, in normal form."""
+    """The square-free part of the nonzero p, in normal form.  When p is
+    square-free modulo 2**61 - 1 it is its own square-free part, and no
+    pseudo-remainder sequence runs."""
+    if _squarefree_mod(p, _CHECK_PRIME):
+        return _normal(p)
     return _normal(_exact_quotient(p, _common_divisor(p, _derivative(p))))
 
 
@@ -275,26 +314,48 @@ def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> t
     return lo, hi, sign_hi == 0
 
 
-def _rational_roots(chain: list[list[int]]) -> list[Fraction]:
-    """All rational roots (any sign), ascending, of the square-free
-    primitive integer polynomial s at the head of the Sturm chain.
+def _value_mod(p: list[int], x: int, m: int) -> int:
+    """p(x) mod m, by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
 
-    A root p/q in lowest terms has q | a_n, so it lies on the grid
-    Z/|a_n|.  Each real root is isolated by Sturm bisection of (-B, B],
-    B the Cauchy bound, and its cell narrowed to width 1/|a_n|: a
-    half-open cell that narrow holds one grid point, and that point, or
-    a midpoint where s vanishes, is the only rational candidate.  The
-    same chain later isolates the irrational roots.
+
+def _rational_roots(s: list[int]) -> list[Fraction]:
+    """All rational roots (any sign), ascending, of the square-free
+    primitive integer polynomial s of degree >= 1.
+
+    The prime l is the smallest with l not dividing a_n and s square-free
+    mod l; only the primes dividing a_n * disc(s) fail, so the search
+    ends.  The roots of s mod l, found by evaluating s at 0 .. l-1, are
+    simple, and Newton steps lift each of them uniquely to a root alpha
+    mod l**m >= 2*K, K = |a_n| + max |a_i|.  A rational root p/q has
+    q | a_n and |p/q| < K/|a_n|, so N = a_n*p/q is an integer with
+    |N| < K, and it reduces to one of the simple roots mod l: by the
+    uniqueness of the lift, N is the symmetric residue of a_n*alpha
+    mod l**m.  Each residue is kept exactly when s vanishes at N/a_n, so
+    every rational root is found, once, and nothing else is.
     """
-    coeffs = chain[0]
-    lead = abs(coeffs[-1])
-    bound = _cauchy_bound(coeffs)
+    lead = s[-1]
+    ell = 2
+    while any(ell % k == 0 for k in range(2, math.isqrt(ell) + 1)) or not _squarefree_mod(s, ell):
+        ell += 1
+    deriv = _derivative(s)
+    bound = 2 * (abs(lead) + max(map(abs, s)))
     roots = []
-    for lo, hi in _sturm_cells(chain, -bound, bound, []):
-        lo, hi, at_root = _narrow(coeffs, lo, hi, Fraction(1, lead))
-        grid = hi if at_root else Fraction(math.floor(hi * lead), lead)
-        if grid > lo and _sign_at(coeffs, grid) == 0:
-            roots.append(grid)
+    for alpha in range(ell):
+        if _value_mod(s, alpha, ell):
+            continue
+        modulus = ell
+        while modulus < bound:
+            modulus *= modulus
+            step = _value_mod(s, alpha, modulus) * pow(_value_mod(deriv, alpha, modulus), -1, modulus)
+            alpha = (alpha - step) % modulus
+        n = lead * alpha % modulus
+        rho = Fraction(n - modulus if 2 * n > modulus else n, lead)
+        if _sign_at(s, rho) == 0:
+            roots.append(rho)
     return sorted(roots)
 
 
@@ -404,8 +465,7 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
     s = _squarefree(_integer_coeffs(p.coeffs))
     if len(s) < 2:
         return []
-    chain = _sturm_chain(s)
-    rationals = _rational_roots(chain)
+    rationals = _rational_roots(s)
     positive = [rho for rho in rationals if rho > 0]
     deflated = s
     for rho in rationals:
@@ -417,7 +477,7 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
         # else; deflated is primitive with a positive lead, as s and every
         # factor q*r - p are (Gauss's lemma)
         defining = Poly1(deflated)
-        for lo, hi in _sturm_cells(chain, Fraction(0), _cauchy_bound(deflated), positive):
+        for lo, hi in _sturm_cells(_sturm_chain(s), Fraction(0), _cauchy_bound(deflated), positive):
             entries.append(AlgebraicRadius(defining, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
     for rho in positive:

@@ -849,7 +849,7 @@ class TestExitCodes:
         # a rational root that is not one leaves a remainder when the
         # isolation deflates by it, under python -O too
         rational_roots = radius._rational_roots
-        monkeypatch.setattr(radius, "_rational_roots", lambda chain: rational_roots(chain) + [Fraction(7)])
+        monkeypatch.setattr(radius, "_rational_roots", lambda s: rational_roots(s) + [Fraction(7)])
         code, out, err = run_cli(capsys, "radius", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "euclidean")
         assert code == 3
         assert out == ""

@@ -7,7 +7,9 @@ code with the library:
 * the principal family: ``brute_principal``, direct evaluation of Q(x, 1/r);
 * the ring arithmetic: ``conftest.brute_product`` and ``brute_power``,
   term-by-term Fraction products, and the validating constructor;
-* the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain.
+* the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain;
+* the l-adic rational roots: ``reference_rational_roots``, Sturm bisection
+  on that chain narrowed to the grid Z/a_n.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -38,6 +40,8 @@ from weingarten_tubes.radius import (
     LORENTZIAN_POS,
     PRINCIPAL,
     _count_roots_halfopen,
+    _rational_roots,
+    _squarefree,
     _sturm_chain,
     decide_radii,
     isolate_positive_roots,
@@ -523,6 +527,103 @@ def test_irrational_cells_match_the_deflated_chain(roots, quads):
     assert all(rad.defining_poly == deflated for rad in irrational)
     expected = reference_irrational_cells(deflated, {rho for rho in roots if rho > 0})
     assert [(rad.lo, rad.hi) for rad in irrational] == expected
+
+
+def reference_rational_roots(s: Poly1) -> list[Fraction]:
+    """The rational roots of the square-free integer s as the isolation
+    found them before the l-adic lift: a root p/q has q | a_n, so each
+    real root is isolated by Sturm bisection of (-B, B], B the Cauchy
+    bound, its cell narrowed to width 1/|a_n|, and the one point of the
+    grid Z/a_n left in it tested."""
+    # each member scaled to integers, and its sign at p/q that of the
+    # form sum c_k p**k q**(d-k)
+    chain = []
+    for member in reference_chain(s):
+        den = math.lcm(*(c.denominator for c in member.coeffs))
+        chain.append([int(c * den) for c in member.coeffs])
+
+    def variations(v: Fraction) -> int:
+        values = [sum(c * v.numerator**k * v.denominator ** (len(m) - 1 - k) for k, c in enumerate(m)) for m in chain]
+        signs = [value > 0 for value in values if value]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def count(lo, hi):
+        return variations(lo) - variations(hi)
+
+    lead = abs(s.coeffs[-1])
+    bound = 1 + max(abs(c) for c in s.coeffs) / lead
+    roots, todo = [], [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        n = count(lo, hi)
+        if n > 1:
+            mid = (lo + hi) / 2
+            todo += [(lo, mid), (mid, hi)]
+        elif n == 1:
+            while hi - lo > 1 / lead:
+                mid = (lo + hi) / 2
+                if count(lo, mid) == 1:
+                    hi = mid
+                else:
+                    lo = mid
+            grid = Fraction(math.floor(hi * lead), lead)
+            if grid > lo and s.eval(grid) == 0:
+                roots.append(grid)
+    return sorted(roots)
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def has_integer_root(coeffs: list[int]) -> bool:
+    """The monic integer polynomial with a nonzero constant term has an
+    integer root: one that divides the constant term."""
+    c0 = abs(coeffs[0])
+    return any(
+        Poly1(coeffs).eval(Fraction(sign * d)) == 0 for d in range(1, c0 + 1) if c0 % d == 0 for sign in (1, -1)
+    )
+
+
+# q*r - p with 15-digit q and p, and the two coefficients of the pinned
+# prime and composite reports
+big_ints = st.one_of(st.integers(1, 10**15), st.sampled_from([10**14 + 31, 367567200]))
+linear_factors = st.tuples(big_ints, big_ints, st.sampled_from([1, -1]), st.integers(1, 3))
+irreducible_quadratics = st.tuples(
+    st.integers(1, 10**6), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool)
+).filter(lambda t: math.gcd(*t) == 1 and not is_square(t[1] ** 2 - 4 * t[0] * t[2])).map(lambda t: [t[2], t[1], t[0]])
+irreducible_cubics = st.tuples(st.integers(-50, 50).filter(bool), st.integers(-20, 20), st.integers(-20, 20)).map(
+    lambda t: [t[0], t[1], t[2], 1]
+).filter(lambda c: not has_integer_root(c))
+
+
+@PROPERTY
+@example(linear=[(367567200, 5040, 1, 2), (10**14 + 31, 3, -1, 1)], quads=[[-2, 0, 1]], cubics=[], lead=1)
+@example(linear=[(60, 1, 1, 1), (59, 1, 1, 1), (58, 1, 1, 1)], quads=[], cubics=[[-2, 0, 0, 1]], lead=7)
+@given(
+    linear=st.lists(linear_factors, min_size=1, max_size=4),
+    quads=st.lists(irreducible_quadratics, max_size=1),
+    cubics=st.lists(irreducible_cubics, max_size=1),
+    lead=st.integers(-9, 9).filter(bool),
+)
+def test_rational_roots_match_the_sturm_grid_search(linear, quads, cubics, lead):
+    # lead times planted factors q*r -+ p with multiplicities, an
+    # irreducible quadratic and cubic; the reference sees the product of
+    # the distinct factors, the library that of the repeated ones
+    distinct = {Fraction(sign * p, q): m for q, p, sign, m in linear}
+    p = s = Poly1([1])
+    for rho, m in distinct.items():
+        factor = Poly1([-rho.numerator, rho.denominator])
+        s = s * factor
+        for _ in range(m):
+            p = p * factor
+    for coeffs in quads + cubics:
+        factor = Poly1(coeffs)
+        s = s * factor
+        p = p * factor * factor
+    square_free = _squarefree([lead * int(c) for c in p.coeffs])
+    assert Poly1(square_free) == s
+    assert _rational_roots(square_free) == reference_rational_roots(s) == sorted(distinct)
 
 
 @PROPERTY

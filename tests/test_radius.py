@@ -107,26 +107,113 @@ class TestIsolation:
 
     def test_nodes_of_known_rationals_are_not_bisected(self, monkeypatch):
         # (4r - 1)(5r - 1)(r^2 - 2): B_d = 3, and (0, 3/4] holds 1/5 and
-        # 1/4 and no irrational root; bisecting it on to separate them
-        # took four more midpoints, 103 sign evaluations in all
+        # 1/4 and no irrational root.  The irrational pass evaluates the
+        # five chain members at 0, 3, 3/2 and 3/4 only; bisecting (0, 3/4]
+        # on to separate the two took four more midpoints, 40 sign
+        # evaluations in all
         calls = []
-        sign_at = radius._sign_at
+        sign_at, sturm_cells = radius._sign_at, radius._sturm_cells
+        in_cells = []
 
         def counting(coeffs, v):
-            calls.append(v)
+            if in_cells:
+                calls.append(v)
             return sign_at(coeffs, v)
 
+        def cells(*args):
+            in_cells.append(True)
+            try:
+                return sturm_cells(*args)
+            finally:
+                in_cells.pop()
+
         monkeypatch.setattr(radius, "_sign_at", counting)
+        monkeypatch.setattr(radius, "_sturm_cells", cells)
         p = Poly1([-1, 4]) * Poly1([-1, 5]) * Poly1([-2, 0, 1])
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [Fraction(1, 5), Fraction(1, 4), None]
         assert (roots[2].lo, roots[2].hi) == (Fraction(3, 4), Fraction(3, 2))
-        assert len(calls) == 83
+        assert len(calls) == 20
+        assert set(calls) == {0, 3, Fraction(3, 2), Fraction(3, 4)}
 
     def test_multiplicity_is_ignored(self):
         p = Poly1([-3, 1]) * Poly1([-3, 1]) * Poly1([-3, 1])
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [3]
+
+
+def linear_product(factors) -> list[int]:
+    """Integer coefficients of the product of the factors q*r - p."""
+    coeffs = [1]
+    for q, p in factors:
+        out = [0] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            out[k] -= p * c
+            out[k + 1] += q * c
+        coeffs = out
+    return coeffs
+
+
+class TestRationalRoots:
+    def test_reciprocals_of_one_to_sixty(self):
+        # prod (i*r - 1): the lead 60! is divisible by every prime below
+        # 60, so the smallest usable prime is 61
+        s = linear_product((i, 1) for i in range(1, 61))
+        assert radius._rational_roots(s) == sorted(Fraction(1, i) for i in range(1, 61))
+        roots = isolate_positive_roots(Poly1(s))
+        assert [r.exact_value for r in roots] == sorted(Fraction(1, i) for i in range(1, 61))
+
+    def test_forty_factors_near_ten_to_the_fourteen(self):
+        # (10^14 + 31i)*r - (10^13 + i): a 561-digit lead coefficient
+        factors = [(10**14 + 31 * i, 10**13 + i) for i in range(1, 41)]
+        want = sorted(Fraction(p, q) for q, p in factors)
+        s = linear_product(factors)
+        assert radius._rational_roots(s) == want
+        assert [r.exact_value for r in isolate_positive_roots(Poly1(s))] == want
+
+    def test_negative_zero_and_irrational_roots(self):
+        # r (3r + 5)(2r - 7)(r^2 - 2)
+        p = Poly1(linear_product([(1, 0), (3, -5), (2, 7)])) * Poly1([-2, 0, 1])
+        assert radius._rational_roots([int(c) for c in p.coeffs]) == [Fraction(-5, 3), 0, Fraction(7, 2)]
+
+    def test_no_rational_root(self):
+        # r^3 - 2 and (4r^2 - 3)(r^2 + 1): roots mod the prime that lift to nothing
+        assert radius._rational_roots([-2, 0, 0, 1]) == []
+        assert radius._rational_roots([-3, 0, 1, 0, 4]) == []
+
+
+class TestSquarefreeCheck:
+    @pytest.mark.parametrize(
+        "p, prs, want",
+        [
+            # square-free modulo 2^61 - 1: no pseudo-remainder sequence
+            ([-6, 1, 1], False, [-6, 1, 1]),
+            ([4, -2, -6], False, [-2, 1, 3]),
+            # planted squares (r - 2)^2 (r + 3) and (2r + 1)^2
+            ([12, -8, -1, 1], True, [-6, 1, 1]),
+            ([1, 4, 4], True, [1, 2]),
+            # the lead is a multiple of 2^61 - 1, so the check cannot decide
+            ([-1, 2**61 - 1], True, [-1, 2**61 - 1]),
+        ],
+    )
+    def test_falls_through_to_the_sequence_only_when_needed(self, monkeypatch, p, prs, want):
+        calls = []
+        common_divisor = radius._common_divisor
+
+        def counting(a, b):
+            calls.append(a)
+            return common_divisor(a, b)
+
+        monkeypatch.setattr(radius, "_common_divisor", counting)
+        assert radius._squarefree(p) == want
+        assert bool(calls) == prs
+
+    def test_planted_cube_times_square(self):
+        # (2r + 1)^2 (r^2 - 2)^3 (3r - 1)
+        square, cube = Poly1([1, 2]), Poly1([-2, 0, 1])
+        p = square * square * cube * cube * cube * Poly1([-1, 3])
+        s = radius._squarefree([int(c) for c in p.coeffs])
+        assert Poly1(s) == square * cube * Poly1([-1, 3])
 
 
 class TestExactQuotient:

@@ -12,7 +12,7 @@ import pytest
 
 from weingarten_tubes.cli import main
 from weingarten_tubes.polyalg import Poly1
-from weingarten_tubes.radius import _common_divisor, _squarefree, isolate_positive_roots
+from weingarten_tubes.radius import _common_divisor, _rational_roots, _squarefree, isolate_positive_roots
 
 sp = pytest.importorskip("sympy")
 R, Y = sp.symbols("r y")
@@ -61,6 +61,23 @@ def test_isolation_matches_sympy_real_roots(seed):
     assert len(found) == len(roots)
     for rad, root in zip(found, roots):
         assert_same_root(rad.lo, rad.hi, rad.exact_value, root)
+
+
+def times_linear(coeffs: list[int], q: int, p: int) -> list[int]:
+    """coeffs times q*r - p."""
+    return [q * low - p * c for c, low in zip(coeffs + [0], [0] + coeffs)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_roots_match_sympy_ground_roots(seed):
+    # the random products above, times factors q*r - p with 15-digit q
+    # and p in every other seed
+    rng = random.Random(f"ground:{seed}")
+    coeffs = random_poly(rng)
+    for _ in range(rng.randint(1, 3) if seed % 2 else 0):
+        coeffs = times_linear(coeffs, rng.randint(1, 10**15), rng.randint(-(10**15), 10**15))
+    want = sp.Poly(list(reversed(coeffs)), R, domain="QQ").ground_roots()
+    assert _rational_roots(_squarefree(coeffs)) == sorted(Fraction(int(v.p), int(v.q)) for v in want)
 
 
 def primitive_coeffs(poly) -> list[Fraction]:
