@@ -301,6 +301,8 @@ class TestGoldens:
              ["classify", "367567200*y^2 - 2723401*y + 5040 + 2*x - 3*x*y"]),
             # eight tube generators: sixteen rational stars with quotients
             ("classify_product_8.json", ["classify", PRODUCT_8]),
+            # a power of a dense base, expanded by the parser in one pass
+            ("classify_power_30_all.json", ["classify", "9/2*(x + 2*y + 1)^30", "--space", "all"]),
             # irrational, positive rational and negative rational radius roots
             ("radius_irrational_negative_rational.json",
              ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),

@@ -12,6 +12,10 @@ signals, negative and large-denominator radii, and the zero polynomial.
 --csv`` across block boundaries: the sha256 of the CSV of each argv of
 ``verify_tubes.json`` at 64x64 (four blocks of 16 rows at the default
 1024 points per block) and at 45x37 (blocks of 27 rows, then 18).
+``golden/pinned/power_corpus.txt`` pins the parser's sums, products and
+powers: c*(x + 2*y + 1)^k for k = 0, 10, ..., 100, two powers with
+20-digit and 15-digit coefficients, and typed expressions of nested
+products and powers, some of which cancel or cross the degree budget.
 Regenerate the files with ``PYTHONPATH=src python tests/test_corpus.py``
 and only when an output change is intended.
 """
@@ -37,9 +41,12 @@ CORPUS = Path(__file__).parent / "golden" / "pinned" / "corpus.txt"
 DIVIDE_CORPUS = CORPUS.with_name("divide_corpus.txt")
 VERIFY_CSV_CORPUS = CORPUS.with_name("verify_csv_corpus.txt")
 VERIFY_TUBES = CORPUS.with_name("verify_tubes.json")
+POWER_CORPUS = CORPUS.with_name("power_corpus.txt")
 MULTI_BLOCK_GRIDS = ("64x64", "45x37")
 SEED = 1010
 DIVIDE_SEED = 1515
+POWER_SEED = 2121
+POWER_ROUNDS = 200
 ROUNDS = 100
 DIVIDE_KINDS = ("member", "non-member", "random", "member-plus-x")
 KINDS = ("random", "rational-star", "irrational-star", "axis")
@@ -150,6 +157,66 @@ def divide_argvs() -> list[list[str]]:
     return argvs
 
 
+def _typed_sum(rng: random.Random, max_degree: int, n_terms: int) -> str:
+    """n_terms random monomials c*x^i*y^j as a user types them, c a
+    positive rational and each joined by " + " or " - "."""
+    text = ""
+    for n in range(n_terms):
+        i = rng.randint(0, max_degree)
+        j = rng.randint(0, max_degree - i)
+        term = str(random_rational(rng, 1, 9)) + (f"*x^{i}" if i else "") + (f"*y^{j}" if j else "")
+        text += (rng.choice([" + ", " - "]) if n else "") + term
+    return text
+
+
+def _typed_expression(rng: random.Random, shape: int) -> str:
+    """One product or power expression of the given shape, built as text
+    only, so the corpus does not depend on the arithmetic it pins."""
+    def f(max_degree=2, n_terms=3):
+        return f"({_typed_sum(rng, max_degree, rng.randint(1, n_terms))})"
+
+    k, c = rng.randint(0, 8), random_rational(rng, 1, 9)
+    if shape == 0:
+        return f"{f(3, 4)}^{k}"
+    if shape == 1:
+        return f"{f()}*{f()}*{f()}"
+    if shape == 2:
+        return f"{c}*{f()}^{rng.randint(0, 4)}*{f()}^{rng.randint(0, 4)}"
+    if shape == 3:
+        return f"({f()}^{rng.randint(0, 3)} - {f()}*{f()})^{rng.randint(0, 3)}"
+    if shape == 4:
+        # the two products cancel, and so may the power of the rest
+        a, b = f(), f()
+        return f"{a}*{b} - {b}*{a} + {f(3)}^{rng.randint(0, 5)}"
+    if shape == 5:
+        # tube generators written with ^1, as in the benchmark's products
+        return f"{c}*" + "*".join(
+            f"({random_rational(rng, 1, 9)}*x^1 - {random_rational(rng, 1, 9)}*y^1 {rng.choice('+-')} 1)"
+            for _ in range(rng.randint(2, 6))
+        )
+    if shape == 6:
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        return f"(-{c}*x^{i}*y^{j} + {random_rational(rng, 1, 9)}*x + y - 1)^{rng.randint(1, 12)}"
+    # a degree over the budget that cancellation may bring back under it
+    e = rng.randint(40, 120)
+    return f"(x^{e} + {_typed_sum(rng, 2, 2)} - x^{e})^{rng.randint(1, 60)}*x^{rng.randint(0, 60)}"
+
+
+def power_argvs() -> list[list[str]]:
+    rng = random.Random(POWER_SEED)
+    argvs = [
+        ["classify", f"{random_rational(rng, 1, 99)}*(x + 2*y + 1)^{k}", "--space", "all"] for k in range(0, 101, 10)
+    ]
+    argvs += [
+        ["classify", "(12345678901234567890*x + 98765432109876543210*y + 1)^100", "--space", "all"],
+        ["classify", "(x^10 + 123456789012345*y^3 - 1)^10", "--space", "all"],
+    ]
+    for n in range(POWER_ROUNDS):
+        expr = _typed_expression(rng, n % 8)
+        argvs.append(["radius", expr, "--star"] if n % 4 == 3 else ["classify", expr])
+    return argvs
+
+
 def verify_csv_argvs() -> list[list[str]]:
     argvs = []
     for grid in MULTI_BLOCK_GRIDS:
@@ -199,6 +266,15 @@ def test_divide_outputs_are_byte_identical():
     assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
 
 
+def test_power_corpus_is_the_seeded_one():
+    assert [argv for _, argv in read_corpus(POWER_CORPUS)] == power_argvs()
+
+
+def test_power_outputs_are_byte_identical():
+    changed = [json.dumps(argv) for digest, argv in read_corpus(POWER_CORPUS) if run_digest(argv) != digest]
+    assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
+
+
 def test_verify_csv_corpus_is_the_pinned_tubes():
     assert [argv for _, argv in read_corpus(VERIFY_CSV_CORPUS)] == verify_csv_argvs()
 
@@ -210,7 +286,7 @@ def test_multi_block_csvs_are_byte_identical(monkeypatch, tmp_path):
 
 
 if __name__ == "__main__":
-    for path, argvs in ((CORPUS, corpus_argvs()), (DIVIDE_CORPUS, divide_argvs())):
+    for path, argvs in ((CORPUS, corpus_argvs()), (DIVIDE_CORPUS, divide_argvs()), (POWER_CORPUS, power_argvs())):
         path.write_text("".join(f"{run_digest(argv)} {json.dumps(argv)}\n" for argv in argvs))
     with tempfile.TemporaryDirectory() as directory:
         lines = [f"{csv_digest(argv, Path(directory))} {json.dumps(argv)}\n" for argv in verify_csv_argvs()]
