@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import geometry as geo
@@ -50,7 +50,7 @@ from .errors import (
     UnwritableOutput,
     ZeroRadius,
 )
-from .polyalg import Poly2, tube_division, tube_generator
+from .polyalg import Poly2, _add, _convolve, _expand_power, tube_division, tube_generator
 from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
@@ -66,9 +66,10 @@ MAX_GRID_POINTS = 2**18
 # Budget for the parsed polynomial: no exponent and no product may exceed
 # this total degree.  Dense inputs cost about d**3 (2-vCPU x86 host,
 # Python 3.11, in-process, the budget raised for k = 150): `classify
-# "(x + 2*y + 1)^k"` takes 0.015 s at k = 30, the largest degree of any
-# shipped input, 0.4 s at k = 100 and 1.4 s at k = 150, nearly all of it
-# the expansion of the power.
+# "(x + 2*y + 1)^k"` takes 0.003 s at k = 30, the largest degree of any
+# shipped input, 0.03 s at k = 100 and 0.09 s at k = 150, of which the
+# expansion of the power is about 40% and printing the echoed polynomial
+# about a quarter.
 # Unchecked, `y^99999999` never finishes parsing.
 MAX_DEGREE = 100
 
@@ -116,11 +117,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     den = int(text[i + 1 : j])
                     if den == 0:
                         raise PolySyntaxError("zero denominator", i + 1)
-                    tokens.append(("number", Fraction(num, den), start))
+                    tokens.append(("number", (num, den), start))
                     i = j
                     continue
                 raise PolySyntaxError("expected digits after '/'", i + 1)
-            tokens.append(("number", Fraction(num), start))
+            tokens.append(("number", (num, 1), start))
             continue
         if ch.isalpha():
             start = i
@@ -139,7 +140,17 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _degree(nums: dict) -> int:
+    """Total degree of the nonzero terms of a numerator map; -1 for none."""
+    return max((i + j for (i, j), v in nums.items() if v), default=-1)
+
+
 class _Parser:
+    """Recursive descent on cleared integer pairs (den, {(i, j): numerator}):
+    sums, products and powers run on ``polyalg._add``, ``_convolve`` and
+    ``_expand_power``, which keep no canonical form, so ``parse_poly``
+    canonicalises once, at the end."""
+
     def __init__(self, tokens: list[tuple[str, object, int]], variables: tuple[str, str]):
         self.tokens = tokens
         self.pos = 0
@@ -159,7 +170,7 @@ class _Parser:
         if kind != "op" or value != op:
             raise PolySyntaxError(f"expected {op!r}", at)
 
-    def parse_expr(self) -> Poly2:
+    def parse_expr(self) -> tuple[int, dict]:
         # the signed summands are added once, into one integer dict, so the
         # cost is linear in their number
         sign = 1
@@ -167,31 +178,33 @@ class _Parser:
         if kind == "op" and value == "-":
             self.take()
             sign = -1
-        summands = [(sign, self.parse_term())]
+        summands = [(sign, *self.parse_term())]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                summands.append((1 if value == "+" else -1, self.parse_term()))
+                summands.append((1 if value == "+" else -1, *self.parse_term()))
+            elif summands[0][0] == 1 and len(summands) == 1:
+                return summands[0][1:]
             else:
-                return Poly2._sum(summands)
+                return _add(summands)
 
-    def parse_term(self) -> Poly2:
-        acc = self.parse_factor()
+    def parse_term(self) -> tuple[int, dict]:
+        den, nums = self.parse_factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                factor = self.parse_factor()
-                degree = acc.degree + factor.degree
+                factor_den, factor = self.parse_factor()
+                degree = _degree(nums) + _degree(factor)
                 if degree > MAX_DEGREE:
                     raise DegreeTooLarge(f"product of total degree {degree} is over the budget of {MAX_DEGREE}")
-                acc = acc * factor
+                den, nums = den * factor_den, _convolve(nums, factor)
             else:
-                return acc
+                return den, nums
 
-    def parse_factor(self) -> Poly2:
-        base = self.parse_base()
+    def parse_factor(self) -> tuple[int, dict]:
+        den, nums = self.parse_base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -200,24 +213,25 @@ class _Parser:
                 raise NonIntegerExponent("exponent must be a nonnegative integer", at)
             if kind != "number":
                 raise PolySyntaxError("expected an exponent", at)
-            if value.denominator != 1:
+            power, rem = divmod(*value)
+            if rem:
                 raise NonIntegerExponent("exponent must be a nonnegative integer", at)
-            power = int(value)
-            degree = max(base.degree, 1) * power
+            degree = max(_degree(nums), 1) * power
             if degree > MAX_DEGREE:
                 raise DegreeTooLarge(f"power of total degree {degree} is over the budget of {MAX_DEGREE}")
-            return base**power
-        return base
+            return den**power, _expand_power(nums, power)
+        return den, nums
 
-    def parse_base(self) -> Poly2:
+    def parse_base(self) -> tuple[int, dict]:
         kind, value, at = self.take()
         if kind == "number":
-            return Poly2.constant(value)
+            num, den = value
+            return den, {(0, 0): num} if num else {}
         if kind == "name":
             if value == self.variables[0]:
-                return Poly2.variable("x")
+                return 1, {(1, 0): 1}
             if value == self.variables[1]:
-                return Poly2.variable("y")
+                return 1, {(0, 1): 1}
             raise UnknownVariable(
                 f"unknown variable {value!r} (allowed: {self.variables[0]}, {self.variables[1]})", at
             )
@@ -239,11 +253,11 @@ def parse_poly(text: str, variables: tuple[str, str] = ("x", "y")) -> Poly2:
     them.  Round-trips with str(): parse_poly(str(p)) == p.
     """
     parser = _Parser(_tokenize(text), variables)
-    result = parser.parse_expr()
+    den, nums = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "end":
         raise PolySyntaxError("unexpected trailing input", at)
-    return result
+    return Poly2._from_cleared(nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +329,41 @@ def _classification_json(report: ClassificationReport, prec: int) -> dict:
             }
         )
     return {"lanes": lanes}
+
+
+def _render(value, out: list, newline: str = "\n") -> None:
+    """Append the text of json.dumps(value, indent=2) to out, piece by piece:
+    dict (str keys), list, tuple, str, int, float, bool and None.  newline
+    is the line break plus the indent of the value's own line.  json.dumps
+    with an indent runs CPython's pure-Python encoder; this does the same
+    work without its generator chain."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        else:
+            out.append("Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        out.append("{" if is_dict else "[")
+        for n, item in enumerate(value.items() if is_dict else value):
+            out.append("," + inner if n else inner)
+            if is_dict:
+                out.append(encode_basestring_ascii(item[0]) + ": ")
+                item = item[1]
+            _render(item, out, inner)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _document(command: str, inputs: dict, result: dict) -> dict:
@@ -616,7 +665,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    sys.stdout.write(json.dumps(document, indent=2) + "\n")
+    text: list[str] = []
+    _render(document, text)
+    text.append("\n")
+    sys.stdout.write("".join(text))
     return 0
 
 

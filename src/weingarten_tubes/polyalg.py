@@ -8,7 +8,13 @@ extraction) is exact and runs on Python ints.  Two types:
   by exponent pairs (i, j), with no factor common to all of them, in
   canonical term order.  Equality and hashing compare integers; sums,
   products, powers and negation work on the numerators and build no
-  Fraction.  ``terms`` and ``coeff`` hand out Fractions.
+  Fraction.  ``terms`` and ``coeff`` hand out Fractions.  The ring
+  operations are three helpers on cleared (den, numerators) pairs that
+  keep no canonical form, so the parser chains them and canonicalises
+  once (``Poly2._from_cleared``): ``_add`` sums any number of signed
+  parts into one dict, ``_convolve`` multiplies, and ``_expand_power``
+  raises to a power in one pass over the support of the result (Miller's
+  recurrence on a Kronecker index), not in k products.
 * ``Poly1`` -- dense univariate polynomial: Fraction coefficient tuple
   indexed by exponent, trailing coefficient nonzero.  It is the public
   boundary type of the univariate results (substitution images, the
@@ -48,6 +54,8 @@ Both types print through one term printer, ``_join_terms``.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -207,6 +215,11 @@ def _term_order_key(exp: tuple[int, int]) -> tuple:
     return (-(i + j), -i)
 
 
+# fixed odd multipliers (Knuth's multiplicative hash of 1..64) for the
+# numerator combination of Poly2._from_cleared
+_MIX = tuple((i * 2654435761) % 2**32 | 1 for i in range(1, 65))
+
+
 def _convolve(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Product of two integer-coefficient polynomials given as exponent ->
     coefficient maps; cancelled terms stay as zeros."""
@@ -217,6 +230,63 @@ def _convolve(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
             e = (i1 + i2, j1 + j2)
             out[e] = get(e, 0) + n1 * n2
     return out
+
+
+def _add(parts: Sequence[tuple[int, int, Mapping[tuple[int, int], int]]]) -> tuple[int, dict[tuple[int, int], int]]:
+    """sum(sign * nums / den for sign, den, nums in parts) as (den, numerators)
+    over the lcm of the denominators, in one dict; cancelled terms dropped."""
+    den = math.lcm(*(d for _, d, _ in parts))
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for sign, d, nums in parts:
+        scale = sign * (den // d)
+        for e, v in nums.items():
+            out[e] = get(e, 0) + v * scale
+    return den, {e: v for e, v in out.items() if v}
+
+
+def _expand_power(nums: Mapping[tuple[int, int], int], k: int) -> dict[tuple[int, int], int]:
+    """p**k (1 for k = 0) of an integer-coefficient polynomial p given as an
+    exponent -> coefficient map, by J.C.P. Miller's recurrence for the power
+    of a power series (Knuth, TAOCP vol. 2, 4.7) on the Kronecker index
+    e = i + s*j, s = k * deg_x(p) + 1, which is injective on p**k.  With
+    p = t**e0 * sum a_d * t**d, a_0 != 0, the coefficients c_n of the sum's
+    k-th power satisfy n * a_0 * c_n = sum_{d >= 1} ((k + 1)*d - n) * a_d * c_{n-d}.
+    A heap visits only the n that are some nonzero c_m plus an offset d, so
+    a sparse p costs its support, not the (k * deg)**2 box.  Every division
+    is exact; a remainder is an arithmetic bug (InternalMismatch)."""
+    if k == 0:
+        return {(0, 0): 1}
+    s = k * max((i for i, _ in nums), default=0) + 1
+    terms = sorted((i + s * j, v) for (i, j), v in nums.items() if v)
+    if not terms:
+        return {}
+    (e0, a0), k1 = terms[0], k + 1
+    steps = [(e - e0, k1 * (e - e0), v) for e, v in terms[1:]]
+    c = {0: a0**k}
+    get = c.get
+    heap = [d for d, _, _ in steps]  # ascending, so already a heap
+    queued = set(heap)
+    while heap:
+        n = heapq.heappop(heap)
+        acc = 0
+        for d, kd, v in steps:
+            if d > n:
+                break
+            m = get(n - d)
+            if m:
+                acc += (kd - n) * v * m
+        cn, rem = divmod(acc, n * a0)
+        if rem:
+            raise InternalMismatch("inexact step in the power recurrence")
+        if cn:
+            c[n] = cn
+            for d, _, _ in steps:
+                if n + d not in queued:
+                    queued.add(n + d)
+                    heapq.heappush(heap, n + d)
+    shift = k * e0
+    return {((n + shift) % s, (n + shift) // s): v for n, v in c.items()}
 
 
 class Poly2:
@@ -296,23 +366,12 @@ class Poly2:
         return Poly2._make({e: -v for e, v in self._nums.items()}, self._den)
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        return Poly2._sum(((1, self), (1, other)))
+        den, nums = _add(((1, self._den, self._nums), (1, other._den, other._nums)))
+        return Poly2._from_cleared(nums, den)
 
     def __sub__(self, other: "Poly2") -> "Poly2":
-        return Poly2._sum(((1, self), (-1, other)))
-
-    @classmethod
-    def _sum(cls, parts: Sequence[tuple[int, "Poly2"]]) -> "Poly2":
-        """sum(sign * p for sign, p in parts) on numerators over the lcm of
-        the denominators, into one dict, canonicalised once."""
-        den = math.lcm(*(p._den for _, p in parts))
-        nums: dict[tuple[int, int], int] = {}
-        get = nums.get
-        for sign, p in parts:
-            scale = sign * (den // p._den)
-            for e, v in p._nums.items():
-                nums[e] = get(e, 0) + v * scale
-        return cls._from_cleared(nums, den)
+        den, nums = _add(((1, self._den, self._nums), (-1, other._den, other._nums)))
+        return Poly2._from_cleared(nums, den)
 
     @classmethod
     def _make(cls, nums: dict[tuple[int, int], int], den: int) -> "Poly2":
@@ -331,8 +390,17 @@ class Poly2:
         """The polynomial sum nums[e] / den * x**i * y**j, den != 0, in
         canonical form: zero numerators dropped, the content common to den
         and the numerators divided out with the sign that makes den
-        positive, one sort."""
-        g = math.gcd(den, *nums.values())
+        positive, one sort.  The content divides g = gcd(den, S) for any
+        integer combination S of the numerators, so it is gcd(g, *numerators)
+        taken from g, not from den: g is usually 1 or small, and the chain
+        then costs one remainder per numerator, not a gcd of den with each.
+        S is the numerators' sum, or a fixed pseudo-random combination when
+        the sum is zero (a Q that vanishes at (1, 1), such as (x - y) * P)."""
+        values = nums.values()
+        combination = sum(values) or sum(map(operator.mul, itertools.cycle(_MIX), values))
+        g = math.gcd(den, combination)
+        if g != 1:
+            g = math.gcd(g, *values)
         if den < 0:
             g = -g
         return cls._make({e: nums[e] // g for e in sorted(nums, key=_term_order_key) if nums[e]}, den // g)
@@ -345,14 +413,11 @@ class Poly2:
         return Poly2._from_cleared(_convolve(self._nums, other._nums), self._den * other._den)
 
     def __pow__(self, k: int) -> "Poly2":
-        """self**k (1 for k = 0) by k integer convolutions with the
-        numerators, over den**k."""
+        """self**k (1 for k = 0): ``_expand_power`` of the numerators over
+        den**k."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        acc = {(0, 0): 1}
-        for _ in range(k):
-            acc = _convolve(acc, self._nums)
-        return Poly2._from_cleared(acc, self._den**k)
+        return Poly2._from_cleared(_expand_power(self._nums, k), self._den**k)
 
     def __rmul__(self, other: RatLike) -> "Poly2":
         return self * other

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly2
 from weingarten_tubes import cli, errors
@@ -615,6 +617,51 @@ class TestTubeArguments:
         assert err == f"error: cannot write --csv {path!r}: No such file or directory\n"
 
 
+def rendered(document) -> str:
+    out: list = []
+    cli._render(document, out)
+    return "".join(out)
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 1e300]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2713 \U0001d535", '"\\/\n\t']),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestRender:
+    """The report writer prints what json.dumps(document, indent=2) prints."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*.json")), ids=lambda path: path.name)
+    def test_every_golden_document(self, path):
+        document = json.loads(path.read_text())
+        assert rendered(document) == json.dumps(document, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @example(document=[True, 1, False, 0, None, 10**30, -(10**30)])
+    @example(document={"": {}, "a": [], "b": [[], {}], "c": [-0.0, 0.0, math.nan, math.inf, -math.inf]})
+    @example(document=("tuple", ["list"]))
+    @given(document=json_trees)
+    def test_json_trees(self, document):
+        assert rendered(document) == json.dumps(document, indent=2)
+
+    def test_unknown_type_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            rendered({"a": {1, 2}})
+
+
 class TestDegreeBudget:
     @pytest.mark.parametrize(
         "poly, degree",
@@ -626,12 +673,13 @@ class TestDegreeBudget:
     )
     def test_huge_power_is_two_before_expanding(self, capsys, monkeypatch, poly, degree):
         # checked before the first multiplication: without a budget,
-        # y^99999999 never finishes parsing
-        def no_product(self, other):
+        # y^99999999 never finishes parsing.  The parser multiplies and
+        # raises to powers through these two helpers only.
+        def no_product(a, b):
             raise AssertionError("power expanded")
 
-        monkeypatch.setattr(Poly2, "__mul__", no_product)
-        monkeypatch.setattr(Poly2, "__pow__", no_product)
+        monkeypatch.setattr(cli, "_convolve", no_product)
+        monkeypatch.setattr(cli, "_expand_power", no_product)
         code, out, err = run_cli(capsys, "classify", poly)
         assert (code, out) == (2, "")
         assert err == f"error: power of total degree {degree} is over the budget of 100\n"
@@ -648,6 +696,31 @@ class TestDegreeBudget:
         code, out, err = run_cli(capsys, "radius", poly)
         assert (code, out) == (2, "")
         assert err == f"error: {message} is over the budget of 100\n"
+
+    @pytest.mark.parametrize(
+        "poly, code, err",
+        [
+            # cancellation inside a sum lowers the degree the budget sees
+            ("(x^60 + y - x^60)^100", 0, ""),
+            ("(x^60 + y - x^60)^101", 2, "error: power of total degree 101 is over the budget of 100\n"),
+            ("(x^99 - x^99 + x)*x^99", 0, ""),
+            ("(x^99 - x^99 + x^2)*x^99", 2, "error: product of total degree 101 is over the budget of 100\n"),
+            ("x^60*y^40*(x^5 - x^5 + 1)", 0, ""),
+            # a base that cancels to a constant still counts degree 1 per power
+            ("((x + 1)^2 - x^2 - 2*x)^150", 2, "error: power of total degree 150 is over the budget of 100\n"),
+            # a product whose middle terms cancel, raised to a power
+            ("((x + y)*(x - y) - x^2)^50", 0, ""),
+            ("((x + y)*(x - y) - x^2)^51", 2, "error: power of total degree 102 is over the budget of 100\n"),
+            # zero counts degree -1 in a product and 1 per power
+            ("(x - x)*x^100*y", 2, "error: the zero relation holds on every surface\n"),
+            ("(x - x)^100", 2, "error: the zero relation holds on every surface\n"),
+            ("(x - x)^101", 2, "error: power of total degree 101 is over the budget of 100\n"),
+        ],
+    )
+    def test_cancellation_under_the_budget(self, capsys, poly, code, err):
+        got_code, out, got_err = run_cli(capsys, "classify", poly, "--space", "euclidean")
+        assert (got_code, got_err) == (code, err)
+        assert bool(out) == (code == 0)
 
     def test_budget_admits_degree_100(self):
         assert cli.MAX_DEGREE == 100

@@ -5,8 +5,11 @@ code with the library:
   expansion of Q on the generator line, and ``paper_formulas.gamma_formula``,
   the paper's double sum, against the rows of ``_family_image``;
 * the principal family: ``brute_principal``, direct evaluation of Q(x, 1/r);
-* the ring arithmetic: ``conftest.brute_product`` and ``brute_power``,
-  term-by-term Fraction products, and the validating constructor;
+* the ring arithmetic: ``conftest.brute_product``, term-by-term Fraction
+  products, and the validating constructor;
+* the power recurrence: ``repeated_products``, k integer convolutions;
+* the parser: ``conftest.expression_value``, a Fraction evaluation of
+  the expression tree at random points;
 * the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain;
 * the l-adic rational roots: ``reference_rational_roots``, Sturm bisection
   on that chain narrowed to the grid Z/a_n.
@@ -20,13 +23,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import brute_product, brute_substitute
+from conftest import (
+    brute_product,
+    brute_substitute,
+    expression_degree,
+    expression_text,
+    expression_trees,
+    expression_value,
+)
 from paper_formulas import epsilon_transform, gamma_formula
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
-from weingarten_tubes.cli import parse_poly
+from weingarten_tubes.cli import MAX_DEGREE, parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
+    _convolve,
+    _expand_power,
     _family_image,
     divide_by_linear,
     divide_by_tube_factor,
@@ -399,6 +411,46 @@ def test_sums_are_the_validated_constructor(p, q):
     ):
         assert list(got.terms()) == list(want.terms())
         assert got == want and hash(got) == hash(want)
+
+
+def repeated_products(nums: dict, k: int) -> dict:
+    """p**k by k integer convolutions, cancelled terms dropped: the power
+    loop that the recurrence replaced."""
+    acc = {(0, 0): 1}
+    for _ in range(k):
+        acc = _convolve(acc, nums)
+    return {e: v for e, v in acc.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@example(base={(0, 0): 0}, k=3)  # the zero polynomial
+@example(base={(8, 3): -(10**20)}, k=10)  # a monomial
+@example(base={(1, 0): 1, (0, 1): 2, (0, 0): 1}, k=10)
+@example(base={(8, 0): 3, (0, 8): -5, (4, 4): 10**20}, k=10)  # no constant term
+@given(
+    base=st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(-(10**20), 10**20), min_size=1, max_size=6
+    ),
+    k=st.integers(0, 10),
+)
+def test_power_recurrence_is_repeated_products(base, k):
+    assert _expand_power(base, k) == repeated_products(base, k)
+
+
+@PROPERTY
+@example(tree=("sum", ((1, ("var", "x")), (-1, ("var", "x")))), points=[(Fraction(2), Fraction(3))])
+@example(tree=("pow", ("sum", ((1, ("var", "x")), (-1, ("var", "x")))), 0), points=[(Fraction(0), Fraction(0))])
+@given(
+    tree=expression_trees,
+    points=st.lists(st.tuples(coefficients, coefficients), min_size=1, max_size=3),
+)
+def test_parse_is_the_value_of_the_expression(tree, points):
+    """parse_poly on nested sums, products and powers with rational
+    constants, some cancelling to zero, against the tree's value."""
+    assume(expression_degree(tree) <= MAX_DEGREE)
+    terms = list(parse_poly(expression_text(tree)).terms())
+    for x, y in points:
+        assert sum((c * x**i * y**j for (i, j), c in terms), Fraction(0)) == expression_value(tree, x, y)
 
 
 @PROPERTY

@@ -1,7 +1,7 @@
-"""Differential tests of exact root isolation and of the integer gcd and
-square-free machinery against sympy, which shares no code with the
-library.  sympy is a test-only dependency; the module
-is skipped when it is not installed."""
+"""Differential tests of exact root isolation, of the integer gcd and
+square-free machinery and of the parser's expansion against sympy, which
+shares no code with the library.  sympy is a test-only dependency; the
+module is skipped when it is not installed."""
 
 import json
 import random
@@ -9,8 +9,10 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings
 
-from weingarten_tubes.cli import main
+from conftest import expression_degree, expression_text, expression_trees
+from weingarten_tubes.cli import MAX_DEGREE, main, parse_poly
 from weingarten_tubes.polyalg import Poly1
 from weingarten_tubes.radius import _common_divisor, _rational_roots, _squarefree, isolate_positive_roots
 
@@ -146,3 +148,15 @@ def test_forty_digit_classify_matches_sympy(capsys):
                 lo, hi = (Fraction(v) for v in body["interval"])
                 assert_same_root(lo, hi, None, root)
     assert exact_count == 3  # r = P/14 in every lane with eps = +1
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=expression_trees)
+def test_parse_matches_sympy_expand(tree):
+    """The strings of the parser's Fraction oracle, expanded by sympy."""
+    assume(expression_degree(tree) <= MAX_DEGREE)
+    text = expression_text(tree)
+    x, y = sp.symbols("x y")
+    expanded = sp.Poly(sp.expand(sp.sympify(text.replace("^", "**"), locals={"x": x, "y": y})), x, y)
+    want = {e: Fraction(int(c.p), int(c.q)) for e, c in expanded.terms() if c != 0}
+    assert dict(parse_poly(text).terms()) == want
