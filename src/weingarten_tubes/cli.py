@@ -184,8 +184,6 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.take()
                 summands.append((1 if value == "+" else -1, *self.parse_term()))
-            elif summands[0][0] == 1 and len(summands) == 1:
-                return summands[0][1:]
             else:
                 return _add(summands)
 
