@@ -8,7 +8,7 @@ code with the library:
 * the ring arithmetic: ``conftest.brute_product``, term-by-term Fraction
   products, and the validating constructor;
 * the power recurrence: ``repeated_products``, k integer convolutions;
-* the parser: ``conftest.expression_value``, a Fraction evaluation of
+* the parser: ``expression_trees.expression_value``, a Fraction evaluation of
   the expression tree at random points;
 * the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain;
 * the l-adic rational roots: ``reference_rational_roots``, Sturm bisection
@@ -23,14 +23,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (
-    brute_product,
-    brute_substitute,
-    expression_degree,
-    expression_text,
-    expression_trees,
-    expression_value,
-)
+from conftest import brute_product, brute_substitute
+from expression_trees import expression_degree, expression_text, expression_trees, expression_value
 from paper_formulas import epsilon_transform, gamma_formula
 from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
 from weingarten_tubes.cli import MAX_DEGREE, parse_poly

@@ -11,7 +11,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import expression_degree, expression_text, expression_trees
+from expression_trees import expression_degree, expression_text, expression_trees
 from weingarten_tubes.cli import MAX_DEGREE, main, parse_poly
 from weingarten_tubes.polyalg import Poly1
 from weingarten_tubes.radius import _common_divisor, _rational_roots, _squarefree, isolate_positive_roots
