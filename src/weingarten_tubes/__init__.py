@@ -28,7 +28,6 @@ from .radius import (
     RadiusSet,
     SpaceTag,
     isolate_positive_roots,
-    principal_radius_set,
     radius_set,
     star_radius_set,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "RadiusSet",
     "SpaceTag",
     "isolate_positive_roots",
-    "principal_radius_set",
     "radius_set",
     "star_radius_set",
     "ClassificationReport",
@@ -78,4 +76,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

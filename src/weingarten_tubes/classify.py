@@ -3,9 +3,9 @@
 Two directions: given a polynomial relation Q, find every tube surface
 whose Gaussian and mean curvatures satisfy Q(K, H) = 0 (``solve_SQ``);
 given a fixed tube, describe every polynomial relation its curvatures
-satisfy (``solve_QS``).  On top of those sit the linear relation,
-constant second-fundamental-form-length and principal-curvature
-corollaries, and the true-nonlinear-relation verdict.
+satisfy (``solve_QS``).  On top of those sit the linear relation (read
+off one ``solve_SQ``), constant second-fundamental-form-length and
+principal-curvature corollaries, and the true-nonlinear-relation verdict.
 
 Both S(Q) problems, Q(K, H) and Q(k1, k2), run through one lane
 driver that consumes a generator family from radius: each lane of
@@ -162,7 +162,9 @@ class TubeIdentity(_TubeIdentity):
 
     @property
     def rational_radius(self) -> Optional[Fraction]:
-        return self.radius if isinstance(self.radius, Fraction) else None
+        """The radius when it is rational, whether stored as a Fraction
+        or as an AlgebraicRadius with an exact value."""
+        return self.radius if isinstance(self.radius, Fraction) else self.radius.exact_value
 
 
 class QSDescription(NamedTuple):
@@ -217,57 +219,32 @@ class LinearCase(NamedTuple):
     discriminant: Optional[Fraction] = None
 
 
-def _sgn(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
-
-
 def classify_linear(
     a: Fraction, b: Fraction, c: Fraction, spaces: Union[str, Iterable[str]] = "all"
 ) -> tuple[LinearCase, ...]:
-    """Case analysis for the linear relation a*x + b*y - c = 0.
-
-    A lane of signal eps (+1 outside the Lorentzian space) is nonempty
-    iff b = c = 0 (cylinders of any radius) or b, c are nonzero with
-    sgn(b*c) = eps: radius b*eps/(2c), all tubes iff the discriminant
-    eps*b**2 + 4ac is 0.  The result is cross-checked against solve_SQ.
-    """
+    """Case analysis for the linear relation a*x + b*y - c = 0, one case
+    per lane of its ``solve_SQ`` report: "cylinders-any-radius" when the
+    lane's axis restriction vanishes, "empty" with no class, else
+    "all-tubes" or "right-cylinders" from its one class, with that rational
+    radius (rho in the hyperbolic lane) and the discriminant eps*b**2 + 4ac.
+    The paper's closed-form case table is a test oracle
+    (tests/paper_formulas.py)."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 and b == 0:
         raise DegenerateRelation("need (a, b) != (0, 0)")
-    cases = []
-    for tag in expand_spaces(spaces):
-        if b == 0 and c == 0:
-            cases.append(LinearCase(tag, "cylinders-any-radius"))
-        elif b != 0 and c != 0 and tag.eps == _sgn(b * c):
-            radius = b * tag.eps / (2 * c)  # rho in the hyperbolic lane
-            delta = tag.eps * b * b + 4 * a * c
-            kind = "all-tubes" if delta == 0 else "right-cylinders"
-            cases.append(LinearCase(tag, kind, radius, delta))
-        else:
-            cases.append(LinearCase(tag, "empty"))
     q = Poly2([((1, 0), a), ((0, 1), b), ((0, 0), -c)])
-    _check_linear_cases(cases, solve_SQ(q, spaces))
-    return tuple(cases)
-
-
-def _check_linear_cases(cases: list[LinearCase], report: ClassificationReport) -> None:
-    by_tag = {lane.tag: lane for lane in report.lanes}
-    for case in cases:
-        lane = by_tag[case.tag]
-        if case.kind == "cylinders-any-radius":
-            ok = lane.all_cylinders_any_radius and not lane.classes
-        elif case.kind == "empty":
-            ok = lane.is_empty
+    cases = []
+    for lane in solve_SQ(q, spaces).lanes:
+        if lane.all_cylinders_any_radius:
+            cases.append(LinearCase(lane.tag, "cylinders-any-radius"))
+        elif not lane.classes:
+            cases.append(LinearCase(lane.tag, "empty"))
         else:
-            expected = ALL_REGULAR_TUBES if case.kind == "all-tubes" else RIGHT_CYLINDERS
-            ok = (
-                not lane.all_cylinders_any_radius
-                and len(lane.classes) == 1
-                and lane.classes[0].kind == expected
-                and lane.classes[0].radius.exact_value == case.radius
-            )
-        if not ok:
-            raise InternalMismatch(f"linear case analysis disagrees with solve_SQ in lane {case.tag}")
+            cls = lane.classes[0]
+            kind = "all-tubes" if cls.kind == ALL_REGULAR_TUBES else "right-cylinders"
+            delta = lane.tag.eps * b * b + 4 * a * c
+            cases.append(LinearCase(lane.tag, kind, cls.radius.exact_value, delta))
+    return tuple(cases)
 
 
 def classify_second_fundamental(

@@ -13,8 +13,8 @@ Reports are JSON documents with a frozen field layout (see
 docs/report_schema.md); identical inputs produce byte-identical output.
 Exit codes: 0 success, 1 usage or syntax error, 2 domain error, 3
 internal-check failure.  The environment variable WEINGARTEN_PRECISION
-(default 12) sets the number of significant digits used for approximate
-values in reports.
+(default 12, clamped to 1-17) sets the number of significant digits
+used for approximate values in reports.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ extraction) is exact and runs on Python ints.  Two types:
   indexed by exponent, trailing coefficient nonzero.  It is the public
   boundary type of the univariate results (substitution images, the
   paper's gamma polynomials, radius and star polys, defining polynomials
-  of radii); the algebra behind them runs on integer lists.
+  of radii), a value with no ring operations; the algebra behind them
+  runs on integer lists.
 
 On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
@@ -112,7 +113,8 @@ def _join_terms(terms: Iterable[tuple[int, int, str]]) -> str:
 
 
 class Poly1:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients: a
+    value to build, compare, evaluate and print."""
 
     __slots__ = ("_coeffs",)
 
@@ -121,14 +123,6 @@ class Poly1:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Poly1":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: RatLike) -> "Poly1":
-        return cls([c])
 
     @property
     def coeffs(self) -> tuple:
@@ -158,38 +152,6 @@ class Poly1:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __neg__(self) -> "Poly1":
-        return Poly1([-c for c in self._coeffs])
-
-    def __add__(self, other: "Poly1") -> "Poly1":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly1(out)
-
-    def __sub__(self, other: "Poly1") -> "Poly1":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Poly1", RatLike]) -> "Poly1":
-        if isinstance(other, Poly1):
-            if self.is_zero or other.is_zero:
-                return Poly1()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Poly1(out)
-        c = _frac(other)
-        return Poly1([c * a for a in self._coeffs])
-
-    def __rmul__(self, other: RatLike) -> "Poly1":
-        return self * other
 
     def eval(self, v: RatLike) -> Fraction:
         v = _frac(v)

@@ -375,6 +375,8 @@ class AlgebraicRadius(_AlgebraicRadius):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, defining_poly: Poly1, lo: Fraction, hi: Fraction, exact_value: Optional[Fraction] = None):
+        if defining_poly.degree < 1:
+            raise ValueError("defining polynomial must have degree >= 1")
         if lo < 0 or not lo < hi:
             raise ValueError("isolating interval must satisfy 0 <= lo < hi")
         if exact_value is not None:
@@ -434,9 +436,10 @@ class _RadiusSet(NamedTuple):
 class RadiusSet(_RadiusSet):
     """Either every positive radius (axis restriction identically zero)
     or a finite sorted list of isolated radii, as entries with star flags.
-    An all-positive set from star_radius_set or principal_radius_set
-    lists its star radii, the positive roots of the star poly; radius_set
-    leaves every flag False and an all-positive set empty."""
+    An all-positive set from star_radius_set lists its star radii, the
+    positive roots of the star poly; radius_set leaves every flag False
+    and an all-positive set empty.  The principal-curvature problem has
+    no RadiusSet view: its radii are the one lane of solve_SQ_principal."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -595,11 +598,6 @@ def decide_radii(
     return all_positive, tuple(decisions)
 
 
-def _star_set(q: Poly2, family: GeneratorFamily) -> RadiusSet:
-    all_positive, decisions = decide_radii(q, family)
-    return RadiusSet("all-positive" if all_positive else "finite", tuple(entry for entry, _ in decisions))
-
-
 def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """Positive radii at which the right cylinder of that radius (and
     signal, in the Lorentzian lane) satisfies Q(K, H) = 0.
@@ -621,11 +619,5 @@ def star_radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """radius_set with star = True exactly where Q lies in the ideal of
     the tube relation at that radius (see decide_radii); an all-positive
     set lists the star radii, as classify does."""
-    return _star_set(q, tube_family(tag))
-
-
-def principal_radius_set(q: Poly2) -> RadiusSet:
-    """Radii for the principal-curvature problem Q(k1, k2) = 0: positive
-    r with Q(0, 1/r) = 0, star-flagged when Q(x, 1/r) vanishes
-    identically in x (membership in the ideal of y - 1/r)."""
-    return _star_set(q, PRINCIPAL)
+    all_positive, decisions = decide_radii(q, tube_family(tag))
+    return RadiusSet("all-positive" if all_positive else "finite", tuple(entry for entry, _ in decisions))

@@ -92,3 +92,22 @@ def axis_restriction(q: Poly2) -> Poly1:
         if i == 0:
             coeffs[j] = c
     return Poly1([coeffs.get(j, 0) for j in range(max(coeffs, default=-1) + 1)])
+
+
+def poly_product(*factors) -> list:
+    """Coefficients, constant term first, of the product of the
+    univariate polynomials with these coefficient lists (1 for none), by
+    schoolbook convolution."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def linear_product(factors) -> list[int]:
+    """Integer coefficients of the product of the factors q*r - p."""
+    return poly_product(*([-p, q] for q, p in factors))

@@ -4,9 +4,12 @@ None of this is on a decision path.  ``gamma_formula`` is the paper's
 binomial double sum for the cleared coefficient polynomials g_k(r); the
 library computes the same polynomials by one integer Horner expansion
 (``polyalg.gamma_cleared``, a view of ``_family_image``), and the tests
-compare the two.  The binomial symbol and its alternating-sum identity
-pin the conventions that formula rests on, and ``epsilon_transform``
-carries statements between the eps = -1 and eps = +1 generators.
+compare the two.  ``linear_cases`` is the paper's closed-form case table
+for the linear relation a*x + b*y = c; the library reads the same cases
+off ``solve_SQ`` (``classify.classify_linear``).  The binomial symbol
+and its alternating-sum identity pin the conventions that formula rests
+on, and ``epsilon_transform`` carries statements between the eps = -1
+and eps = +1 generators.
 """
 
 import math
@@ -84,4 +87,27 @@ def gamma_formula(q: Poly2) -> list[Poly1]:
                 # 2^n r^n * C(k-i+j, j) a / (2^(k-i+j) r^(j+i))
                 coeffs[n - j - i] += binom(k - i + j, j) * a * 2 ** (n - (k - i + j))
         out.append(Poly1(coeffs))
+    return out
+
+
+def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:
+    """The paper's case table for a*x + b*y - c = 0, (a, b) != (0, 0), as
+    (space, eps, kind, radius, discriminant) per lane, in report order.
+
+    A lane of signal eps holds right cylinders of every radius iff
+    b = c = 0, and is otherwise nonempty iff b, c != 0 with sgn(b*c) = eps:
+    then its radius (rho = sinh r in the hyperbolic lane) is b*eps/(2c),
+    and it holds all tubes of that radius iff the discriminant
+    eps*b**2 + 4ac is 0, right cylinders only otherwise.
+    """
+    out = []
+    for space, eps in (("euclidean", 1), ("lorentzian", 1), ("lorentzian", -1), ("hyperbolic", 1)):
+        if b == 0 and c == 0:
+            out.append((space, eps, "cylinders-any-radius", None, None))
+        elif b != 0 and c != 0 and (b * c > 0) == (eps > 0):
+            delta = eps * b * b + 4 * a * c
+            kind = "all-tubes" if delta == 0 else "right-cylinders"
+            out.append((space, eps, kind, b * eps / (2 * c), delta))
+        else:
+            out.append((space, eps, "empty", None, None))
     return out

@@ -102,7 +102,7 @@ def test_criterion_03_linear_sweep():
         c = random_rational(rng, -9, 9)
         if a == 0 and b == 0:
             continue
-        # classify_linear raises InternalMismatch on any disagreement
+        # classify_linear reads every case off solve_SQ
         cases = classify_linear(a, b, c, "all")
         if b != 0 and c != 0:
             sgn = 1 if b * c > 0 else -1

@@ -220,8 +220,9 @@ class TestClassifyLinear:
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             if a == 0 and b == 0:
                 continue
-            # classify_linear raises InternalMismatch if it ever disagrees
-            # with solve_SQ, so calling it is the assertion
+            # every case is read off solve_SQ; the paper's closed-form table
+            # is compared with it in test_oracles, so this sweep checks
+            # that no input in it raises
             classify_linear(a, b, c, "all")
 
 
@@ -299,6 +300,16 @@ class TestTrueNonlinear:
         verdict = true_nonlinear_witness(q, cyl)
         assert verdict.kind == "cylinder-case"
         assert verdict.witness is None
+
+    def test_rational_algebraic_radius_keeps_its_generator(self, sq_poly):
+        # the all-tubes class of sq_poly, handed back as a surface: its
+        # radius is an AlgebraicRadius with the exact value 5
+        (cls,) = [c for c in lane_of(solve_SQ(sq_poly, "euclidean"), EUCLIDEAN).classes if c.kind == ALL_REGULAR_TUBES]
+        tube = TubeIdentity(EUCLIDEAN, cls.radius, False)
+        assert tube.rational_radius == 5
+        assert solve_QS(tube).generator() == tube_generator(5)
+        verdict = true_nonlinear_witness(sq_poly, tube)
+        assert verdict.kind == "not-true" and verdict.witness == tube_generator(5)
 
     def test_errors(self, exq_poly):
         tube = TubeIdentity(EUCLIDEAN, Fraction(2), False)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -275,52 +276,62 @@ class TestCommands:
         ]
 
 
+# the pinned reports of TestGoldens, with the argv that prints each; the
+# stdlib-only CI job diffs every one of them on newer interpreters
+PINNED_REPORTS = [
+    # irrational principal star radius plus a rational cylinder
+    ("classify_principal_irrational_star.json",
+     ["classify", "(k2^2 - 2)*(k1 + k2 - 3)", "--principal"]),
+    # principal axis restriction vanishes; star quotient x
+    ("classify_principal_all_positive.json", ["classify", "k1*(k2 - 2)", "--principal"]),
+    # irrational star in every lane, with the H^3 sinh_radius rendering
+    ("radius_irrational_star_all.json",
+     ["radius", "((2*x+1)^2 - 8*y^2)*(x - y + 2)", "--star", "--space", "all"]),
+    # all-positive lanes whose star radii are irrational
+    ("classify_all_positive_irrational_all.json",
+     ["classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all"]),
+    # the substitution image of a non-member
+    ("divide_exq_not_in_ideal.json", ["divide", EXQ_TEXT, "--r", "1", "--eps", "-1"]),
+    # a prime near 10^14: irrational radii from a Cauchy bound near 5*10^12
+    ("classify_prime_coefficient.json",
+     ["classify", "100000000000031*y^2 + 3*y - 5 + 2*x - 4*x*y"]),
+    # highly composite 367567200 and 5040, coprime content
+    ("classify_composite_coefficient.json",
+     ["classify", "367567200*y^2 - 2723401*y + 5040 + 2*x - 3*x*y"]),
+    # eight tube generators: sixteen rational stars with quotients
+    ("classify_product_8.json", ["classify", PRODUCT_8]),
+    # a power of a dense base, expanded by the parser in one pass
+    ("classify_power_30_all.json", ["classify", "9/2*(x + 2*y + 1)^30", "--space", "all"]),
+    # irrational, positive rational and negative rational radius roots
+    ("radius_irrational_negative_rational.json",
+     ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),
+    # rational radius 1 inside the first bisection cell of sqrt(2)
+    ("radius_rational_in_irrational_cell.json",
+     ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
+    # rational radius 10 beyond the Cauchy bound 3 of r^2 - 2
+    ("radius_rational_beyond_deflated_bound.json",
+     ["radius", "(20*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
+]
+
+
 class TestGoldens:
     """Reports pinned byte for byte; each covers a path the two
     classification goldens of the acceptance suite do not reach."""
 
-    @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            # irrational principal star radius plus a rational cylinder
-            ("classify_principal_irrational_star.json",
-             ["classify", "(k2^2 - 2)*(k1 + k2 - 3)", "--principal"]),
-            # principal axis restriction vanishes; star quotient x
-            ("classify_principal_all_positive.json", ["classify", "k1*(k2 - 2)", "--principal"]),
-            # irrational star in every lane, with the H^3 sinh_radius rendering
-            ("radius_irrational_star_all.json",
-             ["radius", "((2*x+1)^2 - 8*y^2)*(x - y + 2)", "--star", "--space", "all"]),
-            # all-positive lanes whose star radii are irrational
-            ("classify_all_positive_irrational_all.json",
-             ["classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all"]),
-            # the substitution image of a non-member
-            ("divide_exq_not_in_ideal.json", ["divide", EXQ_TEXT, "--r", "1", "--eps", "-1"]),
-            # a prime near 10^14: irrational radii from a Cauchy bound near 5*10^12
-            ("classify_prime_coefficient.json",
-             ["classify", "100000000000031*y^2 + 3*y - 5 + 2*x - 4*x*y"]),
-            # highly composite 367567200 and 5040, coprime content
-            ("classify_composite_coefficient.json",
-             ["classify", "367567200*y^2 - 2723401*y + 5040 + 2*x - 3*x*y"]),
-            # eight tube generators: sixteen rational stars with quotients
-            ("classify_product_8.json", ["classify", PRODUCT_8]),
-            # a power of a dense base, expanded by the parser in one pass
-            ("classify_power_30_all.json", ["classify", "9/2*(x + 2*y + 1)^30", "--space", "all"]),
-            # irrational, positive rational and negative rational radius roots
-            ("radius_irrational_negative_rational.json",
-             ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),
-            # rational radius 1 inside the first bisection cell of sqrt(2)
-            ("radius_rational_in_irrational_cell.json",
-             ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
-            # rational radius 10 beyond the Cauchy bound 3 of r^2 - 2
-            ("radius_rational_beyond_deflated_bound.json",
-             ["radius", "(20*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
-        ],
-    )
+    @pytest.mark.parametrize("golden, argv", PINNED_REPORTS)
     def test_report_is_byte_identical(self, capsys, monkeypatch, golden, argv):
         monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (GOLDEN / "pinned" / golden).read_text()
+
+    @pytest.mark.parametrize("golden, argv", PINNED_REPORTS)
+    def test_report_is_diffed_in_ci(self, golden, argv):
+        # the CI job without numpy prints each pinned report from the same
+        # argv, each argument bare or in double quotes, and diffs it
+        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        command = " ".join(a if re.fullmatch(r"[\w./-]+", a) else f'"{a}"' for a in argv)
+        assert f"python -m weingarten_tubes.cli {command} | diff - tests/golden/pinned/{golden}\n" in workflow
 
 
 class TestVerifyGoldens:
@@ -986,3 +997,15 @@ class TestDeterminism:
         doc = json.loads(out)
         approx = doc["result"]["lanes"][0]["classes"][0]["radius"]["radius_approx"]
         assert len(approx.replace(".", "").replace("-", "").lstrip("0")) <= 4
+
+    def test_precision_is_clamped_to_one_through_seventeen(self, capsys, monkeypatch):
+        # r = asinh(1/2) = 0.4812118250596034...: 0 prints as 1 digit and
+        # 99 as 17, the most a double carries
+        shown = {}
+        for prec in ("0", "1", "17", "99"):
+            monkeypatch.setenv("WEINGARTEN_PRECISION", prec)
+            code, out, _ = run_cli(capsys, "sff", "2", "--space", "hyperbolic")
+            assert code == 0
+            shown[prec] = json.loads(out)["result"]["lanes"][0]["classes"][0]["radius"]["radius_approx"]
+        assert shown["0"] == shown["1"] == "0.5"
+        assert shown["99"] == shown["17"] == format(math.asinh(0.5), ".17g") == "0.48121182505960347"

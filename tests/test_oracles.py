@@ -5,6 +5,8 @@ code with the library:
   expansion of Q on the generator line, and ``paper_formulas.gamma_formula``,
   the paper's double sum, against the rows of ``_family_image``;
 * the principal family: ``brute_principal``, direct evaluation of Q(x, 1/r);
+* the linear corollary: ``paper_formulas.linear_cases``, the paper's
+  closed-form case table;
 * the ring arithmetic: ``conftest.brute_product``, term-by-term Fraction
   products, and the validating constructor;
 * the power recurrence: ``repeated_products``, k integer convolutions;
@@ -23,10 +25,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import brute_product, brute_substitute
+from conftest import axis_restriction, brute_product, brute_substitute, poly_product
 from expression_trees import expression_degree, expression_text, expression_trees, expression_value
-from paper_formulas import epsilon_transform, gamma_formula
-from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ, solve_SQ_principal
+from paper_formulas import epsilon_transform, gamma_formula, linear_cases
+from weingarten_tubes.classify import ALL_REGULAR_TUBES, classify_linear, solve_SQ, solve_SQ_principal
 from weingarten_tubes.cli import MAX_DEGREE, parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
@@ -51,7 +53,6 @@ from weingarten_tubes.radius import (
     _sturm_chain,
     decide_radii,
     isolate_positive_roots,
-    principal_radius_set,
     star_radius_set,
     tube_family,
 )
@@ -203,13 +204,9 @@ def test_star_flags_match_brute_image(shape, a, b, r, tag):
 def test_principal_star_flags_match_brute(shape, a, b, r):
     q = build(shape, Y - Poly2.constant(1 / r), a, b)
     assume(not q.is_zero)
-    rset = principal_radius_set(q)
-    for entry in rset.entries:
-        v = entry.radius.exact_value
-        if v is not None:
-            assert entry.star == (brute_principal(q, v) == [])
     (lane,) = solve_SQ_principal(q).lanes
-    assert lane.all_cylinders_any_radius == rset.is_all_positive
+    # Q(0, 1/r) vanishes for every r exactly when Q(0, y) does
+    assert lane.all_cylinders_any_radius == axis_restriction(q).is_zero
     for cls in lane.classes:
         v = cls.radius.exact_value
         if v is None:
@@ -219,6 +216,28 @@ def test_principal_star_flags_match_brute(shape, a, b, r):
         assert (cls.quotient is not None) == star
         if star:
             assert evaluates_equal(q, Y - Poly2.constant(1 / v), cls.quotient)
+
+
+# linear coefficients with zero drawn often, for the a = 0, b = 0 and c = 0 edges
+linear_coefficients = st.one_of(st.just(Fraction(0)), coefficients)
+
+
+@PROPERTY
+@example(a=Fraction(3), b=Fraction(0), c=Fraction(0), tube_eps=None)  # cylinders of every radius
+@example(a=Fraction(0), b=Fraction(2), c=Fraction(3), tube_eps=None)  # H = c/b
+@example(a=Fraction(2), b=Fraction(0), c=Fraction(5), tube_eps=None)  # K = c/a: empty
+@example(a=Fraction(2), b=Fraction(-3), c=Fraction(0), tube_eps=None)  # empty
+@example(a=Fraction(0), b=Fraction(1), c=Fraction(-1), tube_eps=-1)  # all tubes at eps = -1
+@given(a=linear_coefficients, b=linear_coefficients, c=linear_coefficients, tube_eps=st.sampled_from([None, -1, 1]))
+def test_linear_cases_match_the_papers_table(a, b, c, tube_eps):
+    """classify_linear in every lane against the closed-form table; a set
+    tube_eps moves a to -tube_eps*b**2/(4c), where the discriminant of
+    that signal vanishes and the lane holds all tubes."""
+    if tube_eps is not None and c != 0:
+        a = -tube_eps * b * b / (4 * c)
+    assume(a != 0 or b != 0)
+    got = classify_linear(a, b, c, "all")
+    assert [(k.tag.space, k.tag.eps, k.kind, k.radius, k.discriminant) for k in got] == linear_cases(a, b, c)
 
 
 @PROPERTY
@@ -246,21 +265,17 @@ def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
 @example(shape="axis", a=Poly2.constant(1), b=Poly2.zero(), r=Fraction(1), tag=EUCLIDEAN)
 @given(shape=shapes, a=cofactors, b=polys, r=positive_radii, tag=tags)
 def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
-    """The entries of star_radius_set and principal_radius_set are the
-    radii and star flags that solve_SQ and solve_SQ_principal report,
-    all-positive lanes included (x*(x - 2*y + 1) has the star radius 1)."""
-    for gen, rset, lane_of in (
-        (tube_generator(r, tag.eps), lambda q: star_radius_set(q, tag),
-         lambda q: next(lane for lane in solve_SQ(q, tag.space).lanes if lane.tag == tag)),
-        (Y - Poly2.constant(1 / r), principal_radius_set, lambda q: solve_SQ_principal(q).lanes[0]),
-    ):
-        q = build(shape, gen, a, b)
-        assume(not q.is_zero)
-        got, lane = rset(q), lane_of(q)
-        assert got.is_all_positive == lane.all_cylinders_any_radius
-        assert [(e.radius, e.star) for e in got.entries] == [
-            (cls.radius, cls.kind == ALL_REGULAR_TUBES) for cls in lane.classes
-        ]
+    """The entries of star_radius_set are the radii and star flags that
+    solve_SQ reports, all-positive lanes included (x*(x - 2*y + 1) has
+    the star radius 1)."""
+    q = build(shape, tube_generator(r, tag.eps), a, b)
+    assume(not q.is_zero)
+    got = star_radius_set(q, tag)
+    lane = next(lane for lane in solve_SQ(q, tag.space).lanes if lane.tag == tag)
+    assert got.is_all_positive == lane.all_cylinders_any_radius
+    assert [(e.radius, e.star) for e in got.entries] == [
+        (cls.radius, cls.kind == ALL_REGULAR_TUBES) for cls in lane.classes
+    ]
 
 
 # The generator families against the paper's formula and direct evaluation.
@@ -282,7 +297,7 @@ def proportional_up_to_r_power(p: Poly1, g: Poly1) -> bool:
     p, g = (Poly1(f.coeffs[next((k for k, c in enumerate(f.coeffs) if c), 0):]) for f in (p, g))
     if p.is_zero or g.is_zero:
         return p.is_zero and g.is_zero
-    return p * g.coeffs[-1] == g * p.coeffs[-1]
+    return [c * g.coeffs[-1] for c in p.coeffs] == [c * p.coeffs[-1] for c in g.coeffs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,9 +475,7 @@ def test_isolation_finds_exactly_the_planted_rational_roots(roots, lead, b, c):
     # roots adds only irrational ones, each located by its own sign change.
     disc = b * b - 4 * lead * c
     assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
-    p = Poly1([c, b, lead])
-    for rho in roots:
-        p = p * Poly1([-rho, 1])
+    p = Poly1(poly_product([c, b, lead], *([-rho, 1] for rho in roots)))
 
     def quadratic(t: Fraction) -> Fraction:
         return (lead * t + b) * t + c
@@ -485,7 +498,7 @@ def test_isolation_finds_exactly_the_planted_rational_roots(roots, lead, b, c):
         assert 0 <= left.lo < left.hi <= right.lo < right.hi
 
 
-# Reference Sturm machinery over Fraction, on Poly1 arithmetic and its own
+# Reference Sturm machinery over Fraction, on Poly1 values and its own
 # derivative and long division.
 
 
@@ -506,7 +519,7 @@ def reference_remainder(a: Poly1, b: Poly1) -> Poly1:
 def reference_chain(p: Poly1) -> list[Poly1]:
     chain = [p, reference_derivative(p)]
     while chain[-1].degree > 0:
-        chain.append(-reference_remainder(chain[-2], chain[-1]))
+        chain.append(Poly1([-c for c in reference_remainder(chain[-2], chain[-1]).coeffs]))
     return chain
 
 
@@ -561,14 +574,11 @@ near_roots = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=
 @example(roots=[Fraction(141, 100), Fraction(-3, 2)], quads=[(1, 0, -2), (2, -1, -4)])
 @given(roots=near_roots, quads=quadratics)
 def test_irrational_cells_match_the_deflated_chain(roots, quads):
-    deflated = Poly1([1])
     for a, b, c in quads:
         disc = b * b - 4 * a * c
         assume(math.gcd(a, b, c) == 1 and (disc < 0 or math.isqrt(disc) ** 2 != disc))
-        deflated = deflated * Poly1([c, b, a])
-    p = deflated
-    for rho in roots:
-        p = p * Poly1([-rho, 1])
+    deflated = Poly1(poly_product(*([c, b, a] for a, b, c in quads)))
+    p = Poly1(poly_product(deflated.coeffs, *([-rho, 1] for rho in roots)))
     irrational = [rad for rad in isolate_positive_roots(p) if rad.exact_value is None]
     assert all(rad.defining_poly == deflated for rad in irrational)
     expected = reference_irrational_cells(deflated, {rho for rho in roots if rho > 0})
@@ -657,17 +667,11 @@ def test_rational_roots_match_the_sturm_grid_search(linear, quads, cubics, lead)
     # irreducible quadratic and cubic; the reference sees the product of
     # the distinct factors, the library that of the repeated ones
     distinct = {Fraction(sign * p, q): m for q, p, sign, m in linear}
-    p = s = Poly1([1])
-    for rho, m in distinct.items():
-        factor = Poly1([-rho.numerator, rho.denominator])
-        s = s * factor
-        for _ in range(m):
-            p = p * factor
-    for coeffs in quads + cubics:
-        factor = Poly1(coeffs)
-        s = s * factor
-        p = p * factor * factor
-    square_free = _squarefree([lead * int(c) for c in p.coeffs])
+    factors = [[-rho.numerator, rho.denominator] for rho in distinct] + quads + cubics
+    repeated = [[-rho.numerator, rho.denominator] for rho, m in distinct.items() for _ in range(m)]
+    s = Poly1(poly_product(*factors))
+    p = poly_product(*repeated, *quads, *quads, *cubics, *cubics)
+    square_free = _squarefree([lead * c for c in p])
     assert Poly1(square_free) == s
     assert _rational_roots(square_free) == reference_rational_roots(s) == sorted(distinct)
 
@@ -683,9 +687,7 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     # lead * (t**2 - m) * prod(t - rho), repeats allowed, counted on
     # (lo, hi] whose ends are planted roots
     assume(m == 0 or math.isqrt(m) ** 2 != m)
-    p = Poly1([lead]) * (Poly1([-m, 0, 1]) if m else Poly1([1]))
-    for rho in roots:
-        p = p * Poly1([-rho.numerator, rho.denominator])
+    p = poly_product([lead], [-m, 0, 1] if m else [1], *([-rho.numerator, rho.denominator] for rho in roots))
     lo, hi = sorted(roots[i % len(roots)] for i in picks)
 
     def below(v: Fraction, sign: int) -> bool:
@@ -695,7 +697,7 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     brute = sum(lo < rho <= hi for rho in set(roots))
     if m:
         brute += sum(below(lo, sign) and not below(hi, sign) for sign in (1, -1))
-    assert _count_roots_halfopen([int(c) for c in p.coeffs], lo, hi) == brute
+    assert _count_roots_halfopen(p, lo, hi) == brute
 
 
 # Integer ring arithmetic against term-by-term Fraction products.
@@ -778,4 +780,4 @@ def test_sturm_chain_is_positive_multiples_of_the_euclidean_chain(coeffs):
         assert math.gcd(*member) == 1
         ratio = Fraction(member[-1]) / want.coeffs[-1]
         assert ratio > 0
-        assert Poly1(member) == want * ratio
+        assert Poly1(member) == Poly1([c * ratio for c in want.coeffs])

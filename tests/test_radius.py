@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import axis_restriction, brute_substitute, random_poly2
+from conftest import axis_restriction, brute_substitute, linear_product, poly_product, random_poly2
 from weingarten_tubes import radius
+from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ_principal
 from weingarten_tubes.errors import InternalMismatch, ZeroPolynomial
 from weingarten_tubes.polyalg import Poly1, Poly2, is_in_tube_ideal, tube_generator
 from weingarten_tubes.radius import (
@@ -19,7 +20,6 @@ from weingarten_tubes.radius import (
     SpaceTag,
     decide_radii,
     isolate_positive_roots,
-    principal_radius_set,
     radius_set,
     star_radius_set,
     vanishes_at,
@@ -68,7 +68,7 @@ class TestIsolation:
 
     def test_mixed_rational_and_irrational(self):
         # (r - 1)(r^2 - 2)(r + 3): positive roots 1 and sqrt(2), interleaved
-        p = Poly1([-1, 1]) * Poly1([-2, 0, 1]) * Poly1([3, 1])
+        p = Poly1(poly_product([-1, 1], [-2, 0, 1], [3, 1]))
         roots = isolate_positive_roots(p)
         assert len(roots) == 2
         assert roots[0].exact_value == 1
@@ -81,12 +81,10 @@ class TestIsolation:
         rng = random.Random(41)
         for _ in range(60):
             roots = sorted({Fraction(rng.randint(1, 40), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
-            p = Poly1([1])
-            for rho in roots:
-                p = p * Poly1([-rho, 1])
+            factors = [[-rho, 1] for rho in roots]
             # also a negative root and a repeated factor to exercise square-free handling
-            p = p * Poly1([Fraction(rng.randint(1, 9)), 1]) * Poly1([-roots[0], 1])
-            found = isolate_positive_roots(p)
+            factors += [[Fraction(rng.randint(1, 9)), 1], [-roots[0], 1]]
+            found = isolate_positive_roots(Poly1(poly_product(*factors)))
             assert [f.exact_value for f in found] == roots
 
     def test_one_sturm_chain_per_isolation(self, monkeypatch):
@@ -100,7 +98,7 @@ class TestIsolation:
             return sturm_chain(s)
 
         monkeypatch.setattr(radius, "_sturm_chain", counting)
-        p = Poly1([-1, 1]) * Poly1([-2, 0, 1]) * Poly1([3, 1]) * Poly1([-5, 2])
+        p = Poly1(poly_product([-1, 1], [-2, 0, 1], [3, 1], [-5, 2]))
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [1, None, Fraction(5, 2)]
         assert len(built) == 1
@@ -129,7 +127,7 @@ class TestIsolation:
 
         monkeypatch.setattr(radius, "_sign_at", counting)
         monkeypatch.setattr(radius, "_sturm_cells", cells)
-        p = Poly1([-1, 4]) * Poly1([-1, 5]) * Poly1([-2, 0, 1])
+        p = Poly1(poly_product([-1, 4], [-1, 5], [-2, 0, 1]))
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [Fraction(1, 5), Fraction(1, 4), None]
         assert (roots[2].lo, roots[2].hi) == (Fraction(3, 4), Fraction(3, 2))
@@ -137,21 +135,9 @@ class TestIsolation:
         assert set(calls) == {0, 3, Fraction(3, 2), Fraction(3, 4)}
 
     def test_multiplicity_is_ignored(self):
-        p = Poly1([-3, 1]) * Poly1([-3, 1]) * Poly1([-3, 1])
+        p = Poly1(poly_product([-3, 1], [-3, 1], [-3, 1]))
         roots = isolate_positive_roots(p)
         assert [r.exact_value for r in roots] == [3]
-
-
-def linear_product(factors) -> list[int]:
-    """Integer coefficients of the product of the factors q*r - p."""
-    coeffs = [1]
-    for q, p in factors:
-        out = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            out[k] -= p * c
-            out[k + 1] += q * c
-        coeffs = out
-    return coeffs
 
 
 class TestRationalRoots:
@@ -173,8 +159,8 @@ class TestRationalRoots:
 
     def test_negative_zero_and_irrational_roots(self):
         # r (3r + 5)(2r - 7)(r^2 - 2)
-        p = Poly1(linear_product([(1, 0), (3, -5), (2, 7)])) * Poly1([-2, 0, 1])
-        assert radius._rational_roots([int(c) for c in p.coeffs]) == [Fraction(-5, 3), 0, Fraction(7, 2)]
+        p = poly_product(linear_product([(1, 0), (3, -5), (2, 7)]), [-2, 0, 1])
+        assert radius._rational_roots(p) == [Fraction(-5, 3), 0, Fraction(7, 2)]
 
     def test_no_rational_root(self):
         # r^3 - 2 and (4r^2 - 3)(r^2 + 1): roots mod the prime that lift to nothing
@@ -210,10 +196,9 @@ class TestSquarefreeCheck:
 
     def test_planted_cube_times_square(self):
         # (2r + 1)^2 (r^2 - 2)^3 (3r - 1)
-        square, cube = Poly1([1, 2]), Poly1([-2, 0, 1])
-        p = square * square * cube * cube * cube * Poly1([-1, 3])
-        s = radius._squarefree([int(c) for c in p.coeffs])
-        assert Poly1(s) == square * cube * Poly1([-1, 3])
+        square, cube, linear = [1, 2], [-2, 0, 1], [-1, 3]
+        s = radius._squarefree(poly_product(square, square, cube, cube, cube, linear))
+        assert s == poly_product(square, cube, linear)
 
 
 class TestExactQuotient:
@@ -354,25 +339,30 @@ class TestStarRadiusSet:
                 assert (brute_substitute(q, value, tag.eps) == []) == star
 
 
+def principal_entries(lane) -> list[tuple]:
+    """(exact radius, star flag) of each class of a principal lane."""
+    return [(cls.radius.exact_value, cls.kind == ALL_REGULAR_TUBES) for cls in lane.classes]
+
+
 class TestPrincipalRadiusSet:
     def test_constant_k2(self):
         # Q = y - c, c > 0: all tubes of radius 1/c (Q(x, c) vanishes identically)
         c = Fraction(4, 3)
-        rset = principal_radius_set(Y - Poly2.constant(c))
-        assert [(e.radius.exact_value, e.star) for e in rset.entries] == [(1 / c, True)]
+        (lane,) = solve_SQ_principal(Y - Poly2.constant(c)).lanes
+        assert principal_entries(lane) == [(1 / c, True)]
 
     def test_linear_with_slope(self):
         # a != 0, bc > 0: cylinders at b/c only
         a, b, c = Fraction(2), Fraction(3), Fraction(5)
         q = a * X + b * Y - Poly2.constant(c)
-        rset = principal_radius_set(q)
-        assert [(e.radius.exact_value, e.star) for e in rset.entries] == [(b / c, False)]
+        (lane,) = solve_SQ_principal(q).lanes
+        assert principal_entries(lane) == [(b / c, False)]
 
     def test_quadratic_example(self):
         # x^2 + y - 2: radius 1/2, not star since Q(x, 2) = x^2
         q = X * X + Y - Poly2.constant(2)
-        rset = principal_radius_set(q)
-        assert [(e.radius.exact_value, e.star) for e in rset.entries] == [(Fraction(1, 2), False)]
+        (lane,) = solve_SQ_principal(q).lanes
+        assert principal_entries(lane) == [(Fraction(1, 2), False)]
 
     def test_principal_star_randomized(self):
         rng = random.Random(59)
@@ -383,8 +373,8 @@ class TestPrincipalRadiusSet:
             q = gen * cofactor
             if q.is_zero or axis_restriction(q).is_zero:
                 continue
-            rset = principal_radius_set(q)
-            values = {e.radius.exact_value: e.star for e in rset.entries}
+            (lane,) = solve_SQ_principal(q).lanes
+            values = dict(principal_entries(lane))
             assert values.get(r) is True
 
 

@@ -120,6 +120,9 @@ VALIDATORS = [
         InvalidSpecRow,
         "no tube with curve causality -1, normal causality 1 and section 'lorentz-hyperbola' exists",
     ),
+    # a zero or constant polynomial has no root to isolate
+    (lambda: radius.AlgebraicRadius(Poly1(), Fraction(0), Fraction(1), Fraction(1)), ValueError, "defining polynomial must have degree >= 1"),
+    (lambda: radius.AlgebraicRadius(Poly1([3]), Fraction(0), Fraction(2)), ValueError, "defining polynomial must have degree >= 1"),
 ]
 
 
