@@ -7,17 +7,17 @@ satisfy (``solve_QS``).  On top of those sit the linear relation (read
 off one ``solve_SQ``), constant second-fundamental-form-length and
 principal-curvature corollaries, and the true-nonlinear-relation verdict.
 
-Both S(Q) problems, Q(K, H) and Q(k1, k2), run through one lane
-driver that consumes a generator family from radius: each lane of
-``solve_SQ`` uses the K-H family of its space tag, and
-``solve_SQ_principal`` uses the principal family in one Euclidean lane.
+Every report comes from one lane driver, ``_classify``, over (lane tag,
+generator family) rows: ``solve_SQ`` passes the K-H family of each tag,
+``solve_SQ_principal`` the one row (Euclidean, principal family), and
+the two corollaries are one ``solve_SQ`` each.
 
 Conventions: hyperbolic radii appear in the substituted variable
 rho = sinh(r) everywhere in this module, and the Lorentzian space always
 contributes two lanes, one per signal eps in {-1, +1}.  The Euclidean
 and hyperbolic lanes share the eps = +1 Lorentzian lane's family row, so
-``solve_SQ`` decides that row once and builds all three lane reports
-from the one decision.
+the driver decides that row once and builds all three lane reports from
+the one decision.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     DegenerateRelation,
-    InternalMismatch,
     LinearInput,
     NonpositiveLength,
     NonpositiveRadius,
@@ -37,10 +36,12 @@ from .errors import (
 from .polyalg import Poly2
 from .radius import (
     EUCLIDEAN,
-    HYPERBOLIC,
+    HYPERBOLIC,  # the lane tags are importable from this module too
+    LANES,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     PRINCIPAL,
+    SPACES,
     AlgebraicRadius,
     GeneratorFamily,
     SpaceTag,
@@ -52,20 +53,15 @@ from .radius import (
 RIGHT_CYLINDERS = "right-cylinders"
 ALL_REGULAR_TUBES = "all-regular-tubes"
 
-_ALL_TAGS = (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)
-
 
 def expand_spaces(spaces: Union[str, Iterable[str]] = "all") -> tuple[SpaceTag, ...]:
     """Normalize a space request into an ordered tuple of lane tags.
     The Lorentzian space expands into both signal lanes."""
-    if isinstance(spaces, str):
-        names = ["euclidean", "lorentzian", "hyperbolic"] if spaces == "all" else [spaces]
-    else:
-        names = list(spaces)
+    names = (SPACES if spaces == "all" else (spaces,)) if isinstance(spaces, str) else tuple(spaces)
     for name in names:
-        if name not in ("euclidean", "lorentzian", "hyperbolic"):
+        if name not in SPACES:
             raise ValueError(f"unknown space {name!r}")
-    return tuple(tag for tag in _ALL_TAGS if tag.space in names)
+    return tuple(tag for tag in LANES if tag.space in names)
 
 
 class SurfaceClass(NamedTuple):
@@ -99,18 +95,8 @@ class ClassificationReport(NamedTuple):
         return all(lane.is_empty for lane in self.lanes)
 
 
-def _lane(decided: tuple, tag: SpaceTag) -> LaneReport:
-    """One lane's report from the ``decide_radii`` result of its family."""
-    all_positive, decisions = decided
-    classes = tuple(
-        SurfaceClass(ALL_REGULAR_TUBES if entry.star else RIGHT_CYLINDERS, entry.radius, tag.eps, quotient)
-        for entry, quotient in decisions
-    )
-    return LaneReport(tag, all_positive, classes)
-
-
-def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> ClassificationReport:
-    """All regular tube surfaces whose curvatures satisfy Q(K, H) = 0.
+def _classify(q: Poly2, rows: Iterable[tuple[SpaceTag, GeneratorFamily]]) -> ClassificationReport:
+    """The report of Q with one lane per (tag, family) row.
 
     Per lane: radii outside the star set contribute right cylinders
     only; star radii contribute arbitrary regular tubes (with an exact
@@ -118,20 +104,30 @@ def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> Classificat
     means right cylinders of every radius (plus any star radii found by
     common vanishing of the cleared coefficient polynomials).
 
-    Each distinct family row among the requested lanes is decided once
-    per call, keyed by the family value with all its fields; lanes that
-    share a row differ only in their tag and eps.
+    Each distinct family among the rows is decided once per call, keyed
+    by the family value with all its fields; lanes that share a family
+    differ only in their tag and eps.
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
     decided: dict[GeneratorFamily, tuple] = {}
     lanes = []
-    for tag in expand_spaces(spaces):
-        family = tube_family(tag)
+    for tag, family in rows:
         if family not in decided:
             decided[family] = decide_radii(q, family)
-        lanes.append(_lane(decided[family], tag))
+        all_positive, decisions = decided[family]
+        classes = tuple(
+            SurfaceClass(ALL_REGULAR_TUBES if entry.star else RIGHT_CYLINDERS, entry.radius, tag.eps, quotient)
+            for entry, quotient in decisions
+        )
+        lanes.append(LaneReport(tag, all_positive, classes))
     return ClassificationReport(q, tuple(lanes))
+
+
+def solve_SQ(q: Poly2, spaces: Union[str, Iterable[str]] = "all") -> ClassificationReport:
+    """All regular tube surfaces whose curvatures satisfy Q(K, H) = 0:
+    one lane per space tag, each with the K-H family of its signal."""
+    return _classify(q, [(tag, tube_family(tag)) for tag in expand_spaces(spaces)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +189,18 @@ class QSDescription(NamedTuple):
         return tube_family(self.surface.tag).generator(r)
 
     def contains(self, q: Poly2) -> bool:
+        """At a rational r, the image R(x, r) of Q is zero (its constant
+        term for a right cylinder); at an irrational r, the star poly (the
+        radius poly) vanishes there."""
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
         family = tube_family(self.surface.tag)
-        r = self.surface.radius
-        if self.surface.is_right_cylinder:
-            p = family.radius_poly(q)
-            return p.eval(r) == 0 if isinstance(r, Fraction) else vanishes_at(p, r)
-        return family.contains(q, r)
+        cylinder = self.surface.is_right_cylinder
+        r = self.surface.rational_radius
+        if r is None:
+            return vanishes_at(family.radius_poly(q) if cylinder else family.star_poly(q), self.surface.radius)
+        image = family.image_at(q, r)
+        return not (image[0] if cylinder else any(image))
 
 
 def solve_QS(surface: TubeIdentity) -> QSDescription:
@@ -251,27 +251,14 @@ def classify_second_fundamental(
     c: Fraction, spaces: Union[str, Iterable[str]] = "all"
 ) -> ClassificationReport:
     """Tubes whose second fundamental form has constant length c > 0,
-    i.e. the relation -2x + 4y**2 - c**2 = 0.
-
-    The answer is always right cylinders only, of radius 1/c in the
-    Euclidean and Lorentzian lanes (both signals) and rho = 1/c in the
-    hyperbolic lane; the shape is verified before returning.
-    """
+    i.e. the relation -2x + 4y**2 - c**2 = 0, by one ``solve_SQ``.  The
+    paper's answer, right cylinders only, of radius 1/c in the Euclidean
+    and Lorentzian lanes (both signals) and rho = 1/c in the hyperbolic
+    lane, is a test oracle (tests/paper_formulas.py)."""
     c = Fraction(c)
     if c <= 0:
         raise NonpositiveLength("second-fundamental-form length must be positive")
-    qc = Poly2([((1, 0), -2), ((0, 2), 4), ((0, 0), -c * c)])
-    report = solve_SQ(qc, spaces)
-    for lane in report.lanes:
-        ok = (
-            not lane.all_cylinders_any_radius
-            and len(lane.classes) == 1
-            and lane.classes[0].kind == RIGHT_CYLINDERS
-            and lane.classes[0].radius.exact_value == 1 / c
-        )
-        if not ok:
-            raise InternalMismatch(f"unexpected |A| classification in lane {lane.tag}")
-    return report
+    return solve_SQ(Poly2([((1, 0), -2), ((0, 2), 4), ((0, 0), -c * c)]), spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +268,9 @@ def classify_second_fundamental(
 def solve_SQ_principal(q: Poly2) -> ClassificationReport:
     """Euclidean tubes whose principal curvatures satisfy Q(k1, k2) = 0:
     right cylinders at radii with Q(0, 1/r) = 0, all regular tubes where
-    additionally Q(x, 1/r) vanishes identically in x."""
-    if q.is_zero:
-        raise ZeroPolynomial("the zero relation holds on every surface")
-    return ClassificationReport(q, (_lane(decide_radii(q, PRINCIPAL), EUCLIDEAN),))
+    additionally Q(x, 1/r) vanishes identically in x: the one lane
+    (Euclidean, principal family)."""
+    return _classify(q, [(EUCLIDEAN, PRINCIPAL)])
 
 
 # ---------------------------------------------------------------------------

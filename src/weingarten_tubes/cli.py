@@ -51,7 +51,7 @@ from .errors import (
     ZeroRadius,
 )
 from .polyalg import Poly2, _add, _convolve, _expand_power, tube_division, tube_generator
-from .radius import AlgebraicRadius, SpaceTag, radius_set, star_radius_set
+from .radius import SPACES, AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
 
@@ -405,7 +405,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SPACE_CHOICES = ("euclidean", "lorentzian", "hyperbolic", "all")
+_SPACE_CHOICES = (*SPACES, "all")
 
 
 # ---------------------------------------------------------------------------

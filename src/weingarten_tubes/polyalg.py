@@ -46,9 +46,9 @@ g = 0.  ``radius`` only consumes it.
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
   x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
-  eps = +1, at one radius and as cleared polynomials in r: a view of
-  ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's binomial
-  double sum for them is a test oracle (tests/paper_formulas.py).
+  eps = +1: at one radius by ``tube_division``, as cleared polynomials in
+  r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
+  binomial double sum for them is a test oracle (tests/paper_formulas.py).
 
 Both types print through one term printer, ``_join_terms``.
 """
@@ -424,16 +424,13 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
     """Coefficients of Q(x/r, (x*r + 1)/(2*r)) as a polynomial in x.
 
     Entry k is sum_{i=0..k} sum_{j=0..n-k} C(k-i+j, j) * a_{i,k-i+j}
-    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q, evaluated as
-    g_k(r) / (2**n * r**n) from ``gamma_cleared``.
+    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q: the image of
+    ``tube_division`` at r, padded with zeros to n + 1 entries.
     """
-    r = _frac(r)
-    if r == 0:
+    if _frac(r) == 0:
         raise ZeroRadius("substitution radius must be nonzero")
-    if q.is_zero:
-        return []
-    scale = 2**q.degree * r**q.degree
-    return [g.eval(r) / scale for g in gamma_cleared(q)]
+    coeffs = list(tube_division(q, r, 1)[1].coeffs)
+    return coeffs + [Fraction(0)] * (q.degree + 1 - len(coeffs))
 
 
 def gamma_cleared(q: Poly2) -> list[Poly1]:

@@ -48,15 +48,15 @@ a, b and c packed at r = 2**k (``polyalg._family_image``), it expands R
 as one integer list in r per power of x: on Q's x**0 terms and the axis
 x = 0 the radius poly R(0, r); on all of Q, the star poly, the gcd of
 R's rows (each without its factor r**m: r = 0 is never a radius).  At a
-rational r, on the integers of G_r, it decides membership: every row is
-zero.
+rational r, on the integers of G_r, it is R(x, r) itself
+(``GeneratorFamily.image_at``), read by every question at that radius.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division at that r (``polyalg.divide_by_linear``), which also
 yields the certified quotient, an irrational one by the star poly and a
-Sturm count on its isolating interval.  Lanes whose families are equal
-values (E3, H3 and L3 with eps = +1 share one row) get one decision:
-``classify.solve_SQ`` decides each distinct row once per call, keyed by
-the family value with all its fields.
+Sturm count on its isolating interval, unless it is a star poly root.
+Lanes whose families are equal values (E3, H3 and L3 with eps = +1
+share one row) get one decision per call of the lane driver of
+``classify``, keyed by the family value with all its fields.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalMismatch, ZeroPolynomial
 from .polyalg import Poly1, Poly2, _family_image, _line_image, check_epsilon, divide_by_linear
@@ -104,6 +104,7 @@ EUCLIDEAN = SpaceTag("euclidean")
 LORENTZIAN_POS = SpaceTag("lorentzian", 1)
 LORENTZIAN_NEG = SpaceTag("lorentzian", -1)
 HYPERBOLIC = SpaceTag("hyperbolic")
+LANES = (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)  # in report order
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +244,9 @@ def _sturm_chain(s: list[int]) -> list[list[int]]:
     pseudo-remainder sequence: each member the integer coefficients,
     content 1, of a positive multiple of the member over the rationals,
     so every sign and variation count is the same."""
-    chain = [s]
-    deriv = _primitive_part(_derivative(chain[0]))
-    if deriv:
-        chain.append(deriv)
+    chain = [s, _primitive_part(_derivative(s))]
     while len(chain[-1]) > 1:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive_part([-c for c in rem]))
+        chain.append(_primitive_part([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
     return chain
 
 
@@ -369,7 +364,10 @@ class _AlgebraicRadius(NamedTuple):
 class AlgebraicRadius(_AlgebraicRadius):
     """A positive real root: square-free defining polynomial plus an
     isolating half-open interval (lo, hi], and the exact value when the
-    root is rational."""
+    root is rational.  An irrational root's cell must hold exactly one
+    root, with neither end a root (the caller's contract; the library's
+    cells meet it, their defining polynomial deflated of every rational
+    root); the constructor checks the sign change this implies."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -384,6 +382,10 @@ class AlgebraicRadius(_AlgebraicRadius):
                 raise ValueError("exact_value is not a root of the defining polynomial")
             if not (lo < exact_value <= hi):
                 raise ValueError("exact_value outside the isolating interval")
+        else:
+            coeffs = _integer_coeffs(defining_poly.coeffs)
+            if _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
+                raise ValueError("defining polynomial must have opposite signs at lo and hi")
         return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
@@ -414,9 +416,8 @@ class AlgebraicRadius(_AlgebraicRadius):
 
 def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
     """Exact test p(rho) = 0 at the (possibly irrational) root rho
-    described by rad."""
-    if p.is_zero:
-        return True
+    described by rad.  A zero p needs no branch: the gcd is then the
+    defining polynomial, which has a root in the cell."""
     if rad.exact_value is not None:
         return p.eval(rad.exact_value) == 0
     common = _common_divisor(_integer_coeffs(p.coeffs), _integer_coeffs(rad.defining_poly.coeffs))
@@ -538,22 +539,17 @@ class GeneratorFamily(NamedTuple):
         a, b, c, d = self._at(r)
         return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
-    def contains(self, q: Poly2, radius: Union[Fraction, AlgebraicRadius]) -> bool:
-        """Q lies in the ideal of G_r.  At a rational r, R(x, r) itself:
-        the Horner of R on the integer line of ``generator``, Q a member iff
-        every x-coefficient is zero, with no quotient built.  At an
-        irrational r, the star poly vanishes there."""
-        if isinstance(radius, AlgebraicRadius):
-            return vanishes_at(self.star_poly(q), radius)
-        a, b, c, _ = self._at(radius)
-        return not any(_line_image(q._cleared()[1], c, a, b)[0])
+    def image_at(self, q: Poly2, r: Fraction) -> list[int]:
+        """R(x, r) at a rational r up to a nonzero factor, one integer per
+        power of x: the Horner of Q on the integer line of ``generator``,
+        with no quotient built.  Q lies in the ideal of G_r iff every entry
+        is zero, and holds on the right cylinder iff the first one is."""
+        a, b, c, _ = self._at(r)
+        return _line_image(q._cleared()[1], c, a, b)[0]
 
 
 # the table of families
-_TUBE_FAMILIES = {
-    tag: GeneratorFamily((0, 0, 1), (0, -2), (tag.eps,), (1,))
-    for tag in (EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC)
-}
+_TUBE_FAMILIES = {tag: GeneratorFamily((0, 0, 1), (0, -2), (tag.eps,), (1,)) for tag in LANES}
 PRINCIPAL = GeneratorFamily((), (0, 1), (-1,), (0, 1))
 
 
@@ -572,9 +568,10 @@ def decide_radii(
     candidates are the positive roots of the radius poly or, when Q
     vanishes on the whole axis (right cylinders of every radius), of the
     star poly.  A rational candidate is decided once, by the certified
-    division by G_r; an irrational one by the star poly.  The result
+    division by G_r; an irrational one by the star poly, or not at all
+    when it is a root of the star poly by construction.  The result
     depends on Q and the family value alone, so callers with several
-    lanes decide each distinct family once (``classify.solve_SQ``).
+    lanes decide each distinct family once (``classify._classify``).
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
@@ -593,7 +590,7 @@ def decide_radii(
         else:
             if star_poly is None:
                 star_poly = family.star_poly(q)
-            star = vanishes_at(star_poly, rad)
+            star = all_positive or vanishes_at(star_poly, rad)  # all-positive: a star poly root
         decisions.append((RadiusEntry(rad, star), quotient))
     return all_positive, tuple(decisions)
 

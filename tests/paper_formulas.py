@@ -5,8 +5,10 @@ binomial double sum for the cleared coefficient polynomials g_k(r); the
 library computes the same polynomials by one integer Horner expansion
 (``polyalg.gamma_cleared``, a view of ``_family_image``), and the tests
 compare the two.  ``linear_cases`` is the paper's closed-form case table
-for the linear relation a*x + b*y = c; the library reads the same cases
-off ``solve_SQ`` (``classify.classify_linear``).  The binomial symbol
+for the linear relation a*x + b*y = c, and ``second_fundamental_lanes``
+its answer for a second fundamental form of constant length c; the
+library reads both off ``solve_SQ`` (``classify.classify_linear`` and
+``classify.classify_second_fundamental``).  The binomial symbol
 and its alternating-sum identity pin the conventions that formula rests
 on, and ``epsilon_transform`` carries statements between the eps = -1
 and eps = +1 generators.
@@ -90,6 +92,10 @@ def gamma_formula(q: Poly2) -> list[Poly1]:
     return out
 
 
+# (space, eps) of every lane, in report order
+LANES = (("euclidean", 1), ("lorentzian", 1), ("lorentzian", -1), ("hyperbolic", 1))
+
+
 def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:
     """The paper's case table for a*x + b*y - c = 0, (a, b) != (0, 0), as
     (space, eps, kind, radius, discriminant) per lane, in report order.
@@ -101,7 +107,7 @@ def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:
     eps*b**2 + 4ac is 0, right cylinders only otherwise.
     """
     out = []
-    for space, eps in (("euclidean", 1), ("lorentzian", 1), ("lorentzian", -1), ("hyperbolic", 1)):
+    for space, eps in LANES:
         if b == 0 and c == 0:
             out.append((space, eps, "cylinders-any-radius", None, None))
         elif b != 0 and c != 0 and (b * c > 0) == (eps > 0):
@@ -111,3 +117,16 @@ def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:
         else:
             out.append((space, eps, "empty", None, None))
     return out
+
+
+def second_fundamental_lanes(c: Fraction) -> list[tuple]:
+    """The paper's answer for tubes whose second fundamental form has
+    constant length c > 0, as (space, eps, all_cylinders_any_radius,
+    [(kind, radius)]) per lane, in report order: right cylinders only, of
+    radius 1/c (rho = sinh r = 1/c in the hyperbolic lane), in every lane.
+
+    The length is 4*H**2 - 2*K = c**2.  A right cylinder has K = 0 and
+    H = eps/(2r), so 1/r**2 = c**2 under either signal.  On any other
+    tube (K, H) runs along the line r**2*K - 2*r*H + eps = 0, where the
+    relation is a quadratic in K with leading coefficient r**2 != 0."""
+    return [(space, eps, False, [("right-cylinders", 1 / c)]) for space, eps in LANES]

@@ -32,6 +32,7 @@ from weingarten_tubes.radius import (
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
+    GeneratorFamily,
     isolate_positive_roots,
     radius_set,
     tube_family,
@@ -179,6 +180,30 @@ class TestSolveQS:
         assert not solve_QS(tube).contains(q + Poly2.constant(1))
         cyl = TubeIdentity(EUCLIDEAN, sqrt2, True)
         assert solve_QS(cyl).contains(q)
+
+    @pytest.mark.parametrize("tag", [EUCLIDEAN, LORENTZIAN_POS, LORENTZIAN_NEG, HYPERBOLIC])
+    def test_rational_radius_expands_at_that_radius_only(self, monkeypatch, tag):
+        # a Fraction radius and an isolated root with an exact value: the
+        # image of Q at r alone, no radius poly, star poly or evaluation
+        r = Fraction(7, 3)
+        gen = tube_generator(r, tag.eps)
+        tubes = [
+            (solve_QS(TubeIdentity(tag, radius, False)), solve_QS(TubeIdentity(tag, radius, True)))
+            for radius in (r, isolate_positive_roots(Poly1([-7, 3]))[0])
+        ]
+        point = 2 * r * Y - Poly2.constant(tag.eps)  # H = eps/(2r) on the cylinder
+        members, others = [gen, gen * (X * Y - Poly2.constant(5))], [gen + Poly2.constant(1), gen * X + Y]
+
+        def refuse(*args):
+            raise AssertionError("expanded Q over every radius")
+
+        monkeypatch.setattr(GeneratorFamily, "radius_poly", refuse)
+        monkeypatch.setattr(GeneratorFamily, "star_poly", refuse)
+        monkeypatch.setattr(Poly1, "eval", refuse)
+        for tube, cylinder in tubes:
+            assert all(tube.contains(q) for q in members) and not any(tube.contains(q) for q in others)
+            assert all(cylinder.contains(q) for q in (*members, X, point, X * Y + point))
+            assert not any(cylinder.contains(q) for q in (Y - Poly2.constant(1), point + Poly2.constant(1)))
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(NonpositiveRadius):

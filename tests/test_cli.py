@@ -25,7 +25,7 @@ from weingarten_tubes.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
-from weingarten_tubes import polyalg, radius
+from weingarten_tubes import classify, polyalg, radius
 from weingarten_tubes.polyalg import Poly2
 
 X = Poly2.variable("x")
@@ -311,6 +311,12 @@ PINNED_REPORTS = [
     # rational radius 10 beyond the Cauchy bound 3 of r^2 - 2
     ("radius_rational_beyond_deflated_bound.json",
      ["radius", "(20*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"]),
+    # constant second-fundamental-form length: right cylinders of 1/c in
+    # every lane
+    ("sff_rational_length_all.json", ["sff", "7/5", "--space", "all"]),
+    # a linear relation whose discriminant vanishes for eps = +1: all tubes
+    # of radius 1/4 there, nothing at eps = -1
+    ("linear_vanishing_discriminant.json", ["linear", "-1/8", "1", "2"]),
 ]
 
 
@@ -332,6 +338,19 @@ class TestGoldens:
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
         command = " ".join(a if re.fullmatch(r"[\w./-]+", a) else f'"{a}"' for a in argv)
         assert f"python -m weingarten_tubes.cli {command} | diff - tests/golden/pinned/{golden}\n" in workflow
+
+    def test_all_positive_star_radii_run_no_vanishing_test(self, capsys, monkeypatch):
+        # the irrational candidates of an all-positive lane are the star
+        # poly's own roots, so each is a star without a test
+        def refuse(*args):
+            raise AssertionError("vanishes_at ran")
+
+        monkeypatch.setattr(radius, "vanishes_at", refuse)
+        monkeypatch.setattr(classify, "vanishes_at", refuse)
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        code, out, err = run_cli(capsys, "classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all")
+        assert code == 0, err
+        assert out == (GOLDEN / "pinned" / "classify_all_positive_irrational_all.json").read_text()
 
 
 class TestVerifyGoldens:

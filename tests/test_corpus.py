@@ -16,6 +16,12 @@ signals, negative and large-denominator radii, and the zero polynomial.
 powers: c*(x + 2*y + 1)^k for k = 0, 10, ..., 100, two powers with
 20-digit and 15-digit coefficients, and typed expressions of nested
 products and powers, some of which cancel or cross the degree budget.
+``golden/pinned/corollary_corpus.txt`` pins the corollary commands:
+``sff`` for eight lengths c, among them 0, a negative one, 10**14 + 31
+and 1/367567200, under every ``--space``; ``linear`` on every triple of
+nine coefficients, among them the degenerate a = b = 0; and plain
+``radius --space all`` on each relation that ``corpus.txt`` classifies,
+principal ones read in x and y.
 Regenerate the files with ``PYTHONPATH=src python tests/test_corpus.py``
 and only when an output change is intended.
 """
@@ -23,6 +29,7 @@ and only when an output change is intended.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -42,6 +49,7 @@ DIVIDE_CORPUS = CORPUS.with_name("divide_corpus.txt")
 VERIFY_CSV_CORPUS = CORPUS.with_name("verify_csv_corpus.txt")
 VERIFY_TUBES = CORPUS.with_name("verify_tubes.json")
 POWER_CORPUS = CORPUS.with_name("power_corpus.txt")
+COROLLARY_CORPUS = CORPUS.with_name("corollary_corpus.txt")
 MULTI_BLOCK_GRIDS = ("64x64", "45x37")
 SEED = 1010
 DIVIDE_SEED = 1515
@@ -50,6 +58,9 @@ POWER_ROUNDS = 200
 ROUNDS = 100
 DIVIDE_KINDS = ("member", "non-member", "random", "member-plus-x")
 KINDS = ("random", "rational-star", "irrational-star", "axis")
+SPACES = ("euclidean", "lorentzian", "hyperbolic", "all")
+SFF_LENGTHS = ("1/2", "1", "3", "7/5", str(10**14 + 31), "1/367567200", "0", "-2")
+LINEAR_COEFFICIENTS = ("-2", "-1", "-1/8", "0", "1/4", "1/2", "1", "2", "3")
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
@@ -217,6 +228,15 @@ def power_argvs() -> list[list[str]]:
     return argvs
 
 
+def corollary_argvs() -> list[list[str]]:
+    argvs = [["sff", c, "--space", space] for c in SFF_LENGTHS for space in SPACES]
+    argvs += [["linear", *abc] for abc in itertools.product(LINEAR_COEFFICIENTS, repeat=3)]
+    for argv in corpus_argvs():
+        if argv[0] == "classify":
+            argvs.append(["radius", argv[1].replace("k1", "x").replace("k2", "y"), "--space", "all"])
+    return argvs
+
+
 def verify_csv_argvs() -> list[list[str]]:
     argvs = []
     for grid in MULTI_BLOCK_GRIDS:
@@ -275,6 +295,15 @@ def test_power_outputs_are_byte_identical():
     assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
 
 
+def test_corollary_corpus_is_the_seeded_one():
+    assert [argv for _, argv in read_corpus(COROLLARY_CORPUS)] == corollary_argvs()
+
+
+def test_corollary_outputs_are_byte_identical():
+    changed = [json.dumps(argv) for digest, argv in read_corpus(COROLLARY_CORPUS) if run_digest(argv) != digest]
+    assert not changed, f"{len(changed)} invocations changed output:\n" + "\n".join(changed)
+
+
 def test_verify_csv_corpus_is_the_pinned_tubes():
     assert [argv for _, argv in read_corpus(VERIFY_CSV_CORPUS)] == verify_csv_argvs()
 
@@ -286,7 +315,12 @@ def test_multi_block_csvs_are_byte_identical(monkeypatch, tmp_path):
 
 
 if __name__ == "__main__":
-    for path, argvs in ((CORPUS, corpus_argvs()), (DIVIDE_CORPUS, divide_argvs()), (POWER_CORPUS, power_argvs())):
+    for path, argvs in (
+        (CORPUS, corpus_argvs()),
+        (DIVIDE_CORPUS, divide_argvs()),
+        (POWER_CORPUS, power_argvs()),
+        (COROLLARY_CORPUS, corollary_argvs()),
+    ):
         path.write_text("".join(f"{run_digest(argv)} {json.dumps(argv)}\n" for argv in argvs))
     with tempfile.TemporaryDirectory() as directory:
         lines = [f"{csv_digest(argv, Path(directory))} {json.dumps(argv)}\n" for argv in verify_csv_argvs()]

@@ -7,6 +7,8 @@ code with the library:
 * the principal family: ``brute_principal``, direct evaluation of Q(x, 1/r);
 * the linear corollary: ``paper_formulas.linear_cases``, the paper's
   closed-form case table;
+* the second-fundamental-form corollary:
+  ``paper_formulas.second_fundamental_lanes``, the paper's closed form;
 * the ring arithmetic: ``conftest.brute_product``, term-by-term Fraction
   products, and the validating constructor;
 * the power recurrence: ``repeated_products``, k integer convolutions;
@@ -27,8 +29,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import axis_restriction, brute_product, brute_substitute, poly_product
 from expression_trees import expression_degree, expression_text, expression_trees, expression_value
-from paper_formulas import epsilon_transform, gamma_formula, linear_cases
-from weingarten_tubes.classify import ALL_REGULAR_TUBES, classify_linear, solve_SQ, solve_SQ_principal
+from paper_formulas import epsilon_transform, gamma_formula, linear_cases, second_fundamental_lanes
+from weingarten_tubes.classify import (
+    ALL_REGULAR_TUBES,
+    classify_linear,
+    classify_second_fundamental,
+    solve_SQ,
+    solve_SQ_principal,
+)
 from weingarten_tubes.cli import MAX_DEGREE, parse_poly
 from weingarten_tubes.polyalg import (
     Poly1,
@@ -241,24 +249,39 @@ def test_linear_cases_match_the_papers_table(a, b, c, tube_eps):
 
 
 @PROPERTY
+@example(c=Fraction(7, 5))
+@example(c=Fraction(10**14 + 31))
+@given(c=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
+def test_second_fundamental_matches_the_papers_answer(c):
+    """classify_second_fundamental in every lane against the closed form:
+    right cylinders of radius 1/c only."""
+    got = classify_second_fundamental(c, "all").lanes
+    assert [
+        (lane.tag.space, lane.tag.eps, lane.all_cylinders_any_radius, [(k.kind, k.radius.exact_value) for k in lane.classes])
+        for lane in got
+    ] == second_fundamental_lanes(c)
+
+
+@PROPERTY
 @example(a=Poly2.constant(1), b=Poly2.zero(), shift=Fraction(1), r=Fraction(1), eps=1)
 @given(a=cofactors, b=polys, shift=coefficients, r=positive_radii, eps=signals)
 def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
-    """GeneratorFamily.contains at a rational r, on planted members G_r*A,
-    the same shifted by a nonzero constant (never members) and by x*B
-    (members or not), for the K-H row of signal eps and the principal row."""
+    """Membership read off GeneratorFamily.image_at at a rational r (every
+    entry zero), on planted members G_r*A, the same shifted by a nonzero
+    constant (never members) and by x*B (members or not), for the K-H row
+    of signal eps and the principal row."""
     kh = tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN)
     for family, gen, brute in (
         (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps)),
         (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r)),
     ):
         member = gen * a
-        assert family.contains(member, r) and brute(member) == []
+        assert not any(family.image_at(member, r)) and brute(member) == []
         if shift:
             shifted = member + Poly2.constant(shift)
-            assert not family.contains(shifted, r) and brute(shifted) != []
+            assert any(family.image_at(shifted, r)) and brute(shifted) != []
         cylinder = member + X * b
-        assert family.contains(cylinder, r) == (brute(cylinder) == [])
+        assert (not any(family.image_at(cylinder, r))) == (brute(cylinder) == [])
 
 
 @PROPERTY

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_substitute, poly_product, random_poly2, random_rational
 from paper_formulas import binom, binomial_alternating_sum, epsilon_transform, gamma_formula, lemma_identity_defined
+from weingarten_tubes import polyalg
 from weingarten_tubes.cli import parse_poly
 from weingarten_tubes.errors import ZeroPolynomial, ZeroRadius
 from weingarten_tubes.polyalg import (
@@ -220,6 +221,20 @@ class TestGamma:
     def test_gamma_zero_radius(self):
         with pytest.raises(ZeroRadius):
             gamma_at(X, 0)
+
+    def test_gamma_at_expands_at_one_radius(self, monkeypatch, exq_poly):
+        # the paper's double sum at r, with no expansion over every r
+        r = Fraction(7, 5)
+        expected = [g.eval(r) / (2 * r) ** exq_poly.degree for g in gamma_formula(exq_poly)]
+
+        def refuse(q):
+            raise AssertionError("gamma_cleared expands Q over every radius")
+
+        monkeypatch.setattr(polyalg, "gamma_cleared", refuse)
+        assert gamma_at(exq_poly, r) == expected
+        # x*y**2: x**3/(4r) + x**2/(2r**2) + x/(4r**3); a member pads to n + 1 zeros
+        assert gamma_at(X * Y * Y, r) == [Fraction(0), 1 / (4 * r**3), 1 / (2 * r * r), 1 / (4 * r)]
+        assert gamma_at(tube_generator(r) * X, r) == [Fraction(0)] * 3
 
     def test_gamma_cleared_exq(self, exq_poly):
         # g_0(r) = 2^4 r^4 Gamma_0(r) = -4r(96r^3 - 196r^2 + 7r + 2)

@@ -120,6 +120,10 @@ VALIDATORS = [
         InvalidSpecRow,
         "no tube with curve causality -1, normal causality 1 and section 'lorentz-hyperbola' exists",
     ),
+    # no sign change: no root in (0, 1], two in (0, 3]; approx() and
+    # refined() would otherwise report a root that is not there
+    (lambda: radius.AlgebraicRadius(Poly1([-2, 0, 1]), Fraction(0), Fraction(1)), ValueError, "defining polynomial must have opposite signs at lo and hi"),
+    (lambda: radius.AlgebraicRadius(Poly1([2, -3, 1]), Fraction(0), Fraction(3)), ValueError, "defining polynomial must have opposite signs at lo and hi"),
     # a zero or constant polynomial has no root to isolate
     (lambda: radius.AlgebraicRadius(Poly1(), Fraction(0), Fraction(1), Fraction(1)), ValueError, "defining polynomial must have degree >= 1"),
     (lambda: radius.AlgebraicRadius(Poly1([3]), Fraction(0), Fraction(2)), ValueError, "defining polynomial must have degree >= 1"),
