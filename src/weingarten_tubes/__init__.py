@@ -76,4 +76,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

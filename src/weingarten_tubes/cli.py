@@ -140,16 +140,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _degree(nums: dict) -> int:
-    """Total degree of the nonzero terms of a numerator map; -1 for none."""
-    return max((i + j for (i, j), v in nums.items() if v), default=-1)
-
-
 class _Parser:
-    """Recursive descent on cleared integer pairs (den, {(i, j): numerator}):
-    sums, products and powers run on ``polyalg._add``, ``_convolve`` and
-    ``_expand_power``, which keep no canonical form, so ``parse_poly``
-    canonicalises once, at the end."""
+    """Recursive descent on cleared integer parts (den, {(i, j): numerator},
+    total degree or -1 for zero): ``polyalg._add``, ``_convolve`` and
+    ``_expand_power`` keep no canonical form, so ``parse_poly``
+    canonicalises once, at the end; only a sum scans for its degree."""
 
     def __init__(self, tokens: list[tuple[str, object, int]], variables: tuple[str, str]):
         self.tokens = tokens
@@ -170,7 +165,7 @@ class _Parser:
         if kind != "op" or value != op:
             raise PolySyntaxError(f"expected {op!r}", at)
 
-    def parse_expr(self) -> tuple[int, dict]:
+    def parse_expr(self) -> tuple[int, dict, int]:
         # the signed summands are added once, into one integer dict, so the
         # cost is linear in their number
         sign = 1
@@ -178,31 +173,32 @@ class _Parser:
         if kind == "op" and value == "-":
             self.take()
             sign = -1
-        summands = [(sign, *self.parse_term())]
+        summands = [(sign, *self.parse_term()[:2])]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                summands.append((1 if value == "+" else -1, *self.parse_term()))
+                summands.append((1 if value == "+" else -1, *self.parse_term()[:2]))
             else:
-                return _add(summands)
+                den, nums = _add(summands)
+                return den, nums, max(map(sum, nums), default=-1)
 
-    def parse_term(self) -> tuple[int, dict]:
-        den, nums = self.parse_factor()
+    def parse_term(self) -> tuple[int, dict, int]:
+        den, nums, deg = self.parse_factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                factor_den, factor = self.parse_factor()
-                degree = _degree(nums) + _degree(factor)
+                factor_den, factor, factor_deg = self.parse_factor()
+                degree = deg + factor_deg
                 if degree > MAX_DEGREE:
                     raise DegreeTooLarge(f"product of total degree {degree} is over the budget of {MAX_DEGREE}")
-                den, nums = den * factor_den, _convolve(nums, factor)
+                den, nums, deg = den * factor_den, _convolve(nums, factor), -1 if min(deg, factor_deg) < 0 else degree
             else:
-                return den, nums
+                return den, nums, deg
 
-    def parse_factor(self) -> tuple[int, dict]:
-        den, nums = self.parse_base()
+    def parse_factor(self) -> tuple[int, dict, int]:
+        den, nums, deg = self.parse_base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -214,22 +210,22 @@ class _Parser:
             power, rem = divmod(*value)
             if rem:
                 raise NonIntegerExponent("exponent must be a nonnegative integer", at)
-            degree = max(_degree(nums), 1) * power
+            degree = max(deg, 1) * power
             if degree > MAX_DEGREE:
                 raise DegreeTooLarge(f"power of total degree {degree} is over the budget of {MAX_DEGREE}")
-            return den**power, _expand_power(nums, power)
-        return den, nums
+            return den**power, _expand_power(nums, power), -1 if deg < 0 < power else deg * power
+        return den, nums, deg
 
-    def parse_base(self) -> tuple[int, dict]:
+    def parse_base(self) -> tuple[int, dict, int]:
         kind, value, at = self.take()
         if kind == "number":
             num, den = value
-            return den, {(0, 0): num} if num else {}
+            return (den, {(0, 0): num}, 0) if num else (den, {}, -1)
         if kind == "name":
             if value == self.variables[0]:
-                return 1, {(1, 0): 1}
+                return 1, {(1, 0): 1}, 1
             if value == self.variables[1]:
-                return 1, {(0, 1): 1}
+                return 1, {(0, 1): 1}, 1
             raise UnknownVariable(
                 f"unknown variable {value!r} (allowed: {self.variables[0]}, {self.variables[1]})", at
             )
@@ -251,7 +247,7 @@ def parse_poly(text: str, variables: tuple[str, str] = ("x", "y")) -> Poly2:
     them.  Round-trips with str(): parse_poly(str(p)) == p.
     """
     parser = _Parser(_tokenize(text), variables)
-    den, nums = parser.parse_expr()
+    den, nums, _ = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "end":
         raise PolySyntaxError("unexpected trailing input", at)

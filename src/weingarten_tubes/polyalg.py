@@ -18,9 +18,8 @@ extraction) is exact and runs on Python ints.  Two types:
 * ``Poly1`` -- dense univariate polynomial: Fraction coefficient tuple
   indexed by exponent, trailing coefficient nonzero.  It is the public
   boundary type of the univariate results (substitution images, the
-  paper's gamma polynomials, radius and star polys, defining polynomials
-  of radii), a value with no ring operations; the algebra behind them
-  runs on integer lists.
+  paper's gamma polynomials, defining polynomials of radii), a value
+  with no ring operations; the algebra behind them runs on integer lists.
 
 On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
@@ -40,14 +39,17 @@ g = 0.  ``radius`` only consumes it.
   ``radius.GeneratorFamily``.
 * ``divide_by_linear`` -- Q = g * quotient + rho(x), rho = Q(x, L(x)) on
   the line y = L(x) where g vanishes.  Q lies in the ideal of g iff
-  rho = 0, and then the quotient is certified once by g * quotient == Q.
+  rho = 0, and then the quotient is certified once by g * quotient == Q
+  on numerators: their convolution, cross-multiplied by the denominators,
+  equals Q's numerator on Q's support and is zero off it.
 * ``tube_division`` / ``substitute_tube`` / ``is_in_tube_ideal`` /
   ``divide_by_tube_factor`` -- the division by the tube generator
   ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
-  x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r).
+  x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r), read off
+  ``_line_image`` with no quotient built unless one is returned.
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
-  eps = +1: at one radius by ``tube_division``, as cleared polynomials in
-  r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
+  eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
+  in r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
   binomial double sum for them is a test oracle (tests/paper_formulas.py).
 
 Both types print through one term printer, ``_join_terms``.
@@ -90,11 +92,6 @@ def check_epsilon(eps: int) -> int:
     return eps
 
 
-def _power(var: str, e: int) -> str:
-    """The monomial var**e as printed: "" for e = 0, var for e = 1."""
-    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
-
-
 def _join_terms(terms: Iterable[tuple[int, int, str]]) -> str:
     """The printed sum of num/den * mono over (num, den, mono) triples, num
     nonzero and den positive, in the order given; "0" for none.  The first
@@ -102,8 +99,11 @@ def _join_terms(terms: Iterable[tuple[int, int, str]]) -> str:
     is in lowest terms and a coefficient 1 is dropped before a monomial."""
     parts = []
     for num, den, mono in terms:
-        g = math.gcd(num, den)
-        value = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+        if den == 1:
+            value = str(abs(num))
+        else:
+            g = math.gcd(num, den)
+            value = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         body = value if not mono else mono if value == "1" else f"{value}*{mono}"
         if parts:
             parts.append(f"- {body}" if num < 0 else f"+ {body}")
@@ -162,19 +162,13 @@ class Poly1:
 
     def to_string(self, var: str = "x") -> str:
         terms = reversed(tuple(enumerate(self._coeffs)))
-        return _join_terms((c.numerator, c.denominator, _power(var, k)) for k, c in terms if c)
+        return _join_terms((c.numerator, c.denominator, f"{var}^{k}" if k > 1 else var if k else "") for k, c in terms if c)
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"Poly1({self.to_string()!r})"
-
-
-def _term_order_key(exp: tuple[int, int]) -> tuple:
-    # graded lexicographic, x before y, highest first
-    i, j = exp
-    return (-(i + j), -i)
 
 
 # fixed odd multipliers (Knuth's multiplicative hash of 1..64) for the
@@ -351,8 +345,9 @@ class Poly2:
     def _from_cleared(cls, nums: Mapping[tuple[int, int], int], den: int) -> "Poly2":
         """The polynomial sum nums[e] / den * x**i * y**j, den != 0, in
         canonical form: zero numerators dropped, the content common to den
-        and the numerators divided out with the sign that makes den
-        positive, one sort.  The content divides g = gcd(den, S) for any
+        and the numerators divided out (when it is not 1) with the sign that
+        makes den positive, ordered by two C-level sorts: by exponent pair,
+        then stably by total degree.  The content divides g = gcd(den, S) for any
         integer combination S of the numerators, so it is gcd(g, *numerators)
         taken from g, not from den: g is usually 1 or small, and the chain
         then costs one remainder per numerator, not a gcd of den with each.
@@ -365,7 +360,9 @@ class Poly2:
             g = math.gcd(g, *values)
         if den < 0:
             g = -g
-        return cls._make({e: nums[e] // g for e in sorted(nums, key=_term_order_key) if nums[e]}, den // g)
+        order = sorted(sorted(nums, reverse=True), key=sum, reverse=True)
+        cleared = {e: nums[e] for e in order if nums[e]} if g == 1 else {e: nums[e] // g for e in order if nums[e]}
+        return cls._make(cleared, den // g)
 
     def __mul__(self, other: Union["Poly2", RatLike]) -> "Poly2":
         """Product on numerators: one integer convolution over the product
@@ -399,11 +396,11 @@ class Poly2:
         return acc
 
     def __str__(self) -> str:
-        den = self._den
-        return _join_terms(
-            (v, den, f"{_power('x', i)}*{_power('y', j)}" if i and j else _power("x", i) or _power("y", j))
-            for (i, j), v in self._nums.items()
-        )
+        den, terms = self._den, []
+        for (i, j), v in self._nums.items():  # monomials x^i*y^j, "x" for x^1, "" for x^0
+            x, y = f"x^{i}" if i > 1 else "x" if i else "", f"y^{j}" if j > 1 else "y" if j else ""
+            terms.append((v, den, f"{x}*{y}" if x and y else x or y))
+        return _join_terms(terms)
 
     def __repr__(self) -> str:
         return f"Poly2({str(self)!r})"
@@ -424,12 +421,12 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
     """Coefficients of Q(x/r, (x*r + 1)/(2*r)) as a polynomial in x.
 
     Entry k is sum_{i=0..k} sum_{j=0..n-k} C(k-i+j, j) * a_{i,k-i+j}
-    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q: the image of
-    ``tube_division`` at r, padded with zeros to n + 1 entries.
+    / (2**(k-i+j) * r**(j+i)) with n the total degree of Q:
+    ``substitute_tube`` at r, padded with zeros to n + 1 entries.
     """
     if _frac(r) == 0:
         raise ZeroRadius("substitution radius must be nonzero")
-    coeffs = list(tube_division(q, r, 1)[1].coeffs)
+    coeffs = list(substitute_tube(q, r).coeffs)
     return coeffs + [Fraction(0)] * (q.degree + 1 - len(coeffs))
 
 
@@ -523,40 +520,44 @@ def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
     a, b, c = (g_nums.get(e, 0) for e in ((1, 0), (0, 1), (0, 0)))
     den, nums = q._cleared()
     steps = _line_image(nums, c, a, b)
-    # step j is b**(n - j) * H_j for den * Q on the cleared line g * g_den,
-    # and the quotient by g has y**(j - 1) column g_den * H_j / (den * b)
+    # step j is b**(n - j) * H_j for den * Q on the cleared line g * g_den; the
+    # quotient's y**(j - 1) column g_den * H_j / (den * b) is step j * column[j - 1] / scale
     scale = den * b ** (len(steps) - 1)
     if any(steps[0]):
         return None, Poly1([Fraction(v, scale) for v in steps[0]])
+    column = [g_den * b**j for j in range(len(steps) - 1)]
     quotient = Poly2._from_cleared(
-        {(i, j - 1): v * g_den * b ** (j - 1) for j, rows in enumerate(steps[1:], 1) for i, v in enumerate(rows) if v},
-        scale,
+        {(i, j): v * column[j] for j, rows in enumerate(steps[1:]) for i, v in enumerate(rows) if v}, scale
     )
-    if g * quotient != q:
+    # g * quotient == Q cross-multiplied: equal on Q's support, zero off it
+    product, product_den = _convolve(g_nums, quotient._nums), g_den * quotient._den
+    if any(product.pop(e, 0) * den != v * product_den for e, v in nums.items()) or any(product.values()):
         raise InternalMismatch("verified multiplication of the quotient failed")
     return quotient, Poly1()
 
 
 def tube_division(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Poly1]:
-    """``divide_by_tube_factor`` and ``substitute_tube`` from one division:
-    the certified quotient (None for a non-member) and the image
-    Q(eps*x/r, eps*(x*r + 1)/(2*r)), the remainder rho rescaled by
-    x -> eps*x/r."""
-    r = _frac(r)
-    quotient, rho = divide_by_linear(q, tube_generator(r, eps))
-    scale = eps / r
-    return quotient, Poly1([c * scale**k for k, c in enumerate(rho.coeffs)])
+    """``divide_by_tube_factor`` and ``substitute_tube``: the certified
+    quotient (None for a non-member) and the image."""
+    return divide_by_tube_factor(q, r, eps), substitute_tube(q, r, eps)
 
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
-    """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r))."""
-    return tube_division(q, r, eps)[1]
+    """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)): step 0 of
+    ``_line_image`` on the generator's integer line p**2*x - 2*p*s*y +
+    eps*s**2 at r = p/s, rescaled by x -> eps*x/r.  No quotient is built."""
+    g = tube_generator(r, eps)._nums  # r != 0 and eps checked
+    p, s = _num_den(r)
+    den, nums = q._cleared()
+    steps = _line_image(nums, g[0, 0], g[1, 0], g[0, 1])
+    scale = den * g[0, 1] ** (len(steps) - 1)
+    return Poly1([Fraction(v * (eps * s) ** k, scale * p**k) for k, v in enumerate(steps[0])])
 
 
 def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
     """Membership in the principal ideal generated by x*r**2 - 2*r*y + eps,
-    decided by vanishing of the division remainder."""
-    return divide_by_linear(q, tube_generator(r, eps))[1].is_zero
+    decided by vanishing of the substitution image."""
+    return substitute_tube(q, r, eps).is_zero
 
 
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:

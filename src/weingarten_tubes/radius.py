@@ -5,23 +5,24 @@ defining polynomial together with a half-open rational interval
 ``(lo, hi]`` isolating exactly one positive root, plus the exact value
 whenever that root is rational.  The rational roots of the square-free
 part s come from its roots modulo one small prime l, lifted l-adically
-(``_rational_roots``): a root p/q has q | a_n, so a_n*p/q is an integer
-smaller than the lift's modulus, and it is read off the lift's symmetric
-residue.  Only when s deflated by its rational roots keeps a degree is a
-Sturm chain of s built: bisected over (0, B_d], B_d the Cauchy bound of
-the deflated polynomial, it gives each irrational root its cell, the
-cells that hold no rational root, where a node whose roots are all known
-rationals is not bisected.  The deflated polynomial is their defining
-polynomial.  Every sign is that of an integer form (homogeneous Horner
-at p/q over integer Sturm-chain members), so no divisor of a coefficient
-is ever enumerated.  Intervals refine on demand but no decision ever
-depends on interval width.
+(``_rational_roots``): l is the first prime not dividing a_n at which the
+scan for those roots finds each simple, as at every l prime to
+a_n * disc(s).  A root p/q has q | a_n, so p/q mod l is one of them, and
+the integer a_n*p/q, smaller than the lift's modulus, is the lift's
+symmetric residue.  Only when s deflated by its rational roots keeps a
+degree is a Sturm chain of s built: bisected over (0, B_d], B_d the
+Cauchy bound of the deflated polynomial, it gives each irrational root
+its cell, the cells that hold no rational root, where a node whose roots
+are all known rationals is not bisected.  The deflated polynomial is
+their defining polynomial.  Every sign is that of an integer form
+(homogeneous Horner at p/q over integer Sturm-chain members), so no
+divisor of a coefficient is ever enumerated.  Intervals refine on demand
+but no decision ever depends on interval width.
 
 Inside this module a univariate polynomial is a primitive integer
-coefficient list, constant term first.  ``Poly1`` is the public boundary
-type: the argument of ``isolate_positive_roots`` and ``vanishes_at`` is
-cleared to such a list once, and ``AlgebraicRadius.defining_poly`` and
-the radius and star polys of a family are built from one.  The gcd, the
+coefficient list, constant term first, as are the radius and star polys
+of a family; ``isolate_positive_roots`` and ``vanishes_at`` clear a
+``Poly1``, the public boundary type, to one once.  The gcd, the
 square-free part with its exact quotient, the deflation by rational
 roots and the Sturm chain run a primitive pseudo-remainder sequence,
 where each pseudo-remainder is scaled by a power of |lc| and divided by
@@ -61,10 +62,11 @@ share one row) get one decision per call of the lane driver of
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
 from .polyalg import Poly1, Poly2, _family_image, _line_image, check_epsilon, divide_by_linear
@@ -229,9 +231,12 @@ def _squarefree(p: list[int]) -> list[int]:
 
 
 def _sign_at(coeffs: list[int], v: Fraction) -> int:
+    return _form_sign(coeffs, v.numerator, v.denominator)
+
+
+def _form_sign(coeffs: list[int], p: int, q: int) -> int:
     """Sign of the integer polynomial sum c_k x**k at x = p/q, q > 0: the
     sign of the homogeneous form sum c_k p**k q**(d-k), by integer Horner."""
-    p, q = v.numerator, v.denominator
     acc, q_power = 0, 1
     for c in reversed(coeffs):
         acc = acc * p + c * q_power
@@ -290,23 +295,22 @@ def _count_roots_halfopen(p: list[int], lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _cauchy_bound(p: list[int]) -> Fraction:
-    return 1 + Fraction(max(map(abs, p)), abs(p[-1]))
-
-
 def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction, bool]:
     """Bisect the one-root cell (lo, hi] of the integer polynomial by the
     sign at hi until hi - lo <= width, stopping early when hi lands on the
-    root; the flag says it did."""
-    sign_hi = _sign_at(coeffs, hi)
-    while sign_hi and hi - lo > width:
-        mid = (lo + hi) / 2
-        sign_mid = _sign_at(coeffs, mid)
+    root; the flag says it did.  Integer ends a, b over one denominator
+    den, all three doubled at each step: no step builds a Fraction."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    sign_hi = _form_sign(coeffs, b, den)
+    while sign_hi and (b - a) * width.denominator > width.numerator * den:
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        sign_mid = _form_sign(coeffs, mid, den)
         if sign_mid == sign_hi or sign_mid == 0:
-            hi, sign_hi = mid, sign_mid
+            b, sign_hi = mid, sign_mid
         else:
-            lo = mid
-    return lo, hi, sign_hi == 0
+            a = mid
+    return Fraction(a, den), Fraction(b, den), sign_hi == 0
 
 
 def _value_mod(p: list[int], x: int, m: int) -> int:
@@ -321,27 +325,27 @@ def _rational_roots(s: list[int]) -> list[Fraction]:
     """All rational roots (any sign), ascending, of the square-free
     primitive integer polynomial s of degree >= 1.
 
-    The prime l is the smallest with l not dividing a_n and s square-free
-    mod l; only the primes dividing a_n * disc(s) fail, so the search
-    ends.  The roots of s mod l, found by evaluating s at 0 .. l-1, are
-    simple, and Newton steps lift each of them uniquely to a root alpha
-    mod l**m >= 2*K, K = |a_n| + max |a_i|.  A rational root p/q has
-    q | a_n and |p/q| < K/|a_n|, so N = a_n*p/q is an integer with
-    |N| < K, and it reduces to one of the simple roots mod l: by the
-    uniqueness of the lift, N is the symmetric residue of a_n*alpha
-    mod l**m.  Each residue is kept exactly when s vanishes at N/a_n, so
-    every rational root is found, once, and nothing else is.
+    The prime l is the first not dividing a_n at which every root alpha of
+    s in F_l, from the same scan of s over 0 .. l-1, has s'(alpha) != 0
+    mod l: all the lift needs.  Every l not dividing a_n * disc(s)
+    qualifies, so the search ends; a repeated factor with no root in F_l
+    rejects nothing.  Newton steps lift each root uniquely to a root alpha
+    mod l**m >= 2*K, K = |a_n| + max |a_i|.  A rational root p/q has q | a_n
+    and |p/q| < K/|a_n|, so N = a_n*p/q is an integer with |N| < K, and
+    p/q mod l is one of the simple roots: by the uniqueness of the lift, N
+    is the symmetric residue of a_n*alpha mod l**m.  Each residue is kept
+    exactly when s vanishes at N/a_n, so every rational root is found,
+    once, and nothing else is.
     """
-    lead = s[-1]
-    ell = 2
-    while any(ell % k == 0 for k in range(2, math.isqrt(ell) + 1)) or not _squarefree_mod(s, ell):
-        ell += 1
-    deriv = _derivative(s)
+    lead, deriv = s[-1], _derivative(s)
+    for ell in itertools.count(2):
+        if lead % ell and all(ell % k for k in range(2, math.isqrt(ell) + 1)):
+            zeros = [alpha for alpha in range(ell) if not _value_mod(s, alpha, ell)]
+            if all(_value_mod(deriv, alpha, ell) for alpha in zeros):
+                break
     bound = 2 * (abs(lead) + max(map(abs, s)))
     roots = []
-    for alpha in range(ell):
-        if _value_mod(s, alpha, ell):
-            continue
+    for alpha in zeros:
         modulus = ell
         while modulus < bound:
             modulus *= modulus
@@ -382,21 +386,18 @@ class AlgebraicRadius(_AlgebraicRadius):
                 raise ValueError("exact_value is not a root of the defining polynomial")
             if not (lo < exact_value <= hi):
                 raise ValueError("exact_value outside the isolating interval")
-        else:
-            coeffs = _integer_coeffs(defining_poly.coeffs)
-            if _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
-                raise ValueError("defining polynomial must have opposite signs at lo and hi")
+        elif defining_poly.eval(lo) * defining_poly.eval(hi) >= 0:
+            raise ValueError("defining polynomial must have opposite signs at lo and hi")
         return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
         """Equivalent radius whose interval has length <= width > 0."""
         if width <= 0:
             raise ValueError(f"refinement width must be positive, got {width}")
-        lo, hi = self.lo, self.hi
         if self.exact_value is not None:
-            lo = max(lo, self.exact_value - width)
+            lo = max(self.lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
-        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly.coeffs), lo, hi, width)
+        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly.coeffs), self.lo, self.hi, width)
         return AlgebraicRadius(self.defining_poly, lo, hi, hi if at_root else None)
 
     def approx(self, width: Fraction = DISPLAY_WIDTH) -> float:
@@ -414,13 +415,14 @@ class AlgebraicRadius(_AlgebraicRadius):
         )
 
 
-def vanishes_at(p: Poly1, rad: AlgebraicRadius) -> bool:
+def vanishes_at(p: Union[Poly1, list[int]], rad: AlgebraicRadius) -> bool:
     """Exact test p(rho) = 0 at the (possibly irrational) root rho
-    described by rad.  A zero p needs no branch: the gcd is then the
-    defining polynomial, which has a root in the cell."""
+    described by rad, p a Poly1 or integer coefficients.  A zero p needs no
+    branch: the gcd is then the defining polynomial, with a root there."""
+    p = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else p
     if rad.exact_value is not None:
-        return p.eval(rad.exact_value) == 0
-    common = _common_divisor(_integer_coeffs(p.coeffs), _integer_coeffs(rad.defining_poly.coeffs))
+        return _sign_at(p, rad.exact_value) == 0
+    common = _common_divisor(p, _integer_coeffs(rad.defining_poly.coeffs))
     return len(common) > 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
 
 
@@ -459,14 +461,15 @@ class RadiusSet(_RadiusSet):
 # isolation
 
 
-def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
+def isolate_positive_roots(p: Union[Poly1, list[int]]) -> list[AlgebraicRadius]:
     """All roots of p in (0, +inf), as isolated AlgebraicRadius values
-    sorted ascending with pairwise disjoint intervals.  A rational root
-    rho gets (lo, rho], lo the largest irrational cell end or rational
-    root below rho, or 0."""
-    if p.is_zero:
+    sorted ascending with pairwise disjoint intervals, p a Poly1 or integer
+    coefficients.  A rational root rho gets (lo, rho], lo the largest
+    irrational cell end or rational root below rho, or 0."""
+    coeffs = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else p
+    if not coeffs:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    s = _squarefree(_integer_coeffs(p.coeffs))
+    s = _squarefree(coeffs)
     if len(s) < 2:
         return []
     rationals = _rational_roots(s)
@@ -479,9 +482,9 @@ def isolate_positive_roots(p: Poly1) -> list[AlgebraicRadius]:
         # the cells of s over (0, B_d] away from the known rationals are
         # the first dyadic cells that hold one irrational root and nothing
         # else; deflated is primitive with a positive lead, as s and every
-        # factor q*r - p are (Gauss's lemma)
-        defining = Poly1(deflated)
-        for lo, hi in _sturm_cells(_sturm_chain(s), Fraction(0), _cauchy_bound(deflated), positive):
+        # factor q*r - p are (Gauss's lemma), and B_d its Cauchy bound
+        defining, bound = Poly1(deflated), 1 + Fraction(max(map(abs, deflated)), deflated[-1])
+        for lo, hi in _sturm_cells(_sturm_chain(s), Fraction(0), bound, positive):
             entries.append(AlgebraicRadius(defining, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
     for rho in positive:
@@ -513,19 +516,19 @@ class GeneratorFamily(NamedTuple):
     c: tuple[int, ...]
     d: tuple[int, ...]
 
-    def radius_poly(self, q: Poly2) -> Poly1:
-        """R(0, r) / r**m up to a constant factor: its positive roots are
-        the cylinder radii; zero when Q vanishes on the whole axis.  The
-        image of Q's x**0 terms alone on the line x = 0."""
+    def radius_poly(self, q: Poly2) -> list[int]:
+        """R(0, r) / r**m up to a constant factor, as integers: its positive
+        roots are the cylinder radii; zero ([]) when Q vanishes on the whole
+        axis.  The image of Q's x**0 terms alone on the line x = 0."""
         rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, self.c, (), self.b)
-        return Poly1(_without_r_power(rows[0]) if rows else [])
+        return _without_r_power(rows[0]) if rows else []
 
-    def star_poly(self, q: Poly2) -> Poly1:
+    def star_poly(self, q: Poly2) -> list[int]:
         """The primitive gcd of the x-coefficients of R(x, r), each without
-        its factor r**m: its positive roots are the radii at which Q lies in
-        the ideal of G_r."""
+        its factor r**m, as integers: its positive roots are the radii at
+        which Q lies in the ideal of G_r."""
         rows = _family_image(q._cleared()[1], self.c, self.a, self.b)
-        return Poly1(reduce(_common_divisor, map(_without_r_power, rows), []))
+        return reduce(_common_divisor, map(_without_r_power, rows), [])
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
         """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
@@ -576,11 +579,11 @@ def decide_radii(
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
     candidates = family.radius_poly(q)
-    all_positive = candidates.is_zero
+    all_positive = not candidates
     star_poly = None
     if all_positive:
         candidates = star_poly = family.star_poly(q)
-    radii = isolate_positive_roots(candidates) if candidates.degree >= 1 else []
+    radii = isolate_positive_roots(candidates) if len(candidates) > 1 else []
     decisions = []
     for rad in radii:
         quotient = None
@@ -606,9 +609,9 @@ def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
     p = tube_family(tag).radius_poly(q)
-    if p.is_zero:
+    if not p:
         return RadiusSet("all-positive")
-    radii = isolate_positive_roots(p) if p.degree >= 1 else []
+    radii = isolate_positive_roots(p) if len(p) > 1 else []
     return RadiusSet("finite", tuple(RadiusEntry(rad, False) for rad in radii))
 
 

@@ -936,19 +936,25 @@ class TestExitCodes:
     )
     def test_failed_certificate_is_three(self, capsys, monkeypatch, argv):
         # a division that returns a wrong quotient must be caught by the
-        # multiplication certificate, in both generator families
+        # multiplication certificate, in both generator families, by each
+        # of its halves: g * quotient equal to Q on Q's support, and zero
+        # off it
         line_image = polyalg._line_image
-
-        def off_by_one(nums, c, a, b):
+        corruptions = {
             # one more x-power in the quotient's y**0 column, the image kept
-            steps = line_image(nums, c, a, b)
-            return steps[:1] + [steps[1] + [1]] + steps[2:]
-
-        monkeypatch.setattr(polyalg, "_line_image", off_by_one)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err == "internal error: verified multiplication of the quotient failed\n"
+            "off by one": lambda steps: steps[:1] + [steps[1] + [1]] + steps[2:],
+            # 2 * Q: every product term on Q's support, each coefficient wrong
+            "doubled": lambda steps: steps[:1] + [[2 * v for v in row] for row in steps[1:]],
+            # a term of degree past Q's: its products lie off Q's support and
+            # every coefficient on it is right
+            "far term": lambda steps: steps[:1] + [steps[1] + [0] * 40 + [1]] + steps[2:],
+        }
+        for name, corrupt in corruptions.items():
+            monkeypatch.setattr(polyalg, "_line_image", lambda *args, corrupt=corrupt: corrupt(line_image(*args)))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3, name
+            assert out == ""
+            assert err == "internal error: verified multiplication of the quotient failed\n"
 
     def test_failed_deflation_is_three(self, capsys, monkeypatch):
         # a rational root that is not one leaves a remainder when the

@@ -16,7 +16,9 @@ code with the library:
   the expression tree at random points;
 * the integer Sturm chain: ``reference_chain``, a Fraction Euclidean chain;
 * the l-adic rational roots: ``reference_rational_roots``, Sturm bisection
-  on that chain narrowed to the grid Z/a_n.
+  on that chain narrowed to the grid Z/a_n;
+* the integer bisection of ``AlgebraicRadius.refined``: ``fraction_narrow``,
+  the Fraction bisection it replaced.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -30,6 +32,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import axis_restriction, brute_product, brute_substitute, poly_product
 from expression_trees import expression_degree, expression_text, expression_trees, expression_value
 from paper_formulas import epsilon_transform, gamma_formula, linear_cases, second_fundamental_lanes
+from weingarten_tubes import radius
 from weingarten_tubes.classify import (
     ALL_REGULAR_TUBES,
     classify_linear,
@@ -50,13 +53,16 @@ from weingarten_tubes.polyalg import (
     tube_generator,
 )
 from weingarten_tubes.radius import (
+    DISPLAY_WIDTH,
     EUCLIDEAN,
     HYPERBOLIC,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     PRINCIPAL,
     _count_roots_halfopen,
+    _narrow,
     _rational_roots,
+    _sign_at,
     _squarefree,
     _sturm_chain,
     decide_radii,
@@ -387,7 +393,7 @@ def test_radius_poly_is_q_on_the_axis_up_to_r_powers(shape, a, b, r, eps, points
     for family, gen in ((kh, tube_generator(r, eps)), (PRINCIPAL, Y - Poly2.constant(1 / r))):
         q = build(shape, gen, a, b)
         assume(not q.is_zero)
-        p = family.radius_poly(q)
+        p = Poly1(family.radius_poly(q))  # integer coefficients, constant term first
         direct = [axis_image(family, q, v) for v in points]
         if all(i for (i, _), _ in q.terms()):  # Q(0, y) = 0
             assert p.is_zero and not any(direct)
@@ -697,6 +703,126 @@ def test_rational_roots_match_the_sturm_grid_search(linear, quads, cubics, lead)
     square_free = _squarefree([lead * c for c in p])
     assert Poly1(square_free) == s
     assert _rational_roots(square_free) == reference_rational_roots(s) == sorted(distinct)
+
+
+# The lifting prime l needs only that every root of s in F_l be simple.
+# Two roots that differ by a multiple of 2*3*...*29 collide modulo every
+# prime below 30, so both rules pass over those primes.  A quartic
+# g**2 + l*u, g irreducible modulo l, is square-free over Q but the square
+# of g modulo l: its repeated roots lie outside F_l, so l is not rejected
+# for it, where the square-free rule rejected it.
+
+PRIMORIAL_29 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+
+
+@st.composite
+def squares_modulo_a_prime(draw) -> list[int]:
+    ell = draw(st.sampled_from([3, 5, 7, 31, 37, 41]))
+    b, c = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    # x**2 + b*x + c is irreducible mod the odd prime l: its discriminant
+    # is a non-residue
+    assume(pow((b * b - 4 * c) % ell, (ell - 1) // 2, ell) == ell - 1)
+    u = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any))
+    return [v + ell * w for v, w in zip(poly_product([c, b, 1], [c, b, 1]), u + [0, 0])]
+
+
+@PROPERTY
+@example(roots=[Fraction(2), Fraction(3, 2)], shift=1, quartics=[[4, 0, 2, 0, 1]])
+@example(roots=[Fraction(-7, 3)], shift=-2, quartics=[[1 + 31 * 2, 0, 2 + 31, 0, 1]])
+@given(
+    roots=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), min_size=1, max_size=3, unique=True),
+    shift=st.integers(-2, 2),
+    quartics=st.lists(squares_modulo_a_prime(), max_size=2),
+)
+def test_rational_roots_with_roots_that_collide_mod_small_primes(roots, shift, quartics):
+    # planted q*r - p factors, one pair differing by shift * PRIMORIAL_29
+    # when shift != 0, times quartics that are squares modulo a prime
+    planted = set(roots) | ({roots[0] + shift * PRIMORIAL_29} if shift else set())
+    s = Poly1(poly_product(*([-rho.numerator, rho.denominator] for rho in planted), *quartics))
+    assume(reference_gcd_degree(s, reference_derivative(s)) == 0)  # square-free over Q
+    found = _rational_roots([int(c) for c in s.coeffs])
+    assert found == reference_rational_roots(s)
+    assert planted <= set(found)
+
+
+def test_lifting_prime_needs_only_simple_roots_in_the_field(monkeypatch):
+    # (r - 1)(r**4 + 2*r**2 + 4): modulo 3 the quartic is (r**2 + 1)**2,
+    # with no root in F_3, and r = 1 is simple, so l = 3 serves; the rule
+    # that asked for s square-free modulo l passed over 3 to 5
+    s = poly_product([-1, 1], [4, 0, 2, 0, 1])
+    assert [ell for ell in (2, 3, 5) if radius._squarefree_mod(s, ell)] == [5]
+    moduli = set()
+    value_mod = radius._value_mod
+
+    def recording(p, x, m):
+        moduli.add(m)
+        return value_mod(p, x, m)
+
+    monkeypatch.setattr(radius, "_value_mod", recording)
+    assert _rational_roots(s) == [1] == reference_rational_roots(Poly1(s))
+    # the primes scanned, the last of them accepted; the lift's moduli 9, 81 are not prime
+    assert sorted(m for m in moduli if all(m % k for k in range(2, m))) == [2, 3]
+
+
+# Bisection on integer numerators against the Fraction bisection it
+# replaced.
+
+
+def fraction_narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+    """``radius._narrow`` as it bisected on Fractions, one per step."""
+    sign_hi = _sign_at(coeffs, hi)
+    while sign_hi and hi - lo > width:
+        mid = (lo + hi) / 2
+        sign_mid = _sign_at(coeffs, mid)
+        if sign_mid == sign_hi or sign_mid == 0:
+            hi, sign_hi = mid, sign_mid
+        else:
+            lo = mid
+    return lo, hi, sign_hi == 0
+
+
+widths = st.one_of(
+    st.just(DISPLAY_WIDTH),
+    st.just(Fraction(1, 3)),
+    st.integers(1, 14).map(lambda k: Fraction(1, 7**k)),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=2, max_denominator=10**6),
+)
+
+
+@PROPERTY
+@example(factors=[[-2, 0, 1]], width=DISPLAY_WIDTH)
+@example(factors=[[-2, 0, 3]], width=Fraction(1, 3))  # Cauchy bound 5/3
+@example(factors=[[-7, 0, 0, 5]], width=Fraction(1, 7**9))  # Cauchy bound 12/5
+@given(
+    factors=st.lists(st.one_of(irreducible_quadratics, irreducible_cubics), min_size=1, max_size=2),
+    width=widths,
+)
+def test_integer_narrow_matches_the_fraction_bisection(factors, width):
+    # the cells of irrational radii: ends over the non-dyadic Cauchy bound
+    # of a lead that is not a power of two
+    p = Poly1(poly_product(*factors))
+    for rad in isolate_positive_roots(p):
+        if rad.exact_value is None:
+            coeffs = [int(c) for c in rad.defining_poly.coeffs]
+            assert _narrow(coeffs, rad.lo, rad.hi, width) == fraction_narrow(coeffs, rad.lo, rad.hi, width)
+
+
+@PROPERTY
+@example(num=3, den=8, lo=Fraction(0), hi=Fraction(1), width=DISPLAY_WIDTH)  # hi lands on 3/8
+@given(
+    num=st.integers(1, 200),
+    den=st.integers(1, 64),
+    lo=st.fractions(min_value=0, max_value=3, max_denominator=30),
+    hi=st.fractions(min_value=0, max_value=300, max_denominator=30),
+    width=widths,
+)
+def test_integer_narrow_matches_on_non_dyadic_ends(num, den, lo, hi, width):
+    # one rational root in an arbitrary cell (lo, hi]: the at_root flag
+    # and the ends at which the bisection lands on it
+    rho = Fraction(num, den)
+    assume(lo < rho <= hi)
+    coeffs = [-rho.numerator, rho.denominator]
+    assert _narrow(coeffs, lo, hi, width) == fraction_narrow(coeffs, lo, hi, width)
 
 
 @PROPERTY

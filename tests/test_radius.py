@@ -51,6 +51,36 @@ class TestIsolation:
         assert fine.refined(fine.hi - fine.lo) == fine  # already narrow enough
         assert abs(rad.approx() - 2**0.5) < 1e-9
 
+    def test_refined_clears_the_defining_poly_once(self, monkeypatch):
+        # one integer list serves the bisection; the constructor checks the
+        # sign change on the Fractions
+        (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
+        calls = []
+        integer_coeffs = radius._integer_coeffs
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return integer_coeffs(coeffs)
+
+        monkeypatch.setattr(radius, "_integer_coeffs", counting)
+        for width in (radius.DISPLAY_WIDTH, Fraction(1, 3), Fraction(1, 7**9)):
+            calls.clear()
+            fine = rad.refined(width)
+            assert len(calls) == 1
+            assert fine.lo < fine.hi <= fine.lo + width and fine.lo**2 < 2 < fine.hi**2
+
+    def test_every_construction_checks_the_sign_change(self):
+        # a cell without a sign change, built past the constructor, is
+        # refused when refined() or _replace builds from it
+        p = Poly1([-2, 0, 1])
+        with pytest.raises(ValueError, match="opposite signs"):
+            radius.AlgebraicRadius(p, Fraction(2), Fraction(3))
+        bad = radius._AlgebraicRadius.__new__(radius.AlgebraicRadius, p, Fraction(2), Fraction(3), None)
+        with pytest.raises(ValueError, match="opposite signs"):
+            bad.refined()
+        with pytest.raises(ValueError, match="opposite signs"):
+            bad._replace(hi=Fraction(5, 2))
+
     def test_nonpositive_width_rejected(self):
         # bisection never narrows a cell to width <= 0
         (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
@@ -400,3 +430,10 @@ class TestVanishesAt:
         assert vanishes_at(Poly1([-2, 0, 1]), sqrt2)
         assert vanishes_at(Poly1([-4, 0, 0, 0, 1]), sqrt2)  # r^4 - 4
         assert not vanishes_at(Poly1([-3, 0, 1]), sqrt2)
+
+    def test_integer_coefficients(self):
+        # the radius and star polys of a family are integer lists
+        sqrt2 = isolate_positive_roots([-2, 0, 1])[0]
+        (six,) = isolate_positive_roots([-6, 1])
+        assert vanishes_at([-4, 0, 0, 0, 1], sqrt2) and not vanishes_at([-3, 0, 1], sqrt2)
+        assert vanishes_at([-12, 2], six) and vanishes_at([], six) and not vanishes_at([1, 1], six)
