@@ -37,16 +37,16 @@ g = 0.  ``radius`` only consumes it.
   of |numerators| and n the top power of y, and k is one past that
   bound's bit length.  It gives the radius and star polys of
   ``radius.GeneratorFamily``.
-* ``divide_by_linear`` -- Q = g * quotient + rho(x), rho = Q(x, L(x)) on
-  the line y = L(x) where g vanishes.  Q lies in the ideal of g iff
-  rho = 0, and then the quotient is certified once by g * quotient == Q
-  on numerators: their convolution, cross-multiplied by the denominators,
+* ``_divide`` -- Q / ((a*x + b*y + c)/d), all four integers as the
+  library builds the line: None when step 0 of ``_line_image`` is nonzero,
+  else the quotient, certified once by line * quotient == d * Q on
+  numerators: their convolution, cross-multiplied by the denominators,
   equals Q's numerator on Q's support and is zero off it.
-* ``tube_division`` / ``substitute_tube`` / ``is_in_tube_ideal`` /
-  ``divide_by_tube_factor`` -- the division by the tube generator
-  ``x*r**2 - 2*r*y + eps``, eps in {-1, +1}: the image of Q under
-  x -> eps*x/r, y -> eps*(x*r + 1)/(2*r) is rho(eps*x/r), read off
-  ``_line_image`` with no quotient built unless one is returned.
+* ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
+  -- the division by the tube generator ``x*r**2 - 2*r*y + eps``, eps in
+  {-1, +1}: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r)
+  is step 0 of ``_line_image`` rescaled, with no quotient built, and the
+  quotient is ``_divide`` on the generator's integers.
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
   eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
   in r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
@@ -424,8 +424,6 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
     / (2**(k-i+j) * r**(j+i)) with n the total degree of Q:
     ``substitute_tube`` at r, padded with zeros to n + 1 entries.
     """
-    if _frac(r) == 0:
-        raise ZeroRadius("substitution radius must be nonzero")
     coeffs = list(substitute_tube(q, r).coeffs)
     return coeffs + [Fraction(0)] * (q.degree + 1 - len(coeffs))
 
@@ -507,39 +505,27 @@ def _family_image(
     return [_unpack(v, k) for v in _line_image(nums, *packed)[0]]
 
 
-def divide_by_linear(q: Poly2, g: Poly2) -> tuple[Optional[Poly2], Poly1]:
-    """Q = g * quotient + rho(x) for g = a*x + b*y + c, b != 0, with
-    rho = Q(x, -(a*x + c)/b), by one ``_line_image`` pass on Q and g
-    cleared to integers.  (quotient, rho) when rho = 0, the quotient
-    certified by g * quotient == Q (InternalMismatch on failure, an
-    arithmetic bug); (None, rho) when Q is not in the ideal of g.
-    ValueError when g is not of that form."""
-    g_den, g_nums = g._cleared()
-    if not g_nums.get((0, 1)) or not g_nums.keys() <= {(1, 0), (0, 1), (0, 0)}:
-        raise ValueError(f"expected a*x + b*y + c with b != 0, got {g}")
-    a, b, c = (g_nums.get(e, 0) for e in ((1, 0), (0, 1), (0, 0)))
+def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
+    """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by one
+    ``_line_image`` pass on Q's numerators: None when Q is not in the ideal
+    of the line, else the quotient, certified by line * quotient == d * Q
+    (InternalMismatch on failure, an arithmetic bug)."""
     den, nums = q._cleared()
     steps = _line_image(nums, c, a, b)
-    # step j is b**(n - j) * H_j for den * Q on the cleared line g * g_den; the
-    # quotient's y**(j - 1) column g_den * H_j / (den * b) is step j * column[j - 1] / scale
-    scale = den * b ** (len(steps) - 1)
     if any(steps[0]):
-        return None, Poly1([Fraction(v, scale) for v in steps[0]])
-    column = [g_den * b**j for j in range(len(steps) - 1)]
+        return None
+    # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
+    # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
+    scale = den * b ** (len(steps) - 1)
+    column = [d * b**j for j in range(len(steps) - 1)]
     quotient = Poly2._from_cleared(
         {(i, j): v * column[j] for j, rows in enumerate(steps[1:]) for i, v in enumerate(rows) if v}, scale
     )
-    # g * quotient == Q cross-multiplied: equal on Q's support, zero off it
-    product, product_den = _convolve(g_nums, quotient._nums), g_den * quotient._den
+    # line * quotient == d * Q cross-multiplied: equal on Q's support, zero off it
+    product, product_den = _convolve({(1, 0): a, (0, 1): b, (0, 0): c}, quotient._nums), d * quotient._den
     if any(product.pop(e, 0) * den != v * product_den for e, v in nums.items()) or any(product.values()):
         raise InternalMismatch("verified multiplication of the quotient failed")
-    return quotient, Poly1()
-
-
-def tube_division(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Poly1]:
-    """``divide_by_tube_factor`` and ``substitute_tube``: the certified
-    quotient (None for a non-member) and the image."""
-    return divide_by_tube_factor(q, r, eps), substitute_tube(q, r, eps)
+    return quotient
 
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
@@ -563,4 +549,5 @@ def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:
     """Exact quotient R with Q = (x*r**2 - 2*r*y + eps) * R, or None when
     Q is not in the ideal; verified by multiplication before returning."""
-    return divide_by_linear(q, tube_generator(r, eps))[0]
+    d, g = tube_generator(r, eps)._cleared()
+    return _divide(q, g[1, 0], g[0, 1], g[0, 0], d)

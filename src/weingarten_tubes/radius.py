@@ -21,13 +21,14 @@ but no decision ever depends on interval width.
 
 Inside this module a univariate polynomial is a primitive integer
 coefficient list, constant term first, as are the radius and star polys
-of a family; ``isolate_positive_roots`` and ``vanishes_at`` clear a
-``Poly1``, the public boundary type, to one once.  The gcd, the
-square-free part with its exact quotient, the deflation by rational
-roots and the Sturm chain run a primitive pseudo-remainder sequence,
-where each pseudo-remainder is scaled by a power of |lc| and divided by
-its positive content.  Every chain member is then a positive multiple of
-the Euclidean one over the rationals, with the same signs everywhere.
+of a family; ``isolate_positive_roots`` and ``vanishes_at`` take a
+``Poly1``, the public boundary type, or such a list through
+``_integer_list``.  The gcd, the square-free part with its exact
+quotient, the deflation by rational roots and the Sturm chain run a
+primitive pseudo-remainder sequence, where each pseudo-remainder is
+scaled by a power of |lc| and divided by its positive content.  Every
+chain member is then a positive multiple of the Euclidean one over the
+rationals, with the same signs everywhere.
 
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = a(r)*x + b(r)*y + c(r) that all regular tubes of radius r
@@ -52,9 +53,9 @@ R's rows (each without its factor r**m: r = 0 is never a radius).  At a
 rational r, on the integers of G_r, it is R(x, r) itself
 (``GeneratorFamily.image_at``), read by every question at that radius.
 ``decide_radii`` decides each candidate radius once: a rational one by
-the same division at that r (``polyalg.divide_by_linear``), which also
-yields the certified quotient, an irrational one by the star poly and a
-Sturm count on its isolating interval, unless it is a star poly root.
+the same division on the integers of G_r (``polyalg._divide``), which
+also yields the certified quotient, an irrational one by the star poly and
+a Sturm count on its isolating interval, unless it is a star poly root.
 Lanes whose families are equal values (E3, H3 and L3 with eps = +1
 share one row) get one decision per call of the lane driver of
 ``classify``, keyed by the family value with all its fields.
@@ -69,7 +70,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
-from .polyalg import Poly1, Poly2, _family_image, _line_image, check_epsilon, divide_by_linear
+from .polyalg import Poly1, Poly2, _divide, _family_image, _line_image, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -131,6 +132,14 @@ def _integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     kept, so signs at every point are its own."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return _primitive_part([int(c * den) for c in coeffs])
+
+
+def _integer_list(p: Union[Poly1, list[int]]) -> list[int]:
+    """A Poly1 cleared to integers, or a list without its trailing zeros."""
+    coeffs = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else list(p)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -391,9 +400,11 @@ class AlgebraicRadius(_AlgebraicRadius):
         return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
     def refined(self, width: Fraction = DISPLAY_WIDTH) -> "AlgebraicRadius":
-        """Equivalent radius whose interval has length <= width > 0."""
-        if width <= 0:
-            raise ValueError(f"refinement width must be positive, got {width}")
+        """Equivalent radius whose interval has length <= width, a positive
+        finite number taken exactly (a float as the Fraction it equals)."""
+        if not 0 < width < math.inf:
+            raise ValueError(f"refinement width must be positive and finite, got {width}")
+        width = Fraction(width)
         if self.exact_value is not None:
             lo = max(self.lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
@@ -419,7 +430,7 @@ def vanishes_at(p: Union[Poly1, list[int]], rad: AlgebraicRadius) -> bool:
     """Exact test p(rho) = 0 at the (possibly irrational) root rho
     described by rad, p a Poly1 or integer coefficients.  A zero p needs no
     branch: the gcd is then the defining polynomial, with a root there."""
-    p = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else p
+    p = _integer_list(p)
     if rad.exact_value is not None:
         return _sign_at(p, rad.exact_value) == 0
     common = _common_divisor(p, _integer_coeffs(rad.defining_poly.coeffs))
@@ -466,7 +477,7 @@ def isolate_positive_roots(p: Union[Poly1, list[int]]) -> list[AlgebraicRadius]:
     sorted ascending with pairwise disjoint intervals, p a Poly1 or integer
     coefficients.  A rational root rho gets (lo, rho], lo the largest
     irrational cell end or rational root below rho, or 0."""
-    coeffs = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else p
+    coeffs = _integer_list(p)
     if not coeffs:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     s = _squarefree(coeffs)
@@ -588,7 +599,7 @@ def decide_radii(
     for rad in radii:
         quotient = None
         if rad.exact_value is not None:
-            quotient = divide_by_linear(q, family.generator(rad.exact_value))[0]
+            quotient = _divide(q, *family._at(rad.exact_value))
             star = quotient is not None
         else:
             if star_poly is None:

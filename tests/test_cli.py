@@ -317,6 +317,8 @@ PINNED_REPORTS = [
     # a linear relation whose discriminant vanishes for eps = +1: all tubes
     # of radius 1/4 there, nothing at eps = -1
     ("linear_vanishing_discriminant.json", ["linear", "-1/8", "1", "2"]),
+    # a member with its certified quotient
+    ("divide_exq_in_ideal.json", ["divide", EXQ_TEXT, "--r", "2"]),
 ]
 
 
@@ -338,6 +340,25 @@ class TestGoldens:
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
         command = " ".join(a if re.fullmatch(r"[\w./-]+", a) else f'"{a}"' for a in argv)
         assert f"python -m weingarten_tubes.cli {command} | diff - tests/golden/pinned/{golden}\n" in workflow
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("classify_product_8.json", ["classify", PRODUCT_8]),
+            ("classify_principal_irrational_star.json", ["classify", "(k2^2 - 2)*(k1 + k2 - 3)", "--principal"]),
+        ],
+    )
+    def test_rational_stars_build_no_generator(self, capsys, monkeypatch, golden, argv):
+        # each rational star is divided on the integers of its family line,
+        # in both generator families, with no generator polynomial built
+        def refuse(*args):
+            raise AssertionError("generator built")
+
+        monkeypatch.setattr(radius.GeneratorFamily, "generator", refuse)
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (GOLDEN / "pinned" / golden).read_text()
 
     def test_all_positive_star_radii_run_no_vanishing_test(self, capsys, monkeypatch):
         # the irrational candidates of an all-positive lane are the star

@@ -46,8 +46,9 @@ from weingarten_tubes.polyalg import (
     Poly2,
     _convolve,
     _expand_power,
+    _divide,
     _family_image,
-    divide_by_linear,
+    _line_image,
     divide_by_tube_factor,
     substitute_tube,
     tube_generator,
@@ -174,19 +175,26 @@ def line_restriction(q: Poly2, a: Fraction, b: Fraction, c: Fraction) -> list[Fr
     shift=coefficients.filter(bool),
 )
 def test_division_by_a_general_line(a, gx, gy, gc, shift):
-    """The one division by g = a*x + b*y + c, b != 0: a planted g*A returns
-    exactly A, a shift by a nonzero constant returns None, and the remainder
-    is Q on the line g = 0."""
+    """The one division by g = a*x + b*y + c, b != 0, on its integers: a
+    planted g*A returns exactly A, a shift by a nonzero constant returns
+    None, and the remainder, step 0 of the same Horner pass, is Q on the
+    line g = 0."""
     g = Poly2([((1, 0), gx), ((0, 1), gy), ((0, 0), gc)])
+    d, nums = g._cleared()
+    line = (nums.get((1, 0), 0), nums[0, 1], nums.get((0, 0), 0), d)
+
+    def remainder(q):
+        den, q_nums = q._cleared()
+        steps = _line_image(q_nums, line[2], line[0], line[1])
+        return list(Poly1([Fraction(v, den * line[1] ** (len(steps) - 1)) for v in steps[0]]).coeffs)
+
     q = Poly2(brute_product(g, a))
-    quotient, rho = divide_by_linear(q, g)
-    assert quotient == a
-    assert list(rho.coeffs) == line_restriction(q, gx, gy, gc) == []
+    assert _divide(q, *line) == a
+    assert remainder(q) == line_restriction(q, gx, gy, gc) == []
     shifted = q + Poly2.constant(shift)
-    quotient, rho = divide_by_linear(shifted, g)
-    assert quotient is None
-    assert list(rho.coeffs) == line_restriction(shifted, gx, gy, gc) == [shift]
-    assert list(divide_by_linear(a, g)[1].coeffs) == line_restriction(a, gx, gy, gc)
+    assert _divide(shifted, *line) is None
+    assert remainder(shifted) == line_restriction(shifted, gx, gy, gc) == [shift]
+    assert remainder(a) == line_restriction(a, gx, gy, gc)
 
 
 @PROPERTY

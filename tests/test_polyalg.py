@@ -19,7 +19,6 @@ from weingarten_tubes.polyalg import (
     Poly2,
     _family_image,
     _unpack,
-    divide_by_linear,
     divide_by_tube_factor,
     gamma_at,
     gamma_cleared,
@@ -364,20 +363,15 @@ class TestIdealMembership:
     def test_divide_non_member_returns_none(self, exq_poly):
         assert divide_by_tube_factor(exq_poly, 1) is None
 
-    @pytest.mark.parametrize(
-        "q, g",
-        [
-            # b = 0: x^2 - 1 is a multiple of x - 1, but the division is in y
-            (X * X - Poly2.constant(1), X - Poly2.constant(1)),
-            # non-linear terms of g
-            (X * Y - Poly2.constant(1), X * Y - Poly2.constant(1)),
-            (Y * Y - X, Y * Y - X),
-        ],
-        ids=["b-zero", "xy-term", "y-squared"],
-    )
-    def test_divide_by_linear_rejects_other_relations(self, q, g):
-        with pytest.raises(ValueError, match="expected a\\*x \\+ b\\*y \\+ c with b != 0"):
-            divide_by_linear(q, g)
+    def test_division_builds_no_remainder(self, monkeypatch, exq_poly):
+        # a non-member is told by step 0 of the Horner pass alone: no
+        # univariate value is built on the way to None
+        def refuse(*args):
+            raise AssertionError("Poly1 built")
+
+        monkeypatch.setattr(polyalg, "Poly1", refuse)
+        assert divide_by_tube_factor(exq_poly, 1) is None
+        assert divide_by_tube_factor(exq_poly, Fraction(2, 3), -1) is None
 
     def test_membership_roundtrip_randomized(self):
         # r ranges over nonzero rationals of both signs

@@ -82,19 +82,40 @@ class TestIsolation:
             bad._replace(hi=Fraction(5, 2))
 
     def test_nonpositive_width_rejected(self):
-        # bisection never narrows a cell to width <= 0
+        # bisection never narrows a cell to width <= 0, nor takes a nan or
+        # an infinite one as a Fraction
         (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
         (two,) = isolate_positive_roots(Poly1([-2, 1]))
-        for width in (Fraction(0), Fraction(-1)):
+        for width in (Fraction(0), Fraction(-1), 0.0, float("nan"), float("inf"), float("-inf")):
             for r in (rad, two):
                 with pytest.raises(ValueError, match="width must be positive"):
                     r.refined(width)
             with pytest.raises(ValueError, match="width must be positive"):
                 rad.approx(width)
 
+    def test_float_width_is_the_equal_fraction(self):
+        # a float width is taken exactly, on both kinds of radius
+        (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
+        (two,) = isolate_positive_roots(Poly1([-2, 1]))
+        for r in (rad, two):
+            for width in (0.001, 0.5, 1e-9):
+                assert r.refined(width) == r.refined(Fraction(width))
+                assert all(type(v) is Fraction for v in r.refined(width)[1:3])
+                assert r.approx(width) == r.approx(Fraction(width))
+        assert rad.refined(0.001) == (rad.defining_poly, Fraction(2895, 2048), Fraction(5793, 4096), None)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             isolate_positive_roots(Poly1())
+
+    def test_integer_list_input_is_checked(self):
+        # a caller's list keeps Poly1's contract: trailing zeros dropped, and
+        # an all-zero list is the zero polynomial, a domain error
+        assert isolate_positive_roots([-2, 0, 1, 0]) == isolate_positive_roots(Poly1([-2, 0, 1]))
+        assert isolate_positive_roots([-6, 1, 0, 0]) == isolate_positive_roots([-6, 1])
+        for zero in ([0], [0, 0]):
+            with pytest.raises(ZeroPolynomial):
+                isolate_positive_roots(zero)
 
     def test_mixed_rational_and_irrational(self):
         # (r - 1)(r^2 - 2)(r + 3): positive roots 1 and sqrt(2), interleaved
@@ -437,3 +458,6 @@ class TestVanishesAt:
         (six,) = isolate_positive_roots([-6, 1])
         assert vanishes_at([-4, 0, 0, 0, 1], sqrt2) and not vanishes_at([-3, 0, 1], sqrt2)
         assert vanishes_at([-12, 2], six) and vanishes_at([], six) and not vanishes_at([1, 1], six)
+        # as in Poly1, a list's trailing zeros are dropped
+        assert vanishes_at([-2, 0, 1, 0], sqrt2) and not vanishes_at([-3, 0, 1, 0, 0], sqrt2)
+        assert vanishes_at([-6, 1, 0], six) and vanishes_at([0], sqrt2) and vanishes_at([0, 0], six)
