@@ -5,9 +5,11 @@ Commands: ``classify`` (tube families satisfying a relation), ``radius``
 (radius / star-radius sets), ``divide`` (exact quotient by the tube
 relation), ``verify`` (numeric residuals on a sampled built-in tube),
 ``linear`` (linear-relation case analysis) and ``sff`` (constant
-second-fundamental-form length).  All but ``verify`` are exact algebra:
-``geometry`` is imported here for the tube table, but numpy is imported
-only on its first numeric call, so they start without it.
+second-fundamental-form length).  All but ``verify`` are exact algebra
+and start without ``geometry``: this module registers it as a lazy
+module, whose source is compiled and run on its first attribute lookup,
+which only ``verify`` makes; numpy follows on geometry's first numeric
+call.
 
 Reports are JSON documents with a frozen field layout (see
 docs/report_schema.md); identical inputs produce byte-identical output.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import math
 import os
 import re
@@ -29,7 +32,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from . import geometry as geo
 from .classify import (
     ClassificationReport,
     LinearCase,
@@ -50,7 +52,7 @@ from .errors import (
     UnwritableOutput,
     ZeroRadius,
 )
-from .polyalg import Poly2, _add, _convolve, _expand_power, divide_by_tube_factor, substitute_tube, tube_generator
+from .polyalg import Poly2, _add, _convolve, _divide_or_substitute, _expand_power, tube_generator
 from .radius import SPACES, AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
@@ -408,22 +410,44 @@ _SPACE_CHOICES = (*SPACES, "all")
 # built-in tube catalog
 
 
-# name -> (curve builder, its parameters, normal section).  A plain key is
-# a required rational, a (key, default) pair a word; a None section is read
+def _lazy_geometry():
+    """The module weingarten_tubes.geometry: the one in sys.modules when it
+    is imported, else a new entry there whose source is compiled and run on
+    its first attribute lookup (importlib.util.LazyLoader), also set on the
+    package as an import would.  The entry is made at once: the benchmark's
+    span tracer (bench/spans.py) looks the module up in sys.modules right
+    after importing this one."""
+    name = f"{__package__}.geometry"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], "geometry", module)
+    return module
+
+
+geo = _lazy_geometry()
+
+# name -> (curve builder, its parameters, normal section), builder and
+# section as names in geometry, read by verify alone.  A plain key is a
+# required rational, a (key, default) pair a word; a None section is read
 # with delta from the 'section' and 'delta' parameters (Lorentzian tubes).
 _TUBES = {
-    "e3-line": (geo.e3_line, (), geo.SECTION_EUCLIDEAN),
-    "e3-torus": (geo.e3_circle, ("R",), geo.SECTION_EUCLIDEAN),
-    "e3-circle": (geo.e3_circle, ("R",), geo.SECTION_EUCLIDEAN),
-    "e3-helix": (geo.e3_helix, ("a", "b"), geo.SECTION_EUCLIDEAN),
-    "l3-helix-ss": (geo.l3_spacelike_helix_spacelike_normal, ("a", "b"), None),
-    "l3-helix-st": (geo.l3_spacelike_helix_timelike_normal, ("a", "b"), None),
-    "l3-helix-tl": (geo.l3_timelike_helix, ("a", "b"), None),
-    "l3-line": (geo.l3_line, (("causality", "spacelike"), ("normal", "spacelike")), None),
-    "h3-geodesic": (geo.h3_geodesic, (), geo.SECTION_HYPERBOLIC),
-    "h3-circle": (geo.h3_circle, ("r0",), geo.SECTION_HYPERBOLIC),
+    "e3-line": ("e3_line", (), "SECTION_EUCLIDEAN"),
+    "e3-torus": ("e3_circle", ("R",), "SECTION_EUCLIDEAN"),
+    "e3-circle": ("e3_circle", ("R",), "SECTION_EUCLIDEAN"),
+    "e3-helix": ("e3_helix", ("a", "b"), "SECTION_EUCLIDEAN"),
+    "l3-helix-ss": ("l3_spacelike_helix_spacelike_normal", ("a", "b"), None),
+    "l3-helix-st": ("l3_spacelike_helix_timelike_normal", ("a", "b"), None),
+    "l3-helix-tl": ("l3_timelike_helix", ("a", "b"), None),
+    "l3-line": ("l3_line", (("causality", "spacelike"), ("normal", "spacelike")), None),
+    "h3-geodesic": ("h3_geodesic", (), "SECTION_HYPERBOLIC"),
+    "h3-circle": ("h3_circle", ("r0",), "SECTION_HYPERBOLIC"),
 }
-_SECTIONS = {"circle": geo.SECTION_L_CIRCLE, "hyperbola": geo.SECTION_L_HYPERBOLA}
+_SECTIONS = {"circle": "SECTION_L_CIRCLE", "hyperbola": "SECTION_L_HYPERBOLA"}
 _DELTAS = {"1": 1, "+1": 1, "-1": -1}
 
 
@@ -447,7 +471,7 @@ def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
             raise UsageError(f"tube {name!r} requires parameter {key!r}")
         return float(_parse_rational(params.pop(key), f"tube parameter {key!r}"))
 
-    curve = builder(*(params.pop(*key) if isinstance(key, tuple) else rat(key) for key in keys))
+    curve = getattr(geo, builder)(*(params.pop(*key) if isinstance(key, tuple) else rat(key) for key in keys))
     r = rat("r")
     delta = 1
     if section is None:
@@ -457,7 +481,7 @@ def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
         delta = _DELTAS.get(params.pop("delta", "1"))
         if delta is None:
             raise UsageError("delta must be +1 or -1")
-    spec = geo.TubeSpec(curve, r, section, delta, name=name)
+    spec = geo.TubeSpec(curve, r, getattr(geo, section), delta, name=name)
     if params:
         raise UsageError(f"unknown tube parameters for {name!r}: {', '.join(sorted(params))}")
     return spec, {"tube": text}
@@ -507,14 +531,14 @@ def _cmd_divide(args) -> dict:
     if r == 0:
         raise ZeroRadius("--r must be nonzero")
     eps = 1 if args.eps in ("1", "+1") else -1
-    quotient = divide_by_tube_factor(poly, r, eps)
+    quotient, image = _divide_or_substitute(poly, r, eps)
     generator = tube_generator(r, eps)
     inputs = {"poly": str(poly), "r": str(r), "eps": eps}
     if quotient is None:
         result = {
             "in_ideal": False,
             "generator": str(generator),
-            "substitution_image": substitute_tube(poly, r, eps).to_string("x"),
+            "substitution_image": image.to_string("x"),
         }
     else:
         result = {"in_ideal": True, "generator": str(generator), "quotient": str(quotient)}

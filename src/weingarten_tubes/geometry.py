@@ -25,10 +25,14 @@ go to one batched ``det``, which keeps each matrix's LAPACK bits.
 
 numpy is imported on the first attribute lookup of the module global
 ``np`` (``_DeferredNumpy``), so importing this module costs no numpy
-and a process that runs only exact algebra never loads it.  The module
-stays an eager import of ``cli``: ``bench/spans.py`` and
-``tests/test_cli.py::TestBenchTargets`` look it up in ``sys.modules``
-right after ``weingarten_tubes.cli`` is imported.
+and a process that runs only exact algebra never loads it.  Nor does
+such a process compile this module: ``cli`` puts it in ``sys.modules``
+as a lazy module (``importlib.util.LazyLoader``), whose source is
+compiled and run on its first attribute lookup, which only ``verify``
+makes.  The entry is there as soon as ``cli`` is imported, for callers
+that look the module up in ``sys.modules`` (``bench/spans.py``), and an
+import of this module before or after ``cli`` gives the one module
+object.
 
 Conventions:
 

@@ -39,14 +39,17 @@ g = 0.  ``radius`` only consumes it.
   ``radius.GeneratorFamily``.
 * ``_divide`` -- Q / ((a*x + b*y + c)/d), all four integers as the
   library builds the line: None when step 0 of ``_line_image`` is nonzero,
-  else the quotient, certified once by line * quotient == d * Q on
-  numerators: their convolution, cross-multiplied by the denominators,
-  equals Q's numerator on Q's support and is zero off it.
+  else the quotient read off the steps (``_quotient``), certified once
+  by line * quotient == d * Q on numerators: their convolution,
+  cross-multiplied by the denominators, equals Q's numerator on Q's
+  support and is zero off it.
 * ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
   -- the division by the tube generator ``x*r**2 - 2*r*y + eps``, eps in
   {-1, +1}: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r)
-  is step 0 of ``_line_image`` rescaled, with no quotient built, and the
-  quotient is ``_divide`` on the generator's integers.
+  is step 0 of ``_line_image`` rescaled (``_tube_image``), with no
+  quotient built, and the quotient is ``_divide`` on the generator's
+  integers.  ``_divide_or_substitute`` reads the quotient or, off the
+  ideal, the image off one pass, as the CLI's divide report needs.
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
   eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
   in r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
@@ -508,12 +511,18 @@ def _family_image(
 def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
     """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by one
     ``_line_image`` pass on Q's numerators: None when Q is not in the ideal
-    of the line, else the quotient, certified by line * quotient == d * Q
-    (InternalMismatch on failure, an arithmetic bug)."""
+    of the line, else the quotient of ``_quotient``."""
     den, nums = q._cleared()
     steps = _line_image(nums, c, a, b)
-    if any(steps[0]):
-        return None
+    return None if any(steps[0]) else _quotient(den, nums, steps, a, b, c, d)
+
+
+def _quotient(
+    den: int, nums: Mapping[tuple[int, int], int], steps: list[list[int]], a: int, b: int, c: int, d: int
+) -> Poly2:
+    """Q / ((a*x + b*y + c)/d), Q = nums / den, from the ``_line_image``
+    steps of nums on the line, step 0 zero: certified by line * quotient
+    == d * Q (InternalMismatch on failure, an arithmetic bug)."""
     # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
     # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
     scale = den * b ** (len(steps) - 1)
@@ -528,16 +537,22 @@ def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
     return quotient
 
 
+def _tube_image(den: int, steps: list[list[int]], r: RatLike, eps: int) -> Poly1:
+    """Q(eps*x/r, eps*(x*r + 1)/(2*r)) from the ``_line_image`` steps of
+    den * Q on the generator's integer line p**2*x - 2*p*s*y + eps*s**2 at
+    r = p/s: step 0 over den * (-2*p*s)**n, rescaled by x -> eps*x/r."""
+    p, s = _num_den(r)
+    scale = den * (-2 * p * s) ** (len(steps) - 1)
+    return Poly1([Fraction(v * (eps * s) ** k, scale * p**k) for k, v in enumerate(steps[0])])
+
+
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)): step 0 of
-    ``_line_image`` on the generator's integer line p**2*x - 2*p*s*y +
-    eps*s**2 at r = p/s, rescaled by x -> eps*x/r.  No quotient is built."""
+    ``_line_image`` on the generator's integer line, rescaled.  No quotient
+    is built."""
     g = tube_generator(r, eps)._nums  # r != 0 and eps checked
-    p, s = _num_den(r)
     den, nums = q._cleared()
-    steps = _line_image(nums, g[0, 0], g[1, 0], g[0, 1])
-    scale = den * g[0, 1] ** (len(steps) - 1)
-    return Poly1([Fraction(v * (eps * s) ** k, scale * p**k) for k, v in enumerate(steps[0])])
+    return _tube_image(den, _line_image(nums, g[0, 0], g[1, 0], g[0, 1]), r, eps)
 
 
 def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
@@ -551,3 +566,15 @@ def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]
     Q is not in the ideal; verified by multiplication before returning."""
     d, g = tube_generator(r, eps)._cleared()
     return _divide(q, g[1, 0], g[0, 1], g[0, 0], d)
+
+
+def _divide_or_substitute(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Optional[Poly1]]:
+    """(divide_by_tube_factor, None) in the ideal, else (None,
+    substitute_tube), from one ``_line_image`` pass."""
+    d, g = tube_generator(r, eps)._cleared()
+    a, b, c = g[1, 0], g[0, 1], g[0, 0]
+    den, nums = q._cleared()
+    steps = _line_image(nums, c, a, b)
+    if any(steps[0]):
+        return None, _tube_image(den, steps, r, eps)
+    return _quotient(den, nums, steps, a, b, c, d), None

@@ -131,12 +131,23 @@ def _integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     these rational coefficients: the content is divided out but the sign
     kept, so signs at every point are its own."""
     den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive_part([int(c * den) for c in coeffs])
+    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _integer_list(p: Union[Poly1, list[int]]) -> list[int]:
-    """A Poly1 cleared to integers, or a list without its trailing zeros."""
-    coeffs = _integer_coeffs(p.coeffs) if isinstance(p, Poly1) else list(p)
+    """A Poly1 cleared to integers, or a list of ints without its trailing
+    zeros; any other entry, such as a float or a Fraction, is a TypeError
+    that names it."""
+    if isinstance(p, Poly1):
+        coeffs = _integer_coeffs(p.coeffs)
+    else:
+        coeffs = list(p)
+        for k, c in enumerate(coeffs):
+            if not isinstance(c, int):
+                raise TypeError(
+                    f"coefficient {k} of an integer list is {c!r}, a {type(c).__name__}; "
+                    "pass a Poly1 for rational coefficients"
+                )
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -388,14 +399,26 @@ class AlgebraicRadius(_AlgebraicRadius):
     def __new__(cls, defining_poly: Poly1, lo: Fraction, hi: Fraction, exact_value: Optional[Fraction] = None):
         if defining_poly.degree < 1:
             raise ValueError("defining polynomial must have degree >= 1")
+        for v in (lo, hi) if exact_value is None else (lo, hi, exact_value):
+            if not isinstance(v, (int, Fraction)):  # the integer forms read numerator and denominator
+                raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+        return cls._checked(defining_poly, _integer_coeffs(defining_poly.coeffs), lo, hi, exact_value)
+
+    @classmethod
+    def _checked(
+        cls, defining_poly: Poly1, coeffs: list[int], lo: Fraction, hi: Fraction, exact_value: Optional[Fraction]
+    ) -> "AlgebraicRadius":
+        """The constructor's checks after the degree check, each sign that
+        of an integer form of coeffs: the defining poly's coefficients
+        cleared to integers (``_integer_coeffs``) by the caller."""
         if lo < 0 or not lo < hi:
             raise ValueError("isolating interval must satisfy 0 <= lo < hi")
         if exact_value is not None:
-            if defining_poly.eval(exact_value) != 0:
+            if _sign_at(coeffs, exact_value):
                 raise ValueError("exact_value is not a root of the defining polynomial")
             if not (lo < exact_value <= hi):
                 raise ValueError("exact_value outside the isolating interval")
-        elif defining_poly.eval(lo) * defining_poly.eval(hi) >= 0:
+        elif _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
             raise ValueError("defining polynomial must have opposite signs at lo and hi")
         return super().__new__(cls, defining_poly, lo, hi, exact_value)
 
@@ -408,8 +431,9 @@ class AlgebraicRadius(_AlgebraicRadius):
         if self.exact_value is not None:
             lo = max(self.lo, self.exact_value - width)
             return AlgebraicRadius(self.defining_poly, lo, self.exact_value, self.exact_value)
-        lo, hi, at_root = _narrow(_integer_coeffs(self.defining_poly.coeffs), self.lo, self.hi, width)
-        return AlgebraicRadius(self.defining_poly, lo, hi, hi if at_root else None)
+        coeffs = _integer_coeffs(self.defining_poly.coeffs)  # one list for the bisection and the checks
+        lo, hi, at_root = _narrow(coeffs, self.lo, self.hi, width)
+        return self._checked(self.defining_poly, coeffs, lo, hi, hi if at_root else None)
 
     def approx(self, width: Fraction = DISPLAY_WIDTH) -> float:
         if self.exact_value is not None:
@@ -496,11 +520,12 @@ def isolate_positive_roots(p: Union[Poly1, list[int]]) -> list[AlgebraicRadius]:
         # factor q*r - p are (Gauss's lemma), and B_d its Cauchy bound
         defining, bound = Poly1(deflated), 1 + Fraction(max(map(abs, deflated)), deflated[-1])
         for lo, hi in _sturm_cells(_sturm_chain(s), Fraction(0), bound, positive):
-            entries.append(AlgebraicRadius(defining, lo, hi, None))
+            entries.append(AlgebraicRadius._checked(defining, deflated, lo, hi, None))
     ends = [rad.hi for rad in entries] + positive
     for rho in positive:
         lo = max((v for v in ends if v < rho), default=Fraction(0))
-        entries.append(AlgebraicRadius(Poly1([-rho.numerator, rho.denominator]), lo, rho, rho))
+        linear = [-rho.numerator, rho.denominator]
+        entries.append(AlgebraicRadius._checked(Poly1(linear), linear, lo, rho, rho))
     entries.sort(key=lambda rad: rad.lo)
     return entries
 

@@ -891,6 +891,82 @@ class TestNumpyOnlyForVerify:
         assert proc.stdout.decode().split() == ["0", "False", "True"], proc.stderr.decode()
 
 
+class TestGeometryOnlyForVerify:
+    # geometry is registered lazily: its source is compiled and run on the
+    # first attribute lookup, which verify alone makes
+    SPY = (
+        "import contextlib, io, sys\n"
+        "from importlib.machinery import SourceFileLoader\n"
+        "names = []\n"
+        "get_code = SourceFileLoader.get_code\n"
+        "SourceFileLoader.get_code = lambda self, name: names.append(name) or get_code(self, name)\n"
+        "from weingarten_tubes import cli\n"
+        "NAME = 'weingarten_tubes.geometry'\n"
+        "registered = NAME in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, registered, NAME in names)\n"
+        "from weingarten_tubes import geometry\n"
+        "print(geometry is cli.geo is sys.modules[NAME], geometry.TubeSpec.__module__, names.count(NAME))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "14*y - 25*x + 100*x*y - 40*y^2 - 1", "--space", "all"],
+            ["radius", "(2*y - 1)*(8*y^2 - 1)", "--space", "all", "--star"],
+            ["divide", EXQ_TEXT, "--r", "2"],
+            ["divide", EXQ_TEXT, "--r", "1", "--eps", "-1"],
+            ["linear", "-1/8", "1", "2", "--space", "all"],
+            ["sff", "3", "--space", "all"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_algebra_commands_never_compile_geometry(self, argv):
+        # the module is in sys.modules at once, and an import of it after
+        # the command is the same object, which loads on its first lookup
+        proc = fresh_cli(self.SPY, *argv)
+        lines = proc.stdout.decode().splitlines()
+        assert lines == ["0 True False", "True weingarten_tubes.geometry 1"], proc.stderr.decode()
+
+    def test_verify_compiles_geometry_once(self):
+        argv = ["verify", "4*x - 4*y + 1", "--tube", "e3-torus:R=2,r=1", "--grid", "8x8"]
+        proc = fresh_cli(self.SPY, *argv)
+        lines = proc.stdout.decode().splitlines()
+        assert lines == ["0 True True", "True weingarten_tubes.geometry 1"], proc.stderr.decode()
+
+    def test_an_imported_geometry_is_reused(self):
+        # one module object, so a monkeypatch of geo reaches the CLI
+        assert cli.geo is geo is sys.modules["weingarten_tubes.geometry"]
+        assert cli._lazy_geometry() is geo
+
+
+class TestDivideOnePass:
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("divide_exq_in_ideal.json", ["--r", "2"]),
+            ("divide_exq_not_in_ideal.json", ["--r", "1", "--eps", "-1"]),
+        ],
+    )
+    def test_one_line_image_per_report(self, capsys, monkeypatch, golden, argv):
+        # the quotient, or off the ideal the substitution image, is read
+        # off a single Horner pass of the relation on the generator's line
+        calls = []
+        line_image = polyalg._line_image
+
+        def counting(*args):
+            calls.append(args)
+            return line_image(*args)
+
+        monkeypatch.setattr(polyalg, "_line_image", counting)
+        monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
+        code, out, err = run_cli(capsys, "divide", EXQ_TEXT, *argv)
+        assert code == 0, err
+        assert out == (GOLDEN / "pinned" / golden).read_text()
+        assert len(calls) == 1
+
+
 class TestNoDataclasses:
     # the result records are named tuples: no command imports dataclasses,
     # which costs a cold process its inspect, ast, dis and tokenize imports

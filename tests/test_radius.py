@@ -2,6 +2,7 @@
 flags in all three ambient spaces."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,8 +53,8 @@ class TestIsolation:
         assert abs(rad.approx() - 2**0.5) < 1e-9
 
     def test_refined_clears_the_defining_poly_once(self, monkeypatch):
-        # one integer list serves the bisection; the constructor checks the
-        # sign change on the Fractions
+        # one integer list serves the bisection and the sign checks of the
+        # narrowed radius
         (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
         calls = []
         integer_coeffs = radius._integer_coeffs
@@ -116,6 +117,23 @@ class TestIsolation:
         for zero in ([0], [0, 0]):
             with pytest.raises(ZeroPolynomial):
                 isolate_positive_roots(zero)
+
+    @pytest.mark.parametrize(
+        "coeffs, k", [([-2.0, 0, 1], 0), ([-2, 0, Fraction(1, 2)], 2), ([Fraction(-2), 0, 1], 0)]
+    )
+    def test_integer_list_names_a_float_or_fraction_entry(self, coeffs, k):
+        # refused at the door with the entry named, not deep in the root
+        # scan; a Poly1 is the type for rational coefficients
+        (sqrt2,) = isolate_positive_roots([-2, 0, 1])
+        (six,) = isolate_positive_roots([-6, 1])
+        entry = coeffs[k]
+        message = f"^coefficient {k} of an integer list is {re.escape(repr(entry))}, a {type(entry).__name__}; "
+        calls = [isolate_positive_roots, lambda p: vanishes_at(p, sqrt2), lambda p: vanishes_at(p, six)]
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call(coeffs)
+            if isinstance(entry, Fraction):
+                call(Poly1(coeffs))  # the same coefficients as a Poly1 are taken
 
     def test_mixed_rational_and_irrational(self):
         # (r - 1)(r^2 - 2)(r + 3): positive roots 1 and sqrt(2), interleaved
@@ -437,6 +455,53 @@ class TestSpaceTag:
     def test_unknown_space_rejected(self):
         with pytest.raises(ValueError):
             SpaceTag("galilean")
+
+
+class TestRadiusChecks:
+    """The constructor's three value checks decide by the sign of an
+    integer form: the defining poly's coefficients cleared to integers."""
+
+    HALF = Poly1([Fraction(-3, 4), Fraction(1, 2)])  # r/2 - 3/4, root 3/2
+    QUARTER = Poly1([Fraction(1, 2), 0, Fraction(-1, 4)])  # 1/2 - r^2/4, root sqrt(2)
+
+    def test_valid_radii_are_built(self):
+        rad = radius.AlgebraicRadius(self.HALF, Fraction(1), Fraction(3, 2), Fraction(3, 2))
+        assert rad.approx() == 1.5
+        rad = radius.AlgebraicRadius(self.QUARTER, Fraction(1), Fraction(2))
+        assert abs(rad.approx() - 2**0.5) < 1e-12
+
+    def test_exact_value_that_is_not_a_root(self):
+        with pytest.raises(ValueError, match="^exact_value is not a root of the defining polynomial$"):
+            radius.AlgebraicRadius(self.HALF, Fraction(1), Fraction(2), Fraction(5, 3))
+
+    def test_exact_value_outside_the_interval(self):
+        with pytest.raises(ValueError, match="^exact_value outside the isolating interval$"):
+            radius.AlgebraicRadius(self.HALF, Fraction(0), Fraction(1), Fraction(3, 2))
+        with pytest.raises(ValueError, match="^exact_value outside the isolating interval$"):
+            radius.AlgebraicRadius(self.HALF, Fraction(3, 2), Fraction(2), Fraction(3, 2))  # (lo, hi] is open at lo
+
+    def test_interval_without_a_sign_change(self):
+        for lo, hi in ((Fraction(0), Fraction(1)), (Fraction(3, 2), Fraction(2)), (Fraction(2), Fraction(3))):
+            with pytest.raises(ValueError, match="^defining polynomial must have opposite signs at lo and hi$"):
+                radius.AlgebraicRadius(self.QUARTER, lo, hi)
+
+    def test_float_ends_are_refused(self):
+        # a float has no numerator for the integer forms: refused up front
+        for args in ((1.0, Fraction(2)), (Fraction(1), 2.0)):
+            with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+                radius.AlgebraicRadius(self.QUARTER, *args)
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+            radius.AlgebraicRadius(self.HALF, Fraction(1), Fraction(2), 1.5)
+
+    def test_no_fraction_evaluation(self, monkeypatch):
+        # construction, isolation and refinement evaluate no Fraction poly
+        def refuse(*args):
+            raise AssertionError("Poly1.eval ran")
+
+        monkeypatch.setattr(Poly1, "eval", refuse)
+        radius.AlgebraicRadius(self.HALF, Fraction(1), Fraction(3, 2), Fraction(3, 2))
+        radius.AlgebraicRadius(self.QUARTER, Fraction(1), Fraction(2)).refined(Fraction(1, 10**6))
+        assert [rad.exact_value for rad in isolate_positive_roots([6, -2, -3, 1])] == [None, 3]  # (r - 3)(r^2 - 2)
 
 
 class TestVanishesAt:
