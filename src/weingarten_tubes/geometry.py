@@ -40,14 +40,14 @@ Conventions:
   minus the last.
 * Lorentzian cross product: formal determinant whose basis row ends in
   -e_dim, so e1 x e2 = -e3 in L^3.
-* Frame equations: Euclidean curves use the classical Frenet equations
-  (B' = -tau N); Lorentzian curves use T' = kappa N,
+* Frame equations (Lopez's Lorentzian form, IEJG 2014): T' = kappa N,
   N' = -eps_T eps_N kappa T + tau B, B' = eps_T tau N, with tau defined
-  as the N'-coefficient so the matrix holds exactly; hyperbolic curves
-  (in the hyperboloid model in L^4) use gamma' = T, T' = gamma + kappa N,
-  N' = -kappa T + tau B, B' = -tau N.  Every built-in curve has constant
-  curvature and torsion, so the second frame derivatives carry no
-  kappa' or tau' terms.
+  as the N'-coefficient so the matrix holds exactly.  E^3 and H^3 frames
+  obey them at eps_T = eps_N = -1, signs local to the kernel (the frames
+  report +1); a hyperbolic curve, in the hyperboloid model in L^4, adds
+  gamma' = T and T' = gamma + kappa N.  Every built-in curve has constant
+  curvature and torsion, so the second frame derivatives carry no kappa'
+  or tau' terms.
 * Tube normal: -(mu N + eta B) in E^3/L^3 and -(cos t N + sin t B) in
   H^3 (the inward normal; with it the fundamental-form curvatures agree
   with the closed forms, including the right-cylinder value
@@ -346,9 +346,13 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     """The curvature kernel over a block of s-rows: the block's tube frames
     as (rows, 1, dim) and (rows, 1, 1) arrays, against the
     (6, 1, n_t, 1) section values (mu, eta, mu', eta', mu'', eta'') of the
-    t columns.  K and H come from the first/second fundamental forms, with
-    the tube derivatives assembled through the frame derivative equations;
-    K_cf and H_cf are the closed-form expressions.  Returns the (rows, n_t)
+    t columns.  K and H come from the first/second fundamental forms of
+    psi = A*gamma + rho*(mu N + eta B), (A, rho) = (1, r), or
+    (cosh r, sinh r) in H^3, through the one set of frame equations of the
+    module docstring and the N'' and B'' they give, with H^3's gamma terms
+    and its own grouping of psi_s and psi_ss.  K_cf and H_cf are the closed
+    forms: E^3's xi and K_cf are L^3's at eps_B = -1, sig = 1, and so is
+    its H_cf but for the sign of a zero.  Returns the (rows, n_t)
     arrays regular, K, H, K_cf, H_cf, xi and eps, where all but xi mean
     something only at regular points.  Raises LightlikeNormal at a regular
     point whose normal is not unit, else FormUnderflow where E*G - F^2 is
@@ -360,54 +364,42 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     r = spec.radius
     with np.errstate(all="ignore"):
         frame = _frames(spec.curve, s_rows)
-    ch, sh = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, None)
+    ch, rho = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, r)
     gamma, T, N, B = (v[:, None, :] for v in frame[:4])
-    kappa, tau, eT, eN, eB = (v[:, None, None] for v in frame[4:])
+    kappa, tau = (v[:, None, None] for v in frame[4:6])
+    # E^3 and H^3 frames obey the Lorentzian frame equations at these signs
+    eT, eN, eB = (v[:, None, None] for v in frame[6:]) if space == "lorentzian" else (-1.0, -1.0, -1.0)
     kappa2, tau2 = _pow(kappa, 2), _pow(tau, 2)
     mu, eta, mu_t, eta_t, mu_tt, eta_tt = sec
     # the closed forms divide by xi ~ 0 at irregular points
     with np.errstate(all="ignore"):
+        t_prime = kappa * N
+        n_prime = -eT * eN * kappa * T + tau * B
+        b_prime = eT * tau * N
+        n_second = (eT * tau2 - eT * eN * kappa2) * N
+        b_second = -eN * kappa * tau * T + eT * tau2 * B
+        psi_t = rho * (mu_t * N + eta_t * B)
+        psi_ts = rho * (mu_t * n_prime + eta_t * b_prime)
+        psi_tt = rho * (mu_tt * N + eta_tt * B)
         if space == "hyperbolic":
-            xi = ch - kappa * mu * sh
-            t_prime = gamma + kappa * N
-            n_prime = -kappa * T + tau * B
-            b_prime = -tau * N
-            n_second = -kappa * gamma - (kappa2 + tau2) * N
-            b_second = tau * kappa * T - tau2 * B
-            psi_s = ch * T + sh * (mu * n_prime + eta * b_prime)
-            psi_ss = ch * t_prime + sh * (mu * n_second + eta * b_second)
-            psi_t = sh * (mu_t * N + eta_t * B)
-            psi_ts = sh * (mu_t * n_prime + eta_t * b_prime)
-            psi_tt = sh * (mu_tt * N + eta_tt * B)
-            k_cf = -kappa * mu / (xi * sh)
-            h_cf = (ch - 2.0 * kappa * mu * sh) / (2.0 * xi * sh)
+            t_prime = gamma + t_prime
+            n_second = n_second - kappa * gamma
+            xi = ch - kappa * mu * rho
+            psi_s = ch * T + rho * (mu * n_prime + eta * b_prime)
+            psi_ss = ch * t_prime + rho * (mu * n_second + eta * b_second)
+            k_cf = -kappa * mu / (xi * rho)
+            h_cf = (ch - 2.0 * kappa * mu * rho) / (2.0 * xi * rho)
         else:
-            t_prime = kappa * N
-            if space == "euclidean":
-                xi = 1.0 - r * kappa * mu
-                n_prime = -kappa * T + tau * B
-                b_prime = -tau * N
-                n_second = -(kappa2 + tau2) * N
-                b_second = tau * kappa * T - tau2 * B
-            else:
-                xi = 1.0 + eB * r * kappa * mu
-                n_prime = -eT * eN * kappa * T + tau * B
-                b_prime = eT * tau * N
-                n_second = (eT * tau2 - eT * eN * kappa2) * N
-                b_second = -eN * kappa * tau * T + eT * tau2 * B
             r_mu, r_eta = r * mu, r * eta
             psi_s = T + r_mu * n_prime + r_eta * b_prime
             psi_ss = t_prime + r_mu * n_second + r_eta * b_second
-            psi_t = r * (mu_t * N + eta_t * B)
-            psi_ts = r * (mu_t * n_prime + eta_t * b_prime)
-            psi_tt = r * (mu_tt * N + eta_tt * B)
-            if space == "euclidean":
-                k_cf = kappa * mu / (r * (r * kappa * mu - 1.0))
+            xi = 1.0 + eB * r * kappa * mu
+            sig = mu * mu * eN + eta * eta * eB if space == "lorentzian" else 1.0
+            k_cf = sig * eB * kappa * mu / (r * xi)
+            if space == "lorentzian":
+                h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * xi)
+            else:  # the Lorentzian H_cf at eps_B = -1, sig = 1 is 0 where this is -0
                 h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
-            else:
-                sig = mu * mu * eN + eta * eta * eB
-                k_cf = sig * eB * kappa * mu / (r * (1.0 + eB * r * kappa * mu))
-                h_cf = sig * (2.0 * eB * r * kappa * mu + 1.0) / (2.0 * r * (1.0 + eB * r * kappa * mu))
         regular = ~(abs(xi) < REGULARITY_CUTOFF)
         normal = -(mu * N + eta * B)
 

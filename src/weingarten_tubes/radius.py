@@ -54,8 +54,9 @@ rational r, on the integers of G_r, it is R(x, r) itself
 (``GeneratorFamily.image_at``), read by every question at that radius.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division on the integers of G_r (``polyalg._divide``), which
-also yields the certified quotient, an irrational one by the star poly and
-a Sturm count on its isolating interval, unless it is a star poly root.
+also yields the certified quotient, an irrational one by the sign change of
+the square-free part of gcd(star poly, defining poly) across its isolating
+interval, unless it is a star poly root.
 Lanes whose families are equal values (E3, H3 and L3 with eps = +1
 share one row) get one decision per call of the lane driver of
 ``classify``, keyed by the family value with all its fields.
@@ -305,16 +306,6 @@ def _sturm_cells(
     return cells
 
 
-def _count_roots_halfopen(p: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in (lo, hi]: V(lo) - V(hi) on the Sturm
-    chain of its square-free part, which holds at endpoint roots too
-    since V(c) = V(c+) at a root c."""
-    if not p:
-        raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    chain = _sturm_chain(_squarefree(p))
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
 def _narrow(coeffs: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction, bool]:
     """Bisect the one-root cell (lo, hi] of the integer polynomial by the
     sign at hi until hi - lo <= width, stopping early when hi lands on the
@@ -452,13 +443,16 @@ class AlgebraicRadius(_AlgebraicRadius):
 
 def vanishes_at(p: Union[Poly1, list[int]], rad: AlgebraicRadius) -> bool:
     """Exact test p(rho) = 0 at the (possibly irrational) root rho
-    described by rad, p a Poly1 or integer coefficients.  A zero p needs no
-    branch: the gcd is then the defining polynomial, with a root there."""
+    described by rad, p a Poly1 or integer coefficients.  At an irrational
+    rho: the square-free part of gcd(p, defining poly) changes sign across
+    the cell, which holds one root of the defining poly and none at its
+    ends.  A zero p needs no branch: the gcd is then the defining
+    polynomial, with a root there."""
     p = _integer_list(p)
     if rad.exact_value is not None:
         return _sign_at(p, rad.exact_value) == 0
-    common = _common_divisor(p, _integer_coeffs(rad.defining_poly.coeffs))
-    return len(common) > 1 and _count_roots_halfopen(common, rad.lo, rad.hi) >= 1
+    common = _squarefree(_common_divisor(p, _integer_coeffs(rad.defining_poly.coeffs)))
+    return _sign_at(common, rad.lo) * _sign_at(common, rad.hi) < 0
 
 
 class RadiusEntry(NamedTuple):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly2
+import weingarten_tubes
 from weingarten_tubes import cli, errors
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.cli import main, parse_poly
@@ -994,6 +995,13 @@ class TestNoDataclasses:
         proc = fresh_cli(self.BLOCKED, *argv)
         assert proc.returncode == code == 0, proc.stderr.decode()
         assert proc.stdout.decode() == out
+
+
+class TestVersion:
+    def test_package_version_is_the_project_version(self):
+        # tomllib is 3.11+: read the version line of pyproject.toml by pattern
+        (version,) = re.findall(r'(?m)^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text())
+        assert weingarten_tubes.__version__ == version
 
 
 class TestExitCodes:

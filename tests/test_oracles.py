@@ -60,12 +60,12 @@ from weingarten_tubes.radius import (
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     PRINCIPAL,
-    _count_roots_halfopen,
     _narrow,
     _rational_roots,
     _sign_at,
     _squarefree,
     _sturm_chain,
+    _variations,
     decide_radii,
     isolate_positive_roots,
     star_radius_set,
@@ -854,7 +854,8 @@ def test_root_count_with_roots_at_both_ends(roots, picks, m, lead):
     brute = sum(lo < rho <= hi for rho in set(roots))
     if m:
         brute += sum(below(lo, sign) and not below(hi, sign) for sign in (1, -1))
-    assert _count_roots_halfopen(p, lo, hi) == brute
+    chain = _sturm_chain(_squarefree(p))
+    assert _variations(chain, lo) - _variations(chain, hi) == brute
 
 
 # Integer ring arithmetic against term-by-term Fraction products.

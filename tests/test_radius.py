@@ -526,3 +526,16 @@ class TestVanishesAt:
         # as in Poly1, a list's trailing zeros are dropped
         assert vanishes_at([-2, 0, 1, 0], sqrt2) and not vanishes_at([-3, 0, 1, 0, 0], sqrt2)
         assert vanishes_at([-6, 1, 0], six) and vanishes_at([0], sqrt2) and vanishes_at([0, 0], six)
+
+    def test_defining_poly_with_repeated_factor(self):
+        # (r^2 - 2)^3 changes sign across (1, 2], but the common factor
+        # (r^2 - 2)^2 does not: only its square-free part does
+        cube = radius.AlgebraicRadius(Poly1([-8, 0, 12, 0, -6, 0, 1]), Fraction(1), Fraction(2))
+        assert vanishes_at([4, 0, -4, 0, 1], cube) and vanishes_at([], cube)
+        assert not vanishes_at([-3, 0, 1], cube)
+
+    def test_root_of_p_at_the_lower_end(self):
+        # sqrt 2 on (1, 3/2]: r - 1 vanishes at lo, outside the half-open cell
+        sqrt2 = radius.AlgebraicRadius(Poly1([-2, 0, 1]), Fraction(1), Fraction(3, 2))
+        assert not vanishes_at([-1, 1], sqrt2)
+        assert vanishes_at([2, -2, -1, 1], sqrt2)  # (r - 1)(r^2 - 2)
