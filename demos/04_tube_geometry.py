@@ -48,13 +48,18 @@ generator = Poly2([((1, 0), Fraction(sh * sh)), ((0, 1), Fraction(-2 * sh)), ((0
 res = geo.verify_relation(generator, tube, sg, tg)
 print(f"H^3 tube r=1: |K sinh^2(1) - 2H sinh(1) + 1| <= {res.max_residual:.3e}")
 
-point = geo.tube_point(tube, 0.4, 2.0)
-print(f"H^3 point stays on the hyperboloid: <psi, psi> = {geo.lorentz_inner(point, point):+.15f}")
+# psi = cosh(r) gamma + sinh(r) (mu N + eta B) on the Frenet frame at s = 0.4
+frame = geo.frenet_frame(tube.curve, 0.4)
+mu, eta, *_ = tube.mu_eta(2.0)
+point = math.cosh(1.0) * frame.gamma + math.sinh(1.0) * (mu * frame.N + eta * frame.B)
+norm = point[:3] @ point[:3] - point[3] * point[3]  # the Lorentzian form of L^4
+print(f"H^3 point stays on the hyperboloid: <psi, psi> = {norm:+.15f}")
 
 # --- regularity and CSV dumps ------------------------------------------------
 tight = geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN)
-violations = geo.regularity_scan(tight, [0.0, 1.0], [0.0, 0.5, math.pi])
-print(f"\nkappa = 1, r = 1 tube: {len(violations)} grid singularities (xi = 0 at t = 0)")
+scan = geo.verify_relation(gen, tight, [0.0, 1.0], [0.0, 0.5, math.pi])
+singular = scan.total_points - scan.regular_points
+print(f"\nkappa = 1, r = 1 tube: {singular} grid singularities (xi = 0 at t = 0)")
 
 csv_text = geo.curvature_csv(gen, spec, s_grid[:3], t_grid[:3])
 print("\nCSV sample dump (first rows):")

@@ -8,8 +8,13 @@ curve has a spacelike normal plane, so hyperbola sections around it are
 empty.  The signal eps of the resulting surface equals the section sign.
 """
 
+import math
+
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.errors import InvalidSpecRow
+
+# the (mu, eta) pairs a section can have, at delta = +1
+PAIRS = {"cos-sin": (math.cos, math.sin), "cosh-sinh": (math.cosh, math.sinh), "sinh-cosh": (math.sinh, math.cosh)}
 
 ROWS = [
     ("spacelike", "spacelike", geo.l3_spacelike_helix_spacelike_normal(2.0, 1.0)),
@@ -28,7 +33,7 @@ for curve_kind, normal_kind, curve in ROWS:
             continue
         mu, eta, *_ = spec.mu_eta(0.7)
         sample = geo.curvatures(spec, 0.5, 0.7)
-        pair = spec._pair_kind()
+        pair = next(name for name, (f, g) in PAIRS.items() if (mu, eta) == (f(0.7), g(0.7)))
         print(
             f"{curve_kind:>10} | {normal_kind:>10} | {label:>10} | "
             f"(mu, eta) = {pair:>9}, signal {sample.eps:+d}"

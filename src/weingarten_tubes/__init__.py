@@ -76,4 +76,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -6,10 +6,10 @@ Commands: ``classify`` (tube families satisfying a relation), ``radius``
 relation), ``verify`` (numeric residuals on a sampled built-in tube),
 ``linear`` (linear-relation case analysis) and ``sff`` (constant
 second-fundamental-form length).  All but ``verify`` are exact algebra
-and start without ``geometry``: this module registers it as a lazy
-module, whose source is compiled and run on its first attribute lookup,
-which only ``verify`` makes; numpy follows on geometry's first numeric
-call.
+and start without ``geometry`` and numpy: this module registers
+``geometry`` as a lazy module, whose source, numpy import included, is
+compiled and run on its first attribute lookup, which only ``verify``
+makes.
 
 Reports are JSON documents with a frozen field layout (see
 docs/report_schema.md); identical inputs produce byte-identical output.

@@ -23,16 +23,14 @@ inner product is one ``np.vecdot``, the same sequential FMA chain as
 ``np.dot`` on this numpy/OpenBLAS build; a block's cross-product minors
 go to one batched ``det``, which keeps each matrix's LAPACK bits.
 
-numpy is imported on the first attribute lookup of the module global
-``np`` (``_DeferredNumpy``), so importing this module costs no numpy
-and a process that runs only exact algebra never loads it.  Nor does
-such a process compile this module: ``cli`` puts it in ``sys.modules``
-as a lazy module (``importlib.util.LazyLoader``), whose source is
-compiled and run on its first attribute lookup, which only ``verify``
-makes.  The entry is there as soon as ``cli`` is imported, for callers
-that look the module up in ``sys.modules`` (``bench/spans.py``), and an
-import of this module before or after ``cli`` gives the one module
-object.
+Importing this module imports numpy.  A process that runs only exact
+algebra loads neither: ``cli`` puts this module in ``sys.modules`` as a
+lazy module (``importlib.util.LazyLoader``), whose source is compiled
+and run, numpy import included, on its first attribute lookup, which
+only ``verify`` makes.  The entry is there as soon as ``cli`` is
+imported, for callers that look the module up in ``sys.modules``
+(``bench/spans.py``), and an import of this module before or after
+``cli`` gives the one module object.
 
 Conventions:
 
@@ -61,7 +59,9 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .errors import (
     DegenerateFrame,
@@ -77,24 +77,6 @@ from .errors import (
 from .polyalg import Poly2
 
 
-class _DeferredNumpy:
-    """The module global ``np`` until its first attribute lookup, which
-    imports numpy and rebinds ``np`` to it: after that every lookup is
-    plain numpy, and a process that never samples a tube never imports
-    it."""
-
-    def __getattr__(self, name: str):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-if TYPE_CHECKING:
-    import numpy as np
-else:
-    np = _DeferredNumpy()
-
 BIREGULARITY_EPS = 1e-10
 REGULARITY_CUTOFF = 1e-3
 
@@ -104,15 +86,6 @@ def _inner(space: str, u, v):
     if space == "euclidean":
         return np.vecdot(u, v)
     return np.vecdot(u[..., :-1], v[..., :-1]) - u[..., -1] * v[..., -1]
-
-
-def lorentz_inner(u, v) -> float:
-    """Index-1 bilinear form: u1*v1 + ... + u_{n-1}*v_{n-1} - u_n*v_n."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.shape not in ((3,), (4,)):
-        raise DimensionMismatch(f"need matching 3- or 4-vectors, got {u.shape} and {v.shape}")
-    return float(_inner("lorentzian", u, v))
 
 
 def lorentz_cross(*vectors) -> np.ndarray:
@@ -243,14 +216,36 @@ SECTION_L_CIRCLE = "lorentz-circle"
 SECTION_L_HYPERBOLA = "lorentz-hyperbola"
 SECTION_HYPERBOLIC = "hyperbolic-circle"
 
-# (eps_T, eps_N, section) -> mu/eta pair kind; rows of the admissible table
-_L3_PAIRS = {
-    (1, 1, SECTION_L_CIRCLE): "cosh-sinh",
-    (1, -1, SECTION_L_CIRCLE): "sinh-cosh",
-    (-1, 1, SECTION_L_CIRCLE): "cos-sin",
-    (1, 1, SECTION_L_HYPERBOLA): "sinh-cosh",
-    (1, -1, SECTION_L_HYPERBOLA): "cosh-sinh",
+# The table of admissible tubes: (space, eps_T, eps_N, section) of every
+# tube that exists -> (circular, swapped).  (mu, eta) is (delta cos t, sin t)
+# on a circular row, else (delta cosh t, sinh t), or (sinh t, delta cosh t)
+# when swapped; delta is 1 outside L^3.
+_SECTION_ROWS = {
+    ("euclidean", 1, 1, SECTION_EUCLIDEAN): (True, False),
+    ("hyperbolic", 1, 1, SECTION_HYPERBOLIC): (True, False),
+    ("lorentzian", 1, 1, SECTION_L_CIRCLE): (False, False),
+    ("lorentzian", 1, -1, SECTION_L_CIRCLE): (False, True),
+    ("lorentzian", -1, 1, SECTION_L_CIRCLE): (True, False),
+    ("lorentzian", 1, 1, SECTION_L_HYPERBOLA): (False, True),
+    ("lorentzian", 1, -1, SECTION_L_HYPERBOLA): (False, False),
 }
+# a space's message for a section none of its rows has
+_SECTION_ERRORS = {
+    "euclidean": f"Euclidean tubes use {SECTION_EUCLIDEAN!r}",
+    "hyperbolic": f"hyperbolic tubes use {SECTION_HYPERBOLIC!r}",
+    "lorentzian": "Lorentzian tubes use circle or hyperbola sections, got {!r}",
+}
+
+
+def _section_row(curve: CentralCurve, section: str) -> tuple[bool, bool]:
+    """The table row of the tube over curve with this section; raises
+    InvalidSpecRow if no such tube exists."""
+    row = _SECTION_ROWS.get((curve.space, curve.eps_T, curve.eps_N, section))
+    if row is None and all(key[::3] != (curve.space, section) for key in _SECTION_ROWS):
+        raise InvalidSpecRow(_SECTION_ERRORS.get(curve.space, _SECTION_ERRORS["lorentzian"]).format(section))
+    if row is None:
+        raise InvalidSpecRow(f"no tube with curve causality {curve.eps_T}, normal causality {curve.eps_N} and section {section!r} exists")
+    return row
 
 
 class _TubeSpec(NamedTuple):
@@ -277,50 +272,17 @@ class TubeSpec(_TubeSpec):
             raise NonpositiveRadius(f"tube radius must be positive, got {radius}")
         if delta not in (-1, 1):
             raise ValueError("delta must be -1 or +1")
-        space = curve.space
-        if space == "euclidean":
-            if section != SECTION_EUCLIDEAN:
-                raise InvalidSpecRow(f"Euclidean tubes use {SECTION_EUCLIDEAN!r}")
-        elif space == "hyperbolic":
-            if section != SECTION_HYPERBOLIC:
-                raise InvalidSpecRow(f"hyperbolic tubes use {SECTION_HYPERBOLIC!r}")
-        else:
-            if section not in (SECTION_L_CIRCLE, SECTION_L_HYPERBOLA):
-                raise InvalidSpecRow(f"Lorentzian tubes use circle or hyperbola sections, got {section!r}")
-            if (curve.eps_T, curve.eps_N, section) not in _L3_PAIRS:
-                raise InvalidSpecRow(
-                    f"no tube with curve causality {curve.eps_T}, normal causality "
-                    f"{curve.eps_N} and section {section!r} exists"
-                )
+        _section_row(curve, section)
         return super().__new__(cls, curve, radius, section, delta, name)
-
-    def _pair_kind(self) -> str:
-        if self.curve.space in ("euclidean", "hyperbolic"):
-            return "cos-sin"
-        return _L3_PAIRS[(self.curve.eps_T, self.curve.eps_N, self.section)]
 
     def mu_eta(self, t: float) -> tuple[float, float, float, float, float, float]:
         """(mu, eta, mu', eta', mu'', eta'') at section parameter t."""
-        # Euclidean / hyperbolic sections ignore delta
+        circular, swapped = _section_row(self.curve, self.section)
+        a, b = (math.cos(t), math.sin(t)) if circular else (math.cosh(t), math.sinh(t))
         d = float(self.delta) if self.curve.space == "lorentzian" else 1.0
-        kind = self._pair_kind()
-        if kind == "cos-sin":
-            c, s = math.cos(t), math.sin(t)
-            return d * c, s, -d * s, c, -d * c, -s
-        ch, sh = math.cosh(t), math.sinh(t)
-        if kind == "cosh-sinh":
-            return d * ch, sh, d * sh, ch, d * ch, sh
-        return sh, d * ch, ch, d * sh, sh, d * ch  # sinh-cosh
-
-
-def tube_point(spec: TubeSpec, s: float, t: float) -> np.ndarray:
-    """Position of the tube parametrization at (s, t)."""
-    gamma, _, N, B = (v[0] for v in _frames(spec.curve, [s])[:4])
-    r = spec.radius
-    mu, eta, *_ = spec.mu_eta(t)
-    if spec.curve.space == "hyperbolic":
-        return math.cosh(r) * gamma + math.sinh(r) * (mu * N + eta * B)
-    return gamma + r * mu * N + r * eta * B
+        sign = -1.0 if circular else 1.0  # exact: -1.0 * d * b has the bits of -d * b
+        mu, eta, mu_t, eta_t, mu_tt, eta_tt = d * a, b, sign * d * b, a, sign * d * a, sign * b
+        return (eta, mu, eta_t, mu_t, eta_tt, mu_tt) if swapped else (mu, eta, mu_t, eta_t, mu_tt, eta_tt)
 
 
 class CurvatureSample(NamedTuple):
@@ -356,10 +318,11 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     arrays regular, K, H, K_cf, H_cf, xi and eps, where all but xi mean
     something only at regular points.  Raises LightlikeNormal at a regular
     point whose normal is not unit, else FormUnderflow where E*G - F^2 is
-    0.  cosh r, kappa**2 and tau**2 are Python float powers, so they
-    overflow with the same OverflowError as per point.  The
-    frames' numpy warnings are silenced: they would depend on the block
-    size, as a block builds frames past a row that fails."""
+    0, else OverflowError where K or H is not finite.  cosh r, kappa**2
+    and tau**2 are Python float powers, so they overflow with the same
+    OverflowError as per point.  The frames' numpy warnings are silenced:
+    they would depend on the block size, as a block builds frames past a
+    row that fails."""
     space = spec.curve.space
     r = spec.radius
     with np.errstate(all="ignore"):
@@ -414,19 +377,25 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
         f = inner(psi_ts, normal)
         g = inner(psi_tt, normal)
         denom = E * G - F * F
-        bad = regular & (abs(abs(eps_f) - 1.0) > 1e-6)
-        underflow = regular & (denom == 0.0)  # r below ~1e-160
-        if bad.any() or underflow.any():
-            k = int((bad if bad.any() else underflow).argmax())
-            at = f"(s, t) = ({s_rows[k // len(t_grid)]}, {t_grid[k % len(t_grid)]})"
-            if bad.any():
-                raise LightlikeNormal(f"|<normal, normal>| = {abs(eps_f.flat[k]):.6f} is not 1 at {at}")
-            raise FormUnderflow(
-                f"first fundamental form underflows (E*G - F^2 = 0) at {at}: radius {r!r} is too small for double precision"
-            )
         eps = np.where(eps_f > 0, 1, -1)
         K = eps * (e * g - f * f) / denom
         H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
+        bad = regular & (abs(abs(eps_f) - 1.0) > 1e-6)
+        underflow = regular & (denom == 0.0)  # r below ~1e-160
+        overflow = regular & ~(np.isfinite(K) & np.isfinite(H))  # large r: the forms overflow to inf/inf
+        failed = next((where for where in (bad, underflow, overflow) if where.any()), None)
+        if failed is not None:
+            k = int(failed.argmax())
+            at = f"(s, t) = ({s_rows[k // len(t_grid)]}, {t_grid[k % len(t_grid)]})"
+            if failed is bad:
+                raise LightlikeNormal(f"|<normal, normal>| = {abs(eps_f.flat[k]):.6f} is not 1 at {at}")
+            if failed is underflow:
+                raise FormUnderflow(
+                    f"first fundamental form underflows (E*G - F^2 = 0) at {at}: radius {r!r} is too small for double precision"
+                )
+            raise OverflowError(
+                f"K = {float(K.flat[k])}, H = {float(H.flat[k])} at {at}: radius {r!r} is too large for double precision"
+            )
     return tuple(a[..., 0] for a in (regular, K, H, k_cf, h_cf, xi, eps))
 
 
@@ -462,30 +431,6 @@ def curvatures(spec: TubeSpec, s: float, t: float) -> CurvatureSample:
     if not regular.item():
         raise IrregularPoint(f"|xi| = {abs(values[4]):.3e} < {REGULARITY_CUTOFF} at (s, t) = ({s}, {t})")
     return CurvatureSample(s, t, *values)
-
-
-def regularity_scan(
-    spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
-) -> list[tuple[float, float, float]]:
-    """Grid points where |xi| < the sampling cutoff, as (s, t, xi)."""
-    t_grid = list(t_grid)
-    found = []
-    for s_rows, regular, *_, xi, _ in _grid_blocks(spec, s_grid, t_grid):
-        found += [(s_rows[i], t_grid[j], xi[i, j].item()) for i, j in zip(*np.nonzero(~regular))]
-    return found
-
-
-def sample_grid(
-    spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
-) -> list[Optional[CurvatureSample]]:
-    """Curvature samples in row-major (s outer, t inner) order; None at
-    irregular points."""
-    t_grid = list(t_grid)
-    samples = []
-    for s_rows, *arrays in _grid_blocks(spec, s_grid, t_grid):
-        for s, regular, *rows in zip(s_rows, *(a.tolist() for a in arrays)):
-            samples += [CurvatureSample(s, t, *values) if ok else None for t, ok, *values in zip(t_grid, regular, *rows)]
-    return samples
 
 
 def _residuals(terms: list[tuple[float, int, int]], regular: np.ndarray, K: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -613,12 +558,10 @@ def default_grids(spec: TubeSpec, n_s: int, n_t: int) -> tuple[np.ndarray, np.nd
     for circle-type sections, [-1, 1] for hyperbolic-function sections."""
     lo, hi = spec.curve.domain
     s_grid = np.linspace(lo, hi, n_s, endpoint=not spec.curve.periodic)
-    kind = spec._pair_kind()
-    if kind == "cos-sin":
-        t_grid = np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
-    else:
-        t_grid = np.linspace(-1.0, 1.0, n_t, endpoint=True)
-    return s_grid, t_grid
+    circular, _ = _section_row(spec.curve, spec.section)
+    if circular:
+        return s_grid, np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
+    return s_grid, np.linspace(-1.0, 1.0, n_t, endpoint=True)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from weingarten_tubes.polyalg import (
 )
 from weingarten_tubes.radius import EUCLIDEAN, star_radius_set
 
+from test_row_kernel import sample_grid
+
 GOLDEN = Path(__file__).parent / "golden"
 
 EXQ_TEXT = (
@@ -225,7 +227,7 @@ def test_criterion_08_numeric_generator_identity():
     worst = 0.0
     for spec in tubes:
         s_grid, t_grid = geo.default_grids(spec, 64, 64)
-        samples = [s for s in geo.sample_grid(spec, s_grid, t_grid) if s is not None]
+        samples = [s for s in sample_grid(spec, s_grid, t_grid) if s is not None]
         assert samples, spec.name
         eps = samples[0].eps
         gen = _generator_poly(spec.radius, eps, spec.curve.space)

@@ -405,10 +405,12 @@ class TestVerifyGoldens:
     # a curve whose frames overflow inside numpy: its normal is not unit
     NONUNIT_NORMAL = ["verify", "x", "--tube", "h3-circle:r0=1/1" + "0" * 160 + ",r=1", "--grid", "4x4"]
     # numeric exits 2 raised inside the grid pass: a residual overflow, an
-    # underflowed form, a non-unit normal and a degenerate frame
+    # underflowed form, overflowed curvatures, a non-unit normal and a
+    # degenerate frame
     FAILING = [
         ["verify", "x^4 + y", "--tube", "e3-torus:R=10,r=1/1" + "0" * 100, "--grid", "4x4"],
         ["verify", "x", "--tube", "e3-line:r=1/1" + "0" * 170, "--grid", "4x4"],
+        ["verify", "4*x - 4*y + 1", "--tube", "e3-torus:R=2,r=1" + "0" * 200, "--grid", "4x4"],
         ["verify", "x", "--tube", "h3-circle:r0=1,r=1/1" + "0" * 170, "--grid", "4x4"],
         NONUNIT_NORMAL,
         ["verify", "x", "--tube", "e3-torus:R=100000000000,r=1", "--grid", "4x4"],
@@ -655,6 +657,21 @@ class TestTubeArguments:
             "error: first fundamental form underflows (E*G - F^2 = 0) at (s, t) = (0.0, 0.0): "
             "radius 1e-170 is too small for double precision\n"
         )
+
+    @pytest.mark.parametrize("tube, at", [("e3-torus:R=2,", "(0.0, 0.0)"), ("l3-line:", "(0.0, -1.0)")], ids=["e3-torus", "l3-line"])
+    @pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
+    def test_overflowed_curvature_is_two(self, capsys, tmp_path, tube, at, csv):
+        # at r = 1e200 E*G - F^2 overflows and K, H are nan at every regular
+        # point; this printed "max_residual": "-1" with exit 0
+        path = tmp_path / "grid.csv"
+        argv = ["verify", "4*x - 4*y + 1", "--tube", tube + "r=1" + "0" * 200, "--grid", "8x8"]
+        code, out, err = run_cli(capsys, *argv, *(["--csv", str(path)] if csv else []))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: numeric overflow: K = nan, H = nan at (s, t) = {at}: "
+            "radius 1e+200 is too large for double precision\n"
+        )
+        assert path.exists() == csv and (not csv or path.read_text() == "")
 
     def test_unwritable_csv_fails_before_the_grid_pass(self, capsys, monkeypatch, tmp_path):
         def no_pass(*args):

@@ -1,4 +1,6 @@
-"""Smoke test: the demos run to completion against this checkout."""
+"""Smoke test: the demos run to completion against this checkout, with
+numpy's floating-point warnings as errors (the suite's own
+``filterwarnings``) and nothing on stderr."""
 
 import os
 import subprocess
@@ -23,9 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")

@@ -20,7 +20,7 @@ from weingarten_tubes.errors import (
 )
 from weingarten_tubes.polyalg import Poly2
 
-from test_row_kernel import tube_frame
+from test_row_kernel import regularity_scan, sample_grid, tube_frame
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
@@ -63,6 +63,25 @@ def csv_blocks(draw):
     return s, t, regular, [draw(grid) for _ in range(6)]
 
 
+def lorentz_inner(u, v) -> float:
+    """The kernel's Lorentzian inner product of two 3- or 4-vectors."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.shape not in ((3,), (4,)):
+        raise DimensionMismatch(f"need matching 3- or 4-vectors, got {u.shape} and {v.shape}")
+    return float(geo._inner("lorentzian", u, v))
+
+
+def tube_point(spec, s: float, t: float) -> np.ndarray:
+    """Position of the tube parametrization at (s, t) on the block frame."""
+    gamma, _, N, B = (v[0] for v in geo._frames(spec.curve, [s])[:4])
+    r = spec.radius
+    mu, eta, *_ = spec.mu_eta(t)
+    if spec.curve.space == "hyperbolic":
+        return math.cosh(r) * gamma + math.sinh(r) * (mu * N + eta * B)
+    return gamma + r * mu * N + r * eta * B
+
+
 def sample_params(curve, n):
     lo, hi = curve.domain
     return np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
@@ -70,17 +89,17 @@ def sample_params(curve, n):
 
 class TestInnerAndCross:
     def test_timelike_axis(self):
-        assert geo.lorentz_inner([0, 0, 1], [0, 0, 1]) == -1
+        assert lorentz_inner([0, 0, 1], [0, 0, 1]) == -1
 
     def test_orthogonal_pair(self):
-        assert geo.lorentz_inner([1, 0, 0], [0, 0, 1]) == 0
+        assert lorentz_inner([1, 0, 0], [0, 0, 1]) == 0
 
     def test_lightlike_vector(self):
-        assert geo.lorentz_inner([3, 4, 5], [3, 4, 5]) == 0
+        assert lorentz_inner([3, 4, 5], [3, 4, 5]) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            geo.lorentz_inner([1, 0], [0, 1])
+            lorentz_inner([1, 0], [0, 1])
         with pytest.raises(DimensionMismatch):
             geo.lorentz_cross([1, 0, 0, 0], [0, 1, 0, 0])
 
@@ -96,8 +115,8 @@ class TestInnerAndCross:
         for _ in range(20):
             u, v = rng.normal(size=3), rng.normal(size=3)
             w = geo.lorentz_cross(u, v)
-            assert abs(geo.lorentz_inner(w, u)) < 1e-10
-            assert abs(geo.lorentz_inner(w, v)) < 1e-10
+            assert abs(lorentz_inner(w, u)) < 1e-10
+            assert abs(lorentz_inner(w, v)) < 1e-10
 
     def test_cross_orthogonality_4d(self):
         curve = geo.h3_circle(2.0)
@@ -105,7 +124,7 @@ class TestInnerAndCross:
             frame = geo.frenet_frame(curve, s)
             b = geo.lorentz_cross(frame.gamma, frame.T, frame.N)
             for v in (frame.gamma, frame.T, frame.N):
-                assert abs(geo.lorentz_inner(b, v)) < 1e-10
+                assert abs(lorentz_inner(b, v)) < 1e-10
 
 
 class TestFrames:
@@ -149,7 +168,7 @@ class TestFrames:
 
     def test_frame_causalities(self):
         for curve in FRENET_CURVES:
-            inner = (lambda u, v: float(np.dot(u, v))) if curve.space == "euclidean" else geo.lorentz_inner
+            inner = (lambda u, v: float(np.dot(u, v))) if curve.space == "euclidean" else lorentz_inner
             for s in sample_params(curve, 5):
                 fr = geo.frenet_frame(curve, s)
                 assert inner(fr.T, fr.T) == pytest.approx(fr.eps_T, abs=1e-8)
@@ -160,7 +179,7 @@ class TestFrames:
                 assert inner(fr.N, fr.B) == pytest.approx(0.0, abs=1e-8)
                 if curve.space == "hyperbolic":
                     for v in (fr.T, fr.N, fr.B):
-                        assert geo.lorentz_inner(fr.gamma, v) == pytest.approx(0.0, abs=1e-8)
+                        assert lorentz_inner(fr.gamma, v) == pytest.approx(0.0, abs=1e-8)
 
     def test_frenet_equation_residuals(self):
         # finite-difference frame derivatives against the frame equations
@@ -208,7 +227,7 @@ class TestTubePoints:
         spec = geo.TubeSpec(curve, 2.0, geo.SECTION_EUCLIDEAN)
         s = 0.8
         frame = geo.frenet_frame(curve, s)
-        point = geo.tube_point(spec, s, 0.0)
+        point = tube_point(spec, s, 0.0)
         assert np.allclose(point, frame.gamma + 2.0 * frame.N)
         assert np.linalg.norm(point - frame.gamma) == pytest.approx(2.0, abs=1e-12)
 
@@ -219,14 +238,14 @@ class TestTubePoints:
             s, t = 0.4, 0.9
             frame = geo.frenet_frame(curve, s)
             expected = frame.gamma + 0.5 * delta * math.cosh(t) * frame.N + 0.5 * math.sinh(t) * frame.B
-            assert np.allclose(geo.tube_point(spec, s, t), expected)
+            assert np.allclose(tube_point(spec, s, t), expected)
 
     def test_h3_points_on_hyperboloid(self):
         spec = geo.TubeSpec(geo.h3_circle(2.0), 1.0, geo.SECTION_HYPERBOLIC)
         for s in (0.1, 1.3, 4.0):
             for t in (0.0, 0.7, 2.9):
-                point = geo.tube_point(spec, s, t)
-                assert abs(geo.lorentz_inner(point, point) + 1.0) < 1e-10
+                point = tube_point(spec, s, t)
+                assert abs(lorentz_inner(point, point) + 1.0) < 1e-10
 
     def test_invalid_row_rejected(self):
         timelike = geo.l3_timelike_helix(1.0, 2.0)
@@ -254,22 +273,94 @@ class TestTubePoints:
                 assert eta_tt == pytest.approx(eps_T * eta, abs=1e-12)
 
 
+# the admissible tubes: (space, eps_T, eps_N, section) and the (mu, eta)
+# pair of the section
+ADMISSIBLE = [
+    ("euclidean", 1, 1, geo.SECTION_EUCLIDEAN, "cos-sin"),
+    ("hyperbolic", 1, 1, geo.SECTION_HYPERBOLIC, "cos-sin"),
+    ("lorentzian", 1, 1, geo.SECTION_L_CIRCLE, "cosh-sinh"),
+    ("lorentzian", 1, -1, geo.SECTION_L_CIRCLE, "sinh-cosh"),
+    ("lorentzian", -1, 1, geo.SECTION_L_CIRCLE, "cos-sin"),
+    ("lorentzian", 1, 1, geo.SECTION_L_HYPERBOLA, "sinh-cosh"),
+    ("lorentzian", 1, -1, geo.SECTION_L_HYPERBOLA, "cosh-sinh"),
+]
+SPACE_SECTIONS = {
+    "euclidean": [geo.SECTION_EUCLIDEAN],
+    "hyperbolic": [geo.SECTION_HYPERBOLIC],
+    "lorentzian": [geo.SECTION_L_CIRCLE, geo.SECTION_L_HYPERBOLA],
+}
+
+
+def closed_mu_eta(pair: str, d: float, t: float) -> tuple:
+    """(mu, eta, mu', eta', mu'', eta'') of a section pair, each written out."""
+    if pair == "cos-sin":
+        c, s = math.cos(t), math.sin(t)
+        return d * c, s, -d * s, c, -d * c, -s
+    ch, sh = math.cosh(t), math.sinh(t)
+    if pair == "cosh-sinh":
+        return d * ch, sh, d * sh, ch, d * ch, sh
+    return sh, d * ch, ch, d * sh, sh, d * ch
+
+
+def curve_of(space: str, eps_T: int, eps_N: int) -> geo.CentralCurve:
+    return geo.e3_circle(1.0)._replace(space=space, eps_T=eps_T, eps_N=eps_N)
+
+
+class TestSectionTable:
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("row", ADMISSIBLE, ids=lambda row: "/".join(map(str, row[1:4])) + f"@{row[0]}")
+    def test_mu_eta_is_the_closed_form_bit_for_bit(self, row, delta):
+        # delta signs the section in L^3 alone; t = 0 gives the -0.0 entries
+        space, eps_T, eps_N, section, pair = row
+        spec = geo.TubeSpec(curve_of(space, eps_T, eps_N), 0.5, section, delta)
+        d = float(delta) if space == "lorentzian" else 1.0
+        for t in (0.0, -0.7, 0.7, 2.5):
+            got = spec.mu_eta(t)
+            assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in closed_mu_eta(pair, d, t)]
+
+    def test_exactly_the_admissible_tubes_exist(self):
+        sections = [geo.SECTION_EUCLIDEAN, geo.SECTION_HYPERBOLIC, geo.SECTION_L_CIRCLE, geo.SECTION_L_HYPERBOLA]
+        built = []
+        for space in SPACE_SECTIONS:
+            for eps_T in (1, -1):
+                for eps_N in (1, -1):
+                    for section in sections:
+                        try:
+                            geo.TubeSpec(curve_of(space, eps_T, eps_N), 0.5, section)
+                        except InvalidSpecRow as ex:
+                            if section not in SPACE_SECTIONS[space]:
+                                message = {
+                                    "euclidean": "Euclidean tubes use 'euclidean-circle'",
+                                    "hyperbolic": "hyperbolic tubes use 'hyperbolic-circle'",
+                                    "lorentzian": f"Lorentzian tubes use circle or hyperbola sections, got {section!r}",
+                                }[space]
+                            else:
+                                message = (
+                                    f"no tube with curve causality {eps_T}, normal causality {eps_N} "
+                                    f"and section {section!r} exists"
+                                )
+                            assert str(ex) == message
+                            continue
+                        built.append((space, eps_T, eps_N, section))
+        assert len(built) == 7 and set(built) == {row[:4] for row in ADMISSIBLE}
+
+
 class TestRegularity:
     def test_wide_torus_never_irregular(self):
         spec = geo.TubeSpec(geo.e3_circle(10.0), 2.0, geo.SECTION_EUCLIDEAN)
         s_grid, t_grid = geo.default_grids(spec, 16, 16)
-        assert geo.regularity_scan(spec, s_grid, t_grid) == []
+        assert regularity_scan(spec, s_grid, t_grid) == []
 
     def test_critical_radius_violation(self):
         # kappa = 1, r = 1: xi vanishes at t = 0
         spec = geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN)
-        violations = geo.regularity_scan(spec, [0.0], [0.0, 1.0])
+        violations = regularity_scan(spec, [0.0], [0.0, 1.0])
         assert len(violations) == 1 and violations[0][1] == 0.0
 
     def test_cylinder_always_regular(self):
         spec = geo.TubeSpec(geo.e3_line(), 5.0, geo.SECTION_EUCLIDEAN)
         s_grid, t_grid = geo.default_grids(spec, 8, 8)
-        assert geo.regularity_scan(spec, s_grid, t_grid) == []
+        assert regularity_scan(spec, s_grid, t_grid) == []
 
     def test_irregular_point_raises(self):
         spec = geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN)
@@ -314,7 +405,7 @@ class TestCurvatures:
         ]
         for spec in specs:
             s_grid, t_grid = geo.default_grids(spec, 12, 12)
-            for sample in geo.sample_grid(spec, s_grid, t_grid):
+            for sample in sample_grid(spec, s_grid, t_grid):
                 if sample is None:
                     continue
                 scale = max(1.0, abs(sample.K_cf), abs(sample.H_cf))
@@ -333,7 +424,7 @@ class TestCurvatures:
         [
             lambda spec, s, t: geo.verify_relation(Y, spec, s, t),
             lambda spec, s, t: geo.curvature_csv(Y, spec, s, t),
-            lambda spec, s, t: geo.sample_grid(spec, s, t),
+            lambda spec, s, t: sample_grid(spec, s, t),
         ],
         ids=["verify_relation", "curvature_csv", "sample_grid"],
     )
@@ -381,15 +472,15 @@ class TestCurvatures:
             inner = (
                 (lambda u, v: float(np.dot(u, v)))
                 if spec.curve.space == "euclidean"
-                else geo.lorentz_inner
+                else lorentz_inner
             )
             for s, t in ((0.3, 0.7), (1.1, -0.4)):
                 sample = geo.curvatures(spec, s, t)
-                psi_s = stencil(lambda u: geo.tube_point(spec, u, t), s)
-                psi_t = stencil(lambda u: geo.tube_point(spec, s, u), t)
-                psi_ss = stencil2(lambda u: geo.tube_point(spec, u, t), s)
-                psi_tt = stencil2(lambda u: geo.tube_point(spec, s, u), t)
-                psi_st = stencil(lambda u: stencil(lambda w: geo.tube_point(spec, w, u), s), t)
+                psi_s = stencil(lambda u: tube_point(spec, u, t), s)
+                psi_t = stencil(lambda u: tube_point(spec, s, u), t)
+                psi_ss = stencil2(lambda u: tube_point(spec, u, t), s)
+                psi_tt = stencil2(lambda u: tube_point(spec, s, u), t)
+                psi_st = stencil(lambda u: stencil(lambda w: tube_point(spec, w, u), s), t)
                 frame = tube_frame(spec.curve, s)
                 if spec.curve.space == "hyperbolic":
                     mu, eta = math.cos(t), math.sin(t)
@@ -437,7 +528,7 @@ class TestVerifyRelation:
         spec = geo.TubeSpec(geo.e3_line(), 0.5, geo.SECTION_EUCLIDEAN)
         q = Poly2([((0, 2), -(10**16)), ((0, 1), 1), ((0, 0), 10**16)])
         s_grid, t_grid = geo.default_grids(spec, 3, 4)
-        assert {(p.K, p.H) for p in geo.sample_grid(spec, s_grid, t_grid)} == {(0.0, 1.0)}
+        assert {(p.K, p.H) for p in sample_grid(spec, s_grid, t_grid)} == {(0.0, 1.0)}
         assert math.fsum([-1e16, 1.0, 1e16]) == 1.0
         result = geo.verify_relation(q, spec, s_grid, t_grid)
         assert (result.max_residual, result.regular_points) == (0.0, 12)

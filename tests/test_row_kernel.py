@@ -209,7 +209,30 @@ def scalar_point(spec, frame, t: float):
     denom = E * G - F * F
     K = eps * (e * g - f * f) / denom
     H = eps * (e * G - 2.0 * f * F + g * E) / (2.0 * denom)
+    if not (math.isfinite(K) and math.isfinite(H)):
+        raise OverflowError(f"K = {K}, H = {H}")
     return K, H, k_cf, h_cf, xi, eps
+
+
+def regularity_scan(spec, s_grid, t_grid) -> list:
+    """Grid points of the block pass where |xi| < the sampling cutoff, as
+    (s, t, xi)."""
+    t_grid = list(t_grid)
+    found = []
+    for s_rows, regular, *_, xi, _ in geo._grid_blocks(spec, s_grid, t_grid):
+        found += [(s_rows[i], t_grid[j], xi[i, j].item()) for i, j in zip(*np.nonzero(~regular))]
+    return found
+
+
+def sample_grid(spec, s_grid, t_grid) -> list:
+    """The block pass as CurvatureSamples, row-major (s outer, t inner),
+    None at irregular points."""
+    t_grid = list(t_grid)
+    samples = []
+    for s_rows, *arrays in geo._grid_blocks(spec, s_grid, t_grid):
+        for s, regular, *rows in zip(s_rows, *(a.tolist() for a in arrays)):
+            samples += [geo.CurvatureSample(s, t, *values) if ok else None for t, ok, *values in zip(t_grid, regular, *rows)]
+    return samples
 
 
 def bits(values) -> tuple:
@@ -244,7 +267,7 @@ def assert_kernel_matches_reference(spec, s_grid, t_grid):
             assert regular, (s, t)
             assert bits(values) == bits(want), (s, t)
             assert isinstance(values[5], int)
-    assert geo.regularity_scan(spec, s_grid, t_grid) == expected_irregular
+    assert regularity_scan(spec, s_grid, t_grid) == expected_irregular
     return expected_irregular
 
 
@@ -293,7 +316,20 @@ def test_underflowed_form_fails_like_the_reference(tube):
     with pytest.raises(ZeroDivisionError):
         scalar_point(spec, tube_frame(spec.curve, 0.5), 0.3)
     with pytest.raises(FormUnderflow, match=r"at \(s, t\) = \(0.5, 0.3\): radius 1e-200 is too small"):
-        geo.sample_grid(spec, [0.5], [0.3])
+        sample_grid(spec, [0.5], [0.3])
+
+
+@pytest.mark.parametrize("tube", ["e3-torus:R=2,r=1", "l3-line:r=1", "l3-helix-ss:a=2,b=1,r=1"])
+def test_overflowed_curvature_fails_like_the_reference(tube):
+    # at r = 1e200 E*G - F*F overflows and H is nan; the per-point
+    # evaluation gives the same non-finite pair, and the row raises the
+    # OverflowError the CLI reports with exit 2
+    spec, _ = cli._tube_from_arg(tube)
+    spec = geo.TubeSpec(spec.curve, 1e200, spec.section)
+    with pytest.raises(OverflowError, match=r"^K = .*, H = nan$"), np.errstate(all="ignore"):
+        scalar_point(spec, tube_frame(spec.curve, 0.5), 0.3)
+    with pytest.raises(OverflowError, match=r"at \(s, t\) = \(0.5, 0.3\): radius 1e\+200 is too large"):
+        sample_grid(spec, [0.5], [0.3])
 
 
 @pytest.mark.parametrize("block_points", [1, 8, geo.BLOCK_POINTS], ids=["row", "2-rows", "default"])
@@ -320,18 +356,18 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
     with pytest.raises(LightlikeNormal, match=rf"at \(s, t\) = \({s_grid[1]}, 0.0\)"):
         geo.verify_relation(x, spec, s_grid, t_grid)
     with pytest.raises(LightlikeNormal):
-        geo.regularity_scan(spec, s_grid, t_grid)
-    assert len(geo.regularity_scan(spec, s_grid[:1], t_grid)) == 0
+        regularity_scan(spec, s_grid, t_grid)
+    assert len(regularity_scan(spec, s_grid[:1], t_grid)) == 0
     with pytest.raises(DegenerateFrame, match="row 2"):
-        geo.sample_grid(spec, [s_grid[0], s_grid[2], s_grid[1]], t_grid)
+        sample_grid(spec, [s_grid[0], s_grid[2], s_grid[1]], t_grid)
     # at r = 1e-200 the form underflows at every point: row 0 fails first.
     # In row 1 the normal is unit only where mu = 0 (t = pi/2), and the
     # first non-unit normal (t = pi) is reported, not the underflow before it
     tiny = geo.TubeSpec(spec.curve, 1e-200, spec.section)
     with pytest.raises(FormUnderflow, match=rf"at \(s, t\) = \({s_grid[0]}, 0.0\)"):
-        geo.sample_grid(tiny, s_grid[:2], t_grid)
+        sample_grid(tiny, s_grid[:2], t_grid)
     with pytest.raises(LightlikeNormal, match=re.escape(f"at (s, t) = ({s_grid[1]}, {t_grid[2]})")):
-        geo.sample_grid(tiny, s_grid[1:2], t_grid[1:])
+        sample_grid(tiny, s_grid[1:2], t_grid[1:])
 
 
 FLOATS = st.one_of(
