@@ -189,9 +189,10 @@ class QSDescription(NamedTuple):
         return tube_family(self.surface.tag).generator(r)
 
     def contains(self, q: Poly2) -> bool:
-        """At a rational r, the image R(x, r) of Q is zero (its constant
-        term for a right cylinder); at an irrational r, the star poly (the
-        radius poly) vanishes there."""
+        """At a rational r, the image R(x, r) of Q packed at x = 2**k is
+        zero (its lowest base-2**k digit, the constant term, for a right
+        cylinder); at an irrational r, the star poly (the radius poly)
+        vanishes there."""
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
         family = tube_family(self.surface.tag)
@@ -199,8 +200,8 @@ class QSDescription(NamedTuple):
         r = self.surface.rational_radius
         if r is None:
             return vanishes_at(family.radius_poly(q) if cylinder else family.star_poly(q), self.surface.radius)
-        image = family.image_at(q, r)
-        return not (image[0] if cylinder else any(image))
+        image, k = family.image_at(q, r)
+        return not (image & ((1 << k) - 1) if cylinder else image)
 
 
 def solve_QS(surface: TubeIdentity) -> QSDescription:

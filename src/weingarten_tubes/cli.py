@@ -546,6 +546,12 @@ def _cmd_divide(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    try:  # the first lookup runs geometry, numpy import included
+        geo.verify_relation
+    except ModuleNotFoundError as ex:
+        if ex.name != "numpy":
+            raise
+        raise UsageError("verify needs numpy, which is not installed") from ex
     prec = _precision()
     poly = parse_poly(args.poly)
     spec, tube_echo = _tube_from_arg(args.tube)

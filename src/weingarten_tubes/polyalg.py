@@ -25,30 +25,45 @@ On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
 g = 0.  ``radius`` only consumes it.
 
-* ``_line_image`` -- one Horner loop in y on Q's integer numerators and
-  integers a, b, c: each step is a quotient column, the last the image
-  of Q on the line.  At one rational radius it is the division below.
-* ``_family_image`` -- the same loop over a whole family, a, b, c
-  integer coefficient tuples in r, constant term first, as in the
-  family table of ``radius`` (the K-H row a, b, c = (0, 0, 1), (0, -2),
-  (eps,)): each is packed at r = 2**k (Kronecker substitution) and each
-  image row unpacked by balanced base-2**k digits.  Every coefficient in
-  r of a row is at most T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum
-  of |numerators| and n the top power of y, and k is one past that
-  bound's bit length.  It gives the radius and star polys of
-  ``radius.GeneratorFamily``.
+The division is one Horner loop in y, Q = (y - L) * sum_j H_j * y**(j-1)
++ H_0 with L = -(a*x + c)/b, run on Q's integer numerators with a Kronecker
+substitution (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4):
+one variable is packed at 2**k, and each coefficient read back as a
+balanced base-2**k digit.  Every coefficient of every step is at most
+T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum of |numerators|, n the top
+power of y and |p|_1 the sum of |coefficients| of p in r (|p| for an
+integer p), and k is one past that bound's bit length.  Each kind of
+line has its own loop:
+
+* ``_line_horner`` -- a rational line, a, b, c plain integers: x is
+  packed, so each step is one integer and one big-integer multiply-add.
+  Step 0 is the image b**n * Q(x, L), zero iff its integer is 0, with
+  the constant term R(0) as its lowest digit; steps 1..n are the
+  quotient columns, unpacked only for a member.
+* ``_family_image`` -- a whole family, a, b, c integer coefficient tuples
+  in r, constant term first, as in the family table of ``radius`` (the
+  K-H row a, b, c = (0, 0, 1), (0, -2), (eps,)): r is packed and x stays
+  a list, one packed integer per power of x; each entry of step 0 is
+  unpacked into an integer list in r.  It gives the radius and star
+  polys of ``radius.GeneratorFamily``.  Packing x above r in the same
+  integer would make this loop ``_line_horner`` too, but that ran 2.2x
+  slower on the star poly of the eight-factor product of the pinned
+  reports and 11x slower on (x + 2*y + 1)**30 (in-process, 2-vCPU
+  host), nearly all of it in the Horner steps: each multiplies one
+  integer of every row by the whole packed line, where the list loop
+  multiplies each row by the small packed a and c alone.
 * ``_divide`` -- Q / ((a*x + b*y + c)/d), all four integers as the
-  library builds the line: None when step 0 of ``_line_image`` is nonzero,
-  else the quotient read off the steps (``_quotient``), certified once
-  by line * quotient == d * Q on numerators: their convolution,
-  cross-multiplied by the denominators, equals Q's numerator on Q's
-  support and is zero off it.
+  library builds the line: None when step 0 of ``_line_horner`` is
+  nonzero, else the quotient read off the unpacked steps 1..n
+  (``_quotient``), certified once by line * quotient == d * Q on
+  numerators: their convolution, cross-multiplied by the denominators,
+  equals Q's numerator on Q's support and is zero off it.
 * ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
   -- the division by the tube generator ``x*r**2 - 2*r*y + eps``, eps in
   {-1, +1}: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r)
-  is step 0 of ``_line_image`` rescaled (``_tube_image``), with no
-  quotient built, and the quotient is ``_divide`` on the generator's
-  integers.  ``_divide_or_substitute`` reads the quotient or, off the
+  is step 0 of ``_line_horner`` unpacked and rescaled (``_tube_image``),
+  with no quotient built, membership a zero test of that step, and the
+  quotient ``_divide`` on the generator's integers.  ``_divide_or_substitute`` reads the quotient or, off the
   ideal, the image off one pass, as the CLI's divide report needs.
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
   eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
@@ -455,31 +470,30 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     ]
 
 
-def _line_image(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> list[list[int]]:
+def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> tuple[list[int], int]:
     """Horner division in y of Q, given by its integer numerators, by the
     line a*x + b*y + c = 0, L = -(a*x + c)/b:
-    Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  Step j of the result is
-    b**(n-j) * H_j (n the top power of y), one integer per power of x:
-    step 0 is the image b**n * Q(x, L), and H_j / b (j >= 1) the
-    y**(j-1) column of the quotient by a*x + b*y + c.  A zero a is the
-    axis x = 0.  A family line runs through here packed (``_family_image``)."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(max((j for _, j in nums), default=-1) + 1)]
+    Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  Returns (steps, k): step j
+    is b**(n-j) * H_j (n the top power of y) packed at x = 2**k, k past the
+    bound of the module docstring, so ``_unpack(step, k)`` is its list of
+    integers per power of x.  Step 0 is the image b**n * Q(x, L), zero iff
+    its packed integer is, with constant term the lowest balanced digit;
+    H_j / b (j >= 1) is the y**(j-1) column of the quotient by
+    a*x + b*y + c.  A zero a is the axis x = 0."""
+    n = max((j for _, j in nums), default=-1)
+    bound = sum(map(abs, nums.values())) * max(abs(a) + abs(c), abs(b), 1) ** max(n, 0)
+    k = bound.bit_length() + 1
+    cols = [0] * (n + 1)
     for (i, j), v in nums.items():
-        cols[j].append((i, v))
-    c, a = -c, -a
-    steps: list[list[int]] = []
-    rows: list[int] = []
-    b_power = 1
+        cols[j] += v << (k * i)
+    line = -((a << k) + c)
+    steps = []
+    acc, b_power = 0, 1
     for col in reversed(cols):
-        # rows times the line -(a*x + c), one row longer for a nonzero a,
-        # plus the column times b**(n - j)
-        rows = [u * c + w * a for u, w in zip(rows + [0], [0] + rows)] if a else [u * c for u in rows]
-        for i, v in col:
-            rows += [0] * (i + 1 - len(rows))
-            rows[i] += v * b_power
-        steps.append(rows)
+        acc = acc * line + col * b_power
+        steps.append(acc)
         b_power *= b
-    return steps[::-1] or [[]]
+    return steps[::-1] or [0], k
 
 
 def _unpack(v: int, k: int) -> list[int]:
@@ -497,38 +511,57 @@ def _unpack(v: int, k: int) -> list[int]:
 def _family_image(
     nums: Mapping[tuple[int, int], int], c: Sequence[int], a: Sequence[int], b: Sequence[int]
 ) -> list[list[int]]:
-    """Step 0 of ``_line_image`` on a family line whose coefficients are
-    integer lists in r: one integer list in r per power of x, packed at
-    r = 2**k and unpacked with k past the bound of the module docstring."""
+    """The image b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)) on a family line
+    whose coefficients are integer lists in r: one integer list in r per
+    power of x.  a, b and c are packed at r = 2**k, k past the bound of the
+    module docstring, the Horner loop in y runs on a list of packed
+    integers per power of x, and each entry of its last step is unpacked."""
     n = max((j for _, j in nums), default=0)
     norm = [sum(map(abs, p)) for p in (c, a, b)]
     bound = sum(map(abs, nums.values())) * max(norm[0] + norm[1], norm[2], 1) ** n
     k = bound.bit_length() + 1
-    packed = [sum(v << (k * e) for e, v in enumerate(p)) for p in (c, a, b)]
-    return [_unpack(v, k) for v in _line_image(nums, *packed)[0]]
+    c, a, b = (sum(v << (k * e) for e, v in enumerate(p)) for p in (c, a, b))
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (i, j), v in nums.items():
+        cols[j].append((i, v))
+    c, a = -c, -a
+    rows: list[int] = []
+    b_power = 1
+    for col in reversed(cols):
+        # rows times the line -(a*x + c), one row longer for a nonzero a,
+        # plus the column times b**(n - j)
+        rows = [u * c + w * a for u, w in zip(rows + [0], [0] + rows)] if a else [u * c for u in rows]
+        for i, v in col:
+            rows += [0] * (i + 1 - len(rows))
+            rows[i] += v * b_power
+        b_power *= b
+    return [_unpack(v, k) for v in rows]
 
 
 def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
     """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by one
-    ``_line_image`` pass on Q's numerators: None when Q is not in the ideal
-    of the line, else the quotient of ``_quotient``."""
+    ``_line_horner`` pass on Q's numerators: None when Q is not in the
+    ideal of the line (step 0 is a nonzero integer), else the quotient of
+    ``_quotient``."""
     den, nums = q._cleared()
-    steps = _line_image(nums, c, a, b)
-    return None if any(steps[0]) else _quotient(den, nums, steps, a, b, c, d)
+    steps, k = _line_horner(nums, c, a, b)
+    return None if steps[0] else _quotient(den, nums, steps, k, a, b, c, d)
 
 
 def _quotient(
-    den: int, nums: Mapping[tuple[int, int], int], steps: list[list[int]], a: int, b: int, c: int, d: int
+    den: int, nums: Mapping[tuple[int, int], int], steps: list[int], k: int, a: int, b: int, c: int, d: int
 ) -> Poly2:
-    """Q / ((a*x + b*y + c)/d), Q = nums / den, from the ``_line_image``
-    steps of nums on the line, step 0 zero: certified by line * quotient
-    == d * Q (InternalMismatch on failure, an arithmetic bug)."""
+    """Q / ((a*x + b*y + c)/d), Q = nums / den, from the ``_line_horner``
+    steps of nums on the line packed at x = 2**k, step 0 zero: steps 1..n
+    unpacked, certified by line * quotient == d * Q (InternalMismatch on
+    failure, an arithmetic bug)."""
     # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
     # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
     scale = den * b ** (len(steps) - 1)
     column = [d * b**j for j in range(len(steps) - 1)]
     quotient = Poly2._from_cleared(
-        {(i, j): v * column[j] for j, rows in enumerate(steps[1:]) for i, v in enumerate(rows) if v}, scale
+        {(i, j): v * column[j] for j, step in enumerate(steps[1:]) for i, v in enumerate(_unpack(step, k)) if v},
+        scale,
     )
     # line * quotient == d * Q cross-multiplied: equal on Q's support, zero off it
     product, product_den = _convolve({(1, 0): a, (0, 1): b, (0, 0): c}, quotient._nums), d * quotient._den
@@ -537,28 +570,32 @@ def _quotient(
     return quotient
 
 
-def _tube_image(den: int, steps: list[list[int]], r: RatLike, eps: int) -> Poly1:
-    """Q(eps*x/r, eps*(x*r + 1)/(2*r)) from the ``_line_image`` steps of
+def _tube_image(den: int, steps: list[int], k: int, r: RatLike, eps: int) -> Poly1:
+    """Q(eps*x/r, eps*(x*r + 1)/(2*r)) from the ``_line_horner`` steps of
     den * Q on the generator's integer line p**2*x - 2*p*s*y + eps*s**2 at
-    r = p/s: step 0 over den * (-2*p*s)**n, rescaled by x -> eps*x/r."""
+    r = p/s, packed at x = 2**k: step 0 unpacked, over den * (-2*p*s)**n,
+    rescaled by x -> eps*x/r."""
     p, s = _num_den(r)
     scale = den * (-2 * p * s) ** (len(steps) - 1)
-    return Poly1([Fraction(v * (eps * s) ** k, scale * p**k) for k, v in enumerate(steps[0])])
+    return Poly1([Fraction(v * (eps * s) ** e, scale * p**e) for e, v in enumerate(_unpack(steps[0], k))])
 
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)): step 0 of
-    ``_line_image`` on the generator's integer line, rescaled.  No quotient
-    is built."""
+    ``_line_horner`` on the generator's integer line, unpacked and
+    rescaled.  No quotient is built."""
     g = tube_generator(r, eps)._nums  # r != 0 and eps checked
     den, nums = q._cleared()
-    return _tube_image(den, _line_image(nums, g[0, 0], g[1, 0], g[0, 1]), r, eps)
+    return _tube_image(den, *_line_horner(nums, g[0, 0], g[1, 0], g[0, 1]), r, eps)
 
 
 def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
     """Membership in the principal ideal generated by x*r**2 - 2*r*y + eps,
-    decided by vanishing of the substitution image."""
-    return substitute_tube(q, r, eps).is_zero
+    decided by vanishing of the substitution image: step 0 of
+    ``_line_horner`` on the generator's integer line is zero, with nothing
+    unpacked."""
+    g = tube_generator(r, eps)._nums  # r != 0 and eps checked
+    return not _line_horner(q._cleared()[1], g[0, 0], g[1, 0], g[0, 1])[0][0]
 
 
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:
@@ -570,11 +607,11 @@ def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]
 
 def _divide_or_substitute(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Optional[Poly1]]:
     """(divide_by_tube_factor, None) in the ideal, else (None,
-    substitute_tube), from one ``_line_image`` pass."""
+    substitute_tube), from one ``_line_horner`` pass."""
     d, g = tube_generator(r, eps)._cleared()
     a, b, c = g[1, 0], g[0, 1], g[0, 0]
     den, nums = q._cleared()
-    steps = _line_image(nums, c, a, b)
-    if any(steps[0]):
-        return None, _tube_image(den, steps, r, eps)
-    return _quotient(den, nums, steps, a, b, c, d), None
+    steps, k = _line_horner(nums, c, a, b)
+    if steps[0]:
+        return None, _tube_image(den, steps, k, r, eps)
+    return _quotient(den, nums, steps, k, a, b, c, d), None

@@ -44,19 +44,22 @@ is rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 Everything derives from R(x, r) = b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)),
 n = deg_y Q, the image of Q on the line G_r = 0: Q lies in the ideal of
 G_r iff R(x, r) vanishes identically in x, and holds on the right
-cylinder of radius r iff R(0, r) = 0.  The one integer Horner division
-in y, ``polyalg._line_image``, serves all three.  Over the family, with
-a, b and c packed at r = 2**k (``polyalg._family_image``), it expands R
-as one integer list in r per power of x: on Q's x**0 terms and the axis
-x = 0 the radius poly R(0, r); on all of Q, the star poly, the gcd of
-R's rows (each without its factor r**m: r = 0 is never a radius).  At a
-rational r, on the integers of G_r, it is R(x, r) itself
-(``GeneratorFamily.image_at``), read by every question at that radius.
+cylinder of radius r iff R(0, r) = 0.  An integer Horner division in y
+computes it, with one loop per kind of line (``polyalg`` docstring).
+Over the family, with a, b and c packed at r = 2**k
+(``polyalg._family_image``), it expands R as one integer list in r per
+power of x: on Q's x**0 terms and the axis x = 0 the radius poly
+R(0, r); on all of Q, the star poly, the gcd of R's rows (each without
+its factor r**m: r = 0 is never a radius).  At a rational r, on the
+integers of G_r (``polyalg._line_horner``), it is R(x, r) itself packed
+at x = 2**k, one integer that is zero iff Q is in the ideal and whose
+lowest balanced digit is R(0, r) (``GeneratorFamily.image_at``).
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division on the integers of G_r (``polyalg._divide``), which
-also yields the certified quotient, an irrational one by the sign change of
-the square-free part of gcd(star poly, defining poly) across its isolating
-interval, unless it is a star poly root.
+unpacks the quotient columns of a member and certifies that quotient,
+an irrational one by the sign change of the square-free part of
+gcd(star poly, defining poly) across its isolating interval, unless it
+is a star poly root.
 Lanes whose families are equal values (E3, H3 and L3 with eps = +1
 share one row) get one decision per call of the lane driver of
 ``classify``, keyed by the family value with all its fields.
@@ -66,12 +69,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
-from .polyalg import Poly1, Poly2, _divide, _family_image, _line_image, check_epsilon
+from .polyalg import Poly1, Poly2, _divide, _family_image, _line_horner, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -539,7 +543,8 @@ class GeneratorFamily(NamedTuple):
     that every regular tube of radius r satisfies; each field is the
     integer coefficients of a polynomial in r, constant term first.  Every
     answer derives from R(x, r) (module docstring), computed by
-    ``_line_image``."""
+    ``_family_image`` over the family and by ``_line_horner`` at a
+    rational r."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -565,20 +570,24 @@ class GeneratorFamily(NamedTuple):
         their top degree: G_r / d(r) up to the common factor."""
         p, q = r.numerator, r.denominator
         m = max(map(len, self)) - 1
-        return tuple(sum(f * p**k * q ** (m - k) for k, f in enumerate(g)) for g in self)
+        powers = [p**k * q ** (m - k) for k in range(m + 1)]
+        return tuple([sum(map(operator.mul, g, powers)) for g in self])
 
     def generator(self, r: Fraction) -> Poly2:
         """G_r / d(r) at a rational r."""
         a, b, c, d = self._at(r)
         return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
-    def image_at(self, q: Poly2, r: Fraction) -> list[int]:
-        """R(x, r) at a rational r up to a nonzero factor, one integer per
-        power of x: the Horner of Q on the integer line of ``generator``,
-        with no quotient built.  Q lies in the ideal of G_r iff every entry
-        is zero, and holds on the right cylinder iff the first one is."""
+    def image_at(self, q: Poly2, r: Fraction) -> tuple[int, int]:
+        """(R(2**k, r), k), R(x, r) at a rational r up to a nonzero factor
+        packed at x = 2**k: step 0 of ``_line_horner`` of Q on the integer
+        line of ``generator``, with no quotient built and nothing unpacked.
+        Q lies in the ideal of G_r iff the packed integer is 0, and holds on
+        the right cylinder iff its lowest balanced base-2**k digit R(0, r)
+        is 0, that is iff 2**k divides it."""
         a, b, c, _ = self._at(r)
-        return _line_image(q._cleared()[1], c, a, b)[0]
+        steps, k = _line_horner(q._cleared()[1], c, a, b)
+        return steps[0], k
 
 
 # the table of families

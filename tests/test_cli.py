@@ -896,6 +896,17 @@ class TestNumpyOnlyForVerify:
         assert proc.returncode == code == 0, proc.stderr.decode()
         assert proc.stdout.decode() == out
 
+    def test_verify_without_numpy_is_one_error_line(self, tmp_path):
+        # exit 1 with one error line and nothing on stdout, before any
+        # --csv file is opened
+        csv = tmp_path / "grid.csv"
+        argv = ["verify", "4*x - 4*y + 1", "--tube", "e3-torus:R=2,r=1", "--grid", "8x8", "--csv", str(csv)]
+        proc = fresh_cli(self.BLOCKED, *argv)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == "error: verify needs numpy, which is not installed\n"
+        assert proc.stdout == b""
+        assert not csv.exists()
+
     def test_verify_imports_numpy(self):
         snippet = (
             "import contextlib, io, sys\n"
@@ -971,13 +982,13 @@ class TestDivideOnePass:
         # the quotient, or off the ideal the substitution image, is read
         # off a single Horner pass of the relation on the generator's line
         calls = []
-        line_image = polyalg._line_image
+        line_horner = polyalg._line_horner
 
         def counting(*args):
             calls.append(args)
-            return line_image(*args)
+            return line_horner(*args)
 
-        monkeypatch.setattr(polyalg, "_line_image", counting)
+        monkeypatch.setattr(polyalg, "_line_horner", counting)
         monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
         code, out, err = run_cli(capsys, "divide", EXQ_TEXT, *argv)
         assert code == 0, err
@@ -1060,8 +1071,19 @@ class TestExitCodes:
         # a division that returns a wrong quotient must be caught by the
         # multiplication certificate, in both generator families, by each
         # of its halves: g * quotient equal to Q on Q's support, and zero
-        # off it
-        line_image = polyalg._line_image
+        # off it.  The packed steps are unpacked, corrupted as integer
+        # lists per power of x and packed again one bit wider, so that a
+        # doubled coefficient still fits its digit
+        line_horner = polyalg._line_horner
+
+        def corrupted(corrupt):
+            def kernel(*args):
+                steps, k = line_horner(*args)
+                rows = corrupt([polyalg._unpack(step, k) for step in steps])
+                return [sum(v << ((k + 1) * i) for i, v in enumerate(row)) for row in rows], k + 1
+
+            return kernel
+
         corruptions = {
             # one more x-power in the quotient's y**0 column, the image kept
             "off by one": lambda steps: steps[:1] + [steps[1] + [1]] + steps[2:],
@@ -1072,7 +1094,7 @@ class TestExitCodes:
             "far term": lambda steps: steps[:1] + [steps[1] + [0] * 40 + [1]] + steps[2:],
         }
         for name, corrupt in corruptions.items():
-            monkeypatch.setattr(polyalg, "_line_image", lambda *args, corrupt=corrupt: corrupt(line_image(*args)))
+            monkeypatch.setattr(polyalg, "_line_horner", corrupted(corrupt))
             code, out, err = run_cli(capsys, *argv)
             assert code == 3, name
             assert out == ""

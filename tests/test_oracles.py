@@ -18,7 +18,9 @@ code with the library:
 * the l-adic rational roots: ``reference_rational_roots``, Sturm bisection
   on that chain narrowed to the grid Z/a_n;
 * the integer bisection of ``AlgebraicRadius.refined``: ``fraction_narrow``,
-  the Fraction bisection it replaced.
+  the Fraction bisection it replaced;
+* the Horner division packed at x = 2**k: ``list_horner``, the loop on
+  integer lists it replaced, and ``line_restriction``.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -48,7 +50,8 @@ from weingarten_tubes.polyalg import (
     _expand_power,
     _divide,
     _family_image,
-    _line_image,
+    _line_horner,
+    _unpack,
     divide_by_tube_factor,
     substitute_tube,
     tube_generator,
@@ -185,8 +188,8 @@ def test_division_by_a_general_line(a, gx, gy, gc, shift):
 
     def remainder(q):
         den, q_nums = q._cleared()
-        steps = _line_image(q_nums, line[2], line[0], line[1])
-        return list(Poly1([Fraction(v, den * line[1] ** (len(steps) - 1)) for v in steps[0]]).coeffs)
+        steps, k = _line_horner(q_nums, line[2], line[0], line[1])
+        return list(Poly1([Fraction(v, den * line[1] ** (len(steps) - 1)) for v in _unpack(steps[0], k)]).coeffs)
 
     q = Poly2(brute_product(g, a))
     assert _divide(q, *line) == a
@@ -195,6 +198,74 @@ def test_division_by_a_general_line(a, gx, gy, gc, shift):
     assert _divide(shifted, *line) is None
     assert remainder(shifted) == line_restriction(shifted, gx, gy, gc) == [shift]
     assert remainder(a) == line_restriction(a, gx, gy, gc)
+
+
+def list_horner(nums: dict, c: int, a: int, b: int) -> list[list[int]]:
+    """The Horner division in y by the line a*x + b*y + c = 0 on lists of
+    integers, one per power of x, with no packing: step j is b**(n-j) *
+    H_j, step 0 the image b**n * Q(x, -(a*x + c)/b)."""
+    cols: list[list] = [[] for _ in range(max((j for _, j in nums), default=-1) + 1)]
+    for (i, j), v in nums.items():
+        cols[j].append((i, v))
+    steps: list[list[int]] = []
+    rows: list[int] = []
+    for power, col in enumerate(reversed(cols)):
+        rows = [-u * c - w * a for u, w in zip(rows + [0], [0] + rows)]
+        for i, v in col:
+            rows += [0] * (i + 1 - len(rows))
+            rows[i] += v * b**power
+        steps.append(rows)
+    return steps[::-1] or [[]]
+
+
+def without_trailing_zeros(row: list[int]) -> list[int]:
+    while row and not row[-1]:
+        row = row[:-1]
+    return row
+
+
+EDGE = 2**80 - 1  # the bound T * M**n for Q = y or EDGE * y, so k = 81
+line_integers = st.integers(-(2**80), 2**80)
+
+
+@PROPERTY
+# the image -c of Q = y at the digit edge +-(2**(k-1) - 1), in the x**0 digit
+@example(a=Y, gx=0, gy=1, gc=EDGE, d=1, shift=Fraction(1))
+@example(a=Y, gx=0, gy=1, gc=-EDGE, d=1, shift=Fraction(1))
+# the image -a*x of Q = y at the edge in the x**1 digit, next to a zero digit
+@example(a=Y, gx=EDGE, gy=1, gc=0, d=1, shift=Fraction(1))
+@example(a=Y, gx=-EDGE, gy=1, gc=0, d=1, shift=Fraction(1))
+# the cross term 2*a*c of (a*x + c)**2 needs |a| + |c| in the bound, not the larger
+@example(a=Y * Y, gx=2**80, gy=1, gc=2**80, d=1, shift=Fraction(1))
+# the member +-EDGE * y of the line y: its quotient column is at the edge
+@example(a=Poly2.constant(EDGE), gx=0, gy=1, gc=0, d=1, shift=Fraction(1))
+@example(a=Poly2.constant(-EDGE), gx=0, gy=1, gc=0, d=1, shift=Fraction(1))
+@given(
+    a=cofactors,
+    gx=st.one_of(st.just(0), line_integers),
+    gy=line_integers.filter(bool),
+    gc=line_integers,
+    d=st.one_of(st.just(1), st.integers(1, 2**80)),
+    shift=coefficients.filter(bool),
+)
+def test_packed_horner_matches_the_list_horner(a, gx, gy, gc, d, shift):
+    """``_line_horner`` on an integer line a*x + b*y + c with coefficients
+    up to 2**80: every step unpacked is the list Horner's step, the zero
+    verdict and the step-0 image are those of ``line_restriction``, and the
+    division of the planted member g*A, g = line / d, returns A."""
+    g = Poly2([((1, 0), Fraction(gx, d)), ((0, 1), Fraction(gy, d)), ((0, 0), Fraction(gc, d))])
+    member = Poly2(brute_product(g, a))
+    for q in (member, member + Poly2.constant(shift), a):
+        den, nums = q._cleared()
+        steps, k = _line_horner(nums, gc, gx, gy)
+        rows = [without_trailing_zeros(row) for row in list_horner(nums, gc, gx, gy)]
+        assert [_unpack(step, k) for step in steps] == rows
+        image = [Fraction(v, den * gy ** (len(steps) - 1)) for v in _unpack(steps[0], k)]
+        expected = line_restriction(q, Fraction(gx), Fraction(gy), Fraction(gc))
+        assert (steps[0] == 0) == (expected == [])
+        assert list(Poly1(image).coeffs) == expected
+    assert _divide(member, gx, gy, gc, d) == a
+    assert _divide(member + Poly2.constant(shift), gx, gy, gc, d) is None
 
 
 @PROPERTY
@@ -280,22 +351,26 @@ def test_second_fundamental_matches_the_papers_answer(c):
 @example(a=Poly2.constant(1), b=Poly2.zero(), shift=Fraction(1), r=Fraction(1), eps=1)
 @given(a=cofactors, b=polys, shift=coefficients, r=positive_radii, eps=signals)
 def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
-    """Membership read off GeneratorFamily.image_at at a rational r (every
-    entry zero), on planted members G_r*A, the same shifted by a nonzero
-    constant (never members) and by x*B (members or not), for the K-H row
-    of signal eps and the principal row."""
+    """Membership read off GeneratorFamily.image_at at a rational r (the
+    packed image is zero), on planted members G_r*A, the same shifted by a
+    nonzero constant (never members) and by x*B (members or not), for the
+    K-H row of signal eps and the principal row.  Its lowest base-2**k
+    digit is zero iff Q vanishes where the line meets the axis x = 0, at
+    y0 (the right-cylinder test)."""
     kh = tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN)
-    for family, gen, brute in (
-        (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps)),
-        (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r)),
+    for family, gen, brute, y0 in (
+        (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps), eps / (2 * r)),
+        (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r), 1 / r),
     ):
         member = gen * a
-        assert not any(family.image_at(member, r)) and brute(member) == []
+        assert family.image_at(member, r)[0] == 0 and brute(member) == []
         if shift:
             shifted = member + Poly2.constant(shift)
-            assert any(family.image_at(shifted, r)) and brute(shifted) != []
+            assert family.image_at(shifted, r)[0] != 0 and brute(shifted) != []
         cylinder = member + X * b
-        assert (not any(family.image_at(cylinder, r))) == (brute(cylinder) == [])
+        image, k = family.image_at(cylinder, r)
+        assert (image == 0) == (brute(cylinder) == [])
+        assert (image % 2**k == 0) == (cylinder.eval(0, y0) == 0)
 
 
 @PROPERTY

@@ -17,7 +17,9 @@ from weingarten_tubes.errors import ZeroPolynomial, ZeroRadius
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
+    _divide,
     _family_image,
+    _line_horner,
     _unpack,
     divide_by_tube_factor,
     gamma_at,
@@ -460,6 +462,30 @@ class TestPackedHorner:
         k = 81
         for digits in ([-(2**80), 2**80 - 1], [2**80 - 1, 0, -(2**80)], [0, -(2**80), -(2**80)], [-1, 2**80 - 1]):
             assert _unpack(sum(d << (k * e) for e, d in enumerate(digits)), k) == digits
+
+
+class TestLineHorner:
+    """``_line_horner`` packs x at 2**k: each step is one integer, whose
+    balanced base-2**k digits are that step's coefficients."""
+
+    def test_coefficient_at_the_digit_edge(self):
+        # Q = y and +-(2**80 - 1) * y: the bound T * M**n is 2**80 - 1, so
+        # k = 81 and one step coefficient is +-(2**(k-1) - 1)
+        edge = 2**80 - 1
+        for sign in (1, -1):
+            # the image -c on the line y + c, in the x**0 digit
+            assert _line_horner({(0, 1): 1}, -sign * edge, 0, 1) == ([sign * edge, 1], 81)
+            # the image -a*x on the line a*x + y, next to a zero x**0 digit
+            steps, k = _line_horner({(0, 1): 1}, 0, -sign * edge, 1)
+            assert k == 81 and [_unpack(step, k) for step in steps] == [[0, sign * edge], [1]]
+            # the member sign * edge * y of the line y: zero image, and its
+            # quotient column sign * edge is at the edge
+            assert _line_horner({(0, 1): sign * edge}, 0, 0, 1) == ([0, sign * edge], 81)
+            assert _divide(Poly2({(0, 1): sign * edge}), 0, 1, 0, 1) == Poly2.constant(sign * edge)
+        # the cross term 2*a*c of (a*x + c)**2 needs |a| + |c| in the bound,
+        # not the larger of the two
+        steps, k = _line_horner({(0, 2): 1}, 2**80, 2**80, 1)
+        assert _unpack(steps[0], k) == [2**160, 2**161, 2**160]
 
 
 class TestEpsilonTransform:
