@@ -76,4 +76,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -151,7 +151,7 @@ class TubeIdentity(_TubeIdentity):
     def __new__(cls, tag: SpaceTag, radius: Union[Fraction, int, AlgebraicRadius], is_right_cylinder: bool):
         # isolated roots are positive by construction
         if not isinstance(radius, AlgebraicRadius):
-            if not isinstance(radius, (int, Fraction)) or radius <= 0:
+            if not isinstance(radius, (int, Fraction)) or isinstance(radius, bool) or radius <= 0:
                 raise NonpositiveRadius(f"tube radius must be a positive rational, got {radius!r}")
             radius = Fraction(radius)
         return super().__new__(cls, tag, radius, is_right_cylinder)
@@ -192,7 +192,9 @@ class QSDescription(NamedTuple):
         """At a rational r, the image R(x, r) of Q packed at x = 2**k is
         zero (its lowest base-2**k digit, the constant term, for a right
         cylinder); at an irrational r, the star poly (the radius poly)
-        vanishes there."""
+        vanishes there.  A right cylinder runs the pass on all of Q too,
+        not on its x**0 terms alone: a division of the same Q by the same
+        tube that follows then reuses it (``polyalg._line_horner``)."""
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
         family = tube_family(self.surface.tag)

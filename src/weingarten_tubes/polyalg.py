@@ -63,12 +63,22 @@ line has its own loop:
   {-1, +1}: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r)
   is step 0 of ``_line_horner`` unpacked and rescaled (``_tube_image``),
   with no quotient built, membership a zero test of that step, and the
-  quotient ``_divide`` on the generator's integers.  ``_divide_or_substitute`` reads the quotient or, off the
-  ideal, the image off one pass, as the CLI's divide report needs.
+  quotient ``_divide`` on the generator's integers.  ``_divide_or_substitute``
+  reads the quotient or, off the ideal, the image off one pass, as the
+  CLI's divide report needs.
 * ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
   eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
   in r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
   binomial double sum for them is a test oracle (tests/paper_formulas.py).
+
+``_line_horner`` keeps a one-entry memo of its last call, keyed by the
+identity of the numerator dict, which the memo holds so that no other
+dict can take its id, and by the line's three integers: a division,
+membership test or image of the same Q on the same line as the call
+before, such as ``divide_by_tube_factor`` after
+``classify.QSDescription.contains`` on one tube, reuses the packed steps.
+The memo skips only the Horner loop: every quotient is still unpacked and
+certified by line * quotient == d * Q (``_quotient``).
 
 Both types print through one term printer, ``_join_terms``.
 """
@@ -99,7 +109,7 @@ def _num_den(value: RatLike) -> tuple[int, int]:
     """(numerator, denominator > 0) of an exact rational."""
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value), 1
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -470,7 +480,12 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     ]
 
 
-def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> tuple[list[int], int]:
+# the last (nums, c, a, b, steps, k) of ``_line_horner``: the entry holds
+# nums itself, so no other dict can take its id while it is kept
+_last_horner: tuple = (None, 0, 0, 0, (0,), 1)
+
+
+def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> tuple[tuple[int, ...], int]:
     """Horner division in y of Q, given by its integer numerators, by the
     line a*x + b*y + c = 0, L = -(a*x + c)/b:
     Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  Returns (steps, k): step j
@@ -479,7 +494,13 @@ def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) ->
     integers per power of x.  Step 0 is the image b**n * Q(x, L), zero iff
     its packed integer is, with constant term the lowest balanced digit;
     H_j / b (j >= 1) is the y**(j-1) column of the quotient by
-    a*x + b*y + c.  A zero a is the axis x = 0."""
+    a*x + b*y + c.  A zero a is the axis x = 0.  A call on the same nums
+    object and line as the call before returns that call's steps; nums is
+    never mutated after the call (a Poly2's numerators never are)."""
+    global _last_horner
+    last = _last_horner
+    if last[0] is nums and last[1] == c and last[2] == a and last[3] == b:
+        return last[4], last[5]
     n = max((j for _, j in nums), default=-1)
     bound = sum(map(abs, nums.values())) * max(abs(a) + abs(c), abs(b), 1) ** max(n, 0)
     k = bound.bit_length() + 1
@@ -493,7 +514,9 @@ def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) ->
         acc = acc * line + col * b_power
         steps.append(acc)
         b_power *= b
-    return steps[::-1] or [0], k
+    result = tuple(reversed(steps)) or (0,)
+    _last_horner = (nums, c, a, b, result, k)
+    return result, k
 
 
 def _unpack(v: int, k: int) -> list[int]:
@@ -549,7 +572,7 @@ def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
 
 
 def _quotient(
-    den: int, nums: Mapping[tuple[int, int], int], steps: list[int], k: int, a: int, b: int, c: int, d: int
+    den: int, nums: Mapping[tuple[int, int], int], steps: Sequence[int], k: int, a: int, b: int, c: int, d: int
 ) -> Poly2:
     """Q / ((a*x + b*y + c)/d), Q = nums / den, from the ``_line_horner``
     steps of nums on the line packed at x = 2**k, step 0 zero: steps 1..n
@@ -570,7 +593,7 @@ def _quotient(
     return quotient
 
 
-def _tube_image(den: int, steps: list[int], k: int, r: RatLike, eps: int) -> Poly1:
+def _tube_image(den: int, steps: Sequence[int], k: int, r: RatLike, eps: int) -> Poly1:
     """Q(eps*x/r, eps*(x*r + 1)/(2*r)) from the ``_line_horner`` steps of
     den * Q on the generator's integer line p**2*x - 2*p*s*y + eps*s**2 at
     r = p/s, packed at x = 2**k: step 0 unpacked, over den * (-2*p*s)**n,

@@ -53,7 +53,9 @@ R(0, r); on all of Q, the star poly, the gcd of R's rows (each without
 its factor r**m: r = 0 is never a radius).  At a rational r, on the
 integers of G_r (``polyalg._line_horner``), it is R(x, r) itself packed
 at x = 2**k, one integer that is zero iff Q is in the ideal and whose
-lowest balanced digit is R(0, r) (``GeneratorFamily.image_at``).
+lowest balanced digit is R(0, r) (``GeneratorFamily.image_at``).  The
+integers of G_r are computed once per family and rational r while a
+bounded cache keeps them.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division on the integers of G_r (``polyalg._divide``), which
 unpacks the quotient columns of a member and certifies that quotient,
@@ -67,6 +69,7 @@ share one row) get one decision per call of the lane driver of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -395,7 +398,8 @@ class AlgebraicRadius(_AlgebraicRadius):
         if defining_poly.degree < 1:
             raise ValueError("defining polynomial must have degree >= 1")
         for v in (lo, hi) if exact_value is None else (lo, hi, exact_value):
-            if not isinstance(v, (int, Fraction)):  # the integer forms read numerator and denominator
+            # the integer forms read numerator and denominator; a bool is not a number here
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise TypeError(f"expected an exact rational, got {type(v).__name__}")
         return cls._checked(defining_poly, _integer_coeffs(defining_poly.coeffs), lo, hi, exact_value)
 
@@ -567,11 +571,10 @@ class GeneratorFamily(NamedTuple):
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
         """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
-        their top degree: G_r / d(r) up to the common factor."""
-        p, q = r.numerator, r.denominator
-        m = max(map(len, self)) - 1
-        powers = [p**k * q ** (m - k) for k in range(m + 1)]
-        return tuple([sum(map(operator.mul, g, powers)) for g in self])
+        their top degree: G_r / d(r) up to the common factor.  Computed
+        once per (family, r) while ``_integer_line`` keeps it: a fixed
+        tube is asked about many relations."""
+        return _integer_line(self, r.numerator, r.denominator)
 
     def generator(self, r: Fraction) -> Poly2:
         """G_r / d(r) at a rational r."""
@@ -588,6 +591,14 @@ class GeneratorFamily(NamedTuple):
         a, b, c, _ = self._at(r)
         steps, k = _line_horner(q._cleared()[1], c, a, b)
         return steps[0], k
+
+
+@functools.lru_cache(maxsize=256)
+def _integer_line(family: GeneratorFamily, p: int, q: int) -> tuple[int, int, int, int]:
+    """``GeneratorFamily._at`` at r = p/q, q > 0, in lowest terms."""
+    m = max(map(len, family)) - 1
+    powers = [p**k * q ** (m - k) for k in range(m + 1)]
+    return tuple([sum(map(operator.mul, g, powers)) for g in family])
 
 
 # the table of families

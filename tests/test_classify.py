@@ -211,6 +211,12 @@ class TestSolveQS:
         with pytest.raises(NonpositiveRadius):
             TubeIdentity(EUCLIDEAN, Fraction(-1), False)
 
+    def test_bool_radius_rejected(self):
+        # as a float radius is: True would otherwise be the radius-1 tube
+        for radius in (True, False, 1.0):
+            with pytest.raises(NonpositiveRadius, match="^tube radius must be a positive rational, got"):
+                TubeIdentity(EUCLIDEAN, radius, False)
+
 
 class TestClassifyLinear:
     def test_cylinders_any_radius(self):

@@ -20,11 +20,16 @@ code with the library:
 * the integer bisection of ``AlgebraicRadius.refined``: ``fraction_narrow``,
   the Fraction bisection it replaced;
 * the Horner division packed at x = 2**k: ``list_horner``, the loop on
-  integer lists it replaced, and ``line_restriction``.
+  integer lists it replaced, and ``line_restriction``;
+* the one-entry memo of that division: ``conftest.brute_substitute`` and
+  Q(0, eps/(2r)) after Q(S) calls on several lines in any order;
+* the cached integer line of a family at r: ``family_line``, a Fraction
+  evaluation of its coefficient polynomials.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,15 +39,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import axis_restriction, brute_product, brute_substitute, poly_product
 from expression_trees import expression_degree, expression_text, expression_trees, expression_value
 from paper_formulas import epsilon_transform, gamma_formula, linear_cases, second_fundamental_lanes
-from weingarten_tubes import radius
+from weingarten_tubes import polyalg, radius
 from weingarten_tubes.classify import (
     ALL_REGULAR_TUBES,
+    TubeIdentity,
     classify_linear,
     classify_second_fundamental,
+    solve_QS,
     solve_SQ,
     solve_SQ_principal,
 )
 from weingarten_tubes.cli import MAX_DEGREE, parse_poly
+from weingarten_tubes.errors import InternalMismatch
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
@@ -53,6 +61,7 @@ from weingarten_tubes.polyalg import (
     _line_horner,
     _unpack,
     divide_by_tube_factor,
+    is_in_tube_ideal,
     substitute_tube,
     tube_generator,
 )
@@ -60,9 +69,11 @@ from weingarten_tubes.radius import (
     DISPLAY_WIDTH,
     EUCLIDEAN,
     HYPERBOLIC,
+    LANES,
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     PRINCIPAL,
+    _TUBE_FAMILIES,
     _narrow,
     _rational_roots,
     _sign_at,
@@ -356,21 +367,123 @@ def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
     nonzero constant (never members) and by x*B (members or not), for the
     K-H row of signal eps and the principal row.  Its lowest base-2**k
     digit is zero iff Q vanishes where the line meets the axis x = 0, at
-    y0 (the right-cylinder test)."""
+    y0 (the right-cylinder test).  The right cylinder of radius r in each
+    of the four lanes holds each of these relations iff Q(0, eps/(2r)) = 0,
+    its curvature point."""
     kh = tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN)
+    cylinders = [(solve_QS(TubeIdentity(tag, r, True)), tag.eps / (2 * r)) for tag in LANES]
     for family, gen, brute, y0 in (
         (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps), eps / (2 * r)),
         (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r), 1 / r),
     ):
         member = gen * a
         assert family.image_at(member, r)[0] == 0 and brute(member) == []
+        candidates = [member]
         if shift:
             shifted = member + Poly2.constant(shift)
             assert family.image_at(shifted, r)[0] != 0 and brute(shifted) != []
+            candidates.append(shifted)
         cylinder = member + X * b
         image, k = family.image_at(cylinder, r)
         assert (image == 0) == (brute(cylinder) == [])
         assert (image % 2**k == 0) == (cylinder.eval(0, y0) == 0)
+        candidates.append(cylinder)
+        for description, point in cylinders:
+            for q in candidates:
+                assert description.contains(q) == (q.eval(0, point) == 0)
+
+
+def family_line(family, r: Fraction) -> tuple[int, ...]:
+    """q**m * f(p/q) for each coefficient polynomial f of the family at
+    r = p/q, m their top degree, by Fraction evaluation."""
+    m = max(map(len, family)) - 1
+    return tuple(int(sum(Fraction(v) * r**e for e, v in enumerate(f)) * r.denominator**m) for f in family)
+
+
+@PROPERTY
+@example(r=Fraction(1))
+@given(r=positive_radii)
+def test_cached_family_line_is_the_evaluated_one(r):
+    """``GeneratorFamily._at`` through its bounded cache, on the first call
+    at r and on a repeat, is the family evaluated at r, for every row of
+    the family table and the principal family."""
+    for family in (*_TUBE_FAMILIES.values(), PRINCIPAL):
+        assert family._at(r) == family._at(r) == family_line(family, r)
+    assert isinstance(radius._integer_line.cache_info().maxsize, int)
+
+
+# the Q(S) calls of a library caller, each (call, candidate, tube): the
+# tubes are the principal tube and the right cylinder of both signals at
+# two radii, the candidates a planted member, an equal copy that is a
+# distinct object, the member shifted by a constant, the member of the
+# other signal and the cofactor
+qs_calls = st.lists(
+    st.tuples(st.sampled_from(["contains", "divide", "in-ideal", "image"]), st.integers(0, 4), st.integers(0, 7)),
+    min_size=2,
+    max_size=12,
+)
+
+
+@PROPERTY
+# a membership on the member's own line, then the same Q on the line of
+# the other signal: a memo that ignored the line would answer for the first
+@example(a=Poly2.constant(1), r=Fraction(1), s=Fraction(2), calls=[("contains", 0, 0), ("in-ideal", 0, 2)])
+@example(a=Poly2.constant(1), r=Fraction(1), s=Fraction(2), calls=[("divide", 3, 2), ("contains", 3, 0)])
+@given(a=cofactors, r=positive_radii, s=positive_radii, calls=qs_calls)
+def test_horner_memo_is_never_stale(a, r, s, calls):
+    """contains, divide_by_tube_factor, is_in_tube_ideal and
+    substitute_tube in any order on a few candidates and tubes, so that
+    the same Q, or an equal copy, meets several lines in a row: each
+    answer is the oracle's, brute_substitute on the tube's generator line
+    and Q(0, eps/(2r)) on a right cylinder."""
+    member = tube_generator(r, 1) * a
+    candidates = [
+        member,
+        Poly2(member.terms()),
+        member + Poly2.constant(1),
+        tube_generator(r, -1) * a,
+        a,
+    ]
+    tubes = [(tag, rad, cylinder) for rad in (r, s) for tag in (EUCLIDEAN, LORENTZIAN_NEG) for cylinder in (False, True)]
+    for call, qi, ti in calls:
+        q, (tag, rad, cylinder) = candidates[qi], tubes[ti]
+        eps = tag.eps
+        image = brute_substitute(q, rad, eps)
+        if call == "contains":
+            expected = q.eval(0, eps / (2 * rad)) == 0 if cylinder else image == []
+            assert solve_QS(TubeIdentity(tag, rad, cylinder)).contains(q) == expected
+        elif call == "divide":
+            quotient = divide_by_tube_factor(q, rad, eps)
+            if image:
+                assert quotient is None
+            else:
+                assert Poly2(brute_product(tube_generator(rad, eps), quotient)) == q
+        elif call == "in-ideal":
+            assert is_in_tube_ideal(q, rad, eps) == (image == [])
+        else:
+            assert list(substitute_tube(q, rad, eps).coeffs) == image
+
+
+def test_member_certificate_runs_after_contains(monkeypatch):
+    """divide_by_tube_factor right after contains on the same Q and tube,
+    a principal tube or a right cylinder, reads the packed steps that
+    contains left, and still certifies the quotient: the right quotient
+    after a membership on another line, and InternalMismatch once the
+    certificate's product is corrupted."""
+    r, a = Fraction(7, 3), X * Y - Poly2.constant(Fraction(5, 2))
+    convolve = polyalg._convolve
+    for tag, cylinder in itertools.product((EUCLIDEAN, LORENTZIAN_NEG), (False, True)):
+        eps = tag.eps
+        q = tube_generator(r, eps) * a
+        tube, other = (solve_QS(TubeIdentity(tag, rad, cylinder)) for rad in (r, r + 1))
+        assert tube.contains(q) and not other.contains(q)
+        assert divide_by_tube_factor(q, r, eps) == a
+        assert tube.contains(q)
+        # a term off Q's support in line * quotient
+        monkeypatch.setattr(polyalg, "_convolve", lambda p1, p2: {**convolve(p1, p2), (40, 0): 1})
+        with pytest.raises(InternalMismatch, match="^verified multiplication of the quotient failed$"):
+            divide_by_tube_factor(q, r, eps)
+        monkeypatch.undo()
 
 
 @PROPERTY

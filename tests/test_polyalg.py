@@ -4,6 +4,8 @@ machinery, quotients and the binomial identity."""
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -85,6 +87,15 @@ class TestRingOperations:
     def test_zero_polynomial_degree(self):
         assert Poly2.zero().degree == -1
         assert Poly1().degree == -1
+
+    def test_bool_is_not_an_exact_rational(self):
+        # bool is an int subclass, but a flag in place of a number is a
+        # caller's mistake: the float error, not the radius-1 generator
+        for value in (True, False):
+            with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+                tube_generator(value)
+            with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+                Poly2.constant(value)
 
     def test_exponents_must_be_integers(self):
         for e in (1.5, Fraction(1), 1.0):
@@ -474,18 +485,53 @@ class TestLineHorner:
         edge = 2**80 - 1
         for sign in (1, -1):
             # the image -c on the line y + c, in the x**0 digit
-            assert _line_horner({(0, 1): 1}, -sign * edge, 0, 1) == ([sign * edge, 1], 81)
+            assert _line_horner({(0, 1): 1}, -sign * edge, 0, 1) == ((sign * edge, 1), 81)
             # the image -a*x on the line a*x + y, next to a zero x**0 digit
             steps, k = _line_horner({(0, 1): 1}, 0, -sign * edge, 1)
             assert k == 81 and [_unpack(step, k) for step in steps] == [[0, sign * edge], [1]]
             # the member sign * edge * y of the line y: zero image, and its
             # quotient column sign * edge is at the edge
-            assert _line_horner({(0, 1): sign * edge}, 0, 0, 1) == ([0, sign * edge], 81)
+            assert _line_horner({(0, 1): sign * edge}, 0, 0, 1) == ((0, sign * edge), 81)
             assert _divide(Poly2({(0, 1): sign * edge}), 0, 1, 0, 1) == Poly2.constant(sign * edge)
         # the cross term 2*a*c of (a*x + c)**2 needs |a| + |c| in the bound,
         # not the larger of the two
         steps, k = _line_horner({(0, 2): 1}, 2**80, 2**80, 1)
         assert _unpack(steps[0], k) == [2**160, 2**161, 2**160]
+
+    def test_memo_under_threads(self):
+        # the memo is one module-level entry that each call replaces whole:
+        # threads that divide their own relations on their own lines,
+        # switched every microsecond, each get their own answers.  A thread
+        # finishes only when every answer was right: a wrong one or an
+        # exception ends it early
+        radii = [Fraction(k + 2, 3) for k in range(6)]
+        members = [tube_generator(r, -1) * (X * Y + Poly2.constant(k + 1)) for k, r in enumerate(radii)]
+        finished = []
+
+        def work(k):
+            q, r = members[k], radii[k]
+            for _ in range(1000):
+                if not (
+                    is_in_tube_ideal(q, r, -1)
+                    and divide_by_tube_factor(q, r, -1) == X * Y + Poly2.constant(k + 1)
+                    and not is_in_tube_ideal(q, r, 1)
+                    and divide_by_tube_factor(q, r, 1) is None
+                ):
+                    return
+            finished.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(radii))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(len(radii)))
 
 
 class TestEpsilonTransform:

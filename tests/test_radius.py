@@ -493,6 +493,13 @@ class TestRadiusChecks:
         with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
             radius.AlgebraicRadius(self.HALF, Fraction(1), Fraction(2), 1.5)
 
+    def test_bool_ends_are_refused(self):
+        # True == 1 is a root of r - 1, but a flag is not a radius: the float error
+        with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+            radius.AlgebraicRadius(Poly1([-1, 1]), False, True, True)
+        with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+            radius.AlgebraicRadius(Poly1([-1, 1]), Fraction(0), Fraction(1), True)
+
     def test_no_fraction_evaluation(self, monkeypatch):
         # construction, isolation and refinement evaluate no Fraction poly
         def refuse(*args):
