@@ -14,7 +14,6 @@ from .polyalg import (
     divide_by_tube_factor,
     gamma_at,
     gamma_cleared,
-    is_in_tube_ideal,
     substitute_tube,
     tube_generator,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "divide_by_tube_factor",
     "gamma_at",
     "gamma_cleared",
-    "is_in_tube_ideal",
     "substitute_tube",
     "tube_generator",
     "EUCLIDEAN",
@@ -76,4 +74,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

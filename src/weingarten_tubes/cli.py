@@ -52,7 +52,7 @@ from .errors import (
     UnwritableOutput,
     ZeroRadius,
 )
-from .polyalg import Poly2, _add, _convolve, _divide_or_substitute, _expand_power, tube_generator
+from .polyalg import Poly2, _add, _convolve, _expand_power, divide_by_tube_factor, substitute_tube, tube_generator
 from .radius import SPACES, AlgebraicRadius, SpaceTag, radius_set, star_radius_set
 
 SCHEMA_VERSION = "1"
@@ -531,14 +531,15 @@ def _cmd_divide(args) -> dict:
     if r == 0:
         raise ZeroRadius("--r must be nonzero")
     eps = 1 if args.eps in ("1", "+1") else -1
-    quotient, image = _divide_or_substitute(poly, r, eps)
+    # a non-member's image reads the steps the division left (polyalg._line_horner)
+    quotient = divide_by_tube_factor(poly, r, eps)
     generator = tube_generator(r, eps)
     inputs = {"poly": str(poly), "r": str(r), "eps": eps}
     if quotient is None:
         result = {
             "in_ideal": False,
             "generator": str(generator),
-            "substitution_image": image.to_string("x"),
+            "substitution_image": substitute_tube(poly, r, eps).to_string("x"),
         }
     else:
         result = {"in_ideal": True, "generator": str(generator), "quotient": str(quotient)}

@@ -41,9 +41,8 @@ line has its own loop:
   the constant term R(0) as its lowest digit; steps 1..n are the
   quotient columns, unpacked only for a member.
 * ``_family_image`` -- a whole family, a, b, c integer coefficient tuples
-  in r, constant term first, as in the family table of ``radius`` (the
-  K-H row a, b, c = (0, 0, 1), (0, -2), (eps,)): r is packed and x stays
-  a list, one packed integer per power of x; each entry of step 0 is
+  in r, constant term first (``_tube_row``): r is packed and x stays a
+  list, one packed integer per power of x; each entry of step 0 is
   unpacked into an integer list in r.  It gives the radius and star
   polys of ``radius.GeneratorFamily``.  Packing x above r in the same
   integer would make this loop ``_line_horner`` too, but that ran 2.2x
@@ -58,25 +57,25 @@ line has its own loop:
   (``_quotient``), certified once by line * quotient == d * Q on
   numerators: their convolution, cross-multiplied by the denominators,
   equals Q's numerator on Q's support and is zero off it.
-* ``substitute_tube`` / ``is_in_tube_ideal`` / ``divide_by_tube_factor``
-  -- the division by the tube generator ``x*r**2 - 2*r*y + eps``, eps in
-  {-1, +1}: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r)
-  is step 0 of ``_line_horner`` unpacked and rescaled (``_tube_image``),
-  with no quotient built, membership a zero test of that step, and the
-  quotient ``_divide`` on the generator's integers.  ``_divide_or_substitute``
-  reads the quotient or, off the ideal, the image off one pass, as the
-  CLI's divide report needs.
-* ``gamma_at`` / ``gamma_cleared`` -- the coefficients of that image at
-  eps = +1: at one radius by ``substitute_tube``, as cleared polynomials
-  in r by ``_family_image`` on the line r**2*x - 2*r*y + 1.  The paper's
-  binomial double sum for them is a test oracle (tests/paper_formulas.py).
+
+The tube relation x*r**2 - 2*r*y + eps, eps in {-1, +1}, is written once,
+as the family row ``_tube_row(eps)``; at a rational r its integers are
+``_integer_line``, cached per (row, r), which ``radius.GeneratorFamily``
+reads too.  On that one line ``tube_generator`` is the relation,
+``divide_by_tube_factor`` is ``_divide`` and ``substitute_tube`` is step
+0 of ``_line_horner`` unpacked and rescaled: the image of Q under
+x -> eps*x/r, y -> eps*(x*r + 1)/(2*r).  ``gamma_at`` and
+``gamma_cleared`` are the coefficients of that image at eps = +1, at one
+radius by ``substitute_tube`` and as cleared polynomials in r by
+``_family_image`` on ``_tube_row(1)``; the paper's binomial double sum for
+them is a test oracle (tests/paper_formulas.py).
 
 ``_line_horner`` keeps a one-entry memo of its last call, keyed by the
 identity of the numerator dict, which the memo holds so that no other
-dict can take its id, and by the line's three integers: a division,
-membership test or image of the same Q on the same line as the call
-before, such as ``divide_by_tube_factor`` after
-``classify.QSDescription.contains`` on one tube, reuses the packed steps.
+dict can take its id, and by the line's three integers: a division or
+image of the same Q on the same line as the call before, such as
+``divide_by_tube_factor`` after ``classify.QSDescription.contains`` on
+one tube, reuses the packed steps, since both read the one cached line.
 The memo skips only the Horner loop: every quotient is still unpacked and
 certified by line * quotient == d * Q (``_quotient``).
 
@@ -85,6 +84,7 @@ Both types print through one term printer, ``_join_terms``.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -98,11 +98,7 @@ RatLike = Union[int, Fraction]
 
 
 def _frac(value: RatLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value if isinstance(value, Fraction) else Fraction(_num_den(value)[0])
 
 
 def _num_den(value: RatLike) -> tuple[int, int]:
@@ -115,7 +111,7 @@ def _num_den(value: RatLike) -> tuple[int, int]:
 
 
 def check_epsilon(eps: int) -> int:
-    if eps not in (-1, 1):
+    if isinstance(eps, bool) or eps not in (-1, 1):
         raise ValueError(f"eps must be -1 or +1, got {eps!r}")
     return eps
 
@@ -434,15 +430,40 @@ class Poly2:
         return f"Poly2({str(self)!r})"
 
 
-def tube_generator(r: RatLike, eps: int = 1) -> Poly2:
-    """The linear relation x*r**2 - 2*r*y + eps satisfied by every
-    regular tube of radius r (signal eps)."""
+def _tube_row(eps: int) -> tuple[tuple[int, ...], ...]:
+    """The relation x*r**2 - 2*r*y + eps of every regular tube of radius r
+    (signal eps) as a generator family (a, b, c, d): G_r = a(r)*x +
+    b(r)*y + c(r), printed divided by d(r), each field the integer
+    coefficients of a polynomial in r, constant term first.  The one place
+    the K-H relation is written."""
+    return (0, 0, 1), (0, -2), (check_epsilon(eps),), (1,)
+
+
+@functools.lru_cache(maxsize=256)
+def _integer_line(row: Sequence[Sequence[int]], p: int, q: int) -> tuple[int, int, int, int]:
+    """The integers q**m * f(p/q) for f in a family row (a, b, c, d) at
+    r = p/q, q > 0 and in lowest terms, m their top degree: G_r / d(r) up
+    to the common factor.  Computed once per (row, r) while the bounded
+    cache keeps it: a fixed tube is asked about many relations."""
+    m = max(map(len, row)) - 1
+    powers = [p**k * q ** (m - k) for k in range(m + 1)]
+    return tuple([sum(map(operator.mul, f, powers)) for f in row])
+
+
+def _tube_line(r: RatLike, eps: int) -> tuple[int, int, int, int]:
+    """The integer line (a, b, c, d) of ``_tube_row(eps)`` at r != 0."""
     p, q = _num_den(r)
     if p == 0:
         raise ZeroRadius("generator requires a nonzero radius")
-    check_epsilon(eps)
-    # (p**2*x - 2*p*q*y + eps*q**2) / q**2, canonical as built: gcd(p, q) = 1
-    return Poly2._make({(1, 0): p * p, (0, 1): -2 * p * q, (0, 0): eps * q * q}, q * q)
+    return _integer_line(_tube_row(eps), p, q)
+
+
+def tube_generator(r: RatLike, eps: int = 1) -> Poly2:
+    """The linear relation x*r**2 - 2*r*y + eps satisfied by every
+    regular tube of radius r (signal eps)."""
+    a, b, c, d = _tube_line(r, eps)
+    # (p**2*x - 2*p*q*y + eps*q**2) / q**2 at r = p/q, canonical as built: gcd(p, q) = 1
+    return Poly2._make({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
 
 def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
@@ -464,11 +485,12 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     of the g_k locate the radii at which the substitution image vanishes
     identically.  The 2**n * r**n scaling is pinned for reproducibility;
     only the root sets matter downstream.  A view of ``_family_image`` on
-    the line r**2*x - 2*r*y + 1, whose row k is den * (-2*r)**m * r**k *
+    the family ``_tube_row(1)``, whose row k is den * (-2*r)**m * r**k *
     gamma_k(r), m the top power of y.
     """
     if q.is_zero:
         raise ZeroPolynomial("gamma_cleared requires a nonzero polynomial")
+    a, b, c, _ = _tube_row(1)
     den, nums = q._cleared()
     n, m = q.degree, max(j for _, j in nums)
     scale = (-1) ** m * 2 ** (n - m)
@@ -476,7 +498,7 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     # r**(k-n+m), and the n + 1 rows run to x**n
     return [
         Poly1([Fraction(v * scale, den) for v in [0] * (n - m - k) + row[max(k - n + m, 0) :]])
-        for k, row in enumerate(_family_image(nums, (1,), (0, 0, 1), (0, -2)))
+        for k, row in enumerate(_family_image(nums, c, a, b))
     ]
 
 
@@ -593,48 +615,21 @@ def _quotient(
     return quotient
 
 
-def _tube_image(den: int, steps: Sequence[int], k: int, r: RatLike, eps: int) -> Poly1:
-    """Q(eps*x/r, eps*(x*r + 1)/(2*r)) from the ``_line_horner`` steps of
-    den * Q on the generator's integer line p**2*x - 2*p*s*y + eps*s**2 at
-    r = p/s, packed at x = 2**k: step 0 unpacked, over den * (-2*p*s)**n,
-    rescaled by x -> eps*x/r."""
-    p, s = _num_den(r)
-    scale = den * (-2 * p * s) ** (len(steps) - 1)
-    return Poly1([Fraction(v * (eps * s) ** e, scale * p**e) for e, v in enumerate(_unpack(steps[0], k))])
-
-
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)): step 0 of
     ``_line_horner`` on the generator's integer line, unpacked and
     rescaled.  No quotient is built."""
-    g = tube_generator(r, eps)._nums  # r != 0 and eps checked
+    a, b, c, _ = _tube_line(r, eps)
     den, nums = q._cleared()
-    return _tube_image(den, *_line_horner(nums, g[0, 0], g[1, 0], g[0, 1]), r, eps)
-
-
-def is_in_tube_ideal(q: Poly2, r: RatLike, eps: int = 1) -> bool:
-    """Membership in the principal ideal generated by x*r**2 - 2*r*y + eps,
-    decided by vanishing of the substitution image: step 0 of
-    ``_line_horner`` on the generator's integer line is zero, with nothing
-    unpacked."""
-    g = tube_generator(r, eps)._nums  # r != 0 and eps checked
-    return not _line_horner(q._cleared()[1], g[0, 0], g[1, 0], g[0, 1])[0][0]
+    steps, k = _line_horner(nums, c, a, b)
+    # step 0 is den * b**n * Q(x, L), b = -2*p*s at r = p/s: over that
+    # factor and with x -> eps*x/r it is the image
+    p, s = _num_den(r)
+    scale = den * b ** (len(steps) - 1)
+    return Poly1([Fraction(v * (eps * s) ** e, scale * p**e) for e, v in enumerate(_unpack(steps[0], k))])
 
 
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:
     """Exact quotient R with Q = (x*r**2 - 2*r*y + eps) * R, or None when
     Q is not in the ideal; verified by multiplication before returning."""
-    d, g = tube_generator(r, eps)._cleared()
-    return _divide(q, g[1, 0], g[0, 1], g[0, 0], d)
-
-
-def _divide_or_substitute(q: Poly2, r: RatLike, eps: int) -> tuple[Optional[Poly2], Optional[Poly1]]:
-    """(divide_by_tube_factor, None) in the ideal, else (None,
-    substitute_tube), from one ``_line_horner`` pass."""
-    d, g = tube_generator(r, eps)._cleared()
-    a, b, c = g[1, 0], g[0, 1], g[0, 0]
-    den, nums = q._cleared()
-    steps, k = _line_horner(nums, c, a, b)
-    if steps[0]:
-        return None, _tube_image(den, steps, k, r, eps)
-    return _quotient(den, nums, steps, k, a, b, c, d), None
+    return _divide(q, *_tube_line(r, eps))

@@ -36,8 +36,7 @@ satisfy, printed divided by d(r), each field the integer coefficients of
 a polynomial in r from the constant term up.  The table of families (r
 is rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
 
-    K-H lane of signal eps   (a, b, c, d) = ((0, 0, 1), (0, -2), (eps,), (1,))
-                             r**2*x - 2*r*y + eps
+    K-H lane of signal eps   polyalg._tube_row(eps), r**2*x - 2*r*y + eps
     principal curvatures     (a, b, c, d) = ((), (0, 1), (-1,), (0, 1))
                              (r*y - 1) / r = y - 1/r
 
@@ -54,8 +53,9 @@ its factor r**m: r = 0 is never a radius).  At a rational r, on the
 integers of G_r (``polyalg._line_horner``), it is R(x, r) itself packed
 at x = 2**k, one integer that is zero iff Q is in the ideal and whose
 lowest balanced digit is R(0, r) (``GeneratorFamily.image_at``).  The
-integers of G_r are computed once per family and rational r while a
-bounded cache keeps them.
+integers of G_r are ``polyalg._integer_line``, computed once per family
+and rational r while a bounded cache keeps them: the one line that the
+tube functions of ``polyalg`` read too.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division on the integers of G_r (``polyalg._divide``), which
 unpacks the quotient columns of a member and certifies that quotient,
@@ -69,16 +69,14 @@ share one row) get one decision per call of the lane driver of
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
-from .polyalg import Poly1, Poly2, _divide, _family_image, _line_horner, check_epsilon
+from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _line_horner, _tube_row, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -570,10 +568,9 @@ class GeneratorFamily(NamedTuple):
         return reduce(_common_divisor, map(_without_r_power, rows), [])
 
     def _at(self, r: Fraction) -> tuple[int, int, int, int]:
-        """The integers q**m * f(p/q) for f in a, b, c, d at r = p/q, m
-        their top degree: G_r / d(r) up to the common factor.  Computed
-        once per (family, r) while ``_integer_line`` keeps it: a fixed
-        tube is asked about many relations."""
+        """G_r / d(r) at r = p/q up to the common factor q**m, m the top
+        degree of the fields: ``polyalg._integer_line``, the one cached
+        line per (row, r) that the tube functions of ``polyalg`` read too."""
         return _integer_line(self, r.numerator, r.denominator)
 
     def generator(self, r: Fraction) -> Poly2:
@@ -593,16 +590,8 @@ class GeneratorFamily(NamedTuple):
         return steps[0], k
 
 
-@functools.lru_cache(maxsize=256)
-def _integer_line(family: GeneratorFamily, p: int, q: int) -> tuple[int, int, int, int]:
-    """``GeneratorFamily._at`` at r = p/q, q > 0, in lowest terms."""
-    m = max(map(len, family)) - 1
-    powers = [p**k * q ** (m - k) for k in range(m + 1)]
-    return tuple([sum(map(operator.mul, g, powers)) for g in family])
-
-
 # the table of families
-_TUBE_FAMILIES = {tag: GeneratorFamily((0, 0, 1), (0, -2), (tag.eps,), (1,)) for tag in LANES}
+_TUBE_FAMILIES = {tag: GeneratorFamily(*_tube_row(tag.eps)) for tag in LANES}
 PRINCIPAL = GeneratorFamily((), (0, 1), (-1,), (0, 1))
 
 

@@ -18,8 +18,10 @@ from paper_formulas import binom, binomial_alternating_sum, gamma_formula, lemma
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.classify import (
     RIGHT_CYLINDERS,
+    TubeIdentity,
     classify_linear,
     classify_second_fundamental,
+    solve_QS,
 )
 from weingarten_tubes.cli import main, parse_poly
 from weingarten_tubes.polyalg import (
@@ -28,11 +30,10 @@ from weingarten_tubes.polyalg import (
     divide_by_tube_factor,
     gamma_at,
     gamma_cleared,
-    is_in_tube_ideal,
     substitute_tube,
     tube_generator,
 )
-from weingarten_tubes.radius import EUCLIDEAN, star_radius_set
+from weingarten_tubes.radius import EUCLIDEAN, LORENTZIAN_NEG, LORENTZIAN_POS, star_radius_set
 
 from test_row_kernel import sample_grid
 
@@ -136,7 +137,14 @@ def test_criterion_04_second_fundamental_form():
 def test_criterion_05_membership_roundtrip():
     """1000 random quotients (deg <= 6, coefficients in [-9,9]) at random
     rational r in (0,10], both signals: multiply, membership holds,
-    quotient recovered exactly; 1000 perturbed non-members rejected."""
+    quotient recovered exactly; 1000 perturbed non-members rejected.
+    Membership is the Q(S) answer of the Lorentzian tube of that radius
+    and signal, not a right cylinder."""
+
+    def contains(q, r, eps):
+        tag = LORENTZIAN_POS if eps > 0 else LORENTZIAN_NEG
+        return solve_QS(TubeIdentity(tag, r, False)).contains(q)
+
     rng = random.Random(50505)
     members = 0
     while members < 1000:
@@ -146,7 +154,7 @@ def test_criterion_05_membership_roundtrip():
         r = random_positive_rational(rng, hi=10)
         eps = 1 if members % 2 == 0 else -1
         q = tube_generator(r, eps) * quotient
-        assert is_in_tube_ideal(q, r, eps)
+        assert contains(q, r, eps)
         assert divide_by_tube_factor(q, r, eps) == quotient
         members += 1
     rejected = 0
@@ -158,7 +166,7 @@ def test_criterion_05_membership_roundtrip():
         if c == 0:
             continue
         q = tube_generator(r, eps) * quotient + Poly2.constant(c)
-        assert not is_in_tube_ideal(q, r, eps)
+        assert not contains(q, r, eps)
         assert divide_by_tube_factor(q, r, eps) is None
         rejected += 1
     print("\nACCEPTANCE 5 PASS: 1000 round-trips exact, 1000 non-members rejected")

@@ -980,20 +980,24 @@ class TestDivideOnePass:
     )
     def test_one_line_image_per_report(self, capsys, monkeypatch, golden, argv):
         # the quotient, or off the ideal the substitution image, is read
-        # off a single Horner pass of the relation on the generator's line
-        calls = []
+        # off a single Horner pass of the relation on the generator's line:
+        # a call that misses the memo runs the pass and replaces the entry
+        passes = []
         line_horner = polyalg._line_horner
 
         def counting(*args):
-            calls.append(args)
-            return line_horner(*args)
+            entry = polyalg._last_horner
+            result = line_horner(*args)
+            if polyalg._last_horner is not entry:
+                passes.append(args)
+            return result
 
         monkeypatch.setattr(polyalg, "_line_horner", counting)
         monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
         code, out, err = run_cli(capsys, "divide", EXQ_TEXT, *argv)
         assert code == 0, err
         assert out == (GOLDEN / "pinned" / golden).read_text()
-        assert len(calls) == 1
+        assert len(passes) == 1
 
 
 class TestNoDataclasses:

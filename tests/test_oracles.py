@@ -61,7 +61,6 @@ from weingarten_tubes.polyalg import (
     _line_horner,
     _unpack,
     divide_by_tube_factor,
-    is_in_tube_ideal,
     substitute_tube,
     tube_generator,
 )
@@ -406,10 +405,17 @@ def family_line(family, r: Fraction) -> tuple[int, ...]:
 def test_cached_family_line_is_the_evaluated_one(r):
     """``GeneratorFamily._at`` through its bounded cache, on the first call
     at r and on a repeat, is the family evaluated at r, for every row of
-    the family table and the principal family."""
+    the family table and the principal family; ``tube_generator(r, eps)``,
+    which reads the same cache, is each K-H lane's generator, with the
+    evaluated integers as its cleared fields."""
     for family in (*_TUBE_FAMILIES.values(), PRINCIPAL):
         assert family._at(r) == family._at(r) == family_line(family, r)
-    assert isinstance(radius._integer_line.cache_info().maxsize, int)
+    for tag, family in _TUBE_FAMILIES.items():
+        a, b, c, d = family_line(family, r)
+        generator = tube_generator(r, tag.eps)
+        assert generator == family.generator(r)
+        assert generator._cleared() == (d, {(1, 0): a, (0, 1): b, (0, 0): c})
+    assert isinstance(polyalg._integer_line.cache_info().maxsize, int)
 
 
 # the Q(S) calls of a library caller, each (call, candidate, tube): the
@@ -418,7 +424,7 @@ def test_cached_family_line_is_the_evaluated_one(r):
 # distinct object, the member shifted by a constant, the member of the
 # other signal and the cofactor
 qs_calls = st.lists(
-    st.tuples(st.sampled_from(["contains", "divide", "in-ideal", "image"]), st.integers(0, 4), st.integers(0, 7)),
+    st.tuples(st.sampled_from(["contains", "divide", "image"]), st.integers(0, 4), st.integers(0, 7)),
     min_size=2,
     max_size=12,
 )
@@ -427,15 +433,15 @@ qs_calls = st.lists(
 @PROPERTY
 # a membership on the member's own line, then the same Q on the line of
 # the other signal: a memo that ignored the line would answer for the first
-@example(a=Poly2.constant(1), r=Fraction(1), s=Fraction(2), calls=[("contains", 0, 0), ("in-ideal", 0, 2)])
+@example(a=Poly2.constant(1), r=Fraction(1), s=Fraction(2), calls=[("contains", 0, 0), ("image", 0, 2)])
 @example(a=Poly2.constant(1), r=Fraction(1), s=Fraction(2), calls=[("divide", 3, 2), ("contains", 3, 0)])
 @given(a=cofactors, r=positive_radii, s=positive_radii, calls=qs_calls)
 def test_horner_memo_is_never_stale(a, r, s, calls):
-    """contains, divide_by_tube_factor, is_in_tube_ideal and
-    substitute_tube in any order on a few candidates and tubes, so that
-    the same Q, or an equal copy, meets several lines in a row: each
-    answer is the oracle's, brute_substitute on the tube's generator line
-    and Q(0, eps/(2r)) on a right cylinder."""
+    """contains, divide_by_tube_factor and substitute_tube in any order
+    on a few candidates and tubes, so that the same Q, or an equal copy,
+    meets several lines in a row: each answer is the oracle's,
+    brute_substitute on the tube's generator line and Q(0, eps/(2r)) on a
+    right cylinder."""
     member = tube_generator(r, 1) * a
     candidates = [
         member,
@@ -458,8 +464,6 @@ def test_horner_memo_is_never_stale(a, r, s, calls):
                 assert quotient is None
             else:
                 assert Poly2(brute_product(tube_generator(rad, eps), quotient)) == q
-        elif call == "in-ideal":
-            assert is_in_tube_ideal(q, rad, eps) == (image == [])
         else:
             assert list(substitute_tube(q, rad, eps).coeffs) == image
 

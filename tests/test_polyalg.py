@@ -26,7 +26,6 @@ from weingarten_tubes.polyalg import (
     divide_by_tube_factor,
     gamma_at,
     gamma_cleared,
-    is_in_tube_ideal,
     substitute_tube,
     tube_generator,
 )
@@ -96,6 +95,24 @@ class TestRingOperations:
                 tube_generator(value)
             with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
                 Poly2.constant(value)
+
+    def test_bool_is_neither_a_coefficient_nor_a_point(self):
+        # Poly1([True, False, True]) would be x^2 + 1, and eval(True, 2)
+        # the value at x = 1
+        for build in (
+            lambda: Poly1([True, False, True]),
+            lambda: Poly1([1, 2]).eval(True),
+            lambda: (X + Y).eval(True, 2),
+            lambda: (X + Y).eval(2, False),
+        ):
+            with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+                build()
+
+    def test_bool_is_not_a_signal(self):
+        # tube_generator(1, True) would be the eps = +1 generator
+        for eps in (True, False):
+            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {eps}$"):
+                tube_generator(1, eps)
 
     def test_exponents_must_be_integers(self):
         for e in (1.5, Fraction(1), 1.0):
@@ -352,11 +369,11 @@ class TestSubstitution:
 
 class TestIdealMembership:
     def test_exq_membership(self, exq_poly):
-        assert is_in_tube_ideal(exq_poly, 2)
-        assert not is_in_tube_ideal(exq_poly, 1)
+        assert substitute_tube(exq_poly, 2).is_zero
+        assert not substitute_tube(exq_poly, 1).is_zero
 
     def test_zero_is_member(self):
-        assert is_in_tube_ideal(Poly2.zero(), Fraction(7, 3), -1)
+        assert substitute_tube(Poly2.zero(), Fraction(7, 3), -1).is_zero
 
     def test_divide_exq(self, exq_poly):
         expected = (
@@ -396,7 +413,7 @@ class TestIdealMembership:
                 continue
             eps = rng.choice((-1, 1))
             q = tube_generator(r, eps) * quotient
-            assert is_in_tube_ideal(q, r, eps)
+            assert substitute_tube(q, r, eps).is_zero
             assert divide_by_tube_factor(q, r, eps) == quotient
 
     def test_non_membership_randomized(self):
@@ -407,7 +424,7 @@ class TestIdealMembership:
             eps = rng.choice((-1, 1))
             c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))
             q = tube_generator(r, eps) * quotient + Poly2.constant(c)
-            assert not is_in_tube_ideal(q, r, eps)
+            assert not substitute_tube(q, r, eps).is_zero
 
 
 def line_image_oracle(q: Poly2, c: Fraction, a: Fraction, b: Fraction) -> list[Fraction]:
@@ -512,9 +529,9 @@ class TestLineHorner:
             q, r = members[k], radii[k]
             for _ in range(1000):
                 if not (
-                    is_in_tube_ideal(q, r, -1)
+                    substitute_tube(q, r, -1).is_zero
                     and divide_by_tube_factor(q, r, -1) == X * Y + Poly2.constant(k + 1)
-                    and not is_in_tube_ideal(q, r, 1)
+                    and not substitute_tube(q, r, 1).is_zero
                     and divide_by_tube_factor(q, r, 1) is None
                 ):
                     return
@@ -558,12 +575,12 @@ class TestEpsilonTransform:
             quotient = random_poly2(rng, 4)
             r = random_rational(rng, 1, 9)
             q = tube_generator(r, -1) * quotient
-            assert is_in_tube_ideal(q, r, -1)
-            assert is_in_tube_ideal(epsilon_transform(q, -1), r, 1)
+            assert substitute_tube(q, r, -1).is_zero
+            assert substitute_tube(epsilon_transform(q, -1), r, 1).is_zero
             shifted = q + Poly2.constant(1)
-            assert is_in_tube_ideal(shifted, r, -1) == is_in_tube_ideal(
+            assert substitute_tube(shifted, r, -1).is_zero == substitute_tube(
                 epsilon_transform(shifted, -1), r, 1
-            )
+            ).is_zero
 
 
 class TestBinomialLemma:

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import axis_restriction, brute_substitute, linear_product, poly_product, random_poly2
 from weingarten_tubes import radius
-from weingarten_tubes.classify import ALL_REGULAR_TUBES, solve_SQ_principal
+from weingarten_tubes.classify import ALL_REGULAR_TUBES, TubeIdentity, solve_QS, solve_SQ_principal
 from weingarten_tubes.errors import InternalMismatch, ZeroPolynomial
-from weingarten_tubes.polyalg import Poly1, Poly2, is_in_tube_ideal, tube_generator
+from weingarten_tubes.polyalg import Poly1, Poly2, tube_generator
 from weingarten_tubes.radius import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -404,7 +404,7 @@ class TestStarRadiusSet:
             for value, star in values.items():
                 if value is None:
                     continue
-                assert is_in_tube_ideal(q, value, tag.eps) == star
+                assert solve_QS(TubeIdentity(tag, value, False)).contains(q) == star
                 assert (brute_substitute(q, value, tag.eps) == []) == star
 
 
@@ -455,6 +455,12 @@ class TestSpaceTag:
     def test_unknown_space_rejected(self):
         with pytest.raises(ValueError):
             SpaceTag("galilean")
+
+    def test_bool_signal_rejected(self):
+        # True would otherwise pass as eps = +1
+        for eps in (True, False):
+            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {eps}$"):
+                SpaceTag("lorentzian", eps)
 
 
 class TestRadiusChecks:
