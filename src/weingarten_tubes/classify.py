@@ -6,6 +6,10 @@ given a fixed tube, describe every polynomial relation its curvatures
 satisfy (``solve_QS``).  On top of those sit the linear relation (read
 off one ``solve_SQ``), constant second-fundamental-form-length and
 principal-curvature corollaries, and the true-nonlinear-relation verdict.
+The two directions are dual: a tube of radius r lies in S(Q) exactly when
+Q lies in Q(S), and each is answered by one call.  Q(S) membership is
+``QSDescription.contains`` alone, one ``polyalg._line_horner`` pass on the
+lane's cached integer line, and its generator is ``tube_generator``.
 
 Every report comes from one lane driver, ``_classify``, over (lane tag,
 generator family) rows: ``solve_SQ`` passes the K-H family of each tag,
@@ -33,7 +37,7 @@ from .errors import (
     NotMember,
     ZeroPolynomial,
 )
-from .polyalg import Poly2
+from .polyalg import Poly2, _line_horner, tube_generator
 from .radius import (
     EUCLIDEAN,
     HYPERBOLIC,  # the lane tags are importable from this module too
@@ -186,15 +190,16 @@ class QSDescription(NamedTuple):
         r = self.surface.rational_radius
         if self.surface.is_right_cylinder or r is None:
             return None
-        return tube_family(self.surface.tag).generator(r)
+        return tube_generator(r, self.surface.tag.eps)
 
     def contains(self, q: Poly2) -> bool:
-        """At a rational r, the image R(x, r) of Q packed at x = 2**k is
-        zero (its lowest base-2**k digit, the constant term, for a right
-        cylinder); at an irrational r, the star poly (the radius poly)
-        vanishes there.  A right cylinder runs the pass on all of Q too,
-        not on its x**0 terms alone: a division of the same Q by the same
-        tube that follows then reuses it (``polyalg._line_horner``)."""
+        """At a rational r, the image R(x, r) of Q packed at x = 2**k, step 0
+        of ``polyalg._line_horner`` on the lane's cached integer line, is
+        zero (its lowest base-2**k digit, the constant term R(0, r), for a
+        right cylinder); at an irrational r, the star poly (the radius
+        poly) vanishes there.  A right cylinder runs the pass on all of Q
+        too, not on its x**0 terms alone: a division of the same Q by the
+        same tube that follows then reuses it."""
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
         family = tube_family(self.surface.tag)
@@ -202,8 +207,9 @@ class QSDescription(NamedTuple):
         r = self.surface.rational_radius
         if r is None:
             return vanishes_at(family.radius_poly(q) if cylinder else family.star_poly(q), self.surface.radius)
-        image, k = family.image_at(q, r)
-        return not (image & ((1 << k) - 1) if cylinder else image)
+        a, b, c, _ = family._at(r)
+        steps, k = _line_horner(q._cleared()[1], c, a, b)
+        return not (steps[0] & ((1 << k) - 1) if cylinder else steps[0])
 
 
 def solve_QS(surface: TubeIdentity) -> QSDescription:

@@ -573,7 +573,7 @@ def _cmd_verify(args) -> dict:
             raise UnwritableOutput(f"cannot write --csv {csv_path!r}: {ex.strerror}") from ex
         with handle:
             try:
-                result = geo.verify_relation_csv(poly, spec, s_grid, t_grid, handle)
+                result = geo.verify_relation(poly, spec, s_grid, t_grid, handle)
             except BaseException:  # an in-pass error leaves an empty file
                 if handle.seekable():
                     handle.seek(0)

@@ -523,10 +523,19 @@ def _verification(
 
 
 def verify_relation(
-    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float]
+    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float], out: Optional[TextIO] = None
 ) -> VerificationResult:
-    """Max |Q(K, H)| over the regular grid points and where it occurs."""
-    return _verification(q, spec, s_grid, t_grid, None, True)
+    """Max |Q(K, H)| over the regular grid points and where it occurs.
+    With ``out`` given, the text of ``curvature_csv`` is written to it from
+    the same evaluation of each grid point, one block at a time, so no more
+    than one block's text is held; when the pass raises, the blocks before
+    the error are already written."""
+    if out is None:
+        return _verification(q, spec, s_grid, t_grid, None, True)
+    out.write(CSV_HEADER)
+    result = _verification(q, spec, s_grid, t_grid, out.write, True)
+    out.write("\n")
+    return result
 
 
 def curvature_csv(
@@ -537,19 +546,6 @@ def curvature_csv(
     lines = [CSV_HEADER]
     _verification(q, spec, s_grid, t_grid, lines.append, False)
     return "".join(lines) + "\n"
-
-
-def verify_relation_csv(
-    q: Poly2, spec: TubeSpec, s_grid: Sequence[float], t_grid: Sequence[float], out: TextIO
-) -> VerificationResult:
-    """``verify_relation`` that writes the text of ``curvature_csv`` to
-    ``out`` from the same evaluation of each grid point, one block at a
-    time, so no more than one block's text is held.  When the pass
-    raises, the blocks before the error are already written."""
-    out.write(CSV_HEADER)
-    result = _verification(q, spec, s_grid, t_grid, out.write, True)
-    out.write("\n")
-    return result
 
 
 def default_grids(spec: TubeSpec, n_s: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:

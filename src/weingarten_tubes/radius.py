@@ -52,10 +52,10 @@ R(0, r); on all of Q, the star poly, the gcd of R's rows (each without
 its factor r**m: r = 0 is never a radius).  At a rational r, on the
 integers of G_r (``polyalg._line_horner``), it is R(x, r) itself packed
 at x = 2**k, one integer that is zero iff Q is in the ideal and whose
-lowest balanced digit is R(0, r) (``GeneratorFamily.image_at``).  The
-integers of G_r are ``polyalg._integer_line``, computed once per family
-and rational r while a bounded cache keeps them: the one line that the
-tube functions of ``polyalg`` read too.
+lowest balanced digit is R(0, r) (``classify.QSDescription.contains``).
+The integers of G_r are ``polyalg._integer_line``, computed once per
+family and rational r while a bounded cache keeps them: the one line that
+the tube functions of ``polyalg``, ``tube_generator`` among them, read too.
 ``decide_radii`` decides each candidate radius once: a rational one by
 the same division on the integers of G_r (``polyalg._divide``), which
 unpacks the quotient columns of a member and certifies that quotient,
@@ -76,7 +76,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
-from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _line_horner, _tube_row, check_epsilon
+from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _tube_row, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -572,22 +572,6 @@ class GeneratorFamily(NamedTuple):
         degree of the fields: ``polyalg._integer_line``, the one cached
         line per (row, r) that the tube functions of ``polyalg`` read too."""
         return _integer_line(self, r.numerator, r.denominator)
-
-    def generator(self, r: Fraction) -> Poly2:
-        """G_r / d(r) at a rational r."""
-        a, b, c, d = self._at(r)
-        return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
-
-    def image_at(self, q: Poly2, r: Fraction) -> tuple[int, int]:
-        """(R(2**k, r), k), R(x, r) at a rational r up to a nonzero factor
-        packed at x = 2**k: step 0 of ``_line_horner`` of Q on the integer
-        line of ``generator``, with no quotient built and nothing unpacked.
-        Q lies in the ideal of G_r iff the packed integer is 0, and holds on
-        the right cylinder iff its lowest balanced base-2**k digit R(0, r)
-        is 0, that is iff 2**k divides it."""
-        a, b, c, _ = self._at(r)
-        steps, k = _line_horner(q._cleared()[1], c, a, b)
-        return steps[0], k
 
 
 # the table of families

@@ -11,7 +11,9 @@ library reads both off ``solve_SQ`` (``classify.classify_linear`` and
 ``classify.classify_second_fundamental``).  The binomial symbol
 and its alternating-sum identity pin the conventions that formula rests
 on, and ``epsilon_transform`` carries statements between the eps = -1
-and eps = +1 generators.
+and eps = +1 generators.  ``LANE_ROWS`` and ``PRINCIPAL_ROW`` write each
+lane's tube relation as the paper states it, for the sympy reference of
+``reference_sq``.
 """
 
 import math
@@ -94,6 +96,21 @@ def gamma_formula(q: Poly2) -> list[Poly1]:
 
 # (space, eps) of every lane, in report order
 LANES = (("euclidean", 1), ("lorentzian", 1), ("lorentzian", -1), ("hyperbolic", 1))
+
+
+def tube_row(eps: int):
+    """The paper's relation r**2*K - 2*r*H + eps = 0 of every regular tube
+    of radius r and signal eps, as r -> (a, b, c) with a*x + b*y + c its
+    left side, x = K and y = H; r is rho = sinh r in the hyperbolic lane.
+    Its right cylinder has the curvature point (0, eps/(2r)), where the
+    line meets the axis x = 0."""
+    return lambda r: (r**2, -2 * r, eps)
+
+
+# (space, eps, row) of every lane of classify, in report order
+LANE_ROWS = tuple((space, eps, tube_row(eps)) for space, eps in LANES)
+# the Euclidean principal-curvature relation k2 = 1/r, x = k1 and y = k2
+PRINCIPAL_ROW = ("euclidean", 1, lambda r: (0, 1, -1 / r))
 
 
 def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:

@@ -355,7 +355,8 @@ class TestGoldens:
         def refuse(*args):
             raise AssertionError("generator built")
 
-        monkeypatch.setattr(radius.GeneratorFamily, "generator", refuse)
+        for module in (polyalg, classify, cli):
+            monkeypatch.setattr(module, "tube_generator", refuse)
         monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -677,7 +678,7 @@ class TestTubeArguments:
         def no_pass(*args):
             raise AssertionError("grid pass started")
 
-        monkeypatch.setattr(geo, "verify_relation_csv", no_pass)
+        monkeypatch.setattr(geo, "verify_relation", no_pass)
         path = str(tmp_path / "missing-dir" / "x.csv")
         code, out, err = run_cli(
             capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x4", "--csv", path

@@ -24,7 +24,10 @@ code with the library:
 * the one-entry memo of that division: ``conftest.brute_substitute`` and
   Q(0, eps/(2r)) after Q(S) calls on several lines in any order;
 * the cached integer line of a family at r: ``family_line``, a Fraction
-  evaluation of its coefficient polynomials.
+  evaluation of its coefficient polynomials;
+* Q(S) membership against S(Q), the paper's duality: each class of
+  ``solve_SQ`` at rational and quadratic irrational radii, asked through
+  ``solve_QS``.
 
 Each test stands in for a runtime cross-check that the library no longer
 repeats on every call."""
@@ -361,7 +364,8 @@ def test_second_fundamental_matches_the_papers_answer(c):
 @example(a=Poly2.constant(1), b=Poly2.zero(), shift=Fraction(1), r=Fraction(1), eps=1)
 @given(a=cofactors, b=polys, shift=coefficients, r=positive_radii, eps=signals)
 def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
-    """Membership read off GeneratorFamily.image_at at a rational r (the
+    """Membership as QSDescription.contains reads it at a rational r, step 0
+    of ``_line_horner`` on the family's cached line ``family._at(r)`` (the
     packed image is zero), on planted members G_r*A, the same shifted by a
     nonzero constant (never members) and by x*B (members or not), for the
     K-H row of signal eps and the principal row.  Its lowest base-2**k
@@ -371,25 +375,98 @@ def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
     its curvature point."""
     kh = tube_family(LORENTZIAN_NEG if eps < 0 else EUCLIDEAN)
     cylinders = [(solve_QS(TubeIdentity(tag, r, True)), tag.eps / (2 * r)) for tag in LANES]
+
+    def packed_image(family, q):
+        a, b, c, _ = family._at(r)
+        steps, k = _line_horner(q._cleared()[1], c, a, b)
+        return steps[0], k
+
     for family, gen, brute, y0 in (
         (kh, tube_generator(r, eps), lambda q: brute_substitute(q, r, eps), eps / (2 * r)),
         (PRINCIPAL, Y - Poly2.constant(1 / r), lambda q: brute_principal(q, r), 1 / r),
     ):
         member = gen * a
-        assert family.image_at(member, r)[0] == 0 and brute(member) == []
+        assert packed_image(family, member)[0] == 0 and brute(member) == []
         candidates = [member]
         if shift:
             shifted = member + Poly2.constant(shift)
-            assert family.image_at(shifted, r)[0] != 0 and brute(shifted) != []
+            assert packed_image(family, shifted)[0] != 0 and brute(shifted) != []
             candidates.append(shifted)
         cylinder = member + X * b
-        image, k = family.image_at(cylinder, r)
+        image, k = packed_image(family, cylinder)
         assert (image == 0) == (brute(cylinder) == [])
         assert (image % 2**k == 0) == (cylinder.eval(0, y0) == 0)
         candidates.append(cylinder)
         for description, point in cylinders:
             for q in candidates:
                 assert description.contains(q) == (q.eval(0, point) == 0)
+
+
+# rho = (p + sqrt(d))/s > 0, d not a square
+quadratic_radii = st.tuples(st.integers(-2, 4), st.sampled_from([2, 3, 5, 6, 7]), st.integers(1, 3)).filter(
+    lambda t: t[0] + math.sqrt(t[1]) > 0
+)
+low_factors = st.lists(
+    st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2), coefficients),
+    max_size=4,
+).map(Poly2)
+
+
+def generator_norm(p: int, d: int, s: int, eps: int) -> Poly2:
+    """The product of the tube relations of signal eps at the conjugates
+    (p +- sqrt(d))/s, with e1 and e2 their sum and product: rational, and
+    in the ideal of G_rho at each conjugate."""
+    e1, e2 = Fraction(2 * p, s), Fraction(p * p - d, s * s)
+    return Poly2(
+        [
+            ((2, 0), e2 * e2),
+            ((1, 1), -2 * e1 * e2),
+            ((0, 2), 4 * e2),
+            ((1, 0), eps * (e1 * e1 - 2 * e2)),
+            ((0, 1), -2 * eps * e1),
+            ((0, 0), 1),
+        ]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@example(rationals=[], quadratics=[((1, 2, 1), 1)], factor=X * Y - Poly2.constant(1))
+@example(rationals=[(Fraction(3, 2), -1)], quadratics=[((0, 3, 2), -1)], factor=Poly2.constant(2))
+@given(
+    rationals=st.lists(st.tuples(positive_radii, signals), max_size=2),
+    quadratics=st.lists(st.tuples(quadratic_radii, signals), max_size=1),
+    factor=low_factors,
+)
+def test_qs_membership_is_dual_to_sq(rationals, quadratics, factor):
+    """The paper's duality, a tube S lies in S(Q) iff Q lies in Q(S), at
+    rational and quadratic irrational radii: for Q a product of planted
+    tube relations and norms of them times a factor of degree <= 2, each
+    class of every lane of solve_SQ(Q) is a tube of that radius that
+    contains Q iff the class is all-regular-tubes, its right cylinder
+    always contains Q, and at a rational star the tube's generator times
+    the printed quotient is Q.  Every planted rational radius is such a
+    star in each lane of its signal."""
+    q = factor
+    for r, eps in rationals:
+        q = q * tube_generator(r, eps)
+    for (p, d, s), eps in quadratics:
+        q = q * generator_norm(p, d, s, eps)
+    assume(not q.is_zero)
+    for lane in solve_SQ(q).lanes:
+        for cls in lane.classes:
+            tube = solve_QS(TubeIdentity(lane.tag, cls.radius, False))
+            assert tube.contains(q) == (cls.kind == ALL_REGULAR_TUBES)
+            assert solve_QS(TubeIdentity(lane.tag, cls.radius, True)).contains(q)
+            if cls.quotient is not None:
+                assert tube.generator() * cls.quotient == q
+        stars = {cls.radius.exact_value for cls in lane.classes if cls.kind == ALL_REGULAR_TUBES}
+        assert {r for r, eps in rationals if eps == lane.tag.eps} <= stars
+
+
+def line_relation(family, r: Fraction) -> Poly2:
+    """G_r / d(r) at a rational r, read off the family's cached line."""
+    a, b, c, d = family._at(r)
+    return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
 
 def family_line(family, r: Fraction) -> tuple[int, ...]:
@@ -407,13 +484,14 @@ def test_cached_family_line_is_the_evaluated_one(r):
     at r and on a repeat, is the family evaluated at r, for every row of
     the family table and the principal family; ``tube_generator(r, eps)``,
     which reads the same cache, is each K-H lane's generator, with the
-    evaluated integers as its cleared fields."""
+    evaluated integers as its cleared fields, and the one that
+    ``QSDescription.generator`` returns."""
     for family in (*_TUBE_FAMILIES.values(), PRINCIPAL):
         assert family._at(r) == family._at(r) == family_line(family, r)
     for tag, family in _TUBE_FAMILIES.items():
         a, b, c, d = family_line(family, r)
         generator = tube_generator(r, tag.eps)
-        assert generator == family.generator(r)
+        assert generator == line_relation(family, r) == solve_QS(TubeIdentity(tag, r, False)).generator()
         assert generator._cleared() == (d, {(1, 0): a, (0, 1): b, (0, 0): c})
     assert isinstance(polyalg._integer_line.cache_info().maxsize, int)
 
@@ -630,8 +708,8 @@ def test_all_spaces_is_each_space_alone(shape, a, b, r, eps):
 @given(r=nonzero_radii, tag=tags)
 def test_family_generators_are_the_printed_relations(r, tag):
     for got, want in (
-        (tube_family(tag).generator(r), tube_generator(r, tag.eps)),
-        (PRINCIPAL.generator(r), Y - Poly2.constant(1 / r)),
+        (line_relation(tube_family(tag), r), tube_generator(r, tag.eps)),
+        (line_relation(PRINCIPAL, r), Y - Poly2.constant(1 / r)),
     ):
         assert list(got.terms()) == list(want.terms())
 
