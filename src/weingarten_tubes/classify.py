@@ -8,8 +8,8 @@ off one ``solve_SQ``), constant second-fundamental-form-length and
 principal-curvature corollaries, and the true-nonlinear-relation verdict.
 The two directions are dual: a tube of radius r lies in S(Q) exactly when
 Q lies in Q(S), and each is answered by one call.  Q(S) membership is
-``QSDescription.contains`` alone, one ``polyalg._line_horner`` pass on the
-lane's cached integer line, and its generator is ``tube_generator``.
+``QSDescription.contains`` alone, Q's own Horner pass (``Poly2._line_pass``)
+on the lane's cached integer line, and its generator is ``tube_generator``.
 
 Every report comes from one lane driver, ``_classify``, over (lane tag,
 generator family) rows: ``solve_SQ`` passes the K-H family of each tag,
@@ -37,7 +37,7 @@ from .errors import (
     NotMember,
     ZeroPolynomial,
 )
-from .polyalg import Poly2, _line_horner, tube_generator
+from .polyalg import Poly2, _frac, _integer_line, tube_generator
 from .radius import (
     EUCLIDEAN,
     HYPERBOLIC,  # the lane tags are importable from this module too
@@ -194,12 +194,12 @@ class QSDescription(NamedTuple):
 
     def contains(self, q: Poly2) -> bool:
         """At a rational r, the image R(x, r) of Q packed at x = 2**k, step 0
-        of ``polyalg._line_horner`` on the lane's cached integer line, is
-        zero (its lowest base-2**k digit, the constant term R(0, r), for a
+        of Q's pass on the lane's cached integer line (``Poly2._line_pass``),
+        is zero (its lowest base-2**k digit, the constant term R(0, r), for a
         right cylinder); at an irrational r, the star poly (the radius
         poly) vanishes there.  A right cylinder runs the pass on all of Q
-        too, not on its x**0 terms alone: a division of the same Q by the
-        same tube that follows then reuses it."""
+        too, not on its x**0 terms alone: Q keeps its last pass, so a later
+        division of the same Q by the same tube reuses it."""
         if q.is_zero:
             return True  # the zero polynomial vanishes on every surface
         family = tube_family(self.surface.tag)
@@ -207,8 +207,8 @@ class QSDescription(NamedTuple):
         r = self.surface.rational_radius
         if r is None:
             return vanishes_at(family.radius_poly(q) if cylinder else family.star_poly(q), self.surface.radius)
-        a, b, c, _ = family._at(r)
-        steps, k = _line_horner(q._cleared()[1], c, a, b)
+        a, b, c, _ = _integer_line(family, r.numerator, r.denominator)
+        steps, k = q._line_pass(a, b, c)
         return not (steps[0] & ((1 << k) - 1) if cylinder else steps[0])
 
 
@@ -238,7 +238,7 @@ def classify_linear(
     radius (rho in the hyperbolic lane) and the discriminant eps*b**2 + 4ac.
     The paper's closed-form case table is a test oracle
     (tests/paper_formulas.py)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = _frac(a), _frac(b), _frac(c)
     if a == 0 and b == 0:
         raise DegenerateRelation("need (a, b) != (0, 0)")
     q = Poly2([((1, 0), a), ((0, 1), b), ((0, 0), -c)])
@@ -264,7 +264,7 @@ def classify_second_fundamental(
     paper's answer, right cylinders only, of radius 1/c in the Euclidean
     and Lorentzian lanes (both signals) and rho = 1/c in the hyperbolic
     lane, is a test oracle (tests/paper_formulas.py)."""
-    c = Fraction(c)
+    c = _frac(c)
     if c <= 0:
         raise NonpositiveLength("second-fundamental-form length must be positive")
     return solve_SQ(Poly2([((1, 0), -2), ((0, 2), 4), ((0, 0), -c * c)]), spaces)

@@ -531,7 +531,7 @@ def _cmd_divide(args) -> dict:
     if r == 0:
         raise ZeroRadius("--r must be nonzero")
     eps = 1 if args.eps in ("1", "+1") else -1
-    # a non-member's image reads the steps the division left (polyalg._line_horner)
+    # a non-member's image reads the pass the division left on poly (Poly2._line_pass)
     quotient = divide_by_tube_factor(poly, r, eps)
     generator = tube_generator(r, eps)
     inputs = {"poly": str(poly), "r": str(r), "eps": eps}

@@ -33,7 +33,8 @@ balanced base-2**k digit.  Every coefficient of every step is at most
 T * max(|a|_1 + |c|_1, |b|_1, 1)**n, T the sum of |numerators|, n the top
 power of y and |p|_1 the sum of |coefficients| of p in r (|p| for an
 integer p), and k is one past that bound's bit length.  Each kind of
-line has its own loop:
+line has its own loop, and both take the line in the order (a, b, c)
+that ``_tube_row`` and ``_integer_line`` give it:
 
 * ``_line_horner`` -- a rational line, a, b, c plain integers: x is
   packed, so each step is one integer and one big-integer multiply-add.
@@ -52,32 +53,33 @@ line has its own loop:
   integer of every row by the whole packed line, where the list loop
   multiplies each row by the small packed a and c alone.
 * ``_divide`` -- Q / ((a*x + b*y + c)/d), all four integers as the
-  library builds the line: None when step 0 of ``_line_horner`` is
-  nonzero, else the quotient read off the unpacked steps 1..n
-  (``_quotient``), certified once by line * quotient == d * Q on
-  numerators: their convolution, cross-multiplied by the denominators,
-  equals Q's numerator on Q's support and is zero off it.
+  library builds the line: None when step 0 of Q's ``_line_horner`` pass
+  is nonzero, else the quotient read off the unpacked steps 1..n,
+  certified once by line * quotient == d * Q on numerators: their
+  convolution, cross-multiplied by the denominators, equals Q's numerator
+  on Q's support and is zero off it.
 
 The tube relation x*r**2 - 2*r*y + eps, eps in {-1, +1}, is written once,
 as the family row ``_tube_row(eps)``; at a rational r its integers are
-``_integer_line``, cached per (row, r), which ``radius.GeneratorFamily``
-reads too.  On that one line ``tube_generator`` is the relation,
-``divide_by_tube_factor`` is ``_divide`` and ``substitute_tube`` is step
-0 of ``_line_horner`` unpacked and rescaled: the image of Q under
-x -> eps*x/r, y -> eps*(x*r + 1)/(2*r).  ``gamma_at`` and
+``_integer_line``, cached per (row, r), which ``radius.decide_radii`` and
+``classify.QSDescription.contains`` read too.  On that one line
+``tube_generator`` is the relation, ``divide_by_tube_factor`` is
+``_divide`` and ``substitute_tube`` is step 0 of Q's pass unpacked and
+rescaled: the image of Q under x -> eps*x/r, y -> eps*(x*r + 1)/(2*r).  ``gamma_at`` and
 ``gamma_cleared`` are the coefficients of that image at eps = +1, at one
 radius by ``substitute_tube`` and as cleared polynomials in r by
 ``_family_image`` on ``_tube_row(1)``; the paper's binomial double sum for
 them is a test oracle (tests/paper_formulas.py).
 
-``_line_horner`` keeps a one-entry memo of its last call, keyed by the
-identity of the numerator dict, which the memo holds so that no other
-dict can take its id, and by the line's three integers: a division or
-image of the same Q on the same line as the call before, such as
-``divide_by_tube_factor`` after ``classify.QSDescription.contains`` on
-one tube, reuses the packed steps, since both read the one cached line.
-The memo skips only the Horner loop: every quotient is still unpacked and
-certified by line * quotient == d * Q (``_quotient``).
+``_line_horner`` is a pure function.  Each ``Poly2`` keeps the last pass
+asked of it, its line and steps, and ``Poly2._line_pass`` runs the loop
+only for another line: a division or image of Q on the line of its last
+pass, such as ``divide_by_tube_factor`` after
+``classify.QSDescription.contains`` on one tube, reuses the packed steps,
+since both read the one cached line, whatever other polynomials were
+asked about in between.  A Poly2 never changes, so a kept pass is never
+stale.  The memo skips only the Horner loop: every quotient is still
+unpacked and certified by line * quotient == d * Q (``_divide``).
 
 Both types print through one term printer, ``_join_terms``.
 """
@@ -111,7 +113,9 @@ def _num_den(value: RatLike) -> tuple[int, int]:
 
 
 def check_epsilon(eps: int) -> int:
-    if isinstance(eps, bool) or eps not in (-1, 1):
+    """eps itself when it is the int -1 or +1; a bool, float or Fraction
+    equal to one of them is no signal."""
+    if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (-1, 1):
         raise ValueError(f"eps must be -1 or +1, got {eps!r}")
     return eps
 
@@ -199,6 +203,9 @@ class Poly1:
 # numerator combination of Poly2._from_cleared
 _MIX = tuple((i * 2654435761) % 2**32 | 1 for i in range(1, 65))
 
+# the line pass of a Poly2 that was asked none: no line is ()
+_NO_PASS = ((), (0,), 1)
+
 
 def _convolve(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Product of two integer-coefficient polynomials given as exponent ->
@@ -277,9 +284,11 @@ class Poly2:
     the denominator and all numerators, in graded lexicographic order with
     x before y, highest degree first.  Equal polynomials have equal fields
     and print identically; ``terms`` and ``coeff`` hand out Fractions.
+    A third slot keeps the last line pass asked of the polynomial
+    (``_line_pass``); it takes no part in equality or hashing.
     """
 
-    __slots__ = ("_den", "_nums")
+    __slots__ = ("_den", "_nums", "_pass")
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -296,7 +305,7 @@ class Poly2:
         for e, num, d in parts:
             nums[e] = nums.get(e, 0) + num * (den // d)
         canonical = Poly2._from_cleared(nums, den)
-        self._den, self._nums = canonical._den, canonical._nums
+        self._den, self._nums, self._pass = canonical._den, canonical._nums, _NO_PASS
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -357,13 +366,24 @@ class Poly2:
     def _make(cls, nums: dict[tuple[int, int], int], den: int) -> "Poly2":
         """A Poly2 on fields already in canonical form."""
         p = cls.__new__(cls)
-        p._den, p._nums = den, nums
+        p._den, p._nums, p._pass = den, nums, _NO_PASS
         return p
 
     def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
         """(den, numerators), every coefficient numerator / den: the stored
         fields themselves, not to be mutated."""
         return self._den, self._nums
+
+    def _line_pass(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], int]:
+        """``_line_horner`` of the numerators on the line a*x + b*y + c = 0,
+        run only when the last pass asked of this polynomial was on another
+        line.  The pass replaces that one whole, so a hit is never stale:
+        the numerators never change."""
+        line, steps, k = self._pass
+        if line != (a, b, c):
+            steps, k = _line_horner(self._nums, a, b, c)
+            self._pass = (a, b, c), steps, k
+        return steps, k
 
     @classmethod
     def _from_cleared(cls, nums: Mapping[tuple[int, int], int], den: int) -> "Poly2":
@@ -498,16 +518,11 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     # r**(k-n+m), and the n + 1 rows run to x**n
     return [
         Poly1([Fraction(v * scale, den) for v in [0] * (n - m - k) + row[max(k - n + m, 0) :]])
-        for k, row in enumerate(_family_image(nums, c, a, b))
+        for k, row in enumerate(_family_image(nums, a, b, c))
     ]
 
 
-# the last (nums, c, a, b, steps, k) of ``_line_horner``: the entry holds
-# nums itself, so no other dict can take its id while it is kept
-_last_horner: tuple = (None, 0, 0, 0, (0,), 1)
-
-
-def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) -> tuple[tuple[int, ...], int]:
+def _line_horner(nums: Mapping[tuple[int, int], int], a: int, b: int, c: int) -> tuple[tuple[int, ...], int]:
     """Horner division in y of Q, given by its integer numerators, by the
     line a*x + b*y + c = 0, L = -(a*x + c)/b:
     Q = (y - L) * sum_j H_j * y**(j-1) + H_0.  Returns (steps, k): step j
@@ -516,13 +531,7 @@ def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) ->
     integers per power of x.  Step 0 is the image b**n * Q(x, L), zero iff
     its packed integer is, with constant term the lowest balanced digit;
     H_j / b (j >= 1) is the y**(j-1) column of the quotient by
-    a*x + b*y + c.  A zero a is the axis x = 0.  A call on the same nums
-    object and line as the call before returns that call's steps; nums is
-    never mutated after the call (a Poly2's numerators never are)."""
-    global _last_horner
-    last = _last_horner
-    if last[0] is nums and last[1] == c and last[2] == a and last[3] == b:
-        return last[4], last[5]
+    a*x + b*y + c.  A zero a is the axis x = 0."""
     n = max((j for _, j in nums), default=-1)
     bound = sum(map(abs, nums.values())) * max(abs(a) + abs(c), abs(b), 1) ** max(n, 0)
     k = bound.bit_length() + 1
@@ -536,9 +545,7 @@ def _line_horner(nums: Mapping[tuple[int, int], int], c: int, a: int, b: int) ->
         acc = acc * line + col * b_power
         steps.append(acc)
         b_power *= b
-    result = tuple(reversed(steps)) or (0,)
-    _last_horner = (nums, c, a, b, result, k)
-    return result, k
+    return tuple(reversed(steps)) or (0,), k
 
 
 def _unpack(v: int, k: int) -> list[int]:
@@ -554,7 +561,7 @@ def _unpack(v: int, k: int) -> list[int]:
 
 
 def _family_image(
-    nums: Mapping[tuple[int, int], int], c: Sequence[int], a: Sequence[int], b: Sequence[int]
+    nums: Mapping[tuple[int, int], int], a: Sequence[int], b: Sequence[int], c: Sequence[int]
 ) -> list[list[int]]:
     """The image b(r)**n * Q(x, -(a(r)*x + c(r))/b(r)) on a family line
     whose coefficients are integer lists in r: one integer list in r per
@@ -562,14 +569,14 @@ def _family_image(
     module docstring, the Horner loop in y runs on a list of packed
     integers per power of x, and each entry of its last step is unpacked."""
     n = max((j for _, j in nums), default=0)
-    norm = [sum(map(abs, p)) for p in (c, a, b)]
-    bound = sum(map(abs, nums.values())) * max(norm[0] + norm[1], norm[2], 1) ** n
+    norm_a, norm_b, norm_c = (sum(map(abs, p)) for p in (a, b, c))
+    bound = sum(map(abs, nums.values())) * max(norm_a + norm_c, norm_b, 1) ** n
     k = bound.bit_length() + 1
-    c, a, b = (sum(v << (k * e) for e, v in enumerate(p)) for p in (c, a, b))
+    a, b, c = (sum(v << (k * e) for e, v in enumerate(p)) for p in (a, b, c))
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for (i, j), v in nums.items():
         cols[j].append((i, v))
-    c, a = -c, -a
+    a, c = -a, -c
     rows: list[int] = []
     b_power = 1
     for col in reversed(cols):
@@ -584,22 +591,15 @@ def _family_image(
 
 
 def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
-    """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by one
-    ``_line_horner`` pass on Q's numerators: None when Q is not in the
-    ideal of the line (step 0 is a nonzero integer), else the quotient of
-    ``_quotient``."""
+    """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by Q's pass
+    on the line (``Poly2._line_pass``): None when Q is not in the ideal of
+    the line (step 0 is a nonzero integer), else steps 1..n unpacked,
+    certified by line * quotient == d * Q (InternalMismatch on failure, an
+    arithmetic bug)."""
+    steps, k = q._line_pass(a, b, c)
+    if steps[0]:
+        return None
     den, nums = q._cleared()
-    steps, k = _line_horner(nums, c, a, b)
-    return None if steps[0] else _quotient(den, nums, steps, k, a, b, c, d)
-
-
-def _quotient(
-    den: int, nums: Mapping[tuple[int, int], int], steps: Sequence[int], k: int, a: int, b: int, c: int, d: int
-) -> Poly2:
-    """Q / ((a*x + b*y + c)/d), Q = nums / den, from the ``_line_horner``
-    steps of nums on the line packed at x = 2**k, step 0 zero: steps 1..n
-    unpacked, certified by line * quotient == d * Q (InternalMismatch on
-    failure, an arithmetic bug)."""
     # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
     # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
     scale = den * b ** (len(steps) - 1)
@@ -617,15 +617,14 @@ def _quotient(
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     """Exact univariate image Q(eps*x/r, eps*(x*r + 1)/(2*r)): step 0 of
-    ``_line_horner`` on the generator's integer line, unpacked and
-    rescaled.  No quotient is built."""
+    Q's pass on the generator's integer line (``Poly2._line_pass``),
+    unpacked and rescaled.  No quotient is built."""
     a, b, c, _ = _tube_line(r, eps)
-    den, nums = q._cleared()
-    steps, k = _line_horner(nums, c, a, b)
+    steps, k = q._line_pass(a, b, c)
     # step 0 is den * b**n * Q(x, L), b = -2*p*s at r = p/s: over that
     # factor and with x -> eps*x/r it is the image
     p, s = _num_den(r)
-    scale = den * b ** (len(steps) - 1)
+    scale = q._den * b ** (len(steps) - 1)
     return Poly1([Fraction(v * (eps * s) ** e, scale * p**e) for e, v in enumerate(_unpack(steps[0], k))])
 
 

@@ -557,21 +557,15 @@ class GeneratorFamily(NamedTuple):
         """R(0, r) / r**m up to a constant factor, as integers: its positive
         roots are the cylinder radii; zero ([]) when Q vanishes on the whole
         axis.  The image of Q's x**0 terms alone on the line x = 0."""
-        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, self.c, (), self.b)
+        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, (), self.b, self.c)
         return _without_r_power(rows[0]) if rows else []
 
     def star_poly(self, q: Poly2) -> list[int]:
         """The primitive gcd of the x-coefficients of R(x, r), each without
         its factor r**m, as integers: its positive roots are the radii at
         which Q lies in the ideal of G_r."""
-        rows = _family_image(q._cleared()[1], self.c, self.a, self.b)
+        rows = _family_image(q._cleared()[1], self.a, self.b, self.c)
         return reduce(_common_divisor, map(_without_r_power, rows), [])
-
-    def _at(self, r: Fraction) -> tuple[int, int, int, int]:
-        """G_r / d(r) at r = p/q up to the common factor q**m, m the top
-        degree of the fields: ``polyalg._integer_line``, the one cached
-        line per (row, r) that the tube functions of ``polyalg`` read too."""
-        return _integer_line(self, r.numerator, r.denominator)
 
 
 # the table of families
@@ -610,8 +604,9 @@ def decide_radii(
     decisions = []
     for rad in radii:
         quotient = None
-        if rad.exact_value is not None:
-            quotient = _divide(q, *family._at(rad.exact_value))
+        r = rad.exact_value
+        if r is not None:
+            quotient = _divide(q, *_integer_line(family, r.numerator, r.denominator))
             star = quotient is not None
         else:
             if star_poly is None:

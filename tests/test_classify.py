@@ -243,6 +243,13 @@ class TestClassifyLinear:
         with pytest.raises(DegenerateRelation):
             classify_linear(Fraction(0), Fraction(0), Fraction(5))
 
+    def test_inexact_coefficients_rejected(self):
+        # 0.1 would be read as its binary value and True as 1
+        for value in (0.1, 1.0, True):
+            for args in ((value, 1, 2), (1, value, 2), (1, 1, value)):
+                with pytest.raises(TypeError, match="^expected an exact rational, got "):
+                    classify_linear(*args, "euclidean")
+
     def test_sweep_small(self):
         rng = random.Random(71)
         for _ in range(150):
@@ -269,6 +276,12 @@ class TestSecondFundamental:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveLength):
             classify_second_fundamental(Fraction(0))
+
+    def test_inexact_length_rejected(self):
+        # 0.5 would report the radius 2, and True the length 1
+        for c in (0.5, 1.0, True):
+            with pytest.raises(TypeError, match="^expected an exact rational, got "):
+                classify_second_fundamental(c)
 
 
 class TestPrincipal:

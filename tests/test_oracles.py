@@ -21,8 +21,9 @@ code with the library:
   the Fraction bisection it replaced;
 * the Horner division packed at x = 2**k: ``list_horner``, the loop on
   integer lists it replaced, and ``line_restriction``;
-* the one-entry memo of that division: ``conftest.brute_substitute`` and
-  Q(0, eps/(2r)) after Q(S) calls on several lines in any order;
+* the last pass of that division that each Poly2 keeps:
+  ``conftest.brute_substitute`` and Q(0, eps/(2r)) after Q(S) calls on
+  several lines in any order;
 * the cached integer line of a family at r: ``family_line``, a Fraction
   evaluation of its coefficient polynomials;
 * Q(S) membership against S(Q), the paper's duality: each class of
@@ -61,6 +62,7 @@ from weingarten_tubes.polyalg import (
     _expand_power,
     _divide,
     _family_image,
+    _integer_line,
     _line_horner,
     _unpack,
     divide_by_tube_factor,
@@ -201,7 +203,7 @@ def test_division_by_a_general_line(a, gx, gy, gc, shift):
 
     def remainder(q):
         den, q_nums = q._cleared()
-        steps, k = _line_horner(q_nums, line[2], line[0], line[1])
+        steps, k = _line_horner(q_nums, *line[:3])
         return list(Poly1([Fraction(v, den * line[1] ** (len(steps) - 1)) for v in _unpack(steps[0], k)]).coeffs)
 
     q = Poly2(brute_product(g, a))
@@ -270,7 +272,7 @@ def test_packed_horner_matches_the_list_horner(a, gx, gy, gc, d, shift):
     member = Poly2(brute_product(g, a))
     for q in (member, member + Poly2.constant(shift), a):
         den, nums = q._cleared()
-        steps, k = _line_horner(nums, gc, gx, gy)
+        steps, k = _line_horner(nums, gx, gy, gc)
         rows = [without_trailing_zeros(row) for row in list_horner(nums, gc, gx, gy)]
         assert [_unpack(step, k) for step in steps] == rows
         image = [Fraction(v, den * gy ** (len(steps) - 1)) for v in _unpack(steps[0], k)]
@@ -365,7 +367,7 @@ def test_second_fundamental_matches_the_papers_answer(c):
 @given(a=cofactors, b=polys, shift=coefficients, r=positive_radii, eps=signals)
 def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
     """Membership as QSDescription.contains reads it at a rational r, step 0
-    of ``_line_horner`` on the family's cached line ``family._at(r)`` (the
+    of ``_line_horner`` on the family's cached line ``_integer_line`` (the
     packed image is zero), on planted members G_r*A, the same shifted by a
     nonzero constant (never members) and by x*B (members or not), for the
     K-H row of signal eps and the principal row.  Its lowest base-2**k
@@ -377,8 +379,8 @@ def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
     cylinders = [(solve_QS(TubeIdentity(tag, r, True)), tag.eps / (2 * r)) for tag in LANES]
 
     def packed_image(family, q):
-        a, b, c, _ = family._at(r)
-        steps, k = _line_horner(q._cleared()[1], c, a, b)
+        a, b, c, _ = _integer_line(family, r.numerator, r.denominator)
+        steps, k = _line_horner(q._cleared()[1], a, b, c)
         return steps[0], k
 
     for family, gen, brute, y0 in (
@@ -465,7 +467,7 @@ def test_qs_membership_is_dual_to_sq(rationals, quadratics, factor):
 
 def line_relation(family, r: Fraction) -> Poly2:
     """G_r / d(r) at a rational r, read off the family's cached line."""
-    a, b, c, d = family._at(r)
+    a, b, c, d = _integer_line(family, r.numerator, r.denominator)
     return Poly2._from_cleared({(1, 0): a, (0, 1): b, (0, 0): c}, d)
 
 
@@ -480,14 +482,15 @@ def family_line(family, r: Fraction) -> tuple[int, ...]:
 @example(r=Fraction(1))
 @given(r=positive_radii)
 def test_cached_family_line_is_the_evaluated_one(r):
-    """``GeneratorFamily._at`` through its bounded cache, on the first call
-    at r and on a repeat, is the family evaluated at r, for every row of
-    the family table and the principal family; ``tube_generator(r, eps)``,
-    which reads the same cache, is each K-H lane's generator, with the
-    evaluated integers as its cleared fields, and the one that
-    ``QSDescription.generator`` returns."""
+    """``polyalg._integer_line`` of a family through its bounded cache, on
+    the first call at r and on a repeat, is the family evaluated at r, for
+    every row of the family table and the principal family;
+    ``tube_generator(r, eps)``, which reads the same cache, is each K-H
+    lane's generator, with the evaluated integers as its cleared fields,
+    and the one that ``QSDescription.generator`` returns."""
     for family in (*_TUBE_FAMILIES.values(), PRINCIPAL):
-        assert family._at(r) == family._at(r) == family_line(family, r)
+        line = _integer_line(family, r.numerator, r.denominator)
+        assert line == _integer_line(family, r.numerator, r.denominator) == family_line(family, r)
     for tag, family in _TUBE_FAMILIES.items():
         a, b, c, d = family_line(family, r)
         generator = tube_generator(r, tag.eps)
@@ -568,6 +571,28 @@ def test_member_certificate_runs_after_contains(monkeypatch):
         monkeypatch.undo()
 
 
+def test_interleaved_relations_keep_their_own_pass(monkeypatch):
+    """Each Poly2 keeps the last pass asked of it: Q1 on line A, then Q2 on
+    line B, then Q1 on line A again, by division, image and membership,
+    runs two Horner passes, not three, and every answer is right."""
+    r, s = Fraction(7, 3), Fraction(5, 2)
+    a = X * Y - Poly2.constant(Fraction(5, 2))
+    q1, q2 = tube_generator(r, 1) * a, tube_generator(s, -1) * a + Poly2.constant(1)
+    passes = []
+    line_horner = polyalg._line_horner
+
+    def counting(*args):
+        passes.append(args)
+        return line_horner(*args)
+
+    monkeypatch.setattr(polyalg, "_line_horner", counting)
+    assert divide_by_tube_factor(q1, r, 1) == a
+    assert list(substitute_tube(q2, s, -1).coeffs) == brute_substitute(q2, s, -1) != []
+    assert divide_by_tube_factor(q1, r, 1) == a
+    assert solve_QS(TubeIdentity(EUCLIDEAN, r, False)).contains(q1)
+    assert len(passes) == 2
+
+
 @PROPERTY
 @example(shape="axis", a=Poly2.constant(1), b=Poly2.zero(), r=Fraction(1), tag=EUCLIDEAN)
 @given(shape=shapes, a=cofactors, b=polys, r=positive_radii, tag=tags)
@@ -591,7 +616,7 @@ def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
 def restriction_rows(family, q: Poly2) -> list[list[int]]:
     """The family's R(x, r) times Q's common denominator, by the library's
     one Horner routine: one integer list in r per power of x."""
-    return _family_image(q._cleared()[1], family.c, family.a, family.b)
+    return _family_image(q._cleared()[1], family.a, family.b, family.c)
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:

@@ -4,6 +4,7 @@ machinery, quotients and the binomial identity."""
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -109,10 +110,15 @@ class TestRingOperations:
                 build()
 
     def test_bool_is_not_a_signal(self):
-        # tube_generator(1, True) would be the eps = +1 generator
-        for eps in (True, False):
-            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {eps}$"):
+        # tube_generator(1, True) would be the eps = +1 generator, and a
+        # float or Fraction eps would put a non-integer into its line
+        for eps in (True, False, 1.0, -1.0, Fraction(1)):
+            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {re.escape(repr(eps))}$"):
                 tube_generator(1, eps)
+            with pytest.raises(ValueError, match="^eps must be -1 or \\+1"):
+                divide_by_tube_factor(X, 2, eps)
+            with pytest.raises(ValueError, match="^eps must be -1 or \\+1"):
+                substitute_tube(X, 2, eps)
 
     def test_exponents_must_be_integers(self):
         for e in (1.5, Fraction(1), 1.0):
@@ -469,7 +475,7 @@ class TestPackedHorner:
     # the cross term 2*a*c of (a*x + c)**2 needs |a|_1 + |c|_1 in the bound, not the larger
     @example(q=Poly2({(0, 2): 1}), c=[2**80], a=[2**80], b=[1])
     def test_rows_are_the_image_at_every_rational_r(self, q, c, a, b):
-        rows = _family_image(q._cleared()[1], c, a, b)
+        rows = _family_image(q._cleared()[1], a, b, c)
         checked = 0
         for v in (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-7, 5), Fraction(11, 2), Fraction(0)):
             b_v = eval_list(b, v)
@@ -484,8 +490,8 @@ class TestPackedHorner:
         # 2**80 - 1, so k = 81 and the one row coefficient is -+(2**(k-1) - 1)
         edge = 2**80 - 1
         for sign in (1, -1):
-            assert _family_image({(0, 1): 1}, [-sign * edge], [], [1]) == [[sign * edge]]
-            assert _family_image({(0, 1): 1}, [0, 0, -sign * edge], [], [3]) == [[0, 0, sign * edge]]
+            assert _family_image({(0, 1): 1}, [], [1], [-sign * edge]) == [[sign * edge]]
+            assert _family_image({(0, 1): 1}, [], [3], [0, 0, -sign * edge]) == [[0, 0, sign * edge]]
         # balanced digits at both ends of [-2**(k-1), 2**(k-1)), next to zeros
         k = 81
         for digits in ([-(2**80), 2**80 - 1], [2**80 - 1, 0, -(2**80)], [0, -(2**80), -(2**80)], [-1, 2**80 - 1]):
@@ -502,21 +508,21 @@ class TestLineHorner:
         edge = 2**80 - 1
         for sign in (1, -1):
             # the image -c on the line y + c, in the x**0 digit
-            assert _line_horner({(0, 1): 1}, -sign * edge, 0, 1) == ((sign * edge, 1), 81)
+            assert _line_horner({(0, 1): 1}, 0, 1, -sign * edge) == ((sign * edge, 1), 81)
             # the image -a*x on the line a*x + y, next to a zero x**0 digit
-            steps, k = _line_horner({(0, 1): 1}, 0, -sign * edge, 1)
+            steps, k = _line_horner({(0, 1): 1}, -sign * edge, 1, 0)
             assert k == 81 and [_unpack(step, k) for step in steps] == [[0, sign * edge], [1]]
             # the member sign * edge * y of the line y: zero image, and its
             # quotient column sign * edge is at the edge
-            assert _line_horner({(0, 1): sign * edge}, 0, 0, 1) == ((0, sign * edge), 81)
+            assert _line_horner({(0, 1): sign * edge}, 0, 1, 0) == ((0, sign * edge), 81)
             assert _divide(Poly2({(0, 1): sign * edge}), 0, 1, 0, 1) == Poly2.constant(sign * edge)
         # the cross term 2*a*c of (a*x + c)**2 needs |a| + |c| in the bound,
         # not the larger of the two
-        steps, k = _line_horner({(0, 2): 1}, 2**80, 2**80, 1)
+        steps, k = _line_horner({(0, 2): 1}, 2**80, 1, 2**80)
         assert _unpack(steps[0], k) == [2**160, 2**161, 2**160]
 
     def test_memo_under_threads(self):
-        # the memo is one module-level entry that each call replaces whole:
+        # each relation's memo is one entry that each pass replaces whole:
         # threads that divide their own relations on their own lines,
         # switched every microsecond, each get their own answers.  A thread
         # finishes only when every answer was right: a wrong one or an

@@ -457,9 +457,10 @@ class TestSpaceTag:
             SpaceTag("galilean")
 
     def test_bool_signal_rejected(self):
-        # True would otherwise pass as eps = +1
-        for eps in (True, False):
-            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {eps}$"):
+        # True would otherwise pass as eps = +1, and 1.0 or Fraction(1) as
+        # a signal that is not an int
+        for eps in (True, False, 1.0, -1.0, Fraction(1)):
+            with pytest.raises(ValueError, match=f"^eps must be -1 or \\+1, got {re.escape(repr(eps))}$"):
                 SpaceTag("lorentzian", eps)
 
 
