@@ -10,18 +10,19 @@ be verified on sampled surfaces.
 
 A sample grid is walked in one place, ``_grid_blocks``: one ``mu_eta``
 per t column, then blocks of whole s-rows of at most ``BLOCK_POINTS``
-points, each one call of the kernel ``_block`` (one ``_frames`` call
-for the rows, whose one-row case is ``frenet_frame``, and all points as
-(rows, n_t, dim) arrays); every grid function, ``curvatures`` as a
+points, each one call of the kernel ``_block`` (one ``_frames`` call on
+one curve ``jet`` per row, and all points as component-major
+(dim, rows, n_t) arrays); every grid function, ``curvatures`` as a
 one-point block, reads that pass, and ``verify`` takes residual, argmax
 and CSV per block.  The kernel gives the bits of per-point scalar
 evaluation on per-row frames (the reference in
-``tests/test_row_kernel.py``): section values and powers above 1 come
-from Python's ``math`` and ``pow``, as numpy's SIMD libm can differ in
-the last ulp; array expressions keep the scalar operand order; each
-inner product is one ``np.vecdot``, the same sequential FMA chain as
-``np.dot`` on this numpy/OpenBLAS build; a block's cross-product minors
-go to one batched ``det``, which keeps each matrix's LAPACK bits.
+``tests/test_row_kernel.py``): jets, section values and powers above 1
+come from Python's ``math`` and ``pow``, as numpy's SIMD libm can differ
+in the last ulp; array expressions keep the scalar operand order; each
+inner product is one ``np.vecdot`` over axis 0 of at most 3 terms (L^4's
+is 3 minus one product), on this numpy/OpenBLAS build the FMA chain of
+``np.dot`` (a 4-term one over axis 0 is not); a block's cross-product
+minors go to one batched ``det``, which keeps each matrix's LAPACK bits.
 
 Importing this module imports numpy.  A process that runs only exact
 algebra loads neither: ``cli`` puts this module in ``sys.modules`` as a
@@ -82,10 +83,10 @@ REGULARITY_CUTOFF = 1e-3
 
 
 def _inner(space: str, u, v):
-    """The space's inner product over the last axis (H^3 lives in L^4)."""
+    """The space's inner product over axis 0, the components (H^3 lives in L^4)."""
     if space == "euclidean":
-        return np.vecdot(u, v)
-    return np.vecdot(u[..., :-1], v[..., :-1]) - u[..., -1] * v[..., -1]
+        return np.vecdot(u, v, axis=0)
+    return np.vecdot(u[:-1], v[:-1], axis=0) - u[-1] * v[-1]
 
 
 def lorentz_cross(*vectors) -> np.ndarray:
@@ -111,21 +112,17 @@ def _pow(x, n: int):
 
 
 class CentralCurve(NamedTuple):
-    """Unit-speed central curve with analytic derivatives to order 3.
+    """Unit-speed central curve: ``jet(s)`` is (gamma, gamma', gamma'', gamma''') at s.
 
     eps_T/eps_N are the (constant) causalities of the tangent and
     principal normal; both are +1 outside the Lorentzian space.  For
     geodesics (kappa = 0) no Frenet frame exists and a constant
     orthonormal completion (normal0, binormal0) is carried instead.
-    Curvature and torsion are constant along every built-in curve.
     """
 
     space: str
     name: str
-    gamma: Callable[[float], np.ndarray]
-    d1: Callable[[float], np.ndarray]
-    d2: Callable[[float], np.ndarray]
-    d3: Callable[[float], np.ndarray]
+    jet: Callable[[float], tuple[tuple[float, ...], ...]]
     domain: tuple[float, float]
     periodic: bool = False
     eps_T: int = 1
@@ -151,17 +148,16 @@ class FrenetFrame(NamedTuple):
 
 
 def _frames(curve: CentralCurve, s_rows: Sequence[float]) -> FrenetFrame:
-    """The frames at the parameters s_rows as one record of (rows, dim)
+    """The frames at the parameters s_rows as one record of (dim, rows)
     vectors and (rows,) kappa, tau and signs; a geodesic gets its constant
     completion.  Raises for the first row where the curve is not biregular
     (DegenerateFrame) or its acceleration numerically lightlike
     (LightlikeNormal), with that row's s."""
     space = curve.space
-    derivatives = (curve.gamma, curve.d1, curve.d2, curve.d3)
-    pos, t_vec, acc, jerk = (np.array([d(s) for s in s_rows], dtype=float) for d in derivatives)
+    pos, t_vec, acc, jerk = np.array([curve.jet(s) for s in s_rows], dtype=float).transpose(1, 2, 0)
     ones = np.ones(len(s_rows))
     if curve.is_geodesic:
-        n_vec, b_vec = (np.broadcast_to(np.asarray(v, dtype=float), pos.shape) for v in (curve.normal0, curve.binormal0))
+        n_vec, b_vec = (np.broadcast_to(np.asarray(v, dtype=float)[:, None], pos.shape) for v in (curve.normal0, curve.binormal0))
         eps = (curve.eps_T, curve.eps_N, -curve.eps_T * curve.eps_N if space == "lorentzian" else 1)
         return FrenetFrame(pos, t_vec, n_vec, b_vec, 0.0 * ones, 0.0 * ones, *(e * ones for e in eps))
 
@@ -172,7 +168,7 @@ def _frames(curve: CentralCurve, s_rows: Sequence[float]) -> FrenetFrame:
     if space == "euclidean":
         degenerate, what = kappa < BIREGULARITY_EPS, f"has |gamma''| < {BIREGULARITY_EPS}"
     elif space == "lorentzian":
-        degenerate, what = np.sqrt(np.vecdot(acc, acc)) < BIREGULARITY_EPS, "has gamma'' ~ 0"
+        degenerate, what = np.sqrt(np.vecdot(acc, acc, axis=0)) < BIREGULARITY_EPS, "has gamma'' ~ 0"
     else:
         degenerate, what = h < BIREGULARITY_EPS**2, f"has |gamma'' - gamma| < {BIREGULARITY_EPS}"
     failed = degenerate | ((abs(h) < BIREGULARITY_EPS**2) & (space == "lorentzian"))
@@ -186,13 +182,13 @@ def _frames(curve: CentralCurve, s_rows: Sequence[float]) -> FrenetFrame:
     if space == "lorentzian":
         eps_T, eps_N = (np.where(v > 0, 1.0, -1.0) for v in (_inner(space, t_vec, t_vec), h))
         eps_B = -eps_T * eps_N
-    n_vec = w / kappa[:, None]
+    n_vec = w / kappa
     if space == "euclidean":
-        b_vec = np.cross(t_vec, n_vec)
+        b_vec = np.cross(t_vec, n_vec, axis=0)
     else:
-        b_vec = lorentz_cross(*([pos] if space == "hyperbolic" else []), t_vec, n_vec)
+        b_vec = lorentz_cross(*(v.T for v in ([pos] if space == "hyperbolic" else []) + [t_vec, n_vec])).T
     kappa_dot = eps_N * _inner(space, w, w_dot) / kappa
-    n_prime = w_dot / kappa[:, None] - w * (kappa_dot / _pow(kappa, 2))[:, None]
+    n_prime = w_dot / kappa - w * (kappa_dot / _pow(kappa, 2))
     # tau is the B-coefficient of N' so the frame equations hold exactly
     tau = eps_B * _inner(space, n_prime, b_vec)
     return FrenetFrame(pos, t_vec, n_vec, b_vec, kappa, tau, eps_T, eps_N, eps_B)
@@ -205,7 +201,7 @@ def frenet_frame(curve: CentralCurve, s: float) -> FrenetFrame:
     LightlikeNormal if the acceleration is numerically lightlike."""
     # without its completion a geodesic fails the biregularity check
     frame = _frames(curve._replace(normal0=None, binormal0=None), [s])
-    return FrenetFrame(*(v[0] for v in frame[:4]), *(v.item() for v in frame[4:6]), *(int(e.item()) for e in frame[6:]))
+    return FrenetFrame(*(v[:, 0] for v in frame[:4]), *(v.item() for v in frame[4:6]), *(int(e.item()) for e in frame[6:]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +292,17 @@ class CurvatureSample(NamedTuple):
     eps: int
 
 
-# Points per block of the grid pass, bounded for memory: the kernel's
-# arrays peak at about 0.3 KB per point.  On a 512x512 H^3 grid (2-vCPU x86
-# host) one whole-grid block raised peak RSS from 30 to 112 MB.  A 512x512
-# torus with --csv took 0.92 s in blocks of 4096 points and 0.96 s in blocks
-# of 1024, at peaks of 34.4 and 31.8 MB.
+# Points per block of the grid pass, bounded for memory (2-vCPU x86 host):
+# one whole-grid block of a 512x512 H^3 grid peaked at 111 MB, not 31 MB.
+# A 512x512 torus with --csv took 0.29 s in blocks of 4096 and 0.55 s in
+# blocks of 1024, at peaks of 34.3 and 32.5 MB.
 BLOCK_POINTS = 1024
 
 
 def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple:
     """The curvature kernel over a block of s-rows: the block's tube frames
-    as (rows, 1, dim) and (rows, 1, 1) arrays, against the
-    (6, 1, n_t, 1) section values (mu, eta, mu', eta', mu'', eta'') of the
+    as component-major (dim, rows, 1) vectors and (rows, 1) scalars, against
+    the (6, 1, n_t) section values (mu, eta, mu', eta', mu'', eta'') of the
     t columns.  K and H come from the first/second fundamental forms of
     psi = A*gamma + rho*(mu N + eta B), (A, rho) = (1, r), or
     (cosh r, sinh r) in H^3, through the one set of frame equations of the
@@ -328,10 +323,10 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     with np.errstate(all="ignore"):
         frame = _frames(spec.curve, s_rows)
     ch, rho = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, r)
-    gamma, T, N, B = (v[:, None, :] for v in frame[:4])
-    kappa, tau = (v[:, None, None] for v in frame[4:6])
+    gamma, T, N, B = (v[..., None] for v in frame[:4])
+    kappa, tau = (v[:, None] for v in frame[4:6])
     # E^3 and H^3 frames obey the Lorentzian frame equations at these signs
-    eT, eN, eB = (v[:, None, None] for v in frame[6:]) if space == "lorentzian" else (-1.0, -1.0, -1.0)
+    eT, eN, eB = (v[:, None] for v in frame[6:]) if space == "lorentzian" else (-1.0, -1.0, -1.0)
     kappa2, tau2 = _pow(kappa, 2), _pow(tau, 2)
     mu, eta, mu_t, eta_t, mu_tt, eta_tt = sec
     # the closed forms divide by xi ~ 0 at irregular points
@@ -365,17 +360,13 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
                 h_cf = (2.0 * r * kappa * mu - 1.0) / (2.0 * r * (r * kappa * mu - 1.0))
         regular = ~(abs(xi) < REGULARITY_CUTOFF)
         normal = -(mu * N + eta * B)
-
-        def inner(u, v):
-            return _inner(space, u, v)[..., None]
-
-        eps_f = inner(normal, normal)
-        E = inner(psi_s, psi_s)
-        F = inner(psi_s, psi_t)
-        G = inner(psi_t, psi_t)
-        e = inner(psi_ss, normal)
-        f = inner(psi_ts, normal)
-        g = inner(psi_tt, normal)
+        eps_f = _inner(space, normal, normal)
+        E = _inner(space, psi_s, psi_s)
+        F = _inner(space, psi_s, psi_t)
+        G = _inner(space, psi_t, psi_t)
+        e = _inner(space, psi_ss, normal)
+        f = _inner(space, psi_ts, normal)
+        g = _inner(space, psi_tt, normal)
         denom = E * G - F * F
         eps = np.where(eps_f > 0, 1, -1)
         K = eps * (e * g - f * f) / denom
@@ -396,7 +387,7 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
             raise OverflowError(
                 f"K = {float(K.flat[k])}, H = {float(H.flat[k])} at {at}: radius {r!r} is too large for double precision"
             )
-    return tuple(a[..., 0] for a in (regular, K, H, k_cf, h_cf, xi, eps))
+    return regular, K, H, k_cf, h_cf, xi, eps
 
 
 def _grid_blocks(spec: TubeSpec, s_grid: Sequence[float], t_grid: list) -> Iterator[tuple]:
@@ -407,7 +398,7 @@ def _grid_blocks(spec: TubeSpec, s_grid: Sequence[float], t_grid: list) -> Itera
     arrays.  A block that fails is walked again one row at a time, so the
     first error in row-major order is raised after the rows before it."""
     s_grid = list(s_grid)
-    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.reshape(6, 1, -1, 1)
+    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.reshape(6, 1, -1)
     step = max(1, BLOCK_POINTS // max(1, len(t_grid)))
     for start in range(0, len(s_grid), step):
         s_rows = s_grid[start : start + step]
@@ -463,27 +454,29 @@ class VerificationResult(NamedTuple):
 
 
 CSV_HEADER = "s,t,K,H,K_cf,H_cf,xi,residual"
-_CSV_LINE = "\n" + ",".join(["%s"] * 8)
 
 
 def _csv_block(s, t, regular, *columns) -> str:
     """CSV lines of a block, each led by a newline: s and t against the
     (rows, n_t) columns K, H, K_cf, H_cf, xi and residual, nan curvatures
-    at irregular points.  A 17-digit print costs about 0.5 us and most
+    at irregular points.  A 17-digit print costs about 0.35 us and most
     values repeat (on constant-curvature curves K_cf, H_cf and xi vary with
     t alone), so one %-format prints s, t and each distinct bit pattern of
-    the six columns once (0.0 and -0.0 print 0 and -0); a second places them."""
+    the six columns once (0.0 and -0.0 print 0 and -0), each after its
+    separator and a space to split on, which no %.17g output contains;
+    one join of the (rows, n_t, 8) table of these fields gives the lines."""
     s, t = (np.array(v, dtype=float).ravel() for v in (s, t))
     curvatures = [np.where(regular, v, np.nan) for v in columns[:4]]
     values = np.stack((*curvatures, *columns[4:]), axis=-1, dtype=float)
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
-    distinct = [*bits.view(float).tolist(), *s.tolist(), *t.tolist()]
-    digits = np.array(("%.17g," * len(distinct) % tuple(distinct)).split(",")[:-1], dtype=object)
+    distinct = (*bits.view(float).tolist(), *t.tolist(), *s.tolist())
+    text = (" ,%.17g" * (bits.size + t.size) + " \n%.17g" * s.size) % distinct
+    fields = np.array(text.split(" ")[1:], dtype=object)
     table = np.empty((s.size, t.size, 8), dtype=object)
-    table[..., 0] = digits[bits.size : bits.size + s.size, None]
-    table[..., 1] = digits[bits.size + s.size :]
-    table[..., 2:] = digits[inverse].reshape(values.shape)
-    return _CSV_LINE * (table.size // 8) % tuple(table.ravel().tolist())
+    table[..., 0] = fields[bits.size + t.size :, None]
+    table[..., 1] = fields[bits.size : bits.size + t.size]
+    table[..., 2:] = fields[inverse].reshape(values.shape)
+    return "".join(table.ravel().tolist())
 
 
 def _verification(
@@ -568,10 +561,7 @@ def e3_line() -> CentralCurve:
     return CentralCurve(
         space="euclidean",
         name="e3-line",
-        gamma=lambda s: np.array([s, 0.0, 0.0]),
-        d1=lambda s: np.array([1.0, 0.0, 0.0]),
-        d2=lambda s: np.zeros(3),
-        d3=lambda s: np.zeros(3),
+        jet=lambda s: ((s, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         domain=(0.0, 2.0 * math.pi),
         normal0=(0.0, 1.0, 0.0),
         binormal0=(0.0, 0.0, 1.0),
@@ -582,13 +572,15 @@ def e3_circle(R: float) -> CentralCurve:
     if not R > 0:
         raise ValueError("circle radius must be positive")
     w = 1.0 / R
+
+    def jet(s):
+        cs, sn = math.cos(w * s), math.sin(w * s)
+        return (R * cs, R * sn, 0.0), (-sn, cs, 0.0), (-w * cs, -w * sn, 0.0), (w * w * sn, -w * w * cs, 0.0)
+
     return CentralCurve(
         space="euclidean",
         name=f"e3-circle(R={R:g})",
-        gamma=lambda s: np.array([R * math.cos(w * s), R * math.sin(w * s), 0.0]),
-        d1=lambda s: np.array([-math.sin(w * s), math.cos(w * s), 0.0]),
-        d2=lambda s: np.array([-w * math.cos(w * s), -w * math.sin(w * s), 0.0]),
-        d3=lambda s: np.array([w * w * math.sin(w * s), -w * w * math.cos(w * s), 0.0]),
+        jet=jet,
         domain=(0.0, 2.0 * math.pi * R),
         periodic=True,
     )
@@ -599,13 +591,16 @@ def _circular_helix(
 ) -> CentralCurve:
     """Unit-speed helix (a cos(s/c), a sin(s/c), b s/c) over one turn."""
     w = 1.0 / c
+
+    def jet(s):
+        cs, sn = math.cos(w * s), math.sin(w * s)
+        gamma, d1 = (a * cs, a * sn, b * w * s), (-a * w * sn, a * w * cs, b * w)
+        return gamma, d1, (-a * w * w * cs, -a * w * w * sn, 0.0), (a * w**3 * sn, -a * w**3 * cs, 0.0)
+
     return CentralCurve(
         space=space,
         name=name,
-        gamma=lambda s: np.array([a * math.cos(w * s), a * math.sin(w * s), b * w * s]),
-        d1=lambda s: np.array([-a * w * math.sin(w * s), a * w * math.cos(w * s), b * w]),
-        d2=lambda s: np.array([-a * w * w * math.cos(w * s), -a * w * w * math.sin(w * s), 0.0]),
-        d3=lambda s: np.array([a * w**3 * math.sin(w * s), -a * w**3 * math.cos(w * s), 0.0]),
+        jet=jet,
         domain=(0.0, 2.0 * math.pi * c),
         eps_T=eps_T,
         eps_N=eps_N,
@@ -632,13 +627,16 @@ def l3_spacelike_helix_timelike_normal(a: float, b: float) -> CentralCurve:
         raise ValueError("helix needs a > 0")
     c = math.hypot(a, b)
     w = 1.0 / c
+
+    def jet(s):
+        sh, ch = math.sinh(w * s), math.cosh(w * s)
+        gamma, d1 = (a * sh, b * w * s, a * ch), (a * w * ch, b * w, a * w * sh)
+        return gamma, d1, (a * w * w * sh, 0.0, a * w * w * ch), (a * w**3 * ch, 0.0, a * w**3 * sh)
+
     return CentralCurve(
         space="lorentzian",
         name=f"l3-helix-st(a={a:g},b={b:g})",
-        gamma=lambda s: np.array([a * math.sinh(w * s), b * w * s, a * math.cosh(w * s)]),
-        d1=lambda s: np.array([a * w * math.cosh(w * s), b * w, a * w * math.sinh(w * s)]),
-        d2=lambda s: np.array([a * w * w * math.sinh(w * s), 0.0, a * w * w * math.cosh(w * s)]),
-        d3=lambda s: np.array([a * w**3 * math.cosh(w * s), 0.0, a * w**3 * math.sinh(w * s)]),
+        jet=jet,
         domain=(-math.pi, math.pi),
         eps_T=1,
         eps_N=-1,
@@ -657,7 +655,7 @@ def l3_line(causality: str = "spacelike", normal: str = "spacelike") -> CentralC
     """Lorentzian geodesic with a constant orthonormal completion whose
     normal has the requested causality."""
     if causality == "spacelike":
-        direction = np.array([1.0, 0.0, 0.0])
+        direction = (1.0, 0.0, 0.0)
         eps_T = 1
         if normal == "spacelike":
             n0, b0, eps_N = (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), 1  # b0 = e1 x e2 = -e3
@@ -668,18 +666,16 @@ def l3_line(causality: str = "spacelike", normal: str = "spacelike") -> CentralC
     elif causality == "timelike":
         if normal != "spacelike":
             raise InvalidSpecRow("a timelike geodesic has a spacelike normal plane")
-        direction = np.array([0.0, 0.0, 1.0])
+        direction = (0.0, 0.0, 1.0)
         eps_T = -1
         n0, b0, eps_N = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1  # b0 = e3 x e1 = e2
     else:
         raise ValueError("causality must be spacelike or timelike")
+
     return CentralCurve(
         space="lorentzian",
         name=f"l3-line({causality},{normal})",
-        gamma=lambda s: s * direction,
-        d1=lambda s: direction.copy(),
-        d2=lambda s: np.zeros(3),
-        d3=lambda s: np.zeros(3),
+        jet=lambda s: (tuple(s * x for x in direction), direction, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         domain=(0.0, 2.0 * math.pi),
         eps_T=eps_T,
         eps_N=eps_N,
@@ -689,13 +685,14 @@ def l3_line(causality: str = "spacelike", normal: str = "spacelike") -> CentralC
 
 
 def h3_geodesic() -> CentralCurve:
+    def jet(s):  # gamma'' = gamma and gamma''' = gamma'
+        sh, ch = math.sinh(s), math.cosh(s)
+        return ((sh, 0.0, 0.0, ch), (ch, 0.0, 0.0, sh)) * 2
+
     return CentralCurve(
         space="hyperbolic",
         name="h3-geodesic",
-        gamma=lambda s: np.array([math.sinh(s), 0.0, 0.0, math.cosh(s)]),
-        d1=lambda s: np.array([math.cosh(s), 0.0, 0.0, math.sinh(s)]),
-        d2=lambda s: np.array([math.sinh(s), 0.0, 0.0, math.cosh(s)]),
-        d3=lambda s: np.array([math.cosh(s), 0.0, 0.0, math.sinh(s)]),
+        jet=jet,
         domain=(-1.5, 1.5),
         normal0=(0.0, 1.0, 0.0, 0.0),
         binormal0=(0.0, 0.0, 1.0, 0.0),
@@ -709,13 +706,16 @@ def h3_circle(r0: float) -> CentralCurve:
         raise ValueError("needs r0 > 0")
     w = 1.0 / r0
     h = math.sqrt(1.0 + r0 * r0)
+
+    def jet(s):
+        cs, sn = math.cos(w * s), math.sin(w * s)
+        gamma, d1 = (r0 * cs, r0 * sn, 0.0, h), (-sn, cs, 0.0, 0.0)
+        return gamma, d1, (-w * cs, -w * sn, 0.0, 0.0), (w * w * sn, -w * w * cs, 0.0, 0.0)
+
     return CentralCurve(
         space="hyperbolic",
         name=f"h3-circle(r0={r0:g})",
-        gamma=lambda s: np.array([r0 * math.cos(w * s), r0 * math.sin(w * s), 0.0, h]),
-        d1=lambda s: np.array([-math.sin(w * s), math.cos(w * s), 0.0, 0.0]),
-        d2=lambda s: np.array([-w * math.cos(w * s), -w * math.sin(w * s), 0.0, 0.0]),
-        d3=lambda s: np.array([w * w * math.sin(w * s), -w * w * math.cos(w * s), 0.0, 0.0]),
+        jet=jet,
         domain=(0.0, 2.0 * math.pi * r0),
         periodic=True,
     )

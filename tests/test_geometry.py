@@ -20,7 +20,7 @@ from weingarten_tubes.errors import (
 )
 from weingarten_tubes.polyalg import Poly2
 
-from test_row_kernel import regularity_scan, sample_grid, tube_frame
+from test_row_kernel import CURVES, regularity_scan, sample_grid, tube_frame
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
@@ -63,6 +63,23 @@ def csv_blocks(draw):
     return s, t, regular, [draw(grid) for _ in range(6)]
 
 
+def percent_placed_csv_block(s, t, regular, *columns) -> str:
+    """The CSV writer as it was before its lines were joined: the distinct
+    values printed by one %-format, then placed by an 8-field '%s' line
+    format repeated per point."""
+    s, t = (np.array(v, dtype=float).ravel() for v in (s, t))
+    curvatures = [np.where(regular, v, np.nan) for v in columns[:4]]
+    values = np.stack((*curvatures, *columns[4:]), axis=-1, dtype=float)
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    distinct = [*bits.view(float).tolist(), *s.tolist(), *t.tolist()]
+    digits = np.array(("%.17g," * len(distinct) % tuple(distinct)).split(",")[:-1], dtype=object)
+    table = np.empty((s.size, t.size, 8), dtype=object)
+    table[..., 0] = digits[bits.size : bits.size + s.size, None]
+    table[..., 1] = digits[bits.size + s.size :]
+    table[..., 2:] = digits[inverse].reshape(values.shape)
+    return ("\n" + ",".join(["%s"] * 8)) * (table.size // 8) % tuple(table.ravel().tolist())
+
+
 def lorentz_inner(u, v) -> float:
     """The kernel's Lorentzian inner product of two 3- or 4-vectors."""
     u = np.asarray(u, dtype=float)
@@ -74,7 +91,7 @@ def lorentz_inner(u, v) -> float:
 
 def tube_point(spec, s: float, t: float) -> np.ndarray:
     """Position of the tube parametrization at (s, t) on the block frame."""
-    gamma, _, N, B = (v[0] for v in geo._frames(spec.curve, [s])[:4])
+    gamma, _, N, B = (v[:, 0] for v in geo._frames(spec.curve, [s])[:4])
     r = spec.radius
     mu, eta, *_ = spec.mu_eta(t)
     if spec.curve.space == "hyperbolic":
@@ -157,10 +174,7 @@ class TestFrames:
         curve = geo.CentralCurve(
             space="lorentzian",
             name="lightlike-acc",
-            gamma=lambda s: np.array([s * s / 2, s, s * s / 2]),
-            d1=lambda s: np.array([s, 1.0, s]),
-            d2=lambda s: np.array([1.0, 0.0, 1.0]),
-            d3=lambda s: np.zeros(3),
+            jet=lambda s: ((s * s / 2, s, s * s / 2), (s, 1.0, s), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
             domain=(0.0, 1.0),
         )
         with pytest.raises(LightlikeNormal):
@@ -219,6 +233,26 @@ class TestFrames:
                     }
                 for attr, value in expected.items():
                     assert np.max(np.abs(fd(attr) - value)) < 1e-6, (curve.name, attr)
+
+
+@pytest.mark.parametrize("make", CURVES, ids=[make().name for make in CURVES])
+def test_jet_derivatives_are_the_difference_quotients(make):
+    # each derivative of the jet against a 4th-order central difference of
+    # the order below it, unit speed <gamma', gamma'> = eps_T, and
+    # <gamma, gamma> = -1 on the hyperboloid
+    curve = make()
+    dot = (lambda u, v: float(np.dot(u, v))) if curve.space == "euclidean" else lorentz_inner
+    h = 1e-3
+    for s in sample_params(curve, 9):
+        jet = [np.array(v, dtype=float) for v in curve.jet(s)]
+        near = {k: [np.array(v, dtype=float) for v in curve.jet(s + k * h)] for k in (-2, -1, 1, 2)}
+        for order in (1, 2, 3):
+            below = {k: v[order - 1] for k, v in near.items()}
+            quotient = (below[-2] - 8.0 * below[-1] + 8.0 * below[1] - below[2]) / (12.0 * h)
+            assert np.allclose(jet[order], quotient, rtol=1e-8, atol=1e-9), (curve.name, s, order)
+        assert dot(jet[1], jet[1]) == pytest.approx(curve.eps_T, abs=1e-12)
+        if curve.space == "hyperbolic":
+            assert dot(jet[0], jet[0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestTubePoints:
@@ -435,10 +469,7 @@ class TestCurvatures:
         curve = geo.CentralCurve(
             space="euclidean",
             name="long-normal",
-            gamma=lambda s: np.array([s, 0.0, 0.0]),
-            d1=lambda s: np.array([1.0, 0.0, 0.0]),
-            d2=lambda s: np.zeros(3),
-            d3=lambda s: np.zeros(3),
+            jet=lambda s: ((s, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
             domain=(0.0, 1.0),
             normal0=(0.0, 2.0, 0.0),
             binormal0=(0.0, 0.0, 1.0),
@@ -602,3 +633,14 @@ class TestCsv:
                 want += "\n" + ",".join(f"{v:.17g}" for v in (s_value, t_value, *point))
         arrays = [np.array(column, dtype=float) for column in columns]
         assert geo._csv_block(s, t, np.array(regular), *arrays) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=csv_blocks())
+    @example(block=(0.5, -0.0, [[False]], [[[math.nan]], [[math.inf]], [[-math.inf]], [[5e-324]], [[-0.0]], [[0.0]]]))
+    def test_joined_lines_match_the_percent_placement(self, block):
+        # the joined lines are the bytes of the former %-placed lines, for
+        # nan, signed zeros, infinities, subnormals, irregular points and
+        # one-row and one-column blocks
+        s, t, regular, columns = block
+        arrays = [np.array(column, dtype=float) for column in columns]
+        assert geo._csv_block(s, t, np.array(regular), *arrays) == percent_placed_csv_block(s, t, np.array(regular), *arrays)

@@ -47,7 +47,7 @@ RECORDS = {
         lambda: classify.true_nonlinear_witness(parse_poly("(4*x - 4*y + 1)*x"), TUBE),
     ),
     geo.CentralCurve: (
-        "space, name, gamma, d1, d2, d3, domain, periodic=False, eps_T=1, eps_N=1, normal0=None, binormal0=None",
+        "space, name, jet, domain, periodic=False, eps_T=1, eps_N=1, normal0=None, binormal0=None",
         lambda: CIRCLE,
     ),
     geo.FrenetFrame: (

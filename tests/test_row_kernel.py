@@ -72,10 +72,7 @@ def lorentz_cross(*vectors) -> np.ndarray:
 
 def frenet_frame(curve, s: float) -> geo.FrenetFrame:
     """The Frenet frame at s, one row at a time."""
-    pos = np.asarray(curve.gamma(s), dtype=float)
-    t_vec = np.asarray(curve.d1(s), dtype=float)
-    acc = np.asarray(curve.d2(s), dtype=float)
-    jerk = np.asarray(curve.d3(s), dtype=float)
+    pos, t_vec, acc, jerk = (np.asarray(v, dtype=float) for v in curve.jet(s))
 
     if curve.space == "euclidean":
         kappa = float(np.linalg.norm(acc))
@@ -123,8 +120,7 @@ def tube_frame(curve, s: float) -> geo.FrenetFrame:
     """The Frenet frame, or for a geodesic its constant completion."""
     if not curve.is_geodesic:
         return frenet_frame(curve, s)
-    pos = np.asarray(curve.gamma(s), dtype=float)
-    t_vec = np.asarray(curve.d1(s), dtype=float)
+    pos, t_vec = (np.asarray(v, dtype=float) for v in curve.jet(s)[:2])
     n_vec = np.asarray(curve.normal0, dtype=float)
     b_vec = np.asarray(curve.binormal0, dtype=float)
     eps_B = -curve.eps_T * curve.eps_N if curve.space == "lorentzian" else 1
@@ -346,7 +342,7 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
         frame = frames_of(curve, s_rows)
         if s_grid[2] in s_rows:
             raise DegenerateFrame("no frame in row 2")
-        return frame._replace(N=np.where(np.equal(s_rows, s_grid[1])[:, None], 2.0 * frame.N, frame.N))
+        return frame._replace(N=np.where(np.equal(s_rows, s_grid[1]), 2.0 * frame.N, frame.N))
 
     monkeypatch.setattr(geo, "_frames", frames)
     x, y = Poly2.variable("x"), Poly2.variable("y")
@@ -479,10 +475,7 @@ def test_block_frame_fails_at_its_first_failing_row():
     curve = geo.CentralCurve(
         space="lorentzian",
         name="test-curve",
-        gamma=lambda s: np.zeros(3),
-        d1=lambda s: np.array([1.0, 0.0, 0.0]),
-        d2=lambda s: (s - 0.5) * np.array([1.0, 0.0, s]),
-        d3=lambda s: np.zeros(3),
+        jet=lambda s: (np.zeros(3), np.array([1.0, 0.0, 0.0]), (s - 0.5) * np.array([1.0, 0.0, s]), np.zeros(3)),
         domain=(0.0, 1.0),
     )
     for s_rows in ([0.0, 1.0, 0.5], [0.25, 0.5, 1.0], [0.0, 0.25, 0.75]):
@@ -514,6 +507,33 @@ def test_vecdot_is_dot_bit_for_bit():
         assert [float(np.dot(a, b)) for a, b in zip(u, v)] == rows.tolist(), dim
     sliced = np.vecdot(u[:, :-1], v[:, :-1])
     assert [float(np.dot(a[:-1], b[:-1])) for a, b in zip(u, v)] == sliced.tolist()
+
+
+def test_component_major_inner_is_the_per_point_product():
+    """``geometry._inner`` reduces component-major (dim, rows, n_t) stacks
+    over axis 0, a strided ``np.vecdot`` of at most 3 terms, and must give
+    the bits of the per-point ``np.dot(u, v)`` and
+    ``u[:-1] @ v[:-1] - u[-1] * v[-1]``, also for a per-row (dim, rows, 1)
+    operand broadcast against the points.  A numpy/BLAS build that rounds
+    strided dots differently fails here, not only as a pinned CSV digest."""
+    rng = np.random.default_rng(20261020)
+    rows, n_t = 40, 30
+    scalars = {
+        "euclidean": lambda u, v: float(np.dot(u, v)),
+        "lorentzian": lambda u, v: float(u[:-1] @ v[:-1] - u[-1] * v[-1]),
+    }
+    for dim in (3, 4):
+        points = rng.standard_normal((dim, rows, n_t)) * np.exp(rng.uniform(-20, 20, (1, rows, n_t)))
+        for other in (rng.standard_normal((dim, rows, n_t)), rng.standard_normal((dim, rows, 1))):
+            for u, v in ((points, other), (other, points)):
+                wide_u, wide_v = np.broadcast_arrays(u, v)
+                for space, scalar in scalars.items():
+                    got = geo._inner(space, u, v)
+                    want = [scalar(wide_u[:, i, j], wide_v[:, i, j]) for i in range(rows) for j in range(n_t)]
+                    assert got.shape == (rows, n_t) and got.ravel().tolist() == want, (
+                        f"np.vecdot over axis 0 is not the per-point {space} product on numpy {np.__version__} "
+                        f"(dim {dim}, operands {u.shape} and {v.shape})"
+                    )
 
 
 
