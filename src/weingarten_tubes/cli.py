@@ -287,7 +287,9 @@ def _radius_body(rad: AlgebraicRadius, prec: int) -> tuple[dict, float]:
     return body, value
 
 
-def _radius_json(body: dict, value: float, tag: SpaceTag, prec: int) -> dict:
+def _radius_json(body: dict | str, value: float, tag: SpaceTag, prec: int) -> dict | str:
+    """The printed radius of value: body, or in the hyperbolic space, whose
+    algebra works in rho = sinh r, body as rho beside r itself."""
     if tag.space == "hyperbolic":
         return {"sinh_radius": body, "radius_approx": _fmt(math.asinh(value), prec)}
     return body
@@ -328,23 +330,18 @@ def _classification_json(report: ClassificationReport, prec: int) -> dict:
 
 
 def _render(value, out: list, newline: str = "\n") -> None:
-    """Append the text of json.dumps(value, indent=2) to out, piece by piece:
-    dict (str keys), list, tuple, str, int, float, bool and None.  newline
-    is the line break plus the indent of the value's own line.  json.dumps
-    with an indent runs CPython's pure-Python encoder; this does the same
-    work without its generator chain."""
+    """Append the text of json.dumps(value, indent=2) to out, piece by piece,
+    for the types a report holds: dict (str keys), list, str, int, bool and
+    None.  newline is the line break plus the indent of the value's own
+    line.  json.dumps with an indent runs CPython's pure-Python encoder;
+    this does the same work without its generator chain."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            out.append("NaN")
-        else:
-            out.append("Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value))
-    elif isinstance(value, (dict, list, tuple)):
+    elif isinstance(value, (dict, list)):
         is_dict = isinstance(value, dict)
         if not value:
             out.append("{}" if is_dict else "[]")
@@ -405,6 +402,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 _SPACE_CHOICES = (*SPACES, "all")
 
+# the words for a signal: --eps of divide and delta= of a Lorentzian tube
+_SIGNALS = {"+1": 1, "1": 1, "-1": -1}
+
 
 # ---------------------------------------------------------------------------
 # built-in tube catalog
@@ -448,7 +448,6 @@ _TUBES = {
     "h3-circle": ("h3_circle", ("r0",), "SECTION_HYPERBOLIC"),
 }
 _SECTIONS = {"circle": "SECTION_L_CIRCLE", "hyperbola": "SECTION_L_HYPERBOLA"}
-_DELTAS = {"1": 1, "+1": 1, "-1": -1}
 
 
 def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
@@ -478,7 +477,7 @@ def _tube_from_arg(text: str) -> tuple[geo.TubeSpec, dict]:
         section = _SECTIONS.get(params.pop("section", "circle"))
         if section is None:
             raise UsageError("section must be 'circle' or 'hyperbola'")
-        delta = _DELTAS.get(params.pop("delta", "1"))
+        delta = _SIGNALS.get(params.pop("delta", "1"))
         if delta is None:
             raise UsageError("delta must be +1 or -1")
     spec = geo.TubeSpec(curve, r, getattr(geo, section), delta, name=name)
@@ -530,7 +529,7 @@ def _cmd_divide(args) -> dict:
     r = _parse_rational(args.r, "--r")
     if r == 0:
         raise ZeroRadius("--r must be nonzero")
-    eps = 1 if args.eps in ("1", "+1") else -1
+    eps = _SIGNALS[args.eps]
     # a non-member's image reads the pass the division left on poly (Poly2._line_pass)
     quotient = divide_by_tube_factor(poly, r, eps)
     generator = tube_generator(r, eps)
@@ -594,11 +593,9 @@ def _cmd_verify(args) -> dict:
 def _linear_case_json(case: LinearCase, prec: int) -> dict:
     body: dict = {"space": case.tag.space, "eps": case.tag.eps, "kind": case.kind}
     if case.radius is not None:
-        if case.tag.space == "hyperbolic":
-            body["sinh_radius"] = str(case.radius)
-            body["radius_approx"] = _fmt(math.asinh(float(case.radius)), prec)
-        else:
-            body["radius"] = str(case.radius)
+        # a hyperbolic radius comes back as its own two keys
+        radius = _radius_json(str(case.radius), float(case.radius), case.tag, prec)
+        body.update(radius if isinstance(radius, dict) else {"radius": radius})
     if case.discriminant is not None:
         body["discriminant"] = str(case.discriminant)
     return body
@@ -645,7 +642,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("divide", help="exact quotient by x*r^2 - 2*r*y + eps")
     p.add_argument("poly")
     p.add_argument("--r", required=True, help="rational radius p/q")
-    p.add_argument("--eps", choices=("+1", "1", "-1"), default="+1")
+    p.add_argument("--eps", choices=tuple(_SIGNALS), default="+1")
     p.set_defaults(handler=_cmd_divide)
 
     p = sub.add_parser("verify", help="max |Q(K, H)| on a sampled built-in tube")

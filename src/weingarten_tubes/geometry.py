@@ -266,7 +266,7 @@ class TubeSpec(_TubeSpec):
     def __new__(cls, curve: CentralCurve, radius: float, section: str, delta: int = 1, name: str = ""):
         if not radius > 0:
             raise NonpositiveRadius(f"tube radius must be positive, got {radius}")
-        if delta not in (-1, 1):
+        if not isinstance(delta, int) or isinstance(delta, bool) or delta not in (-1, 1):
             raise ValueError("delta must be -1 or +1")
         _section_row(curve, section)
         return super().__new__(cls, curve, radius, section, delta, name)
@@ -521,8 +521,10 @@ def verify_relation(
     """Max |Q(K, H)| over the regular grid points and where it occurs.
     With ``out`` given, the text of ``curvature_csv`` is written to it from
     the same evaluation of each grid point, one block at a time, so no more
-    than one block's text is held; when the pass raises, the blocks before
-    the error are already written."""
+    than one block's text is held.  When the pass raises, the header and
+    the blocks before the error are already written, and when the error is
+    the kernel's, so are the rows of its block before the failing row
+    (``_grid_blocks`` walks a failing block again row by row)."""
     if out is None:
         return _verification(q, spec, s_grid, t_grid, None, True)
     out.write(CSV_HEADER)

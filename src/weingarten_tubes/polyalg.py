@@ -298,12 +298,8 @@ class Poly2:
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
             num, den = _num_den(c)
-            if num:
-                parts.append(((i, j), num, den))
-        den = math.lcm(*(d for _, _, d in parts))
-        nums: dict[tuple[int, int], int] = {}
-        for e, num, d in parts:
-            nums[e] = nums.get(e, 0) + num * (den // d)
+            parts.append((1, den, {(i, j): num}))
+        den, nums = _add(parts)
         canonical = Poly2._from_cleared(nums, den)
         self._den, self._nums, self._pass = canonical._den, canonical._nums, _NO_PASS
 
@@ -368,11 +364,6 @@ class Poly2:
         p = cls.__new__(cls)
         p._den, p._nums, p._pass = den, nums, _NO_PASS
         return p
-
-    def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(den, numerators), every coefficient numerator / den: the stored
-        fields themselves, not to be mutated."""
-        return self._den, self._nums
 
     def _line_pass(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], int]:
         """``_line_horner`` of the numerators on the line a*x + b*y + c = 0,
@@ -511,7 +502,7 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     if q.is_zero:
         raise ZeroPolynomial("gamma_cleared requires a nonzero polynomial")
     a, b, c, _ = _tube_row(1)
-    den, nums = q._cleared()
+    den, nums = q._den, q._nums
     n, m = q.degree, max(j for _, j in nums)
     scale = (-1) ** m * 2 ** (n - m)
     # g_k = scale * r**(n-m-k) * row_k / den; for k > n - m, row k carries
@@ -599,7 +590,7 @@ def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
     steps, k = q._line_pass(a, b, c)
     if steps[0]:
         return None
-    den, nums = q._cleared()
+    den, nums = q._den, q._nums
     # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
     # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
     scale = den * b ** (len(steps) - 1)

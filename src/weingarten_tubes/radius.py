@@ -76,7 +76,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
-from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _tube_row, check_epsilon
+from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _num_den, _tube_row, check_epsilon
 
 DISPLAY_WIDTH = Fraction(1, 10**12)
 
@@ -396,9 +396,7 @@ class AlgebraicRadius(_AlgebraicRadius):
         if defining_poly.degree < 1:
             raise ValueError("defining polynomial must have degree >= 1")
         for v in (lo, hi) if exact_value is None else (lo, hi, exact_value):
-            # the integer forms read numerator and denominator; a bool is not a number here
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+            _num_den(v)  # the integer forms read numerator and denominator
         return cls._checked(defining_poly, _integer_coeffs(defining_poly.coeffs), lo, hi, exact_value)
 
     @classmethod
@@ -557,14 +555,14 @@ class GeneratorFamily(NamedTuple):
         """R(0, r) / r**m up to a constant factor, as integers: its positive
         roots are the cylinder radii; zero ([]) when Q vanishes on the whole
         axis.  The image of Q's x**0 terms alone on the line x = 0."""
-        rows = _family_image({e: v for e, v in q._cleared()[1].items() if not e[0]}, (), self.b, self.c)
+        rows = _family_image({e: v for e, v in q._nums.items() if not e[0]}, (), self.b, self.c)
         return _without_r_power(rows[0]) if rows else []
 
     def star_poly(self, q: Poly2) -> list[int]:
         """The primitive gcd of the x-coefficients of R(x, r), each without
         its factor r**m, as integers: its positive roots are the radii at
         which Q lies in the ideal of G_r."""
-        rows = _family_image(q._cleared()[1], self.a, self.b, self.c)
+        rows = _family_image(q._nums, self.a, self.b, self.c)
         return reduce(_common_divisor, map(_without_r_power, rows), [])
 
 

@@ -198,11 +198,11 @@ def test_division_by_a_general_line(a, gx, gy, gc, shift):
     None, and the remainder, step 0 of the same Horner pass, is Q on the
     line g = 0."""
     g = Poly2([((1, 0), gx), ((0, 1), gy), ((0, 0), gc)])
-    d, nums = g._cleared()
+    d, nums = g._den, g._nums
     line = (nums.get((1, 0), 0), nums[0, 1], nums.get((0, 0), 0), d)
 
     def remainder(q):
-        den, q_nums = q._cleared()
+        den, q_nums = q._den, q._nums
         steps, k = _line_horner(q_nums, *line[:3])
         return list(Poly1([Fraction(v, den * line[1] ** (len(steps) - 1)) for v in _unpack(steps[0], k)]).coeffs)
 
@@ -271,7 +271,7 @@ def test_packed_horner_matches_the_list_horner(a, gx, gy, gc, d, shift):
     g = Poly2([((1, 0), Fraction(gx, d)), ((0, 1), Fraction(gy, d)), ((0, 0), Fraction(gc, d))])
     member = Poly2(brute_product(g, a))
     for q in (member, member + Poly2.constant(shift), a):
-        den, nums = q._cleared()
+        den, nums = q._den, q._nums
         steps, k = _line_horner(nums, gx, gy, gc)
         rows = [without_trailing_zeros(row) for row in list_horner(nums, gc, gx, gy)]
         assert [_unpack(step, k) for step in steps] == rows
@@ -380,7 +380,7 @@ def test_contains_at_rational_radii_matches_brute(a, b, shift, r, eps):
 
     def packed_image(family, q):
         a, b, c, _ = _integer_line(family, r.numerator, r.denominator)
-        steps, k = _line_horner(q._cleared()[1], a, b, c)
+        steps, k = _line_horner(q._nums, a, b, c)
         return steps[0], k
 
     for family, gen, brute, y0 in (
@@ -495,7 +495,7 @@ def test_cached_family_line_is_the_evaluated_one(r):
         a, b, c, d = family_line(family, r)
         generator = tube_generator(r, tag.eps)
         assert generator == line_relation(family, r) == solve_QS(TubeIdentity(tag, r, False)).generator()
-        assert generator._cleared() == (d, {(1, 0): a, (0, 1): b, (0, 0): c})
+        assert (generator._den, generator._nums) == (d, {(1, 0): a, (0, 1): b, (0, 0): c})
     assert isinstance(polyalg._integer_line.cache_info().maxsize, int)
 
 
@@ -616,7 +616,7 @@ def test_star_radius_sets_are_the_classified_lanes(shape, a, b, r, tag):
 def restriction_rows(family, q: Poly2) -> list[list[int]]:
     """The family's R(x, r) times Q's common denominator, by the library's
     one Horner routine: one integer list in r per power of x."""
-    return _family_image(q._cleared()[1], family.a, family.b, family.c)
+    return _family_image(q._nums, family.a, family.b, family.c)
 
 
 def restriction_columns(family, q: Poly2) -> dict[int, Poly1]:

@@ -112,6 +112,13 @@ VALIDATORS = [
     (lambda: classify.TubeIdentity(radius.EUCLIDEAN, 0.5, False), NonpositiveRadius, "tube radius must be a positive rational, got 0.5"),
     (lambda: geo.TubeSpec(CIRCLE, 0.0, geo.SECTION_EUCLIDEAN), NonpositiveRadius, "tube radius must be positive, got 0.0"),
     (lambda: geo.TubeSpec(CIRCLE, 1.0, geo.SECTION_EUCLIDEAN, 0), ValueError, "delta must be -1 or +1"),
+    # a delta equal to +-1 that is not an int, as for eps (check_epsilon)
+    *(
+        pytest.param(
+            lambda v=v: geo.TubeSpec(CIRCLE, 1.0, geo.SECTION_EUCLIDEAN, v), ValueError, "delta must be -1 or +1", id=f"delta={v!r}"
+        )
+        for v in (True, 1.0, -1.0, Fraction(1))
+    ),
     (lambda: geo.TubeSpec(CIRCLE, 1.0, geo.SECTION_HYPERBOLIC), InvalidSpecRow, "Euclidean tubes use 'euclidean-circle'"),
     (lambda: geo.TubeSpec(geo.h3_geodesic(), 1.0, geo.SECTION_EUCLIDEAN), InvalidSpecRow, "hyperbolic tubes use 'hyperbolic-circle'"),
     (lambda: geo.TubeSpec(L3_TIMELIKE, 1.0, geo.SECTION_EUCLIDEAN), InvalidSpecRow, "Lorentzian tubes use circle or hyperbola sections, got 'euclidean-circle'"),

@@ -8,6 +8,7 @@ kernel must give the same doubles, not merely close ones, because the
 pinned verify reports and CSVs print them with 17 significant digits.
 """
 
+import io
 import math
 import re
 import struct
@@ -351,6 +352,15 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
     assert raised.value.args == (34, "Numerical result out of range")
     with pytest.raises(LightlikeNormal, match=rf"at \(s, t\) = \({s_grid[1]}, 0.0\)"):
         geo.verify_relation(x, spec, s_grid, t_grid)
+    # with out given, the text before the error is written: none of a block
+    # whose residual raises, and row 0 before row 1's normal fails, also
+    # when the two rows share a block
+    for q, error, before in ((x**4 + y, OverflowError, []), (x, LightlikeNormal, s_grid[:1])):
+        out = io.StringIO()
+        with pytest.raises(error):
+            geo.verify_relation(q, spec, s_grid, t_grid, out)
+        assert out.getvalue() == geo.curvature_csv(q, spec, before, t_grid)[:-1]
+        assert out.getvalue().count("\n") == len(before) * len(t_grid)
     with pytest.raises(LightlikeNormal):
         regularity_scan(spec, s_grid, t_grid)
     assert len(regularity_scan(spec, s_grid[:1], t_grid)) == 0
