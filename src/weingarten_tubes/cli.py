@@ -57,11 +57,11 @@ from .radius import SPACES, AlgebraicRadius, SpaceTag, radius_set, star_radius_s
 
 SCHEMA_VERSION = "1"
 
-# Budget for --grid.  A point costs about 0.4-0.45 us of block-vectorised
+# Budget for --grid.  A point costs about 0.2-0.4 us of block-vectorised
 # work (2-vCPU x86 host, Python 3.11, in-process), and with --csv about
-# 1.6-3 us more to format its line of about 150 bytes, written block by
+# 1.0-1.6 us more to format its line of about 150 bytes, written block by
 # block: 2**18 points (512x512 e3-torus, l3-helix-ss or h3-circle) take
-# 0.10-0.12 s, or 0.52-0.93 s with --csv, at 30.4-30.9 MB, or 32.1-32.4 MB.
+# 0.05-0.11 s, or 0.30-0.68 s with --csv, at 31.6-32.1 MB, or 34.5-35.3 MB.
 # Uncapped, a grid like 100000x100000 would run for hours.
 MAX_GRID_POINTS = 2**18
 

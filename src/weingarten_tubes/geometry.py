@@ -294,9 +294,13 @@ class CurvatureSample(NamedTuple):
 
 # Points per block of the grid pass, bounded for memory (2-vCPU x86 host):
 # one whole-grid block of a 512x512 H^3 grid peaked at 111 MB, not 31 MB.
-# A 512x512 torus with --csv took 0.29 s in blocks of 4096 and 0.55 s in
-# blocks of 1024, at peaks of 34.3 and 32.5 MB.
-BLOCK_POINTS = 1024
+# A block also pays a fixed cost, about 100 numpy calls on small arrays
+# and the CSV set-up, and every grid up to 64x64 is one block of 4096.
+# At 512x512 with --csv, in-process, medians of 5 paired runs of best of
+# 3: 0.32 s (e3-torus), 0.49 s (l3-helix-ss) and 0.49 s (h3-circle) at
+# peaks of 34.5-35.3 MB, against 0.59, 0.78 and 0.85 s at 32.1-32.5 MB
+# in blocks of 1024.
+BLOCK_POINTS = 4096
 
 
 def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple:

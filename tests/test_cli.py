@@ -237,6 +237,16 @@ class TestCommands:
         assert code == 0
         assert float(json.loads(out)["result"]["max_residual"]) > 1e-2
 
+    @pytest.mark.parametrize("R, regular", [("2001/2000", 9), ("500/499", 12)])
+    def test_verify_regularity_cutoff(self, capsys, R, regular):
+        # a point is regular when |xi| >= 1e-3: xi = 1 - r*cos(t)/R is
+        # about 5.0e-4 at t = 0 for R = 2001/2000, just inside the cutoff,
+        # and 2.0e-3 for R = 500/499, just outside it
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", f"e3-torus:R={R},r=1", "--grid", "3x4")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["regular_points"], result["total_points"]) == (regular, 12)
+
     def test_verify_lorentzian_generators_both_signals(self, capsys):
         # circle sections carry signal +1, hyperbola sections -1
         for section, gen in (("circle", "1/4*x - y + 1"), ("hyperbola", "1/4*x - y - 1")):
@@ -518,13 +528,13 @@ class TestVerifyPasses:
 
 
     def test_streamed_csv_is_curvature_csv(self, capsys, tmp_path):
-        # 40x40 points span two blocks, each written as it is computed
+        # 72x72 points span two blocks, each written as it is computed
         poly, tube, path = "4*x - 4*y + 1", "e3-torus:R=10,r=2", tmp_path / "grid.csv"
-        assert 40 * 40 > geo.BLOCK_POINTS
-        code, out, err = run_cli(capsys, "verify", poly, "--tube", tube, "--grid", "40x40", "--csv", str(path))
+        assert 72 * 72 > geo.BLOCK_POINTS
+        code, out, err = run_cli(capsys, "verify", poly, "--tube", tube, "--grid", "72x72", "--csv", str(path))
         assert code == 0, err
         spec, _ = cli._tube_from_arg(tube)
-        s_grid, t_grid = geo.default_grids(spec, 40, 40)
+        s_grid, t_grid = geo.default_grids(spec, 72, 72)
         assert path.read_bytes() == geo.curvature_csv(parse_poly(poly), spec, s_grid, t_grid).encode()
 
     def test_error_in_second_block_leaves_an_empty_csv(self, capsys, monkeypatch, tmp_path):
@@ -542,7 +552,7 @@ class TestVerifyPasses:
         block = geo._block
         monkeypatch.setattr(geo, "_block", failing)
         code, out, err = run_cli(
-            capsys, "verify", "x", "--tube", "e3-torus:R=10,r=2", "--grid", "40x40", "--csv", str(path)
+            capsys, "verify", "x", "--tube", "e3-torus:R=10,r=2", "--grid", "72x72", "--csv", str(path)
         )
         assert (code, out, err) == (2, "", "error: numeric overflow: second block\n")
         assert sizes[1] > 0 and path.read_bytes() == b""

@@ -10,8 +10,10 @@ axis, each asked as ``classify``, ``radius --star`` and
 signals, negative and large-denominator radii, and the zero polynomial.
 ``golden/pinned/verify_csv_corpus.txt`` pins the bytes of ``verify
 --csv`` across block boundaries: the sha256 of the CSV of each argv of
-``verify_tubes.json`` at 64x64 (four blocks of 16 rows at the default
-1024 points per block) and at 45x37 (blocks of 27 rows, then 18).
+``verify_tubes.json`` at 64x64 and at 45x37, each one block at the
+default 4096 points per block and checked again at 1024 points per
+block, where 64x64 is four blocks of 16 rows and 45x37 blocks of 27
+rows, then 18.
 ``golden/pinned/power_corpus.txt`` pins the parser's sums, products and
 powers: c*(x + 2*y + 1)^k for k = 0, 10, ..., 100, two powers with
 20-digit and 15-digit coefficients, and typed expressions of nested
@@ -41,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import random_poly2, random_positive_rational, random_rational  # noqa: E402
+from weingarten_tubes import geometry  # noqa: E402
 from weingarten_tubes.cli import main  # noqa: E402
 from weingarten_tubes.polyalg import Poly2  # noqa: E402
 
@@ -312,6 +315,13 @@ def test_multi_block_csvs_are_byte_identical(monkeypatch, tmp_path):
     monkeypatch.delenv("WEINGARTEN_PRECISION", raising=False)
     changed = [json.dumps(argv) for digest, argv in read_corpus(VERIFY_CSV_CORPUS) if csv_digest(argv, tmp_path) != digest]
     assert not changed, f"{len(changed)} CSVs changed:\n" + "\n".join(changed)
+
+
+def test_multi_block_csvs_at_1024_point_blocks(monkeypatch, tmp_path):
+    # the same digests when the grids span several blocks, as they did
+    # before blocks held 4096 points
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 1024)
+    test_multi_block_csvs_are_byte_identical(monkeypatch, tmp_path)
 
 
 if __name__ == "__main__":

@@ -644,3 +644,28 @@ class TestCsv:
         s, t, regular, columns = block
         arrays = [np.array(column, dtype=float) for column in columns]
         assert geo._csv_block(s, t, np.array(regular), *arrays) == percent_placed_csv_block(s, t, np.array(regular), *arrays)
+
+    GRID_TUBES = [
+        geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN),  # irregular where cos t = 1
+        geo.TubeSpec(geo.l3_spacelike_helix_spacelike_normal(2.0, 1.0), 0.5, geo.SECTION_L_HYPERBOLA, -1),
+        geo.TubeSpec(geo.h3_circle(1.0), 0.5, geo.SECTION_HYPERBOLIC),
+    ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=st.sampled_from(GRID_TUBES), n_s=st.integers(1, 80), n_t=st.integers(1, 80))
+    @example(spec=GRID_TUBES[0], n_s=72, n_t=72)
+    @example(spec=GRID_TUBES[2], n_s=45, n_t=3)
+    def test_grid_csv_is_the_same_at_every_block_size(self, spec, n_s, n_t):
+        # blocks of one row (1 point, and 7 below a row of 8 or more), of a
+        # few rows (7 over rows of 1-3 points, which 7 need not divide) and
+        # of many rows (1024 and 4096, over grids of up to 80x80): the
+        # same bytes of the whole grid's CSV
+        s_grid, t_grid = geo.default_grids(spec, n_s, n_t)
+        default, csvs = geo.BLOCK_POINTS, set()
+        try:
+            for block_points in (1, 7, 1024, 4096):
+                geo.BLOCK_POINTS = block_points
+                csvs.add(geo.curvature_csv(X - 2 * Y + Poly2.constant(1), spec, s_grid, t_grid))
+        finally:
+            geo.BLOCK_POINTS = default
+        assert len(csvs) == 1
