@@ -27,7 +27,7 @@ the one decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DegenerateRelation,
@@ -99,7 +99,7 @@ class ClassificationReport(NamedTuple):
         return all(lane.is_empty for lane in self.lanes)
 
 
-def _classify(q: Poly2, rows: Iterable[tuple[SpaceTag, GeneratorFamily]]) -> ClassificationReport:
+def _classify(q: Poly2, rows: Sequence[tuple[SpaceTag, GeneratorFamily]]) -> ClassificationReport:
     """The report of Q with one lane per (tag, family) row.
 
     Per lane: radii outside the star set contribute right cylinders
@@ -108,17 +108,16 @@ def _classify(q: Poly2, rows: Iterable[tuple[SpaceTag, GeneratorFamily]]) -> Cla
     means right cylinders of every radius (plus any star radii found by
     common vanishing of the cleared coefficient polynomials).
 
-    Each distinct family among the rows is decided once per call, keyed
-    by the family value with all its fields; lanes that share a family
-    differ only in their tag and eps.
+    One ``decide_radii`` call decides each distinct family among the rows
+    once, so lanes that share a family differ only in their tag and eps,
+    and isolates the two signals' radius polys once: they are mirror
+    images, the signal law S_{L-}(Q(x, y)) = S_{L+}(Q(-x, -y)) at x = 0.
     """
     if q.is_zero:
         raise ZeroPolynomial("the zero relation holds on every surface")
-    decided: dict[GeneratorFamily, tuple] = {}
+    decided = decide_radii(q, [family for _, family in rows])
     lanes = []
     for tag, family in rows:
-        if family not in decided:
-            decided[family] = decide_radii(q, family)
         all_positive, decisions = decided[family]
         classes = tuple(
             SurfaceClass(ALL_REGULAR_TUBES if entry.star else RIGHT_CYLINDERS, entry.radius, tag.eps, quotient)

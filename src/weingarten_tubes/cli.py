@@ -53,7 +53,7 @@ from .errors import (
     ZeroRadius,
 )
 from .polyalg import Poly2, _add, _convolve, _expand_power, divide_by_tube_factor, substitute_tube, tube_generator
-from .radius import SPACES, AlgebraicRadius, SpaceTag, radius_set, star_radius_set
+from .radius import SPACES, AlgebraicRadius, SpaceTag, _radius_sets
 
 SCHEMA_VERSION = "1"
 
@@ -508,17 +508,15 @@ def _cmd_radius(args) -> dict:
     prec = _precision()
     poly = parse_poly(args.poly)
     lanes = []
-    for tag in expand_spaces(args.space):
-        rset = star_radius_set(poly, tag) if args.star else radius_set(poly, tag)
+    tags = expand_spaces(args.space)
+    for tag, rset in zip(tags, _radius_sets(poly, tags, args.star)):
         lane: dict = {"space": tag.space, "eps": tag.eps, "kind": rset.kind}
         if rset.kind == "finite":
-            entries = []
-            for entry in rset.entries:
-                item: dict = {"radius": _radius_json(*_radius_body(entry.radius, prec), tag, prec)}
-                if args.star:
-                    item["star"] = entry.star
-                entries.append(item)
-            lane["entries"] = entries
+            lane["entries"] = [
+                {"radius": _radius_json(*_radius_body(entry.radius, prec), tag, prec)}
+                | ({"star": entry.star} if args.star else {})
+                for entry in rset.entries
+            ]
         lanes.append(lane)
     inputs = {"poly": str(poly), "space": args.space, "star": bool(args.star)}
     return _document("radius", inputs, {"lanes": lanes})

@@ -62,9 +62,10 @@ unpacks the quotient columns of a member and certifies that quotient,
 an irrational one by the sign change of the square-free part of
 gcd(star poly, defining poly) across its isolating interval, unless it
 is a star poly root.
-Lanes whose families are equal values (E3, H3 and L3 with eps = +1
-share one row) get one decision per call of the lane driver of
-``classify``, keyed by the family value with all its fields.
+One ``decide_radii`` call decides each distinct family value once (E3, H3
+and L3 with eps = +1 share one row), both K-H rows from one isolation: the
+signals' lines meet x = 0 at y = eps/(2r), so R_-(0, r) = (-1)**n *
+R_+(0, -r), and the eps = -1 radii are R_+(0, r)'s negative roots negated.
 """
 
 from __future__ import annotations
@@ -502,30 +503,47 @@ def isolate_positive_roots(p: Union[Poly1, list[int]]) -> list[AlgebraicRadius]:
     coeffs = _integer_list(p)
     if not coeffs:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    return _isolations(coeffs, False)[0]
+
+
+def _mirror(p: list[int], parity: int) -> list[int]:
+    """(-1)**parity * p(-r)."""
+    return [-c if (k + parity) % 2 else c for k, c in enumerate(p)]
+
+
+def _isolations(coeffs: list[int], mirrored: bool) -> list[list[AlgebraicRadius]]:
+    """isolate_positive_roots of p, the nonzero integer list coeffs, and, if
+    mirrored, of p(-r), from one square-free part s, lift, deflation d and Sturm chain.
+    For p(-r) the rationals negate, d becomes (-1)**deg(d) * d(-r) and f_i
+    (-1)**i * f_i(-r), a Sturm chain: its variation counts are root counts."""
     s = _squarefree(coeffs)
-    if len(s) < 2:
-        return []
-    rationals = _rational_roots(s)
-    positive = [rho for rho in rationals if rho > 0]
+    rationals = _rational_roots(s) if len(s) > 1 else []
     deflated = s
     for rho in rationals:
         deflated = _exact_quotient(deflated, [-rho.numerator, rho.denominator])
-    entries = []
-    if len(deflated) > 1:
-        # the cells of s over (0, B_d] away from the known rationals are
-        # the first dyadic cells that hold one irrational root and nothing
-        # else; deflated is primitive with a positive lead, as s and every
-        # factor q*r - p are (Gauss's lemma), and B_d its Cauchy bound
-        defining, bound = Poly1(deflated), 1 + Fraction(max(map(abs, deflated)), deflated[-1])
-        for lo, hi in _sturm_cells(_sturm_chain(s), Fraction(0), bound, positive):
-            entries.append(AlgebraicRadius._checked(defining, deflated, lo, hi, None))
-    ends = [rad.hi for rad in entries] + positive
-    for rho in positive:
-        lo = max((v for v in ends if v < rho), default=Fraction(0))
-        linear = [-rho.numerator, rho.denominator]
-        entries.append(AlgebraicRadius._checked(Poly1(linear), linear, lo, rho, rho))
-    entries.sort(key=lambda rad: rad.lo)
-    return entries
+    sides = [(rationals, deflated, _sturm_chain(s) if len(deflated) > 1 else [])]
+    if mirrored:
+        chain = [_mirror(f, i) for i, f in enumerate(sides[0][2])]
+        sides.append(([-rho for rho in reversed(rationals)], _mirror(deflated, len(deflated) - 1), chain))
+    found = []
+    for rationals, deflated, chain in sides:
+        positive = [rho for rho in rationals if rho > 0]
+        entries = []
+        if chain:
+            # the cells of s over (0, B_d] away from the known rationals are
+            # the first dyadic cells that hold one irrational root and nothing
+            # else; deflated is primitive with a positive lead, as s and every
+            # factor q*r - p are (Gauss's lemma), and B_d its Cauchy bound
+            defining, bound = Poly1(deflated), 1 + Fraction(max(map(abs, deflated)), deflated[-1])
+            for lo, hi in _sturm_cells(chain, Fraction(0), bound, positive):
+                entries.append(AlgebraicRadius._checked(defining, deflated, lo, hi, None))
+        ends = [rad.hi for rad in entries] + positive
+        for rho in positive:
+            lo = max((v for v in ends if v < rho), default=Fraction(0))
+            linear = [-rho.numerator, rho.denominator]
+            entries.append(AlgebraicRadius._checked(Poly1(linear), linear, lo, rho, rho))
+        found.append(sorted(entries, key=lambda rad: rad.lo))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +584,9 @@ class GeneratorFamily(NamedTuple):
         return reduce(_common_divisor, map(_without_r_power, rows), [])
 
 
-# the table of families
+# the table of families; the K-H rows of the two signals mirror each other on the axis
 _TUBE_FAMILIES = {tag: GeneratorFamily(*_tube_row(tag.eps)) for tag in LANES}
+_MIRRORED = (_TUBE_FAMILIES[LORENTZIAN_POS], _TUBE_FAMILIES[LORENTZIAN_NEG])
 PRINCIPAL = GeneratorFamily((), (0, 1), (-1,), (0, 1))
 
 
@@ -576,10 +595,26 @@ def tube_family(tag: SpaceTag) -> GeneratorFamily:
     return _TUBE_FAMILIES[tag]
 
 
+def _axis_radii(q: Poly2, families: Sequence[GeneratorFamily]) -> dict[GeneratorFamily, Optional[list[AlgebraicRadius]]]:
+    """The positive roots of each distinct family's radius poly, None when
+    it is zero (Q vanishes on the whole axis); one isolation serves both
+    K-H rows when both are asked (``decide_radii``)."""
+    if q.is_zero:
+        raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
+    paired = all(family in families for family in _MIRRORED)
+    radii = {}
+    for family in families:
+        pair = _MIRRORED if paired and family in _MIRRORED else (family,)
+        if family not in radii:
+            p = pair[0].radius_poly(q)
+            radii.update(zip(pair, _isolations(p, len(pair) == 2) if p else [None, None]))
+    return radii
+
+
 def decide_radii(
-    q: Poly2, family: GeneratorFamily
-) -> tuple[bool, tuple[tuple[RadiusEntry, Optional[Poly2]], ...]]:
-    """(all_positive, decisions) for Q in one generator family.
+    q: Poly2, families: Sequence[GeneratorFamily]
+) -> dict[GeneratorFamily, tuple[bool, tuple[tuple[RadiusEntry, Optional[Poly2]], ...]]]:
+    """(all_positive, decisions) for Q in each distinct family given.
 
     Each decision is a radius entry with its star flag, plus the exact
     quotient of Q by G_r when the radius is a rational star.  The
@@ -587,31 +622,45 @@ def decide_radii(
     vanishes on the whole axis (right cylinders of every radius), of the
     star poly.  A rational candidate is decided once, by the certified
     division by G_r; an irrational one by the star poly, or not at all
-    when it is a root of the star poly by construction.  The result
-    depends on Q and the family value alone, so callers with several
-    lanes decide each distinct family once (``classify._classify``).
+    when it is a root of the star poly by construction.  Both K-H rows
+    take their radius poly roots from one isolation: R_-(0, r) =
+    (-1)**n * R_+(0, -r), n = deg_y Q, as both are (-2r)**n * Q(0, eps/(2r)).
+    Star decisions and quotients stay per family.
     """
-    if q.is_zero:
-        raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
-    candidates = family.radius_poly(q)
-    all_positive = not candidates
-    star_poly = None
-    if all_positive:
-        candidates = star_poly = family.star_poly(q)
-    radii = isolate_positive_roots(candidates) if len(candidates) > 1 else []
-    decisions = []
-    for rad in radii:
-        quotient = None
-        r = rad.exact_value
-        if r is not None:
-            quotient = _divide(q, *_integer_line(family, r.numerator, r.denominator))
-            star = quotient is not None
-        else:
-            if star_poly is None:
-                star_poly = family.star_poly(q)
-            star = all_positive or vanishes_at(star_poly, rad)  # all-positive: a star poly root
-        decisions.append((RadiusEntry(rad, star), quotient))
-    return all_positive, tuple(decisions)
+    decided = {}
+    for family, radii in _axis_radii(q, families).items():
+        all_positive = radii is None
+        star_poly = None
+        if all_positive:
+            star_poly = family.star_poly(q)
+            radii = isolate_positive_roots(star_poly) if len(star_poly) > 1 else []
+        decisions = []
+        for rad in radii:
+            quotient = None
+            r = rad.exact_value
+            if r is not None:
+                quotient = _divide(q, *_integer_line(family, r.numerator, r.denominator))
+                star = quotient is not None
+            else:
+                if star_poly is None:
+                    star_poly = family.star_poly(q)
+                star = all_positive or vanishes_at(star_poly, rad)  # all-positive: a star poly root
+            decisions.append((RadiusEntry(rad, star), quotient))
+        decided[family] = (all_positive, tuple(decisions))
+    return decided
+
+
+def _radius_sets(q: Poly2, tags: Sequence[SpaceTag], star: bool) -> list[RadiusSet]:
+    """The radius_set, or star_radius_set when star, of each tag: one pass per distinct family."""
+    families = [tube_family(tag) for tag in tags]
+    decided = decide_radii(q, families) if star else {
+        family: (radii is None, [(RadiusEntry(rad, False), None) for rad in radii or ()])
+        for family, radii in _axis_radii(q, families).items()
+    }
+    return [
+        RadiusSet("all-positive" if all_positive else "finite", tuple(entry for entry, _ in decisions))
+        for all_positive, decisions in map(decided.get, families)
+    ]
 
 
 def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
@@ -622,18 +671,11 @@ def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     entries are in rho = sinh(r).  Star flags are left False; use
     star_radius_set for the full decision.
     """
-    if q.is_zero:
-        raise ZeroPolynomial("the zero relation holds on every surface; radius sets are undefined")
-    p = tube_family(tag).radius_poly(q)
-    if not p:
-        return RadiusSet("all-positive")
-    radii = isolate_positive_roots(p) if len(p) > 1 else []
-    return RadiusSet("finite", tuple(RadiusEntry(rad, False) for rad in radii))
+    return _radius_sets(q, (tag,), False)[0]
 
 
 def star_radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """radius_set with star = True exactly where Q lies in the ideal of
     the tube relation at that radius (see decide_radii); an all-positive
     set lists the star radii, as classify does."""
-    all_positive, decisions = decide_radii(q, tube_family(tag))
-    return RadiusSet("all-positive" if all_positive else "finite", tuple(entry for entry, _ in decisions))
+    return _radius_sets(q, (tag,), True)[0]

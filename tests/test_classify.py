@@ -128,20 +128,30 @@ class TestSolveSQ:
 
     @pytest.mark.parametrize("spaces", ["all", "euclidean", "lorentzian", "hyperbolic", ["euclidean", "hyperbolic"]])
     def test_one_decision_per_distinct_family(self, monkeypatch, exq_poly, spaces):
-        # E3, L3 eps = +1 and H3 share one family row, decided once per call
-        calls = []
+        # E3, L3 eps = +1 and H3 share one family row: one decide_radii call
+        # decides each distinct row once, and when both signals are asked
+        # the eps = -1 row reads the mirror image of the eps = +1 radius
+        # poly's roots, so only the eps = +1 radius poly is built
+        calls, built = [], []
 
-        def counted(q, family):
-            calls.append(family)
-            return decide(q, family)
+        def counted(q, families):
+            calls.append(list(families))
+            return decide(q, families)
 
-        decide = classify.decide_radii
+        def counted_radius_poly(family, q):
+            built.append(family)
+            return radius_poly(family, q)
+
+        decide, radius_poly = classify.decide_radii, GeneratorFamily.radius_poly
         monkeypatch.setattr(classify, "decide_radii", counted)
+        monkeypatch.setattr(GeneratorFamily, "radius_poly", counted_radius_poly)
         report = solve_SQ(exq_poly, spaces)
         families = {tube_family(lane.tag) for lane in report.lanes}
-        assert len(calls) == len(families) and set(calls) == families
+        assert len(calls) == 1 and set(calls[0]) == families
+        paired = {tube_family(LORENTZIAN_POS), tube_family(LORENTZIAN_NEG)} <= families
+        assert len(built) == len(set(built)) == len(families) - paired
         if spaces == "all":
-            assert len(report.lanes) == 4 and len(calls) == 2
+            assert len(report.lanes) == 4 and built == [tube_family(EUCLIDEAN)]
 
 
 class TestSolveQS:

@@ -331,6 +331,10 @@ PINNED_REPORTS = [
     ("classify_product_8.json", ["classify", PRODUCT_8]),
     # a power of a dense base, expanded by the parser in one pass
     ("classify_power_30_all.json", ["classify", "9/2*(x + 2*y + 1)^30", "--space", "all"]),
+    # the roots 1 and sqrt(2) in both signals, 1/3 at eps = +1 only, and
+    # an eps = -1 star at r = 1 with its quotient: the mirrored axis pass
+    ("classify_mirrored_signals_all.json",
+     ["classify", "((4*y^2 - 1)*(8*y^2 - 1)*(2*y - 3) + x)*(x - 2*y - 1)", "--space", "all"]),
     # irrational, positive rational and negative rational radius roots
     ("radius_irrational_negative_rational.json",
      ["radius", "((2*x+1)^2 - 8*y^2)*(x + 3*y + 2)*(x - y + 2)", "--star"]),
@@ -402,6 +406,32 @@ class TestGoldens:
         code, out, err = run_cli(capsys, "classify", "x*(2*x - 3*y + 1)*((2*x+1)^2 - 8*y^2)", "--space", "all")
         assert code == 0, err
         assert out == (GOLDEN / "pinned" / "classify_all_positive_irrational_all.json").read_text()
+
+
+    @pytest.mark.parametrize("star", [False, True])
+    def test_radius_all_spaces_isolates_each_relation_once(self, capsys, monkeypatch, star):
+        # E3, L3 eps = +1 and H3 share one family row, and the eps = -1 row
+        # is its mirror image on the axis: one isolation, one rational-root
+        # lift and one Sturm chain serve all four lanes
+        text = "((4*y^2 - 1)*(8*y^2 - 1)*(2*y - 3) + x)*(x - 2*y - 1)"
+        q = parse_poly(text)
+        each = [(radius.star_radius_set if star else radius.radius_set)(q, tag) for tag in radius.LANES]
+        calls = {name: 0 for name in ("_isolations", "_rational_roots", "_sturm_chain")}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(radius, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(radius, name, counted)
+        code, out, err = run_cli(capsys, "radius", text, "--space", "all", *(["--star"] if star else []))
+        assert code == 0, err
+        assert calls == {"_isolations": 1, "_rational_roots": 1, "_sturm_chain": 1}
+        lanes = json.loads(out)["result"]["lanes"]
+        assert [len(lane["entries"]) for lane in lanes] == [len(rset.entries) for rset in each] == [3, 3, 2, 3]
+        if star:
+            assert [[entry["star"] for entry in lane["entries"]] for lane in lanes] == [
+                [entry.star for entry in rset.entries] for rset in each
+            ]
 
 
 class TestVerifyGoldens:

@@ -715,14 +715,15 @@ def test_radius_poly_is_q_on_the_axis_up_to_r_powers(shape, a, b, r, eps, points
 def test_all_spaces_is_each_space_alone(shape, a, b, r, eps):
     """solve_SQ decides the rows shared by E3, L3 eps = +1 and H3 once:
     its lanes are those of the one-space calls, and each lane is the
-    decision of its own tag's family, so no shared decision reaches the
-    eps = -1 lane."""
+    decision of its own tag's family asked alone, so the axis isolation
+    the eps = -1 lane shares with the eps = +1 row changes none of its
+    radii, stars or quotients."""
     q = build(shape, tube_generator(r, eps), a, b)
     assume(not q.is_zero)
     each = [lane for space in ("euclidean", "lorentzian", "hyperbolic") for lane in solve_SQ(q, space).lanes]
     assert list(solve_SQ(q, "all").lanes) == each
     for lane in each:
-        all_positive, decisions = decide_radii(q, tube_family(lane.tag))
+        ((all_positive, decisions),) = decide_radii(q, [tube_family(lane.tag)]).values()
         assert lane.all_cylinders_any_radius == all_positive
         assert [(cls.radius, cls.kind == ALL_REGULAR_TUBES, cls.quotient, cls.eps) for cls in lane.classes] == [
             (entry.radius, entry.star, quotient, lane.tag.eps) for entry, quotient in decisions

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import axis_restriction, brute_substitute, linear_product, poly_product, random_poly2
 from weingarten_tubes import radius
@@ -209,6 +210,57 @@ class TestIsolation:
         assert [r.exact_value for r in roots] == [3]
 
 
+# factors of the isolation inputs: rational roots at the dyadic cell ends
+# +-1/2, +-1 and +-2, the pair +-sqrt(2), irrational roots on one side
+# only (2 +- sqrt(2) and their negatives) and the factor r
+MIRROR_FACTORS = [[-1, 2], [1, 2], [-1, 1], [1, 1], [-2, 1], [2, 1], [-2, 0, 1], [2, -4, 1], [2, 4, 1], [0, 1]]
+
+
+def mirrored_list(p: list) -> list:
+    """p(-r) coefficient by coefficient, not normalised."""
+    return [-c if k % 2 else c for k, c in enumerate(p)]
+
+
+def radius_fields(rad) -> tuple:
+    return rad.defining_poly.coeffs, rad.lo, rad.hi, rad.exact_value
+
+
+class TestMirroredIsolation:
+    """The shared pass's eps = -1 side, the positive roots of p(-r) read
+    off the isolation of p, is isolate_positive_roots of the mirrored list
+    field for field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        factors=st.lists(st.tuples(st.sampled_from(MIRROR_FACTORS), st.integers(1, 3)), min_size=1, max_size=4),
+        lead=st.sampled_from([1, -1, 3, -6]),
+    )
+    @example(factors=[([-2, 0, 1], 1), ([-1, 1], 1), ([1, 2], 2)], lead=1)
+    @example(factors=[([2, -4, 1], 1), ([0, 1], 3)], lead=-1)
+    @example(factors=[([-1, 2], 2), ([1, 2], 1), ([-2, 1], 1), ([1, 1], 3)], lead=3)
+    def test_the_mirror_side_is_the_isolation_of_the_mirrored_list(self, factors, lead):
+        p = poly_product([lead], *(f for f, m in factors for _ in range(m)))
+        direct, mirror = radius._isolations(p, True)
+        assert direct == isolate_positive_roots(p)
+        want = isolate_positive_roots(mirrored_list(p))
+        assert list(map(radius_fields, mirror)) == list(map(radius_fields, want))
+
+    def test_one_side_only(self):
+        # (r^2 - 4r + 2)(r - 2): every root positive, none for p(-r)
+        direct, mirror = radius._isolations(poly_product([2, -4, 1], [-2, 1]), True)
+        assert [rad.exact_value for rad in direct] == [None, 2, None] and mirror == []
+
+    def test_one_sturm_chain_for_both_sides(self, monkeypatch):
+        # (r^2 - 2)(2r - 1)(r + 1): sqrt(2) on both sides, 1/2 and 1 on one each
+        built = []
+        sturm_chain = radius._sturm_chain
+        monkeypatch.setattr(radius, "_sturm_chain", lambda s: built.append(s) or sturm_chain(s))
+        direct, mirror = radius._isolations(poly_product([-2, 0, 1], [-1, 2], [1, 1]), True)
+        assert [rad.exact_value for rad in direct] == [Fraction(1, 2), None]
+        assert [rad.exact_value for rad in mirror] == [1, None]
+        assert len(built) == 1
+
+
 class TestRationalRoots:
     def test_reciprocals_of_one_to_sixty(self):
         # prod (i*r - 1): the lead 60! is divisible by every prime below
@@ -293,7 +345,7 @@ class TestGeneratorFamily:
         assert family is not table
         assert family == table and hash(family) == hash(table)
         for q in (exq_poly, sq_poly):
-            assert decide_radii(q, family) == decide_radii(q, table)
+            assert decide_radii(q, [family]) == decide_radii(q, [table])
 
 
 class TestRadiusSet:
