@@ -74,4 +74,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

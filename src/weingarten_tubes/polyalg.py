@@ -54,10 +54,16 @@ that ``_tube_row`` and ``_integer_line`` give it:
   multiplies each row by the small packed a and c alone.
 * ``_divide`` -- Q / ((a*x + b*y + c)/d), all four integers as the
   library builds the line: None when step 0 of Q's ``_line_horner`` pass
-  is nonzero, else the quotient read off the unpacked steps 1..n,
+  is nonzero, else the quotient read off steps 1..n in one plain loop,
+  which unpacks only the nonzero steps and carries each column's factor
+  d * b**j as a running product, zero steps included.  The quotient is
   certified once by line * quotient == d * Q on numerators: their
-  convolution, cross-multiplied by the denominators, equals Q's numerator
-  on Q's support and is zero off it.
+  convolution, cross-multiplied by the denominators, is compared in one
+  loop that stops at the first term of Q's support where they differ,
+  and then must leave no nonzero term off Q's support.  Neither loop
+  opens a comprehension or generator: under CPython 3.11 each is a frame
+  of its own, which on a member of a few terms costs more than the
+  integer work.
 
 The tube relation x*r**2 - 2*r*y + eps, eps in {-1, +1}, is written once,
 as the family row ``_tube_row(eps)``; at a rational r its integers are
@@ -523,7 +529,7 @@ def _line_horner(nums: Mapping[tuple[int, int], int], a: int, b: int, c: int) ->
     its packed integer is, with constant term the lowest balanced digit;
     H_j / b (j >= 1) is the y**(j-1) column of the quotient by
     a*x + b*y + c.  A zero a is the axis x = 0."""
-    n = max((j for _, j in nums), default=-1)
+    n = max(map(operator.itemgetter(1), nums), default=-1)
     bound = sum(map(abs, nums.values())) * max(abs(a) + abs(c), abs(b), 1) ** max(n, 0)
     k = bound.bit_length() + 1
     cols = [0] * (n + 1)
@@ -584,26 +590,37 @@ def _family_image(
 def _divide(q: Poly2, a: int, b: int, c: int, d: int) -> Optional[Poly2]:
     """Q / ((a*x + b*y + c)/d) for integers b != 0 and d != 0, by Q's pass
     on the line (``Poly2._line_pass``): None when Q is not in the ideal of
-    the line (step 0 is a nonzero integer), else steps 1..n unpacked,
-    certified by line * quotient == d * Q (InternalMismatch on failure, an
-    arithmetic bug)."""
+    the line (step 0 is a nonzero integer), else the quotient.  One loop
+    over steps 1..n unpacks each nonzero step j + 1 into the y**j column,
+    times d * b**j, and a second loop certifies line * quotient == d * Q:
+    equal on Q's support, then zero off it (InternalMismatch on failure,
+    an arithmetic bug)."""
     steps, k = q._line_pass(a, b, c)
     if steps[0]:
         return None
     den, nums = q._den, q._nums
     # step j is b**(n - j) * H_j for den * Q on the line; the quotient's
-    # y**(j - 1) column d * H_j / (den * b) is step j * column[j - 1] / scale
-    scale = den * b ** (len(steps) - 1)
-    column = [d * b**j for j in range(len(steps) - 1)]
-    quotient = Poly2._from_cleared(
-        {(i, j): v * column[j] for j, step in enumerate(steps[1:]) for i, v in enumerate(_unpack(step, k)) if v},
-        scale,
-    )
+    # y**(j - 1) column d * H_j / (den * b) is step j * d * b**(j - 1)
+    # over den * b**n.  Plain loops, no comprehension or generator (module
+    # docstring)
+    raw: dict[tuple[int, int], int] = {}
+    column = d
+    for j, step in enumerate(steps[1:]):
+        if step:
+            for i, v in enumerate(_unpack(step, k)):
+                if v:
+                    raw[i, j] = v * column
+        column *= b
+    quotient = Poly2._from_cleared(raw, den * b ** (len(steps) - 1))
     # line * quotient == d * Q cross-multiplied: equal on Q's support, zero off it
     product, product_den = _convolve({(1, 0): a, (0, 1): b, (0, 0): c}, quotient._nums), d * quotient._den
-    if any(product.pop(e, 0) * den != v * product_den for e, v in nums.items()) or any(product.values()):
-        raise InternalMismatch("verified multiplication of the quotient failed")
-    return quotient
+    for e, v in nums.items():
+        if product.pop(e, 0) * den != v * product_den:
+            break
+    else:
+        if not any(product.values()):
+            return quotient
+    raise InternalMismatch("verified multiplication of the quotient failed")
 
 
 def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:

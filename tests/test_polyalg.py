@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_substitute, poly_product, random_poly2, random_rational
+from conftest import brute_product, brute_substitute, poly_product, random_poly2, random_rational
 from paper_formulas import binom, binomial_alternating_sum, epsilon_transform, gamma_formula, lemma_identity_defined
 from weingarten_tubes import polyalg
 from weingarten_tubes.cli import parse_poly
-from weingarten_tubes.errors import ZeroPolynomial, ZeroRadius
+from weingarten_tubes.errors import InternalMismatch, ZeroPolynomial, ZeroRadius
 from weingarten_tubes.polyalg import (
     Poly1,
     Poly2,
@@ -555,6 +555,57 @@ class TestLineHorner:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(finished) == list(range(len(radii)))
+
+
+class TestDivideReadOff:
+    """``_divide`` reads the quotient's y-columns off Horner steps 1..n,
+    each scaled by d * b**j, and certifies line * quotient == d * Q in two
+    halves: equal on Q's support, and zero off it."""
+
+    # quotients whose y-columns have gaps, so that zero Horner steps sit
+    # between nonzero ones: y**1 and y**4, and y**0 and y**5
+    gapped = [X**3 * Y**4 - Poly2.constant(Fraction(5, 7)) * Y, Y**5 + Poly2.constant(1)]
+
+    @pytest.mark.parametrize("a", gapped, ids=str)
+    def test_gapped_quotient_on_a_raw_line(self, a):
+        # b < 0 and d > 1: the column factor d * b**j changes sign and size
+        # on every step, zero steps included
+        line, d = (3, -5, 2), 4
+        g = Poly2(zip([(1, 0), (0, 1), (0, 0)], [Fraction(v, d) for v in line]))
+        q = Poly2(brute_product(g, a))
+        assert _divide(q, *line, d) == a
+
+    @pytest.mark.parametrize("a", gapped, ids=str)
+    @pytest.mark.parametrize("eps", (1, -1))
+    def test_gapped_quotient_on_a_tube(self, a, eps):
+        r = Fraction(7, 3)
+        q = Poly2(brute_product(tube_generator(r, eps), a))
+        assert divide_by_tube_factor(q, r, eps) == a
+
+    @pytest.mark.parametrize("eps", (1, -1))
+    def test_zero_divides_to_zero(self, eps):
+        # no quotient step at all: the read-off loop runs zero times
+        assert divide_by_tube_factor(Poly2.zero(), Fraction(7, 3), eps) == Poly2.zero()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # a wrong coefficient on Q's support
+            lambda product: {**product, (0, 0): product[0, 0] + 1},
+            # an extra term off Q's support, every term on it right
+            lambda product: {**product, (40, 0): 1},
+        ],
+        ids=["on the support", "off the support"],
+    )
+    def test_each_certificate_half_raises(self, monkeypatch, corrupt):
+        r = Fraction(7, 3)
+        q = tube_generator(r, 1) * self.gapped[1]
+        assert (0, 0) in q._nums and (40, 0) not in q._nums
+        convolve = polyalg._convolve
+        monkeypatch.setattr(polyalg, "_convolve", lambda p1, p2: corrupt(convolve(p1, p2)))
+        with pytest.raises(InternalMismatch) as info:
+            divide_by_tube_factor(q, r, 1)
+        assert str(info.value) == "verified multiplication of the quotient failed"
 
 
 class TestEpsilonTransform:
