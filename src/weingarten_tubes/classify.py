@@ -16,12 +16,10 @@ generator family) rows: ``solve_SQ`` passes the K-H family of each tag,
 ``solve_SQ_principal`` the one row (Euclidean, principal family), and
 the two corollaries are one ``solve_SQ`` each.
 
-Conventions: hyperbolic radii appear in the substituted variable
-rho = sinh(r) everywhere in this module, and the Lorentzian space always
-contributes two lanes, one per signal eps in {-1, +1}.  The Euclidean
-and hyperbolic lanes share the eps = +1 Lorentzian lane's family row, so
-the driver decides that row once and builds all three lane reports from
-the one decision.
+Conventions: a radius is in the radius its lane's algebra works in, and
+the Lorentzian space contributes two lanes, one per signal eps in
+{-1, +1}; ``radius._LANE_TABLE`` holds both.  Lanes that share a family
+row are decided once (``_classify``).
 """
 
 from __future__ import annotations
@@ -144,9 +142,9 @@ class _TubeIdentity(NamedTuple):
 
 
 class TubeIdentity(_TubeIdentity):
-    """A fixed tube surface: ambient lane, radius (rho = sinh r in the
-    hyperbolic space), and whether the central curve is a geodesic.  An
-    int radius is stored as a Fraction."""
+    """A fixed tube surface: ambient lane, radius (in the lane's radius,
+    ``radius._LANE_TABLE``), and whether the central curve is a geodesic.
+    An int radius is stored as a Fraction."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -223,7 +221,7 @@ def solve_QS(surface: TubeIdentity) -> QSDescription:
 class LinearCase(NamedTuple):
     tag: SpaceTag
     kind: str  # "cylinders-any-radius" | "all-tubes" | "right-cylinders" | "empty"
-    radius: Optional[Fraction] = None  # rho for the hyperbolic lane
+    radius: Optional[Fraction] = None  # in the lane's radius (radius._LANE_TABLE)
     discriminant: Optional[Fraction] = None
 
 
@@ -234,7 +232,7 @@ def classify_linear(
     per lane of its ``solve_SQ`` report: "cylinders-any-radius" when the
     lane's axis restriction vanishes, "empty" with no class, else
     "all-tubes" or "right-cylinders" from its one class, with that rational
-    radius (rho in the hyperbolic lane) and the discriminant eps*b**2 + 4ac.
+    radius (in the lane's radius) and the discriminant eps*b**2 + 4ac.
     The paper's closed-form case table is a test oracle
     (tests/paper_formulas.py)."""
     a, b, c = _frac(a), _frac(b), _frac(c)
@@ -260,9 +258,8 @@ def classify_second_fundamental(
 ) -> ClassificationReport:
     """Tubes whose second fundamental form has constant length c > 0,
     i.e. the relation -2x + 4y**2 - c**2 = 0, by one ``solve_SQ``.  The
-    paper's answer, right cylinders only, of radius 1/c in the Euclidean
-    and Lorentzian lanes (both signals) and rho = 1/c in the hyperbolic
-    lane, is a test oracle (tests/paper_formulas.py)."""
+    paper's answer, right cylinders only, of radius 1/c (in the lane's
+    radius) in every lane, is a test oracle (tests/paper_formulas.py)."""
     c = _frac(c)
     if c <= 0:
         raise NonpositiveLength("second-fundamental-form length must be positive")
@@ -297,10 +294,12 @@ def true_nonlinear_witness(q: Poly2, surface: TubeIdentity) -> NonlinearVerdict:
     tube also satisfies).
 
     For a non-cylinder the answer is always no: the degree-1 tube
-    relation divides Q and is returned as the witness.  For a right
-    cylinder true nonlinear relations are possible; deciding one would
-    require bivariate factorization, so the verdict only reports the
-    open cylinder case.
+    relation divides Q, and at a rational radius it is the witness.  At an
+    irrational radius the witness is None, as that divisor has irrational
+    coefficients; its rational stand-in, the norm N of the conjugate
+    relations, is ROADMAP item 4.  For a right cylinder true nonlinear
+    relations are possible; deciding one would require bivariate
+    factorization, so the verdict only reports the open cylinder case.
     """
     if q.degree <= 1:
         raise LinearInput("true-nonlinear analysis needs total degree >= 2")

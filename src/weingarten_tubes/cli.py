@@ -22,9 +22,9 @@ used for approximate values in reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.util
-import math
 import os
 import re
 import sys
@@ -53,7 +53,7 @@ from .errors import (
     ZeroRadius,
 )
 from .polyalg import Poly2, _add, _convolve, _expand_power, divide_by_tube_factor, substitute_tube, tube_generator
-from .radius import SPACES, AlgebraicRadius, SpaceTag, _radius_sets
+from .radius import SPACES, AlgebraicRadius, SpaceTag, _LANE_TABLE, _radius_sets
 
 SCHEMA_VERSION = "1"
 
@@ -274,7 +274,7 @@ def _fmt(value: float, prec: int) -> str:
 
 
 def _radius_body(rad: AlgebraicRadius, prec: int) -> tuple[dict, float]:
-    """The printed radius, in the hyperbolic space its sinh, and its value."""
+    """The printed radius, in its lane's radius, and its value."""
     if rad.exact_value is not None:
         return {"exact": str(rad.exact_value)}, float(rad.exact_value)
     fine = rad.refined()
@@ -288,11 +288,10 @@ def _radius_body(rad: AlgebraicRadius, prec: int) -> tuple[dict, float]:
 
 
 def _radius_json(body: dict | str, value: float, tag: SpaceTag, prec: int) -> dict | str:
-    """The printed radius of value: body, or in the hyperbolic space, whose
-    algebra works in rho = sinh r, body as rho beside r itself."""
-    if tag.space == "hyperbolic":
-        return {"sinh_radius": body, "radius_approx": _fmt(math.asinh(value), prec)}
-    return body
+    """The printed radius of value: body, or, where the lane's algebra works
+    in another radius (``radius._LANE_TABLE``), body under its key beside r."""
+    _, key, to_r = _LANE_TABLE[tag]
+    return {key: body, "radius_approx": _fmt(to_r(value), prec)} if key else body
 
 
 def _classification_json(report: ClassificationReport, prec: int) -> dict:
@@ -565,17 +564,16 @@ def _cmd_verify(args) -> dict:
     csv_path = args.csv or None
     if csv_path:
         try:  # opened before the grid pass, so a bad path costs no sampling
-            handle = open(csv_path, "w")
+            with open(csv_path, "w") as handle:
+                try:
+                    result = geo.verify_relation(poly, spec, s_grid, t_grid, handle)
+                except BaseException:  # an in-pass error leaves an empty file where it can
+                    with contextlib.suppress(OSError):  # unseekable, or its pending write fails
+                        handle.seek(0)
+                        handle.truncate()
+                    raise
         except OSError as ex:
-            raise UnwritableOutput(f"cannot write --csv {csv_path!r}: {ex.strerror}") from ex
-        with handle:
-            try:
-                result = geo.verify_relation(poly, spec, s_grid, t_grid, handle)
-            except BaseException:  # an in-pass error leaves an empty file
-                if handle.seekable():
-                    handle.seek(0)
-                    handle.truncate()
-                raise
+            raise UnwritableOutput(f"cannot write --csv {csv_path!r}: {ex.strerror or ex}") from ex
     else:
         result = geo.verify_relation(poly, spec, s_grid, t_grid)
     inputs = {"poly": str(poly), **tube_echo, "grid": args.grid, "csv": csv_path}
@@ -591,9 +589,8 @@ def _cmd_verify(args) -> dict:
 def _linear_case_json(case: LinearCase, prec: int) -> dict:
     body: dict = {"space": case.tag.space, "eps": case.tag.eps, "kind": case.kind}
     if case.radius is not None:
-        # a hyperbolic radius comes back as its own two keys
         radius = _radius_json(str(case.radius), float(case.radius), case.tag, prec)
-        body.update(radius if isinstance(radius, dict) else {"radius": radius})
+        body.update(radius if _LANE_TABLE[case.tag].radius_key else {"radius": radius})
     if case.discriminant is not None:
         body["discriminant"] = str(case.discriminant)
     return body
@@ -601,9 +598,7 @@ def _linear_case_json(case: LinearCase, prec: int) -> dict:
 
 def _cmd_linear(args) -> dict:
     prec = _precision()
-    a = _parse_rational(args.a, "a")
-    b = _parse_rational(args.b, "b")
-    c = _parse_rational(args.c, "c")
+    a, b, c = (_parse_rational(getattr(args, name), name) for name in "abc")
     cases = classify_linear(a, b, c, args.space)
     inputs = {"a": str(a), "b": str(b), "c": str(c), "space": args.space}
     return _document("linear", inputs, {"cases": [_linear_case_json(k, prec) for k in cases]})

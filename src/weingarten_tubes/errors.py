@@ -80,7 +80,7 @@ class DegreeTooLarge(DomainError):
 
 
 class UnwritableOutput(DomainError):
-    """An output file named on the command line cannot be opened for writing."""
+    """An output file named on the command line cannot be opened or written."""
 
 
 class PolySyntaxError(WeingartenError):

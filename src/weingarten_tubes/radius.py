@@ -33,8 +33,8 @@ rationals, with the same signs everywhere.
 Every radius question runs through one :class:`GeneratorFamily`, the
 relation G_r = a(r)*x + b(r)*y + c(r) that all regular tubes of radius r
 satisfy, printed divided by d(r), each field the integer coefficients of
-a polynomial in r from the constant term up.  The table of families (r
-is rho = sinh(r) in the hyperbolic space, reported with r = asinh(rho)):
+a polynomial in r from the constant term up.  The families (r is the
+radius its lane's algebra works in, which ``_LANE_TABLE`` maps to the tube's):
 
     K-H lane of signal eps   polyalg._tube_row(eps), r**2*x - 2*r*y + eps
     principal curvatures     (a, b, c, d) = ((), (0, 1), (-1,), (0, 1))
@@ -62,10 +62,8 @@ unpacks the quotient columns of a member and certifies that quotient,
 an irrational one by the sign change of the square-free part of
 gcd(star poly, defining poly) across its isolating interval, unless it
 is a star poly root.
-One ``decide_radii`` call decides each distinct family value once (E3, H3
-and L3 with eps = +1 share one row), both K-H rows from one isolation: the
-signals' lines meet x = 0 at y = eps/(2r), so R_-(0, r) = (-1)**n *
-R_+(0, -r), and the eps = -1 radii are R_+(0, r)'s negative roots negated.
+One ``decide_radii`` call decides each distinct family value once, both
+K-H rows from one isolation of the eps = +1 axis (its docstring).
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalMismatch, ZeroPolynomial
 from .polyalg import Poly1, Poly2, _divide, _family_image, _integer_line, _num_den, _tube_row, check_epsilon
@@ -440,10 +438,7 @@ class AlgebraicRadius(_AlgebraicRadius):
     def __repr__(self) -> str:
         if self.exact_value is not None:
             return f"AlgebraicRadius({self.exact_value})"
-        return (
-            f"AlgebraicRadius({self.defining_poly.to_string('r')} on "
-            f"({self.lo}, {self.hi}])"
-        )
+        return f"AlgebraicRadius({self.defining_poly.to_string('r')} on ({self.lo}, {self.hi}])"
 
 
 def vanishes_at(p: Union[Poly1, list[int]], rad: AlgebraicRadius) -> bool:
@@ -557,10 +552,8 @@ def _without_r_power(row: list[int]) -> list[int]:
 
 
 class GeneratorFamily(NamedTuple):
-    """The relation G_r = a(r)*x + b(r)*y + c(r), printed divided by d(r),
-    that every regular tube of radius r satisfies; each field is the
-    integer coefficients of a polynomial in r, constant term first.  Every
-    answer derives from R(x, r) (module docstring), computed by
+    """The relation G_r of the module docstring, each field integer
+    coefficients in r.  Every answer derives from R(x, r), computed by
     ``_family_image`` over the family and by ``_line_horner`` at a
     rational r."""
 
@@ -584,15 +577,27 @@ class GeneratorFamily(NamedTuple):
         return reduce(_common_divisor, map(_without_r_power, rows), [])
 
 
-# the table of families; the K-H rows of the two signals mirror each other on the axis
-_TUBE_FAMILIES = {tag: GeneratorFamily(*_tube_row(tag.eps)) for tag in LANES}
-_MIRRORED = (_TUBE_FAMILIES[LORENTZIAN_POS], _TUBE_FAMILIES[LORENTZIAN_NEG])
+class _Lane(NamedTuple):  # a row of the lane table
+    family: GeneratorFamily  # the lane's K-H family
+    radius_key: Optional[str] = None  # the report key of its radius, where that is not r
+    to_r: Optional[Callable[[float], float]] = None  # and the map from that radius to r
+
+
+# the lane table, the one place that sets the radius each lane's algebra
+# works in; the K-H rows of the two signals mirror each other on the axis
+_LANE_TABLE = {
+    EUCLIDEAN: _Lane(GeneratorFamily(*_tube_row(1))),
+    LORENTZIAN_POS: _Lane(GeneratorFamily(*_tube_row(1))),
+    LORENTZIAN_NEG: _Lane(GeneratorFamily(*_tube_row(-1))),
+    HYPERBOLIC: _Lane(GeneratorFamily(*_tube_row(1)), "sinh_radius", math.asinh),  # rho = sinh r
+}
+_MIRRORED = (_LANE_TABLE[LORENTZIAN_POS].family, _LANE_TABLE[LORENTZIAN_NEG].family)
 PRINCIPAL = GeneratorFamily((), (0, 1), (-1,), (0, 1))
 
 
 def tube_family(tag: SpaceTag) -> GeneratorFamily:
-    """The generator family x*r**2 - 2*r*y + eps of one lane."""
-    return _TUBE_FAMILIES[tag]
+    """The generator family x*r**2 - 2*r*y + eps of one lane (``_LANE_TABLE``)."""
+    return _LANE_TABLE[tag].family
 
 
 def _axis_radii(q: Poly2, families: Sequence[GeneratorFamily]) -> dict[GeneratorFamily, Optional[list[AlgebraicRadius]]]:
@@ -667,9 +672,8 @@ def radius_set(q: Poly2, tag: SpaceTag) -> RadiusSet:
     """Positive radii at which the right cylinder of that radius (and
     signal, in the Lorentzian lane) satisfies Q(K, H) = 0.
 
-    Euclidean/Lorentzian entries are in the radius r itself; hyperbolic
-    entries are in rho = sinh(r).  Star flags are left False; use
-    star_radius_set for the full decision.
+    Entries are in the radius of the lane's algebra (``_LANE_TABLE``).
+    Star flags are left False; use star_radius_set for the full decision.
     """
     return _radius_sets(q, (tag,), False)[0]
 

@@ -13,7 +13,8 @@ and its alternating-sum identity pin the conventions that formula rests
 on, and ``epsilon_transform`` carries statements between the eps = -1
 and eps = +1 generators.  ``LANE_ROWS`` and ``PRINCIPAL_ROW`` write each
 lane's tube relation as the paper states it, for the sympy reference of
-``reference_sq``.
+``reference_sq``; ``space_form_row`` is the one formula of which each of
+those K-H rows is the flat case c = 0.
 """
 
 import math
@@ -111,6 +112,19 @@ def tube_row(eps: int):
 LANE_ROWS = tuple((space, eps, tube_row(eps)) for space, eps in LANES)
 # the Euclidean principal-curvature relation k2 = 1/r, x = k1 and y = k2
 PRINCIPAL_ROW = ("euclidean", 1, lambda r: (0, 1, -1 / r))
+
+
+def space_form_row(eps: int, c: int):
+    """The relation rho**2*K - 2*rho*H + (eps - c*rho**2) = 0 of every
+    regular tube in the 3-dimensional space form of curvature c, as
+    rho -> (a, b, c0) like ``tube_row``.  K is the intrinsic curvature
+    k1*k2 + c, and rho = 1/ct_c(r) for the tube radius r: r for c = 0,
+    tan r for c = +1 and tanh r for c = -1, so that 1/rho is the normal
+    section's principal curvature (Gray, Tubes, 2nd ed., Birkhauser 2004,
+    on the shape operator of tubes in space forms).  At c = 0 it is
+    ``tube_row(eps)``, the E^3 and L^3 lanes; c = +1 (S^3) and c = -1 (H^3)
+    are stated for eps = +1, a Riemannian space form."""
+    return lambda r: (r**2, -2 * r, eps - c * r**2)
 
 
 def linear_cases(a: Fraction, b: Fraction, c: Fraction) -> list[tuple]:

@@ -1,7 +1,9 @@
 """Expression parser, report documents, exit codes and determinism."""
 
+import errno
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -743,6 +745,41 @@ class TestTubeArguments:
         )
         assert (code, out) == (2, "")
         assert err == f"error: cannot write --csv {path!r}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("grid", ["2x2", "64x64"])
+    def test_full_device_is_one_error_line(self, capsys, grid):
+        # 2x2 fails at the flush on close, 64x64 in a write of the pass and
+        # again in the cleanup's seek and at close
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", grid, "--csv", "/dev/full")
+        assert (code, out, err) == (2, "", "error: cannot write --csv '/dev/full': No space left on device\n")
+
+    @pytest.mark.parametrize("seek_fails", [False, True], ids=["write", "write-and-seek"])
+    def test_failed_write_is_one_error_line(self, capsys, monkeypatch, seek_fails):
+        # the write after the CSV header fails; the cleanup empties the file
+        # where its seek works and raises nothing over the error where not
+        failure = OSError(errno.EIO, os.strerror(errno.EIO))
+        closed_with = []
+
+        class Handle(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise failure
+                return super().write(text)
+
+            def seek(self, *args):
+                if seek_fails:  # a cleanup error that must not replace the write's
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().seek(*args)
+
+            def close(self):
+                closed_with.append(self.getvalue())
+                super().close()
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Handle(), raising=False)
+        code, out, err = run_cli(capsys, "verify", "x", "--tube", "e3-line:r=1", "--grid", "4x4", "--csv", "g.csv")
+        assert (code, out, err) == (2, "", f"error: cannot write --csv 'g.csv': {failure.strerror}\n")
+        assert closed_with == [geo.CSV_HEADER if seek_fails else ""]
 
 
 def rendered(document) -> str:

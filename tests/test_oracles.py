@@ -77,7 +77,7 @@ from weingarten_tubes.radius import (
     LORENTZIAN_NEG,
     LORENTZIAN_POS,
     PRINCIPAL,
-    _TUBE_FAMILIES,
+    _LANE_TABLE,
     _narrow,
     _rational_roots,
     _sign_at,
@@ -484,14 +484,14 @@ def family_line(family, r: Fraction) -> tuple[int, ...]:
 def test_cached_family_line_is_the_evaluated_one(r):
     """``polyalg._integer_line`` of a family through its bounded cache, on
     the first call at r and on a repeat, is the family evaluated at r, for
-    every row of the family table and the principal family;
+    every family of the lane table and the principal family;
     ``tube_generator(r, eps)``, which reads the same cache, is each K-H
     lane's generator, with the evaluated integers as its cleared fields,
     and the one that ``QSDescription.generator`` returns."""
-    for family in (*_TUBE_FAMILIES.values(), PRINCIPAL):
+    for family in (*(lane.family for lane in _LANE_TABLE.values()), PRINCIPAL):
         line = _integer_line(family, r.numerator, r.denominator)
         assert line == _integer_line(family, r.numerator, r.denominator) == family_line(family, r)
-    for tag, family in _TUBE_FAMILIES.items():
+    for tag, (family, _, _) in _LANE_TABLE.items():
         a, b, c, d = family_line(family, r)
         generator = tube_generator(r, tag.eps)
         assert generator == line_relation(family, r) == solve_QS(TubeIdentity(tag, r, False)).generator()

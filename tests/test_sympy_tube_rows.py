@@ -24,10 +24,32 @@ delta the module asserts:
   K and H, and its closed forms K_cf and H_cf, equal to the derived ones.
 
 The derivation reads none of the geometry module's frames or closed
-forms; they are only compared with what it derives.  The H^3
+forms; they are only compared with what it derives.  The library's H^3
 row is not derived: its normal is not tangent to H^3 (``geometry`` module
-docstring), and its oracle comes with that fix.  sympy is a test-only
-dependency; the module is skipped when it is not installed."""
+docstring), and its oracle comes with that fix.
+
+The space-form rows come from four more tubes, written out the same way
+and reading no library code: about a great circle and a small circle
+(sin a = 3/5) on the unit 3-sphere in R^4 (c = +1), and about a geodesic
+and a circle of curvature coth a (sinh a = 3/4, height cosh a = 5/4) on
+the hyperboloid <x, x> = -1 in R^4_1 (c = -1).  The tube is
+psi = cs(r)*gamma + sn(r)*(cos t N + sin t B) and its inward normal
+nu = c*sn(r)*gamma - cs(r)*(cos t N + sin t B), (cs, sn) = (cos, sin) or
+(cosh, sinh), each in the half-angle w of r: cos r = (1 - w**2)/(1 + w**2),
+cosh r = (1 + w**2)/(1 - w**2), and so on.  Per tube the module asserts:
+
+* the frame: <gamma, gamma> = c, T, N and B orthonormal and orthogonal
+  to gamma, and T' = kappa*N - c*gamma;
+* the normal: tangent to the space form (<nu, psi> = 0), orthogonal to
+  psi_s and psi_t, with <nu, nu> = 1;
+* ``paper_formulas.space_form_row(1, c)`` is 0 at K = k1*k2 + c, the
+  extrinsic curvature plus c, and rho = tan r or tanh r;
+* 1/rho is an eigenvalue of I**-1 * II; on the geodesics K = 0 and
+  H = (1/rho - c*rho)/2, that is cot 2r or coth 2r.
+
+At c = 0 ``space_form_row`` is the E^3 and L^3 rows of
+``paper_formulas.LANE_ROWS`` and of ``radius.tube_family``.  sympy is a
+test-only dependency; the module is skipped when it is not installed."""
 
 import math
 
@@ -35,9 +57,10 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from paper_formulas import LANE_ROWS, space_form_row  # noqa: E402
 from weingarten_tubes import geometry as geo  # noqa: E402
 from weingarten_tubes.polyalg import _tube_row  # noqa: E402
-from weingarten_tubes.radius import PRINCIPAL  # noqa: E402
+from weingarten_tubes.radius import PRINCIPAL, SpaceTag, tube_family  # noqa: E402
 
 S, T, R = sp.symbols("s t r")
 U, V = sp.symbols("u v")  # the rational parameters of the s-angle and of t
@@ -139,3 +162,90 @@ def test_derived_curvatures_satisfy_the_family_rows(key):
             got = geo.curvatures(spec, s, t)
             assert [got.K, got.H] == pytest.approx(want, rel=1e-9, abs=1e-12)
             assert [got.K_cf, got.H_cf] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_flat_space_form_row_is_each_e3_and_l3_lane_row():
+    flat = [(space, eps, row) for space, eps, row in LANE_ROWS if space != "hyperbolic"]
+    assert [(space, eps) for space, eps, _ in flat] == [("euclidean", 1), ("lorentzian", 1), ("lorentzian", -1)]
+    for space, eps, row in flat:
+        want = [sp.expand(v) for v in space_form_row(eps, 0)(R)]
+        assert [sp.expand(v) for v in row(R)] == want
+        a, b, c, d = tube_family(SpaceTag(space, eps))
+        assert [at_r(a), at_r(b), at_r(c)] == want and at_r(d) == 1
+
+
+W = sp.symbols("w")  # the half-angle parameter of the tube radius r
+
+# c -> (cs(r), sn(r), rho) in w = tan(r/2) on S^3 and w = tanh(r/2) on H^3
+SPACE_FORM_RADII = {
+    1: ((1 - W**2) / (1 + W**2), 2 * W / (1 + W**2), 2 * W / (1 - W**2)),
+    -1: ((1 + W**2) / (1 - W**2), 2 * W / (1 - W**2), 2 * W / (1 + W**2)),
+}
+
+
+def circle_curve(c: int, height, size):
+    """The unit-speed circle on the level x3 = height of S^3 (c = +1,
+    size = sin a, height = cos a) or x4 = height of H^3 (c = -1,
+    size = sinh a, height = cosh a) with its Frenet frame: kappa =
+    height/size, N = -(height*cos, height*sin) in the first two
+    coordinates and c*size in the level's own, B the remaining axis."""
+    th = S / size
+    level = 2 if c > 0 else 3
+    gamma = sp.Matrix([size * sp.cos(th), size * sp.sin(th), 0, 0])
+    normal = sp.Matrix([-height * sp.cos(th), -height * sp.sin(th), 0, 0])
+    gamma[level], normal[level] = height, c * size
+    binormal = sp.Matrix([0, 0, 0, 1] if c > 0 else [0, 0, 1, 0])
+    angle = {sp.cos(th): (1 - U**2) / (1 + U**2), sp.sin(th): 2 * U / (1 + U**2)}
+    return gamma, normal, binormal, height / size, angle
+
+
+SPACE_FORM_TUBES = {
+    "S3-great-circle": (1, *circle_curve(1, 0, 1)),
+    "S3-small-circle": (1, *circle_curve(1, sp.Rational(4, 5), sp.Rational(3, 5))),
+    "H3-geodesic": (
+        -1,
+        sp.Matrix([sp.sinh(S), 0, 0, sp.cosh(S)]),
+        sp.Matrix([0, 1, 0, 0]),
+        sp.Matrix([0, 0, 1, 0]),
+        0,
+        {sp.cosh(S): (U**2 + 1) / (2 * U), sp.sinh(S): (U**2 - 1) / (2 * U)},
+    ),
+    "H3-circle": (-1, *circle_curve(-1, sp.Rational(5, 4), sp.Rational(3, 4))),
+}
+
+
+def space_inner(c: int, p, q):
+    """The inner product of R^4 (c = +1) or of R^4_1, minus on x4 (c = -1)."""
+    return sp.cancel(p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + c * p[3] * q[3])
+
+
+@pytest.mark.parametrize("name", list(SPACE_FORM_TUBES))
+def test_space_form_tubes_satisfy_the_space_form_row(name):
+    c, gamma, normal, binormal, kappa, angle = SPACE_FORM_TUBES[name]
+    cs, sn, rho = SPACE_FORM_RADII[c]
+
+    def rational(m):  # every angle function by its rational parametrization
+        return m.applyfunc(lambda e: sp.cancel(e.subs(angle).subs(CIRCLE)))
+
+    tangent = gamma.diff(S)
+    g_, t_, n_, b_ = (rational(v) for v in (gamma, tangent, normal, binormal))
+    frame = (g_, t_, n_, b_)
+    assert [[space_inner(c, p, q) for q in frame] for p in frame] == [
+        [c, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
+    ]
+    assert rational(tangent.diff(S) - kappa * normal + c * gamma) == sp.zeros(4, 1)
+    section = sp.cos(T) * normal + sp.sin(T) * binormal
+    psi = cs * gamma + sn * section
+    nu = rational(c * sn * gamma - cs * section)
+    derivatives = (psi, psi.diff(S), psi.diff(T), psi.diff(S, 2), psi.diff(S, T), psi.diff(T, 2))
+    p, ps, pt, pss, pst, ptt = (rational(v) for v in derivatives)
+    assert [space_inner(c, nu, v) for v in (p, ps, pt, nu)] == [0, 0, 0, 1]
+    E, F, G = space_inner(c, ps, ps), space_inner(c, ps, pt), space_inner(c, pt, pt)
+    e, f, g = space_inner(c, pss, nu), space_inner(c, pst, nu), space_inner(c, ptt, nu)
+    K = sp.cancel((e * g - f * f) / (E * G - F * F) + c)
+    H = sp.cancel((e * G - 2 * f * F + g * E) / (2 * (E * G - F * F)))
+    a, b, c0 = space_form_row(1, c)(rho)
+    assert sp.cancel(a * K + b * H + c0) == 0
+    assert sp.cancel((e - E / rho) * (g - G / rho) - (f - F / rho) ** 2) == 0
+    if kappa == 0:  # the hand check: principal curvatures 1/rho and -c*rho
+        assert [K, sp.cancel(H - (1 / rho - c * rho) / 2)] == [0, 0]
