@@ -57,12 +57,14 @@ from .radius import SPACES, AlgebraicRadius, SpaceTag, _LANE_TABLE, _radius_sets
 
 SCHEMA_VERSION = "1"
 
-# Budget for --grid.  A point costs about 0.2-0.4 us of block-vectorised
-# work (2-vCPU x86 host, Python 3.11, in-process), and with --csv about
-# 1.0-1.6 us more to format its line of about 150 bytes, written block by
-# block: 2**18 points (512x512 e3-torus, l3-helix-ss or h3-circle) take
-# 0.05-0.11 s, or 0.30-0.68 s with --csv, at 31.6-32.1 MB, or 34.5-35.3 MB.
-# Uncapped, a grid like 100000x100000 would run for hours.
+# Budget for --grid.  A point costs about 0.3 us of block-vectorised work
+# (2-vCPU x86 host, Python 3.11.7, numpy 2.4.6, in-process), and with --csv
+# about 1.4-1.5 us more to format its line of about 150 bytes, written block
+# by block; a right cylinder's repeated rows cost less.  2**18 points take,
+# medians of 5 runs of best of 3: 0.024 s (512x512 e3-line), 0.071 s
+# (e3-torus) and 0.079 s (h3-circle), or 0.17, 0.43 and 0.48 s with --csv,
+# at 30.9-32.3 MB, or 32.3-35.2 MB.  Uncapped, a grid like 100000x100000
+# would run for hours.
 MAX_GRID_POINTS = 2**18
 
 # Budget for the parsed polynomial: no exponent and no product may exceed

@@ -14,8 +14,12 @@ points, each one call of the kernel ``_block`` (one ``_frames`` call on
 one curve ``jet`` per row, and all points as component-major
 (dim, rows, n_t) arrays); every grid function, ``curvatures`` as a
 one-point block, reads that pass, and ``verify`` takes residual, argmax
-and CSV per block.  The kernel gives the bits of per-point scalar
-evaluation on per-row frames (the reference in
+and CSV per block.  Outside H^3 a point's values depend on its row only
+through the frame, so a block whose rows all have row 0's frame bits
+(every E^3 and L^3 geodesic tube, a right cylinder) is evaluated on
+row 0 and that row repeated, and the CSV sorts only the rows whose bits
+differ from the row above.  The kernel gives the bits of
+per-point scalar evaluation on per-row frames (the reference in
 ``tests/test_row_kernel.py``): jets, section values and powers above 1
 come from Python's ``math`` and ``pow``, as numpy's SIMD libm can differ
 in the last ulp; array expressions keep the scalar operand order; each
@@ -321,11 +325,19 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
     and tau**2 are Python float powers, so they overflow with the same
     OverflowError as per point.  The frames' numpy warnings are silenced:
     they would depend on the block size, as a block builds frames past a
-    row that fails."""
+    row that fails.  Outside H^3 gamma does not enter, so when every row's
+    T, N, B, kappa, tau and signs have row 0's bits (0.0 and -0.0 differ)
+    the kernel runs on row 0 alone and its values are repeated down the
+    block; an error is then raised at row 0's s, the first failing row."""
     space = spec.curve.space
     r = spec.radius
     with np.errstate(all="ignore"):
         frame = _frames(spec.curve, s_rows)
+    same = space != "hyperbolic" and len(s_rows) > 1 and all(
+        (v.view(np.uint64) == v[..., :1].view(np.uint64)).all() for v in frame[1:]
+    )
+    if same:
+        frame = FrenetFrame(*(v[..., :1] for v in frame))
     ch, rho = (math.cosh(r), math.sinh(r)) if space == "hyperbolic" else (None, r)
     gamma, T, N, B = (v[..., None] for v in frame[:4])
     kappa, tau = (v[:, None] for v in frame[4:6])
@@ -391,7 +403,8 @@ def _block(spec: TubeSpec, s_rows: list, t_grid: list, sec: np.ndarray) -> tuple
             raise OverflowError(
                 f"K = {float(K.flat[k])}, H = {float(H.flat[k])} at {at}: radius {r!r} is too large for double precision"
             )
-    return regular, K, H, k_cf, h_cf, xi, eps
+    block = regular, K, H, k_cf, h_cf, xi, eps
+    return tuple(np.repeat(v, len(s_rows), axis=0) for v in block) if same else block
 
 
 def _grid_blocks(spec: TubeSpec, s_grid: Sequence[float], t_grid: list) -> Iterator[tuple]:
@@ -468,18 +481,25 @@ def _csv_block(s, t, regular, *columns) -> str:
     t alone), so one %-format prints s, t and each distinct bit pattern of
     the six columns once (0.0 and -0.0 print 0 and -0), each after its
     separator and a space to split on, which no %.17g output contains;
-    one join of the (rows, n_t, 8) table of these fields gives the lines."""
+    one join of the (rows, n_t, 8) table of these fields gives the lines.
+    The sort for distinct patterns sees only the rows whose bits differ
+    from the row above, anywhere; a row equal to the one above bit for bit
+    (every row of a right cylinder outside H^3) takes its fields."""
     s, t = (np.array(v, dtype=float).ravel() for v in (s, t))
     curvatures = [np.where(regular, v, np.nan) for v in columns[:4]]
-    values = np.stack((*curvatures, *columns[4:]), axis=-1, dtype=float)
-    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    values = np.stack((*curvatures, *columns[4:]), axis=-1, dtype=float).view(np.uint64)
+    fresh = np.ones(len(values), dtype=bool)
+    fresh[1:] = (values[1:] != values[:-1]).any(axis=(1, 2))
+    bits, inverse = np.unique(values[fresh].ravel(), return_inverse=True)
+    # a row takes the fields of the last fresh row at or above it
+    inverse = inverse.reshape(-1, *values.shape[1:])[np.cumsum(fresh) - 1]
     distinct = (*bits.view(float).tolist(), *t.tolist(), *s.tolist())
     text = (" ,%.17g" * (bits.size + t.size) + " \n%.17g" * s.size) % distinct
     fields = np.array(text.split(" ")[1:], dtype=object)
     table = np.empty((s.size, t.size, 8), dtype=object)
     table[..., 0] = fields[bits.size + t.size :, None]
     table[..., 1] = fields[bits.size : bits.size + t.size]
-    table[..., 2:] = fields[inverse].reshape(values.shape)
+    table[..., 2:] = fields[inverse]
     return "".join(table.ravel().tolist())
 
 

@@ -620,10 +620,23 @@ class TestCsv:
     @settings(max_examples=100, deadline=None)
     @given(block=csv_blocks())
     @example(block=([1.0], [0.0, 1.0], [[True, True]], [[[0.0, -0.0]]] * 6))
+    @example(block=([1.0, 2.0, 3.0], 0.5, [[True]] * 3, [[[0.0], [-0.0], [-0.0]]] * 6))
+    @example(
+        block=(
+            [1.0, 2.0, 3.0],
+            [0.0, 1.0],
+            [[True, True]] * 3,
+            [[[_from_bits(0x7FF8000000000001), 1.0], [_from_bits(0x7FF8000000000000), 1.0], [math.nan, 1.0]]] * 6,
+        )
+    )
+    @example(block=([1.0, 2.0, 3.0], [0.0, 1.0], [[True, True]] * 3, [[[0.1, 1.0]] + [[math.nextafter(0.1, 1.0), 1.0]] * 2] * 6))
+    @example(block=([1.0, 2.0, 3.0], 0.5, [[False], [False], [True]], [[[1.0], [2.0], [2.0]]] * 4 + [[[0.5]] * 3] * 2))
     def test_deduplicated_block_matches_per_value_format(self, block):
-        # each distinct bit pattern is printed once per block: the same
-        # bytes as printing every value on its own, for -0.0 beside 0.0 and
-        # NaN payloads beside each other
+        # each distinct bit pattern is printed once per block, and a row
+        # with the bits of the row above reuses its fields: the same bytes
+        # as printing every value on its own, for -0.0 beside or below 0.0,
+        # NaN payloads beside or below each other, values one ulp apart and
+        # rows equal only once their irregular curvatures are nan
         s, t, regular, columns = block
         s_list, t_list = np.atleast_1d(s).tolist(), np.atleast_1d(t).tolist()
         want = ""
@@ -649,17 +662,25 @@ class TestCsv:
         geo.TubeSpec(geo.e3_circle(1.0), 1.0, geo.SECTION_EUCLIDEAN),  # irregular where cos t = 1
         geo.TubeSpec(geo.l3_spacelike_helix_spacelike_normal(2.0, 1.0), 0.5, geo.SECTION_L_HYPERBOLA, -1),
         geo.TubeSpec(geo.h3_circle(1.0), 0.5, geo.SECTION_HYPERBOLIC),
+        # right cylinders: a block of many rows is one kernel row outside H^3
+        geo.TubeSpec(geo.e3_line(), 0.5, geo.SECTION_EUCLIDEAN),
+        geo.TubeSpec(geo.l3_line("spacelike", "timelike"), 0.5, geo.SECTION_L_HYPERBOLA, -1),
+        geo.TubeSpec(geo.h3_geodesic(), 1.0, geo.SECTION_HYPERBOLIC),
     ]
 
     @settings(max_examples=20, deadline=None)
     @given(spec=st.sampled_from(GRID_TUBES), n_s=st.integers(1, 80), n_t=st.integers(1, 80))
     @example(spec=GRID_TUBES[0], n_s=72, n_t=72)
     @example(spec=GRID_TUBES[2], n_s=45, n_t=3)
+    @example(spec=GRID_TUBES[3], n_s=64, n_t=64)
+    @example(spec=GRID_TUBES[4], n_s=80, n_t=51)
+    @example(spec=GRID_TUBES[5], n_s=33, n_t=64)
     def test_grid_csv_is_the_same_at_every_block_size(self, spec, n_s, n_t):
         # blocks of one row (1 point, and 7 below a row of 8 or more), of a
         # few rows (7 over rows of 1-3 points, which 7 need not divide) and
-        # of many rows (1024 and 4096, over grids of up to 80x80): the
-        # same bytes of the whole grid's CSV
+        # of many rows (1024 and 4096, over grids of up to 80x80, which on
+        # the E^3 and L^3 cylinders are one kernel row repeated): the same
+        # bytes of the whole grid's CSV
         s_grid, t_grid = geo.default_grids(spec, n_s, n_t)
         default, csvs = geo.BLOCK_POINTS, set()
         try:

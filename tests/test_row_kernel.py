@@ -376,6 +376,86 @@ def test_first_error_in_row_major_order(monkeypatch, block_points):
         sample_grid(tiny, s_grid[1:2], t_grid[1:])
 
 
+def block_and_row_stack(monkeypatch, spec, n_s=5, n_t=4):
+    """``_block`` on an n_s x n_t grid, the stack of its one-row ``_block``
+    calls, and the number of rows the first call evaluated (read off the
+    (rows, 1) kappa of its ``_pow(kappa, 2)``)."""
+    s_grid, t_grid = (list(v) for v in geo.default_grids(spec, n_s, n_t))
+    sec = np.array([spec.mu_eta(t) for t in t_grid], dtype=float).reshape(-1, 6).T.reshape(6, 1, -1)
+    shapes, pow_of = [], geo._pow
+    monkeypatch.setattr(geo, "_pow", lambda x, n: shapes.append(np.shape(x)) or pow_of(x, n))
+    block = geo._block(spec, s_grid, t_grid, sec)
+    evaluated = next(shape[0] for shape in shapes if len(shape) == 2)
+    rows = zip(*(geo._block(spec, [s], t_grid, sec) for s in s_grid))
+    return block, [np.concatenate(arrays) for arrays in rows], evaluated
+
+
+def assert_same_bits(block, stack):
+    for got, want in zip(block, stack, strict=True):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert bits(got.ravel().tolist()) == bits(want.ravel().tolist())
+
+
+@pytest.mark.parametrize(
+    "tube, merged",
+    [
+        ("e3-line:r=1/2", True),
+        ("l3-line:r=1/2,section=circle,delta=-1", True),
+        ("l3-line:causality=spacelike,normal=timelike,r=1/2,section=hyperbola,delta=1", True),
+        ("h3-geodesic:r=1", False),
+    ],
+)
+def test_cylinder_block_is_its_row_stack(monkeypatch, tube, merged):
+    # outside H^3 every row of a geodesic tube has row 0's frame and one
+    # row is evaluated for the block; in H^3 gamma enters the kernel and
+    # every row is its own
+    spec, _ = cli._tube_from_arg(tube)
+    block, stack, evaluated = block_and_row_stack(monkeypatch, spec)
+    assert evaluated == (1 if merged else 5)
+    assert_same_bits(block, stack)
+
+
+def test_h3_rows_with_one_frame_stay_apart(monkeypatch):
+    # every row gets row 0's T, N, B, kappa, tau and signs; gamma still
+    # differs from row to row, and with it the bits of K, so no row may
+    # take row 0's values
+    spec, _ = cli._tube_from_arg("h3-circle:r0=1,r=1/2")
+    frames_of = geo._frames
+
+    def frames(curve, s_rows):
+        frame = frames_of(curve, s_rows)
+        row0 = frames_of(curve, [curve.domain[0]])
+        return frame._replace(**{name: np.broadcast_to(getattr(row0, name), getattr(frame, name).shape) for name in frame._fields[1:]})
+
+    monkeypatch.setattr(geo, "_frames", frames)
+    block, stack, evaluated = block_and_row_stack(monkeypatch, spec)
+    assert evaluated == 5
+    assert_same_bits(block, stack)
+    assert len({row.tobytes() for row in block[1]}) > 1
+
+
+@pytest.mark.parametrize("change", ["signed-zero", "ulp"])
+@pytest.mark.parametrize("section", ["circle", "hyperbola"])
+def test_rows_merge_only_on_equal_frame_bits(monkeypatch, change, section):
+    # row 2's N holds -0.0 where row 0's holds 0.0, or row 2's T is one ulp
+    # off: equal as floats, or nearly, but another frame, so no row merges
+    spec, _ = cli._tube_from_arg(f"l3-line:r=1/2,section={section},delta=1")
+    s_grid = list(geo.default_grids(spec, 5, 4)[0])
+    frames_of = geo._frames
+
+    def frames(curve, s_rows):
+        frame = frames_of(curve, s_rows)
+        row2 = np.equal(s_rows, s_grid[2])
+        if change == "signed-zero":
+            return frame._replace(N=np.where(row2 & (frame.N == 0.0), -0.0, frame.N))
+        return frame._replace(T=frame.T * np.where(row2, math.nextafter(1.0, 2.0), 1.0))
+
+    monkeypatch.setattr(geo, "_frames", frames)
+    block, stack, evaluated = block_and_row_stack(monkeypatch, spec)
+    assert evaluated == 5
+    assert_same_bits(block, stack)
+
+
 FLOATS = st.one_of(
     st.floats(),  # nan and +-inf included
     st.floats(-10.0, 10.0),
