@@ -74,4 +74,4 @@ __all__ = [
     "true_nonlinear_witness",
 ]
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

@@ -9,7 +9,11 @@ second-fundamental-form length).  All but ``verify`` are exact algebra
 and start without ``geometry`` and numpy: this module registers
 ``geometry`` as a lazy module, whose source, numpy import included, is
 compiled and run on its first attribute lookup, which only ``verify``
-makes.
+makes.  Run as a program, the CLI asks numpy's OpenBLAS for one thread:
+``geometry`` makes no BLAS call a second thread could serve, and on a
+2-vCPU host an idle pool took nearly a third of a cold ``verify``.
+Setting any of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
+overrides it.
 
 Reports are JSON documents with a frozen field layout (see
 docs/report_schema.md); identical inputs produce byte-identical output.
@@ -663,6 +667,10 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command on argv, or on sys.argv[1:] as a program, where
+    OpenBLAS gets one thread unless the user chose a number (module doc)."""
+    if argv is None and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read as numpy loads, in verify
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -164,6 +164,11 @@ class TestSolveQS:
         assert desc.contains(exq_poly)
         assert not desc.contains(exq_poly + Poly2.constant(1))
 
+    @pytest.mark.parametrize("cylinder", [False, True])
+    def test_zero_polynomial_is_a_member(self, cylinder):
+        # the zero relation holds on every surface
+        assert solve_QS(TubeIdentity(LORENTZIAN_NEG, Fraction(1, 2), cylinder)).contains(Poly2.zero())
+
     def test_cylinder_membership(self):
         # the tube relation itself vanishes on the cylinder of its radius
         r = Fraction(7, 3)

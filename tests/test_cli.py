@@ -956,14 +956,16 @@ class TestBenchTargets:
             assert callable(owner), (module, attr)
 
 
-def fresh_cli(snippet: str, *argv: str) -> subprocess.CompletedProcess:
+def fresh_cli(snippet: str, *argv: str, unset: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     """Run snippet in a new interpreter on this checkout's src/, with
-    argv after it in sys.argv."""
+    argv after it in sys.argv and the variables in unset taken out of
+    its environment."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {name: value for name, value in os.environ.items() if name not in unset}
     return subprocess.run(
         [sys.executable, "-c", snippet, *argv],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         timeout=120,
     )
 
@@ -1064,6 +1066,83 @@ class TestGeometryOnlyForVerify:
         # one module object, so a monkeypatch of geo reaches the CLI
         assert cli.geo is geo is sys.modules["weingarten_tubes.geometry"]
         assert cli._lazy_geometry() is geo
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestOneBlasThreadAsAProgram:
+    # run as a program (no argv), main gives OpenBLAS one thread before
+    # verify loads numpy, unless the user set any of its thread variables;
+    # a call with argv leaves the environment alone
+    CHILD = (
+        "import os, sys\n"
+        "from weingarten_tubes import cli\n"
+        "code = cli.main()\n"
+        "tasks = '/proc/self/task'\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 'no-proc', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    @staticmethod
+    def thread_vars(monkeypatch, **values):
+        """Unset the three variables, then set values; each name is
+        recorded first, so whatever main adds is undone after the test."""
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "")
+            monkeypatch.delenv(name)
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+
+    def run_as_program(self, capsys, monkeypatch) -> dict:
+        monkeypatch.setattr(sys, "argv", ["weingarten-tubes", "sff", "3"])
+        assert main() == 0
+        capsys.readouterr()
+        return {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+
+    def test_program_defaults_to_one_thread(self, capsys, monkeypatch):
+        self.thread_vars(monkeypatch)
+        assert self.run_as_program(capsys, monkeypatch) == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "GOTO_NUM_THREADS": None,
+            "OMP_NUM_THREADS": None,
+        }
+
+    def test_users_openblas_value_is_kept(self, capsys, monkeypatch):
+        self.thread_vars(monkeypatch, OPENBLAS_NUM_THREADS="3")
+        assert self.run_as_program(capsys, monkeypatch)["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_users_omp_value_adds_nothing(self, capsys, monkeypatch):
+        self.thread_vars(monkeypatch, OMP_NUM_THREADS="2")
+        assert self.run_as_program(capsys, monkeypatch) == {
+            "OPENBLAS_NUM_THREADS": None,
+            "GOTO_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "2",
+        }
+
+    @pytest.mark.parametrize("argv", [["sff", "3"], ["verify", "x - y", "--tube", "e3-line:r=1/2", "--grid", "4x4"]])
+    def test_call_with_argv_leaves_the_environment(self, capsys, monkeypatch, argv):
+        self.thread_vars(monkeypatch)
+        before = dict(os.environ)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize(
+        "tube", ["e3-torus:R=10,r=2", "l3-helix-ss:a=2,b=1,r=1/2", "h3-circle:r0=1,r=1/2"], ids=lambda t: t.split(":")[0]
+    )
+    def test_cold_verify_prints_the_in_process_bytes_on_one_thread(self, capsys, tmp_path, tube):
+        # 80x64 is two blocks; the child's report names the same CSV path
+        csv = tmp_path / "grid.csv"
+        argv = ["verify", "(x - 4*y + 4)^2*(x + y)", "--tube", tube, "--grid", "80x64", "--csv", str(csv)]
+        code, out, _ = run_cli(capsys, *argv)
+        rows = csv.read_bytes()
+        csv.unlink()
+        proc = fresh_cli(self.CHILD, *argv, unset=BLAS_THREAD_VARS)
+        assert proc.returncode == code == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == out
+        assert csv.read_bytes() == rows
+        if Path("/proc/self/task").is_dir():
+            assert proc.stderr.decode() == "1\n"
 
 
 class TestDivideOnePass:

@@ -88,6 +88,17 @@ class TestRingOperations:
         assert Poly2.zero().degree == -1
         assert Poly1().degree == -1
 
+    def test_truth_is_nonzero(self):
+        assert Poly2.constant(Fraction(1, 3)) and X
+        assert not Poly2.zero() and not Poly2([((1, 0), 0)])
+        assert Poly1([0, 1]) and not Poly1() and not Poly1([0, 0])
+
+    @pytest.mark.parametrize("p", [Poly2.constant(2), Poly1([2])], ids=["Poly2", "Poly1"])
+    def test_a_number_is_not_a_polynomial(self, p):
+        # the comparison is left to the other operand, so it falls back to identity
+        assert p.__eq__(2) is NotImplemented
+        assert p != 2 and p != "2"
+
     def test_bool_is_not_an_exact_rational(self):
         # bool is an int subclass, but a flag in place of a number is a
         # caller's mistake: the float error, not the radius-1 generator
@@ -234,6 +245,12 @@ class TestPrinters:
     def test_poly1_prints_as_before(self, cs, var):
         p = Poly1(cs)
         assert p.to_string(var) == reference_poly1_string(p, var)
+
+    def test_str_and_repr(self):
+        p = Poly1([-2, 0, 1])
+        assert (str(p), repr(p)) == ("x^2 - 2", "Poly1('x^2 - 2')")
+        assert (str(Poly1()), repr(Poly1())) == ("0", "Poly1('0')")
+        assert repr(X * Y - Poly2.constant(Fraction(1, 2))) == "Poly2('x*y - 1/2')"
 
 
 class TestGamma:

@@ -10,8 +10,8 @@ import pytest
 from weingarten_tubes import classify, radius
 from weingarten_tubes import geometry as geo
 from weingarten_tubes.cli import parse_poly
-from weingarten_tubes.errors import InvalidSpecRow, NonpositiveRadius
-from weingarten_tubes.polyalg import Poly1
+from weingarten_tubes.errors import DimensionMismatch, InvalidSpecRow, NonpositiveRadius
+from weingarten_tubes.polyalg import Poly1, Poly2
 
 TUBE_RELATION = parse_poly("4*x - 4*y + 1")  # the generator at radius 2
 SQRT2 = radius.AlgebraicRadius(Poly1([-2, 0, 1]), Fraction(1), Fraction(2))
@@ -108,10 +108,24 @@ VALIDATORS = [
     (lambda: radius.AlgebraicRadius(Poly1([-2, 1]), Fraction(0), Fraction(3), Fraction(1)), ValueError, "exact_value is not a root of the defining polynomial"),
     (lambda: radius.AlgebraicRadius(Poly1([-2, 1]), Fraction(0), Fraction(1), Fraction(2)), ValueError, "exact_value outside the isolating interval"),
     (lambda: radius.RadiusSet("some"), ValueError, "bad RadiusSet kind 'some'"),
+    # a library caller can name a space the CLI's --space choices refuse
+    (lambda: classify.expand_spaces("spherical"), ValueError, "unknown space 'spherical'"),
+    (lambda: classify.expand_spaces(["euclidean", "spherical"]), ValueError, "unknown space 'spherical'"),
+    (lambda: Poly2.variable("z"), ValueError, "unknown variable 'z'"),
+    (lambda: Poly2.variable("x") ** -1, ValueError, "exponent must be nonnegative"),
     (lambda: classify.TubeIdentity(radius.EUCLIDEAN, 0, False), NonpositiveRadius, "tube radius must be a positive rational, got 0"),
     (lambda: classify.TubeIdentity(radius.EUCLIDEAN, 0.5, False), NonpositiveRadius, "tube radius must be a positive rational, got 0.5"),
     (lambda: geo.TubeSpec(CIRCLE, 0.0, geo.SECTION_EUCLIDEAN), NonpositiveRadius, "tube radius must be positive, got 0.0"),
     (lambda: geo.TubeSpec(CIRCLE, 1.0, geo.SECTION_EUCLIDEAN, 0), ValueError, "delta must be -1 or +1"),
+    (lambda: geo.lorentz_cross([1.0, 0.0], [0.0, 1.0]), DimensionMismatch, "need 3- or 4-dimensional vectors"),
+    (lambda: geo.lorentz_cross(), DimensionMismatch, "need 3- or 4-dimensional vectors"),
+    # the guards of the curve builders that take parameters (`verify` reports them as exit 2)
+    (lambda: geo.e3_circle(0.0), ValueError, "circle radius must be positive"),
+    (lambda: geo.e3_helix(0.0, 1.0), ValueError, "helix needs a > 0"),
+    (lambda: geo.l3_spacelike_helix_spacelike_normal(1.0, -1.0), ValueError, "spacelike helix with spacelike normal needs a > |b|"),
+    (lambda: geo.l3_spacelike_helix_timelike_normal(0.0, 1.0), ValueError, "helix needs a > 0"),
+    (lambda: geo.l3_timelike_helix(2.0, 1.0), ValueError, "timelike helix needs b > a > 0"),
+    (lambda: geo.h3_circle(-1.0), ValueError, "needs r0 > 0"),
     # a delta equal to +-1 that is not an int, as for eps (check_epsilon)
     *(
         pytest.param(
