@@ -80,10 +80,18 @@ from .errors import (
     ZeroPolynomial,
 )
 from .polyalg import Poly2
+from .radius import SPACES
 
 
 BIREGULARITY_EPS = 1e-10
 REGULARITY_CUTOFF = 1e-3
+
+
+def _known_space(curve: CentralCurve) -> str:
+    """The curve's space, one of ``SPACES``; another is a ValueError, as in ``SpaceTag``."""
+    if curve.space not in SPACES:
+        raise ValueError(f"unknown space {curve.space!r}")
+    return curve.space
 
 
 def _inner(space: str, u, v):
@@ -157,7 +165,7 @@ def _frames(curve: CentralCurve, s_rows: Sequence[float]) -> FrenetFrame:
     completion.  Raises for the first row where the curve is not biregular
     (DegenerateFrame) or its acceleration numerically lightlike
     (LightlikeNormal), with that row's s."""
-    space = curve.space
+    space = _known_space(curve)
     pos, t_vec, acc, jerk = np.array([curve.jet(s) for s in s_rows], dtype=float).transpose(1, 2, 0)
     ones = np.ones(len(s_rows))
     if curve.is_geodesic:
@@ -239,10 +247,11 @@ _SECTION_ERRORS = {
 
 def _section_row(curve: CentralCurve, section: str) -> tuple[bool, bool]:
     """The table row of the tube over curve with this section; raises
-    InvalidSpecRow if no such tube exists."""
-    row = _SECTION_ROWS.get((curve.space, curve.eps_T, curve.eps_N, section))
-    if row is None and all(key[::3] != (curve.space, section) for key in _SECTION_ROWS):
-        raise InvalidSpecRow(_SECTION_ERRORS.get(curve.space, _SECTION_ERRORS["lorentzian"]).format(section))
+    InvalidSpecRow if no such tube exists, ValueError for an unknown space."""
+    space = _known_space(curve)
+    row = _SECTION_ROWS.get((space, curve.eps_T, curve.eps_N, section))
+    if row is None and all(key[::3] != (space, section) for key in _SECTION_ROWS):
+        raise InvalidSpecRow(_SECTION_ERRORS[space].format(section))
     if row is None:
         raise InvalidSpecRow(f"no tube with curve causality {curve.eps_T}, normal causality {curve.eps_N} and section {section!r} exists")
     return row

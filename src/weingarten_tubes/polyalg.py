@@ -15,11 +15,12 @@ extraction) is exact and runs on Python ints.  Two types:
   parts into one dict, ``_convolve`` multiplies, and ``_expand_power``
   raises to a power in one pass over the support of the result (Miller's
   recurrence on a Kronecker index), not in k products.
-* ``Poly1`` -- dense univariate polynomial: Fraction coefficient tuple
-  indexed by exponent, trailing coefficient nonzero.  It is the public
-  boundary type of the univariate results (substitution images, the
-  paper's gamma polynomials, defining polynomials of radii), a value
-  with no ring operations; the algebra behind them runs on integer lists.
+* ``Poly1`` -- dense univariate polynomial, stored cleared too: integer
+  numerators by exponent, no trailing zero, over one denominator.  It is
+  the public boundary type of the univariate results (substitution
+  images, the paper's gamma polynomials, defining polynomials of radii),
+  a value with no ring operations; the algebra behind them, in
+  ``radius`` too, runs on integer lists such as its numerators.
 
 On top of the ring arithmetic the module owns the one division by a
 linear relation g = a*x + b*y + c, b != 0: how Q is divided on the line
@@ -94,7 +95,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -148,55 +148,64 @@ def _join_terms(terms: Iterable[tuple[int, int, str]]) -> str:
 
 class Poly1:
     """Dense univariate polynomial with exact rational coefficients: a
-    value to build, compare, evaluate and print."""
+    value to build, compare, evaluate and print.  Stored as ``Poly2`` is,
+    so equal polynomials have equal fields."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        pairs = [_num_den(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in pairs))
+        canonical = Poly1._from_cleared([n * (den // d) for n, d in pairs], den)
+        self._den, self._nums = canonical._den, canonical._nums
+
+    @classmethod
+    def _from_cleared(cls, nums: Sequence[int], den: int) -> "Poly1":
+        """sum nums[k] / den * x**k, den != 0, cleared as ``Poly2._from_cleared`` is."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
+        p = cls.__new__(cls)
+        p._den, p._nums = den // g, tuple(nums) if g == 1 else tuple([v // g for v in nums])
+        return p
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple([Fraction(v, self._den) for v in self._nums])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
+        return Fraction(self._nums[k] if 0 <= k < len(self._nums) else 0, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._den, self._nums))
 
     def eval(self, v: RatLike) -> Fraction:
-        v = _frac(v)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        v, acc = _frac(v), Fraction(0)
+        for c in reversed(self._nums):
             acc = acc * v + c
-        return acc
+        return acc / self._den
 
     def to_string(self, var: str = "x") -> str:
-        terms = reversed(tuple(enumerate(self._coeffs)))
-        return _join_terms((c.numerator, c.denominator, f"{var}^{k}" if k > 1 else var if k else "") for k, c in terms if c)
+        den, terms = self._den, reversed(tuple(enumerate(self._nums)))
+        return _join_terms((v, den, f"{var}^{k}" if k > 1 else var if k else "") for k, v in terms if v)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -204,10 +213,6 @@ class Poly1:
     def __repr__(self) -> str:
         return f"Poly1({self.to_string()!r})"
 
-
-# fixed odd multipliers (Knuth's multiplicative hash of 1..64) for the
-# numerator combination of Poly2._from_cleared
-_MIX = tuple((i * 2654435761) % 2**32 | 1 for i in range(1, 65))
 
 # the line pass of a Poly2 that was asked none: no line is ()
 _NO_PASS = ((), (0,), 1)
@@ -356,13 +361,23 @@ class Poly2:
     def __neg__(self) -> "Poly2":
         return Poly2._make({e: -v for e, v in self._nums.items()}, self._den)
 
-    def __add__(self, other: "Poly2") -> "Poly2":
-        den, nums = _add(((1, self._den, self._nums), (1, other._den, other._nums)))
+    def _plus(self, sign: int, other: Union["Poly2", RatLike]) -> "Poly2":
+        """self + sign * other, a number taken as ``Poly2.constant`` takes it."""
+        if not isinstance(other, Poly2):
+            other = Poly2.constant(other)
+        den, nums = _add(((1, self._den, self._nums), (sign, other._den, other._nums)))
         return Poly2._from_cleared(nums, den)
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        den, nums = _add(((1, self._den, self._nums), (-1, other._den, other._nums)))
-        return Poly2._from_cleared(nums, den)
+    def __add__(self, other: Union["Poly2", RatLike]) -> "Poly2":
+        return self._plus(1, other)
+
+    def __sub__(self, other: Union["Poly2", RatLike]) -> "Poly2":
+        return self._plus(-1, other)
+
+    def __rsub__(self, other: RatLike) -> "Poly2":
+        return (-self)._plus(1, other)
+
+    __radd__ = __add__
 
     @classmethod
     def _make(cls, nums: dict[tuple[int, int], int], den: int) -> "Poly2":
@@ -385,22 +400,10 @@ class Poly2:
     @classmethod
     def _from_cleared(cls, nums: Mapping[tuple[int, int], int], den: int) -> "Poly2":
         """The polynomial sum nums[e] / den * x**i * y**j, den != 0, in
-        canonical form: zero numerators dropped, the content common to den
-        and the numerators divided out (when it is not 1) with the sign that
-        makes den positive, ordered by two C-level sorts: by exponent pair,
-        then stably by total degree.  The content divides g = gcd(den, S) for any
-        integer combination S of the numerators, so it is gcd(g, *numerators)
-        taken from g, not from den: g is usually 1 or small, and the chain
-        then costs one remainder per numerator, not a gcd of den with each.
-        S is the numerators' sum, or a fixed pseudo-random combination when
-        the sum is zero (a Q that vanishes at (1, 1), such as (x - y) * P)."""
-        values = nums.values()
-        combination = sum(values) or sum(map(operator.mul, itertools.cycle(_MIX), values))
-        g = math.gcd(den, combination)
-        if g != 1:
-            g = math.gcd(g, *values)
-        if den < 0:
-            g = -g
+        canonical form: zero numerators dropped, gcd(den, *numerators) divided
+        out, signed to leave den positive, and ordered by two C-level sorts:
+        by exponent pair, then stably by total degree."""
+        g = math.gcd(den, *nums.values()) * (-1 if den < 0 else 1)
         order = sorted(sorted(nums, reverse=True), key=sum, reverse=True)
         cleared = {e: nums[e] for e in order if nums[e]} if g == 1 else {e: nums[e] // g for e in order if nums[e]}
         return cls._make(cleared, den // g)
@@ -412,15 +415,14 @@ class Poly2:
             other = Poly2.constant(other)
         return Poly2._from_cleared(_convolve(self._nums, other._nums), self._den * other._den)
 
+    __rmul__ = __mul__
+
     def __pow__(self, k: int) -> "Poly2":
         """self**k (1 for k = 0): ``_expand_power`` of the numerators over
         den**k."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         return Poly2._from_cleared(_expand_power(self._nums, k), self._den**k)
-
-    def __rmul__(self, other: RatLike) -> "Poly2":
-        return self * other
 
     def eval(self, x: RatLike, y: RatLike) -> Fraction:
         x, y = _frac(x), _frac(y)
@@ -490,8 +492,7 @@ def gamma_at(q: Poly2, r: RatLike) -> list[Fraction]:
     / (2**(k-i+j) * r**(j+i)) with n the total degree of Q:
     ``substitute_tube`` at r, padded with zeros to n + 1 entries.
     """
-    coeffs = list(substitute_tube(q, r).coeffs)
-    return coeffs + [Fraction(0)] * (q.degree + 1 - len(coeffs))
+    return list(map(substitute_tube(q, r).coeff, range(q.degree + 1)))
 
 
 def gamma_cleared(q: Poly2) -> list[Poly1]:
@@ -514,7 +515,7 @@ def gamma_cleared(q: Poly2) -> list[Poly1]:
     # g_k = scale * r**(n-m-k) * row_k / den; for k > n - m, row k carries
     # r**(k-n+m), and the n + 1 rows run to x**n
     return [
-        Poly1([Fraction(v * scale, den) for v in [0] * (n - m - k) + row[max(k - n + m, 0) :]])
+        Poly1._from_cleared([v * scale for v in [0] * (n - m - k) + row[max(k - n + m, 0) :]], den)
         for k, row in enumerate(_family_image(nums, a, b, c))
     ]
 
@@ -630,10 +631,11 @@ def substitute_tube(q: Poly2, r: RatLike, eps: int = 1) -> Poly1:
     a, b, c, _ = _tube_line(r, eps)
     steps, k = q._line_pass(a, b, c)
     # step 0 is den * b**n * Q(x, L), b = -2*p*s at r = p/s: over that
-    # factor and with x -> eps*x/r it is the image
+    # factor and with x -> eps*x/r it is the image, over p**len(digits) in common
     p, s = _num_den(r)
-    scale = q._den * b ** (len(steps) - 1)
-    return Poly1([Fraction(v * (eps * s) ** e, scale * p**e) for e, v in enumerate(_unpack(steps[0], k))])
+    digits = _unpack(steps[0], k)
+    scale = q._den * b ** (len(steps) - 1) * p ** len(digits)
+    return Poly1._from_cleared([v * (eps * s) ** e * p ** (len(digits) - e) for e, v in enumerate(digits)], scale)
 
 
 def divide_by_tube_factor(q: Poly2, r: RatLike, eps: int = 1) -> Optional[Poly2]:

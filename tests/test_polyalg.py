@@ -120,6 +120,20 @@ class TestRingOperations:
             with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
                 build()
 
+    def test_a_number_adds_and_subtracts(self):
+        # an int or a Fraction operand is Poly2.constant of it, on either
+        # side, as for *; a float or a bool is refused as constant refuses it
+        for c in (1, -3, Fraction(1, 2), Fraction(-7, 3)):
+            const = Poly2.constant(c)
+            assert X + c == c + X == X + const
+            assert X - c == X - const and c - X == const - X == -(X - c)
+        assert (str(X + 1), str(X - 1), str(1 + X), str(1 - X)) == ("x + 1", "x - 1", "x + 1", "-x + 1")
+        assert str(Fraction(1, 2) - X * Y) == "-x*y + 1/2" and (X - X) + 0 == 0 + Poly2.zero() == Poly2.zero()
+        for bad in (1.0, True):
+            for build in (lambda: X + bad, lambda: bad + X, lambda: X - bad, lambda: bad - X):
+                with pytest.raises(TypeError, match=f"^expected an exact rational, got {type(bad).__name__}$"):
+                    build()
+
     def test_bool_is_not_a_signal(self):
         # tube_generator(1, True) would be the eps = +1 generator, and a
         # float or Fraction eps would put a non-integer into its line
@@ -157,6 +171,14 @@ class TestRingOperations:
             ((X * 6 - Y * 4) * Fraction(1, 8), Poly2({(1, 0): Fraction(3, 4), (0, 1): Fraction(-1, 2)})),
             ((X * Fraction(7, 3) + Y) ** 0, Poly2.constant(1), Y - Y + Poly2.constant(Fraction(5, 5))),
             (X - X, Poly2.zero(), (half * Y) * 0),
+            # numerators that sum to zero over a denominator above 1, with
+            # content 1 and with content 2 to divide out
+            (
+                (X - Y) * (6 * X + 4 * Y) * Fraction(1, 9),
+                Poly2({(2, 0): Fraction(2, 3), (1, 1): Fraction(-2, 9), (0, 2): Fraction(-4, 9)}),
+                Poly2._from_cleared({(0, 2): -4, (1, 1): -2, (2, 0): 6}, 9),
+            ),
+            ((X - Y) * (6 * X + 4 * Y) * half, 3 * X**2 - X * Y - 2 * Y**2, Poly2._from_cleared({(1, 1): 4, (0, 2): 8, (2, 0): -12}, -4)),
         ]
         for built in routes:
             for p in built:
@@ -179,13 +201,23 @@ class TestRingOperations:
         assert Poly2.zero().eval_float(1.0, 2.0) == 0.0
 
 
-def reference_poly1_string(p: Poly1, var: str) -> str:
-    """Poly1.to_string as printed in 0.2.0, before ``_join_terms``."""
-    if p.is_zero:
+def reference_poly1(coeffs) -> tuple:
+    """Poly1 as stored before 0.23.0: its coefficients as Fractions, with
+    no trailing zero."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def reference_poly1_string(coeffs: tuple, var: str) -> str:
+    """Poly1.to_string of the Fraction tuple coeffs (``reference_poly1``)
+    as printed in 0.2.0, before ``_join_terms``."""
+    if not coeffs:
         return "0"
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
@@ -243,14 +275,71 @@ class TestPrinters:
     @example(cs=[], var="r")
     @example(cs=[Fraction(-1), Fraction(1), Fraction(0), Fraction(-1)], var="r")
     def test_poly1_prints_as_before(self, cs, var):
-        p = Poly1(cs)
-        assert p.to_string(var) == reference_poly1_string(p, var)
+        assert Poly1(cs).to_string(var) == reference_poly1_string(reference_poly1(cs), var)
 
     def test_str_and_repr(self):
         p = Poly1([-2, 0, 1])
         assert (str(p), repr(p)) == ("x^2 - 2", "Poly1('x^2 - 2')")
         assert (str(Poly1()), repr(Poly1())) == ("0", "Poly1('0')")
         assert repr(X * Y - Poly2.constant(Fraction(1, 2))) == "Poly2('x*y - 1/2')"
+
+
+# int and Fraction coefficients, zero among them often
+poly1_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(10**20), 10**20),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+)
+
+
+class TestClearedPoly1:
+    """Poly1 stored as integer numerators over one denominator keeps the
+    values of the Fraction tuple it was stored as before 0.23.0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cs=st.lists(poly1_coefficients, max_size=12),
+        factor=st.sampled_from([1, 6, -4, Fraction(10, 3), Fraction(-1, 12)]),
+        zeros=st.integers(0, 3),
+        other=st.lists(poly1_coefficients, max_size=4),
+        point=st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    )
+    @example(cs=[], factor=1, zeros=0, other=[], point=Fraction(1))
+    @example(cs=[0, 0], factor=6, zeros=2, other=[0], point=Fraction(-3, 7))
+    @example(cs=[Fraction(1, 2), 0, 3], factor=-4, zeros=1, other=[2, 0, 6], point=Fraction(1, 2))
+    def test_values_match_the_fraction_tuple(self, cs, factor, zeros, other, point):
+        # a shared factor and trailing zeros, as a caller may pass them
+        built = [c * factor for c in cs] + [0] * zeros
+        p, ref = Poly1(built), reference_poly1(built)
+        den, nums = p._den, p._nums
+        assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+        assert math.gcd(den, *nums) == 1 and (not nums or nums[-1])
+        assert p.coeffs == ref and all(type(c) is Fraction for c in p.coeffs)
+        for k in range(-2, len(ref) + 3):
+            got = p.coeff(k)
+            assert type(got) is Fraction and got == (ref[k] if 0 <= k < len(ref) else 0)
+        assert (p.degree, p.is_zero, bool(p)) == (len(ref) - 1, not ref, bool(ref))
+        value = Fraction(0)
+        for c in reversed(ref):
+            value = value * point + c
+        assert type(p.eval(point)) is Fraction and p.eval(point) == value
+        assert p.eval(int(point.numerator)) == sum(c * point.numerator**k for k, c in enumerate(ref))
+        text = reference_poly1_string(ref, "x")
+        assert (str(p), repr(p), p.to_string("r")) == (text, f"Poly1({text!r})", reference_poly1_string(ref, "r"))
+        # equal values are equal and hash equal, whatever the route
+        same = Poly1(ref)
+        assert p == same and hash(p) == hash(same) and (same._den, same._nums) == (den, nums)
+        q = Poly1(other)
+        assert (p == q) == (ref == reference_poly1(other)) and (p != q) == (ref != reference_poly1(other))
+
+    def test_round_trip(self):
+        p = Poly1([Fraction(1, 2), 0, 3])
+        assert (p._den, p._nums) == (2, (1, 0, 6))
+        assert p.coeffs == (Fraction(1, 2), 0, 3) and str(p) == "3*x^2 + 1/2"
+        assert p == Poly1([Fraction(2, 4), Fraction(0), 3, 0]) == Poly1(p.coeffs)
+        assert Poly1([4, 6])._nums == (4, 6)  # content is shared with den, not taken from the numerators alone
+        for zero in (Poly1(), Poly1([0, Fraction(0, 5)])):
+            assert (zero._den, zero._nums) == (1, ())
 
 
 class TestGamma:

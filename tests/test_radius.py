@@ -54,22 +54,22 @@ class TestIsolation:
         assert abs(rad.approx() - 2**0.5) < 1e-9
 
     def test_refined_clears_the_defining_poly_once(self, monkeypatch):
-        # one integer list serves the bisection and the sign checks of the
-        # narrowed radius
+        # the defining poly is cleared once, when it is built: the bisection
+        # and the sign checks of the narrowed radius read its numerators
+        # and build no Fraction from it
         (rad,) = isolate_positive_roots(Poly1([-2, 0, 1]))
-        calls = []
-        integer_coeffs = radius._integer_coeffs
+        (two,) = isolate_positive_roots(Poly1([-2, 1]))
 
-        def counting(coeffs):
-            calls.append(coeffs)
-            return integer_coeffs(coeffs)
+        def refuse(*args):
+            raise AssertionError("a Fraction coefficient of the defining poly was read")
 
-        monkeypatch.setattr(radius, "_integer_coeffs", counting)
+        monkeypatch.setattr(Poly1, "coeffs", property(refuse))
+        monkeypatch.setattr(Poly1, "coeff", refuse)
         for width in (radius.DISPLAY_WIDTH, Fraction(1, 3), Fraction(1, 7**9)):
-            calls.clear()
             fine = rad.refined(width)
-            assert len(calls) == 1
             assert fine.lo < fine.hi <= fine.lo + width and fine.lo**2 < 2 < fine.hi**2
+            assert two.refined(width).exact_value == 2
+        assert vanishes_at([-4, 0, 2], rad) and not vanishes_at([-3, 0, 1], rad)
 
     def test_every_construction_checks_the_sign_change(self):
         # a cell without a sign change, built past the constructor, is

@@ -136,6 +136,9 @@ VALIDATORS = [
     (lambda: geo.TubeSpec(CIRCLE, 1.0, geo.SECTION_HYPERBOLIC), InvalidSpecRow, "Euclidean tubes use 'euclidean-circle'"),
     (lambda: geo.TubeSpec(geo.h3_geodesic(), 1.0, geo.SECTION_EUCLIDEAN), InvalidSpecRow, "hyperbolic tubes use 'hyperbolic-circle'"),
     (lambda: geo.TubeSpec(L3_TIMELIKE, 1.0, geo.SECTION_EUCLIDEAN), InvalidSpecRow, "Lorentzian tubes use circle or hyperbola sections, got 'euclidean-circle'"),
+    # a hand-built curve in a space no table row has: neither a tube nor a frame
+    (lambda: geo.TubeSpec(CIRCLE._replace(space="spherical"), 0.5, geo.SECTION_EUCLIDEAN), ValueError, "unknown space 'spherical'"),
+    (lambda: geo.frenet_frame(CIRCLE._replace(space="spherical"), 0.0), ValueError, "unknown space 'spherical'"),
     (
         lambda: geo.TubeSpec(L3_TIMELIKE, 1.0, geo.SECTION_L_HYPERBOLA),
         InvalidSpecRow,
